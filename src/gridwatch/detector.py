@@ -81,8 +81,20 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+class NonFiniteLikelihoodError(ValueError):
+    """A log-likelihood ratio is NaN or infinite, almost always because a
+    sample is.  The recursion cannot absorb such a step: min(700, nan) is
+    700, so it would raise an alarm on the spot."""
+
+
 def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
-    """One recursion step in log domain, clamped to +-700."""
+    """One recursion step in log domain, clamped to +-700.
+
+    Raises NonFiniteLikelihoodError when log_lr is not finite.
+    """
+    if not math.isfinite(log_lr):
+        raise NonFiniteLikelihoodError(f"log-likelihood ratio is {log_lr}: "
+                                       "non-finite sample")
     out = log_lr + _logaddexp(log_odds, math.log(rho)) - math.log1p(-rho)
     return max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, out))
 
@@ -276,12 +288,15 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
             if frame.tick % step_period != 0:
                 continue
             x, acc = acc, np.zeros(layout.dim)
-        if config.mode == ADAPTIVE:
-            state = adaptive_step(state, x, g_step, prior, est_prior,
-                                  max_window=config.window, nmin=config.nmin,
-                                  fallback=fallback)
-        else:
-            state = posterior_update(state, x, g_step, f_step, prior)
+        try:
+            if config.mode == ADAPTIVE:
+                state = adaptive_step(state, x, g_step, prior, est_prior,
+                                      max_window=config.window, nmin=config.nmin,
+                                      fallback=fallback)
+            else:
+                state = posterior_update(state, x, g_step, f_step, prior)
+        except NonFiniteLikelihoodError as exc:
+            raise NonFiniteLikelihoodError(f"tick {frame.tick}: {exc}") from None
         ticks.append(frame.tick)
         log_odds.append(state.log_odds)
         refreshed.append(state.f_refreshed)

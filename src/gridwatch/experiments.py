@@ -18,7 +18,7 @@ from .gaussmodel import (
     EstimationPrior,
     GaussianModel,
     kl_divergence,
-    pair_conditional_stats,
+    score_pairs,
 )
 from .detector import GeometricPrior, expected_delay_bound
 from .simgen import Scenario, generate, sample_outage_time
@@ -339,14 +339,18 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
 # --- heatmap emission ---------------------------------------------------------
 
 def correlation_matrix(sigma: np.ndarray, layout: CoordinateLayout) -> np.ndarray:
-    """|conditional correlation| per bus pair, ones on the diagonal."""
+    """|conditional correlation| per bus pair, ones on the diagonal.
+
+    All pairs are scored in one score_pairs call (one factorisation of
+    sigma); degenerate pairs read 0.  Raises SingularBlockError when sigma
+    is singular after its zero-variance coordinates are dropped.
+    """
     buses = layout.buses
-    n = len(buses)
-    out = np.eye(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            score, _ = pair_conditional_stats(sigma, buses[a], buses[b], layout)
-            out[a, b] = out[b, a] = score
+    upper = np.triu_indices(len(buses), 1)
+    scores, _ = score_pairs(sigma, [(buses[a], buses[b]) for a, b in zip(*upper)], layout)
+    out = np.eye(len(buses))
+    out[upper] = scores
+    out.T[upper] = scores
     return out
 
 

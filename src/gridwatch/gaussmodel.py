@@ -12,6 +12,7 @@ the imaginary part unobserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,11 +54,19 @@ class CoordinateLayout:
     def buses(self) -> tuple[int, ...]:
         return tuple(sorted({bus for bus, _ in self.entries}))
 
+    @cached_property
+    def bus_coords(self) -> dict[int, tuple[int, ...]]:
+        """Coordinates of every bus, in layout order."""
+        table: dict[int, tuple[int, ...]] = {}
+        for k, (bus, _) in enumerate(self.entries):
+            table[bus] = table.get(bus, ()) + (k,)
+        return table
+
     def coords_of(self, bus: int) -> tuple[int, ...]:
-        found = tuple(k for k, (b, _) in enumerate(self.entries) if b == bus)
-        if not found:
-            raise KeyError(f"bus {bus} has no coordinates in this layout")
-        return found
+        try:
+            return self.bus_coords[bus]
+        except KeyError:
+            raise KeyError(f"bus {bus} has no coordinates in this layout") from None
 
     def indices_in(self, parent: "CoordinateLayout") -> np.ndarray:
         """Positions of this layout's channels inside a parent layout."""
@@ -220,37 +229,84 @@ def conditional_cov(sigma: np.ndarray, I: list[int], J: list[int]) -> np.ndarray
     return s_ii - half.T @ half
 
 
+# Pair blocks are inverted in stacks of at most this many pairs, which keeps
+# the transient arrays of one stack near 100 kB whatever the feeder size.
+_PAIR_BATCH = 256
+
+
+def score_pairs(sigma: np.ndarray, pairs,
+                layout: CoordinateLayout) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, degenerate) arrays of bus pairs, each conditioned on all
+    other coordinates.
+
+    The score is the largest |correlation| in the cross block of the pair's
+    conditional covariance: zero exactly when the two buses are
+    conditionally independent.  That covariance is the inverse of the pair's
+    block of the precision matrix Lambda = Sigma^-1, so coordinates with
+    variance <= 1e-15 * max(largest variance, 1) are dropped, the kept block
+    is factored once, and the 2x2, 3x3 or 4x4 pair blocks of Lambda are
+    inverted as stacks by np.linalg.inv.  A pair that holds a dropped
+    coordinate, or has a conditional variance <= 1e-14 * max(largest
+    variance, 1), is degenerate and scores 0; a bus paired with itself
+    scores 1.  Raises SingularBlockError when the kept block is singular.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    pairs = list(pairs)
+    table = layout.bus_coords
+    unknown = {bus for pair in pairs for bus in pair} - table.keys()
+    if unknown:
+        raise KeyError(f"bus {min(unknown)} has no coordinates in this layout")
+    scores = np.array([float(i == j) for i, j in pairs])
+    degenerate = np.zeros(len(pairs), dtype=bool)
+    diag = np.diag(sigma)
+    scale = max(float(diag.max(initial=0.0)), 1.0)
+    kept = diag > 1e-15 * scale
+    kept_bus = {bus: bool(kept[list(c)].all()) for bus, c in table.items()}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (i, j) in enumerate(pairs):
+        if i == j:
+            continue
+        if kept_bus[i] and kept_bus[j]:
+            groups.setdefault((len(table[i]), len(table[j])), []).append(p)
+        else:
+            degenerate[p] = True
+    if not groups:
+        return scores, degenerate
+    precision = _kept_precision(sigma, kept)
+    position = np.cumsum(kept) - 1  # of each kept coordinate in the kept block
+    for (ni, _), members in groups.items():
+        for start in range(0, len(members), _PAIR_BATCH):
+            batch = np.array(members[start:start + _PAIR_BATCH])
+            at = position[[table[pairs[p][0]] + table[pairs[p][1]] for p in batch]]
+            row, col = at[:, :, None], at[:, None, :]
+            cond = np.linalg.inv(precision[np.maximum(row, col), np.minimum(row, col)])
+            var = np.diagonal(cond, axis1=1, axis2=2)
+            live = (var > 1e-14 * scale).all(axis=1)
+            cross = np.abs(cond[live, :ni, ni:])
+            cross /= np.sqrt(var[live, :ni, None] * var[live, None, ni:])
+            scores[batch[live]] = cross.max(axis=(1, 2))
+            degenerate[batch[~live]] = True
+    return scores, degenerate
+
+
+def _kept_precision(sigma: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Inverse of Sigma[kept, kept] from its Cholesky factor (LAPACK potrf and
+    potri, in place); only the lower triangle is filled in."""
+    idx = np.flatnonzero(kept)
+    chol, info = scipy.linalg.lapack.dpotrf(sigma[np.ix_(idx, idx)], lower=True,
+                                            overwrite_a=True, clean=False)
+    if info == 0:
+        inv, info = scipy.linalg.lapack.dpotri(chol, lower=True, overwrite_c=True)
+    if info != 0:
+        raise SingularBlockError("Sigma[kept, kept]",
+                                 f"{idx.size} coordinates of nonzero variance")
+    return inv
+
+
 def conditional_corr(sigma: np.ndarray, i: int, j: int,
                      layout: CoordinateLayout) -> float:
-    """Conditional-correlation score of a bus pair given all other buses.
-
-    For phasor buses the pair contributes a 4x4 conditional block; the score
-    is the largest-magnitude correlation in the 2x2 cross block, which is
-    zero exactly when the two buses are conditionally independent.
-    Degenerate pairs (zero conditional variance) score 0.
-    """
-    score, _ = pair_conditional_stats(sigma, i, j, layout)
-    return score
-
-
-def pair_conditional_stats(sigma: np.ndarray, i: int, j: int,
-                           layout: CoordinateLayout) -> tuple[float, bool]:
-    """(score, degenerate) for a bus pair; see conditional_corr."""
-    if i == j:
-        return 1.0, False
-    ci = layout.coords_of(i)
-    cj = layout.coords_of(j)
-    pair = list(ci) + list(cj)
-    rest = [k for k in range(layout.dim) if k not in pair]
-    block = conditional_cov(sigma, pair, rest)
-    var = np.diag(block)
-    scale = max(float(np.diag(np.asarray(sigma)).max()), 1.0)
-    if np.any(var <= 1e-14 * scale):
-        return 0.0, True
-    ni = len(ci)
-    cross = block[:ni, ni:]
-    denom = np.sqrt(np.outer(var[:ni], var[ni:]))
-    return float(np.abs(cross / denom).max()), False
+    """Conditional-correlation score of one bus pair; see score_pairs."""
+    return float(score_pairs(sigma, [(i, j)], layout)[0][0])
 
 
 # --- model construction from the grid --------------------------------------

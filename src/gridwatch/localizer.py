@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmodel import CoordinateLayout, pair_conditional_stats
+from .gaussmodel import CoordinateLayout, score_pairs
 from .grid import GridTopology
 from .simgen import substream
 
@@ -47,26 +47,26 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     """Data-driven floors: zero = zero_mult * the 99th percentile of the
     bootstrap deviation of the pair scores, active = active_mult * zero.
 
-    The window should be at least as long as the one the post-event
-    covariance will be estimated from, otherwise the floor undershoots the
-    post-side sampling noise.
+    Each resampled covariance is scored in one score_pairs call; pairs that
+    are degenerate in a resample do not contribute a deviation, and a
+    resample whose covariance is singular (too few distinct samples) raises
+    SingularBlockError.  The window should be at least as long as the one
+    the post-event covariance will be estimated from, otherwise the floor
+    undershoots the post-side sampling noise.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
     if n < layout.dim + 2:
         raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
+    pairs = list(pairs)
     rng = substream(seed, "bootstrap")
-    base_cov = np.cov(samples.T, ddof=0)
-    base = {pair: pair_conditional_stats(base_cov, *pair, layout)[0] for pair in pairs}
+    base, _ = score_pairs(np.cov(samples.T, ddof=0), pairs, layout)
     deviations = []
     for _ in range(n_boot):
         pick = rng.integers(0, n, size=n)
-        cov = np.cov(samples[pick].T, ddof=0)
-        for pair in pairs:
-            score, degenerate = pair_conditional_stats(cov, *pair, layout)
-            if not degenerate:
-                deviations.append(abs(score - base[pair]))
-    zero = zero_mult * float(np.percentile(deviations, 99.0))
+        scores, degenerate = score_pairs(np.cov(samples[pick].T, ddof=0), pairs, layout)
+        deviations.append(np.abs(scores - base)[~degenerate])
+    zero = zero_mult * float(np.percentile(np.concatenate(deviations), 99.0))
     return Thresholds(zero=zero, active=active_mult * zero)
 
 
@@ -112,42 +112,44 @@ def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: Coordinate
                noise_floor: float | None = None) -> LocalizationReport:
     """Zero test over the given bus pairs (typically the known branch list).
 
-    A pair is flagged when |rho_pre| > active and |rho_post| < zero.  Pairs
-    whose conditional variance degenerates are kept in the report with the
+    Both covariances are scored in one score_pairs call each.  A pair is
+    flagged when |rho_pre| > active and |rho_post| < zero.  Pairs that are
+    degenerate under either covariance are kept in the report with the
     degenerate marker but never flagged; when noise_floor (the measurement
     noise variance) is given, pairs whose post-event marginals sit at the
     noise floor on both ends (a de-energised island) are likewise skipped,
     since everything in such an island looks conditionally independent.
+    Raises SingularBlockError when a covariance is singular after its
+    zero-variance coordinates are dropped.
     """
     sigma1 = np.asarray(sigma1, dtype=float)
-    scores: list[PairScore] = []
-    flagged: set[tuple[int, int]] = set()
-    for i, j in pairs:
-        pre, degen_pre = pair_conditional_stats(sigma0, i, j, layout)
-        post, degen_post = pair_conditional_stats(sigma1, i, j, layout)
-        degenerate = degen_pre or degen_post
-        if noise_floor is not None and not degenerate:
-            var_i = max(sigma1[c, c] for c in layout.coords_of(i))
-            var_j = max(sigma1[c, c] for c in layout.coords_of(j))
-            if var_i <= 4.0 * noise_floor and var_j <= 4.0 * noise_floor:
-                degenerate = True
-        score = PairScore(i, j, pre, post, degenerate)
-        scores.append(score)
-        if not degenerate and pre > thresholds.active and post < thresholds.zero:
-            flagged.add(score.pair)
-    return LocalizationReport(frozenset(flagged), _sorted_scores(scores), "zero_test")
+    pairs = list(pairs)
+    pre, degen_pre = score_pairs(sigma0, pairs, layout)
+    post, degen_post = score_pairs(sigma1, pairs, layout)
+    degenerate = degen_pre | degen_post
+    if noise_floor is not None:
+        diag = np.diag(sigma1)
+        quiet = {bus for bus, coords in layout.bus_coords.items()
+                 if diag[list(coords)].max() <= 4.0 * noise_floor}
+        degenerate |= np.array([i in quiet and j in quiet for i, j in pairs], dtype=bool)
+    scores = [PairScore(i, j, a, b, d) for (i, j), a, b, d
+              in zip(pairs, pre.tolist(), post.tolist(), degenerate.tolist())]
+    flagged = frozenset(s.pair for s in scores if not s.degenerate
+                        and s.rho_pre > thresholds.active and s.rho_post < thresholds.zero)
+    return LocalizationReport(flagged, _sorted_scores(scores), "zero_test")
 
 
 def rank_changes(sigma0: np.ndarray, sigma1: np.ndarray, observed_pairs,
                  layout: CoordinateLayout, top_k: int | None = None) -> tuple[PairScore, ...]:
     """Pairs sorted by |rho_post - rho_pre| descending (ties by bus pair);
-    the first stage of limited-sensor localization."""
-    scores = []
-    for i, j in observed_pairs:
-        pre, _ = pair_conditional_stats(sigma0, i, j, layout)
-        post, _ = pair_conditional_stats(sigma1, i, j, layout)
-        scores.append(PairScore(i, j, pre, post))
-    ranked = _sorted_scores(scores)
+    the first stage of limited-sensor localization.  Both covariances are
+    scored in one score_pairs call each (SingularBlockError as there);
+    degenerate pairs score 0 and are not marked."""
+    pairs = list(observed_pairs)
+    pre, _ = score_pairs(sigma0, pairs, layout)
+    post, _ = score_pairs(sigma1, pairs, layout)
+    ranked = _sorted_scores([PairScore(i, j, a, b) for (i, j), a, b
+                             in zip(pairs, pre.tolist(), post.tolist())])
     return ranked[:top_k] if top_k is not None else ranked
 
 

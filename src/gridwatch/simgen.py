@@ -395,18 +395,28 @@ def parse_stream(data_path: str, meta_path: str,
     schedule = SensorSchedule.from_kinds(sensors)
     layout = schedule.layout()
     col = {channel_id(bus, part): k for k, (bus, part) in enumerate(layout.entries)}
-    values = np.zeros((horizon, layout.dim))
+    values = np.full((horizon, layout.dim), np.nan)
     fresh = np.zeros((horizon, layout.dim), dtype=bool)
+    rows = 0
     with open(data_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "tick,coordinate,value,fresh":
             raise textconf.ConfigError(f"unexpected stream header {header!r}")
-        for line in fh:
-            tick_s, coord, value_s, fresh_s = line.rstrip("\n").split(",")
-            t = int(tick_s) - 1
-            c = col[coord]
-            values[t, c] = float(value_s)
-            fresh[t, c] = fresh_s == "1"
+        try:
+            for rows, line in enumerate(fh, start=1):
+                tick_s, coord, value_s, fresh_s = line.rstrip("\n").split(",")
+                t = int(tick_s) - 1
+                if not 0 <= t < horizon:
+                    raise textconf.ConfigError(
+                        f"{data_path} row {rows}: tick {tick_s} outside 1..{horizon}")
+                c = col[coord]
+                values[t, c] = float(value_s)
+                fresh[t, c] = fresh_s == "1"
+        except KeyError:
+            raise textconf.ConfigError(
+                f"{data_path} row {rows}: unknown coordinate {coord!r}") from None
+    if rows != horizon * layout.dim or not np.isfinite(values).all():
+        raise textconf.ConfigError(_stream_fault(data_path, values, col))
     injections = None
     if injections_path is not None:
         buses = max(b for b, _, _ in schedule.entries)
@@ -422,6 +432,24 @@ def parse_stream(data_path: str, meta_path: str,
     return MeasurementStream(layout=layout, schedule=schedule, values=values,
                              fresh=fresh, truth=GroundTruth(lam, out_branches),
                              injections=injections, meta=scenario_meta)
+
+
+def _stream_fault(data_path: str, values: np.ndarray, col: dict[str, int]) -> str:
+    """Names the first duplicate or non-finite row of a stream file, or the
+    first missing (tick, coordinate) cell; called only once parsing failed."""
+    seen: set[tuple[str, str]] = set()
+    with open(data_path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for row, line in enumerate(fh, start=1):
+            tick_s, coord, value_s, _ = line.rstrip("\n").split(",")
+            if (tick_s, coord) in seen:
+                return f"{data_path} row {row}: duplicate row for tick {tick_s} {coord}"
+            seen.add((tick_s, coord))
+            if not np.isfinite(float(value_s)):
+                return f"{data_path} row {row}: non-finite value {value_s} at {coord}"
+    names = {k: coord for coord, k in col.items()}
+    t, c = np.argwhere(np.isnan(values))[0]
+    return f"{data_path}: no row for tick {t + 1} {names[c]}"
 
 
 # --- scenario config blocks ---------------------------------------------------

@@ -167,6 +167,23 @@ def test_error_reported_as_json(tmp_path, capsys):
     assert "bogus_key" in err["message"]
 
 
+def test_detect_rejects_stream_with_nan_sample(tmp_path, config_path, capsys):
+    stream_dir = tmp_path / "stream"
+    run_ok(["simulate", "--config", config_path, "--out", str(stream_dir)], capsys)
+    data = stream_dir / "stream.csv"
+    lines = data.read_text().splitlines(keepends=True)
+    tick, coord, _, fresh = lines[100].split(",")
+    lines[100] = f"{tick},{coord},nan,{fresh}"
+    data.write_text("".join(lines))
+    code = main(["detect", "--config", config_path, "--stream", str(stream_dir),
+                 "--out", str(tmp_path / "detect")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    # the stream boundary rejects the sample before the detector sees it
+    assert err["error"] == "ConfigError"
+    assert "row 100: non-finite value nan" in err["message"]
+
+
 def test_missing_feeder_file_error(tmp_path, capsys):
     conf = tmp_path / "c.conf"
     conf.write_text("[scenario]\nfeeder = nosuch\nhorizon = 5\n")

@@ -13,6 +13,7 @@ from gridwatch.detector import (
     DetectorConfig,
     DetectorState,
     GeometricPrior,
+    NonFiniteLikelihoodError,
     adaptive_log_odds,
     adaptive_step,
     advance_log_odds,
@@ -283,3 +284,27 @@ def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
         tm = first_crossing(known_f_log_odds(sm.values, g_m, f_m, 1e-4), 1e-6) or 999
         wins += tm >= tp
     assert wins >= 36, f"magnitude stream beat phasor in {40 - wins}/40 seeds"
+
+
+# --- non-finite samples --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_log_lr_raises_instead_of_alarming(bad):
+    # min(700, nan) is 700: without the check one NaN alarms at once
+    with pytest.raises(NonFiniteLikelihoodError):
+        advance_log_odds(-15.0, bad, 1e-4)
+
+
+def test_nan_sample_in_loop8_stream_raises(loop8):
+    scen = _double_outage_scenario(loop8)
+    stream = generate(scen)
+    stream.values[9, 3] = np.nan
+    g, f = scen.pre_model(), scen.post_model()
+    with pytest.raises(NonFiniteLikelihoodError, match="tick 10"):
+        run_detector(stream, DetectorConfig(g=g, f=f, alpha=1e-6, rho=1e-4))
+    with pytest.raises(NonFiniteLikelihoodError, match="tick 10"):
+        run_detector(stream, DetectorConfig(g=g, mode=ADAPTIVE, alpha=1e-6, rho=1e-4))
+    with pytest.raises(NonFiniteLikelihoodError):
+        known_f_log_odds(stream.values, g, f, 1e-4)
+    with pytest.raises(NonFiniteLikelihoodError):
+        adaptive_log_odds(stream.values, g, 1e-4)

@@ -27,9 +27,9 @@ from gridwatch.gaussmodel import (
     log_density,
     model_from_grid,
     model_from_topology,
-    pair_conditional_stats,
     ridge_epsilon,
     sample,
+    score_pairs,
 )
 from gridwatch.grid import (
     Branch,
@@ -260,8 +260,8 @@ def test_conditional_corr_self_pair_is_one(loop8):
 def test_conditional_corr_degenerate_scores_zero():
     lay = CoordinateLayout.from_kinds({1: "magnitude", 2: "magnitude", 3: "magnitude"})
     sigma = np.diag([0.0, 1.0, 1.0])
-    score, degenerate = pair_conditional_stats(sigma, 1, 2, lay)
-    assert score == 0.0 and degenerate
+    scores, degenerate = score_pairs(sigma, [(1, 2)], lay)
+    assert scores.tolist() == [0.0] and degenerate.tolist() == [True]
 
 
 def _grounded_two_hop_free(top, i, j):

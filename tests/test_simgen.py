@@ -18,7 +18,7 @@ from gridwatch.simgen import (
     scenario_from_blocks,
     write_stream,
 )
-from gridwatch.textconf import format_blocks
+from gridwatch.textconf import ConfigError, format_blocks
 
 
 def base_scenario(top, **overrides):
@@ -155,6 +155,40 @@ def test_stream_file_round_trip(tmp_path, loop8):
     # sidecar scenario echo reconstructs the full scenario
     rebuilt = scenario_from_blocks(back.meta)
     assert rebuilt == scen
+
+
+def _edit_rows(lines):
+    """Stream-file faults, each as an edit of the data rows (header excluded)."""
+    tick, coord, value, fresh = lines[5].split(",")
+    return {
+        "missing": (lines[:5] + lines[6:], f"no row for tick {tick} {coord}"),
+        "duplicate": (lines + [lines[5]],
+                      f"row {len(lines) + 1}: duplicate row for tick {tick} {coord}"),
+        "tick_zero": (lines[:5] + [f"0,{coord},{value},{fresh}"] + lines[6:],
+                      "row 6: tick 0 outside 1..20"),
+        "tick_past_horizon": (lines[:5] + [f"21,{coord},{value},{fresh}"] + lines[6:],
+                              "row 6: tick 21 outside 1..20"),
+        "unknown_coordinate": (lines[:5] + [f"{tick},re99,{value},{fresh}"] + lines[6:],
+                               "row 6: unknown coordinate 're99'"),
+        "non_finite": (lines[:5] + [f"{tick},{coord},inf,{fresh}"] + lines[6:],
+                       f"row 6: non-finite value inf at {coord}"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
+                                   "unknown_coordinate", "non_finite"])
+def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
+    stream = generate(base_scenario(loop8, horizon=20))
+    data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
+    write_stream(stream, data, meta)
+    with open(data, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    rows, message = _edit_rows(lines)[fault]
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(rows))
+    with pytest.raises(ConfigError) as info:
+        parse_stream(data, meta)
+    assert message in str(info.value)
 
 
 def test_scenario_blocks_round_trip(loop12):
