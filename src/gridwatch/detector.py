@@ -15,16 +15,18 @@ tested against it).  An alarm is raised the first time the posterior reaches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit, logsumexp
 
 from .gaussmodel import (
     EstimationPrior,
     GaussianModel,
-    estimate_post_outage,
+    estimate_windows,
     log_density,
+    log_density_stack,
 )
 
 LOG_ODDS_CLAMP = 700.0
@@ -59,22 +61,6 @@ class DetectionRule:
         return math.log1p(-self.alpha) - math.log(self.alpha)
 
 
-@dataclass(frozen=True)
-class DetectorState:
-    """Posterior-odds statistic plus the adaptive-estimation window."""
-
-    n: int = 0
-    log_odds: float = -LOG_ODDS_CLAMP
-    mode: str = KNOWN_F
-    window: tuple = ()
-    f_current: GaussianModel | None = None
-    f_refreshed: bool = False
-
-    @property
-    def posterior(self) -> float:
-        return float(expit(self.log_odds))
-
-
 def _logaddexp(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
@@ -84,7 +70,17 @@ def _logaddexp(a: float, b: float) -> float:
 class NonFiniteLikelihoodError(ValueError):
     """A log-likelihood ratio is NaN or infinite, almost always because a
     sample is.  The recursion cannot absorb such a step: min(700, nan) is
-    700, so it would raise an alarm on the spot."""
+    700, so it would raise an alarm on the spot.  step is the 0-based index
+    of the step in its trace, when known."""
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
+
+
+def _advance(log_odds: float, log_lr: float, log_rho: float, log_keep: float) -> float:
+    out = log_lr + _logaddexp(log_odds, log_rho) - log_keep
+    return max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, out))
 
 
 def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
@@ -95,16 +91,7 @@ def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
     if not math.isfinite(log_lr):
         raise NonFiniteLikelihoodError(f"log-likelihood ratio is {log_lr}: "
                                        "non-finite sample")
-    out = log_lr + _logaddexp(log_odds, math.log(rho)) - math.log1p(-rho)
-    return max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, out))
-
-
-def posterior_update(state: DetectorState, x, g: GaussianModel, f: GaussianModel,
-                     prior: GeometricPrior) -> DetectorState:
-    """Advance the posterior by one observation against fixed g and f."""
-    log_lr = float(log_density(f, x)) - float(log_density(g, x))
-    log_odds = advance_log_odds(state.log_odds, log_lr, prior.rho)
-    return replace(state, n=state.n + 1, log_odds=log_odds, f_refreshed=False)
+    return _advance(log_odds, log_lr, math.log(rho), math.log1p(-rho))
 
 
 def posterior_direct(g: GaussianModel, f: GaussianModel, prior: GeometricPrior,
@@ -131,60 +118,150 @@ def posterior_direct(g: GaussianModel, f: GaussianModel, prior: GeometricPrior,
     return float(np.exp(log_num - log_den))
 
 
-def decide(state: DetectorState, rule: DetectionRule) -> int | None:
-    """Alarm time (the current step) if the posterior is at/over 1 - alpha."""
-    if state.log_odds >= rule.log_odds_threshold:
-        return state.n
-    return None
-
-
 def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
     """Stand-in post-change model used before the window can support an
     estimate: g with the covariance inflated."""
     return GaussianModel(g.mean, g.cov * inflate, g.layout)
 
 
-def adaptive_step(state: DetectorState, x, g: GaussianModel, prior: GeometricPrior,
-                  est_prior: EstimationPrior | None = None, *,
-                  max_window: int = 50, nmin: int | None = None,
-                  inflate: float = 4.0,
-                  fallback: GaussianModel | None = None) -> DetectorState:
-    """One detector step with the post-change model learned from the window.
+# Steps are scored in blocks.  With stop_at the first block holds
+# _FIRST_BLOCK steps and each next one twice as many, so a trace cut short
+# computes at most one block past its end, about as many steps as it kept;
+# without stop_at every block is as large as the budget allows.  A block's
+# largest stacked array (the adaptive windows, or the samples) holds at most
+# _STACK_BUDGET float64 values, 128 kB: with 1 MB stacks the montecarlo
+# benchmark peaked 1.6 MB higher than the per-step path, with 128 kB about
+# as high.
+_FIRST_BLOCK = 8
+_STACK_BUDGET = 1 << 14
 
-    The observation is scored against a model fitted on the window *before*
-    it is appended: that keeps E[L_n | past] = 1 under no-change data, which
-    preserves the optional-stopping false-alarm bound of the alarm rule.
-    (Scoring a sample against a model that was fitted on it inflates the
-    likelihood ratio without bound once the window is barely larger than the
-    dimension.)
 
-    Once the window holds at least nmin samples (default dim + 2) the fitted
-    model is used, shrunk toward the inflated-g fallback with weight
-    dim/(dim + window): near-singular early-window covariance estimates
-    would otherwise assign vanishing density outside their empirical span
-    and stall detection.  Before nmin the fallback is used alone.
+def _log_odds_trace(samples, g: GaussianModel, rho: float, f: GaussianModel | None = None,
+                    est_prior: EstimationPrior | None = None, *, max_window: int = 50,
+                    nmin: int | None = None, inflate: float = 4.0,
+                    stop_at: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The detector core: (log-odds trace, refreshed mask) over an (n, d)
+    sample matrix, one step per row.
+
+    With a post-change model f every step scores f against g (known_f mode).
+    Without one (adaptive mode) the post-change model of a step is learned
+    from the window of up to max_window samples before it.  The sample is
+    scored against a model fitted on the window *before* it is appended:
+    that keeps E[L_n | past] = 1 under no-change data, which preserves the
+    optional-stopping false-alarm bound of the alarm rule.  (Scoring a
+    sample against a model that was fitted on it inflates the likelihood
+    ratio without bound once the window is barely larger than the
+    dimension.)  Once the window holds at least nmin samples (default
+    dim + 2, never below 2) the fitted model is used and the step is marked
+    refreshed; it is shrunk toward the g-with-inflated-covariance fallback
+    with weight dim/(dim + window), because near-singular early-window
+    covariance estimates would otherwise assign vanishing density outside
+    their empirical span and stall detection.  Before nmin the fallback is
+    used alone.
+
+    All windows of a block are fitted as one stack (estimate_windows) and
+    scored by one log_density_stack call; g and the fallback are scored
+    once per block.  stop_at truncates the trace at the first step whose
+    log-odds reach it.  An error of a step (a non-finite log-likelihood
+    ratio as NonFiniteLikelihoodError with its step, a singular covariance,
+    explicit estimation weights of the wrong length) is raised only if the
+    recursion reaches that step.
     """
-    if state.mode != ADAPTIVE:
-        raise ValueError("adaptive_step requires an adaptive-mode state")
-    x = np.asarray(x, dtype=float)
-    if fallback is None:
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError(f"samples must be an (n, d) matrix, got shape {samples.shape}")
+    prior = GeometricPrior(rho)
+    log_rho, log_keep = math.log(prior.rho), math.log1p(-prior.rho)
+    n = samples.shape[0]
+    adaptive = f is None
+    if adaptive:
+        if max_window < 1:
+            raise ValueError(f"window must be >= 1, got {max_window}")
         fallback = inflated_fallback(g, inflate)
-    need = (g.dim + 2) if nmin is None else nmin
-    refreshed = False
-    if len(state.window) >= max(2, need):
-        est = estimate_post_outage(np.asarray(state.window),
-                                   est_prior or EstimationPrior(prior.rho))
-        w = g.dim / (g.dim + len(state.window))
-        f = GaussianModel((1.0 - w) * est.mean + w * fallback.mean,
-                          (1.0 - w) * est.cov + w * fallback.cov)
-        refreshed = True
-    else:
-        f = fallback
-    log_lr = float(log_density(f, x)) - float(log_density(g, x))
-    log_odds = advance_log_odds(state.log_odds, log_lr, prior.rho)
-    window = (state.window + (x,))[-max_window:]
-    return replace(state, n=state.n + 1, log_odds=log_odds, window=window,
-                   f_current=f, f_refreshed=refreshed)
+        need = max(2, g.dim + 2 if nmin is None else nmin)
+        # windows[k] holds the max_window samples before sample k, zero rows
+        # standing in for those before the first
+        padded = np.zeros((max_window + n, samples.shape[1]))
+        padded[max_window:] = samples
+        windows = sliding_window_view(padded, max_window, axis=0).transpose(0, 2, 1)
+        est_prior = est_prior or EstimationPrior(rho)
+    cap = max(1, _STACK_BUDGET // (samples.shape[1] * (max_window if adaptive else 1)))
+    size = _FIRST_BLOCK if stop_at is not None else cap
+    trace = np.empty(n)
+    refreshed = np.zeros(n, dtype=bool)
+    log_odds = -LOG_ODDS_CLAMP
+    start = 0
+    while start < n:
+        end = min(n, start + size, start + cap)
+        finite = np.isfinite(samples[start:end]).all(axis=1)
+        if not finite.all():
+            # later windows would hold the bad sample; its own step fails
+            end = start + int(np.argmin(finite)) + 1
+        x = samples[start:end]
+        log_g = log_density(g, x)
+        error = None
+        if adaptive:
+            lengths = np.minimum(np.arange(start, end), max_window)
+            refreshed[start:end] = lengths >= need
+            log_f, error = _adaptive_log_f(windows[start:end], lengths, x, g.dim,
+                                           need, fallback, est_prior)
+        else:
+            log_f = log_density(f, x)
+        with np.errstate(invalid="ignore"):  # inf - inf: raised below as non-finite
+            log_lr = log_f - log_g[:log_f.size]
+        bad = np.flatnonzero(~np.isfinite(log_lr))
+        run = log_lr[: bad[0] if bad.size else log_lr.size].tolist()
+        for k, value in enumerate(run):
+            log_odds = _advance(log_odds, value, log_rho, log_keep)
+            run[k] = log_odds
+            if stop_at is not None and log_odds >= stop_at:
+                stop = start + k + 1
+                trace[start:stop] = run[: k + 1]
+                return trace[:stop], refreshed[:stop]
+        trace[start:start + len(run)] = run
+        if bad.size:
+            step = start + int(bad[0])
+            raise NonFiniteLikelihoodError(
+                f"log-likelihood ratio is {log_lr[bad[0]]}: non-finite sample "
+                f"at step {step + 1}", step)
+        if error is not None:
+            raise error
+        start = end
+        size *= 2
+    return trace, refreshed
+
+
+def _adaptive_log_f(windows: np.ndarray, lengths: np.ndarray, x: np.ndarray, dim: int,
+                    need: int, fallback: GaussianModel, est_prior: EstimationPrior):
+    """(log f per step, error) for one adaptive block.  The steps refresh
+    from the first whose window holds need samples on.  When a refit fails
+    the steps are refitted one by one: log f then stops before the first
+    failing step, whose error is returned."""
+    log_f = np.empty(lengths.size)
+    first = int(np.searchsorted(lengths, need))
+    if first:
+        log_f[:first] = log_density(fallback, x[:first])
+
+    def refit(lo: int, hi: int) -> np.ndarray:
+        means, covs = estimate_windows(windows[lo:hi], lengths[lo:hi], est_prior)
+        w = dim / (dim + lengths[lo:hi])
+        means = (1.0 - w)[:, None] * means + w[:, None] * fallback.mean
+        covs = (1.0 - w)[:, None, None] * covs + w[:, None, None] * fallback.cov
+        return log_density_stack(means, covs, x[lo:hi])
+
+    if first == lengths.size:
+        return log_f, None
+    try:
+        log_f[first:] = refit(first, lengths.size)
+        return log_f, None
+    except ValueError:
+        # LinAlgError and so SingularBlockError are ValueErrors too
+        for k in range(first, lengths.size):
+            try:
+                log_f[k] = refit(k, k + 1)[0]
+            except ValueError as exc:
+                return log_f[:k], exc
+        return log_f, None
 
 
 def expected_delay_bound(alpha: float, prior: GeometricPrior, dkl: float) -> float:
@@ -264,70 +341,62 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
         f = config.f.project(layout) if config.f.layout is not None else config.f
         f_step = f.scaled_cov(float(step_period)) if step_period > 1 else f
 
-    prior = GeometricPrior(config.rho)
     rule = DetectionRule(config.alpha)
+    if stream.values.shape[1] != layout.dim:
+        raise ValueError(f"dimension drift: stream has {stream.values.shape[1]} "
+                         f"channels, layout has {layout.dim}")
+    ticks, x = _step_increments(stream, step_period, config.hold_last_value)
     est_prior = EstimationPrior(config.estimation_rho
                                 if config.estimation_rho is not None else config.rho)
-    fallback = inflated_fallback(g_step, config.inflate)
-    state = DetectorState(mode=config.mode)
+    try:
+        log_odds, refreshed = _log_odds_trace(
+            x, g_step, config.rho, f_step if config.mode == KNOWN_F else None, est_prior,
+            max_window=config.window, nmin=config.nmin, inflate=config.inflate)
+    except NonFiniteLikelihoodError as exc:
+        raise NonFiniteLikelihoodError(f"tick {ticks[exc.step]}: {exc}", exc.step) from None
 
-    ticks: list[int] = []
-    log_odds: list[float] = []
-    refreshed: list[bool] = []
-    tau: int | None = None
-    acc = np.zeros(layout.dim)
-    for frame in stream.frames:
-        if frame.values.shape != (layout.dim,):
-            raise ValueError(
-                f"dimension drift at tick {frame.tick}: frame has "
-                f"{frame.values.shape[0]} channels, layout has {layout.dim}")
-        if config.hold_last_value:
-            x = frame.values
-        else:
-            acc = acc + np.where(frame.fresh, frame.values, 0.0)
-            if frame.tick % step_period != 0:
-                continue
-            x, acc = acc, np.zeros(layout.dim)
-        try:
-            if config.mode == ADAPTIVE:
-                state = adaptive_step(state, x, g_step, prior, est_prior,
-                                      max_window=config.window, nmin=config.nmin,
-                                      fallback=fallback)
-            else:
-                state = posterior_update(state, x, g_step, f_step, prior)
-        except NonFiniteLikelihoodError as exc:
-            raise NonFiniteLikelihoodError(f"tick {frame.tick}: {exc}") from None
-        ticks.append(frame.tick)
-        log_odds.append(state.log_odds)
-        refreshed.append(state.f_refreshed)
-        if tau is None and decide(state, rule) is not None:
-            tau = frame.tick
-
+    hit = first_crossing(log_odds, rule.alpha)
+    tau = int(ticks[hit - 1]) if hit is not None else None
     lam = stream.truth.lam
     delay = tau - lam if (tau is not None and lam is not None and tau >= lam) else None
-    lo = np.asarray(log_odds)
     return DetectionReport(
         tau=tau,
-        step_ticks=np.asarray(ticks, dtype=int),
-        posterior_trace=expit(lo),
-        log_odds_trace=lo,
-        f_refreshed=np.asarray(refreshed, dtype=bool),
+        step_ticks=ticks,
+        posterior_trace=expit(log_odds),
+        log_odds_trace=log_odds,
+        f_refreshed=refreshed,
         mode=config.mode,
         lambda_true=lam,
         delay=delay,
     )
 
 
+def _step_increments(stream, step_period: int,
+                     hold_last_value: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(ticks, x): the tick and the sample of every detector step.
+
+    With hold_last_value every tick is a step and its sample is the held
+    values.  Otherwise a step ends every step_period ticks (a tail of fewer
+    ticks is dropped) and its sample is the sum of the fresh values of its
+    ticks, added in tick order to a zero row: bit for bit what a running
+    per-tick accumulator gives (ndarray.sum over the tick axis adds
+    pairwise for some shapes, one channel with a long period among them).
+    """
+    if hold_last_value:
+        return np.arange(1, stream.horizon + 1), stream.values
+    steps = stream.horizon // step_period
+    fresh = np.where(stream.fresh, stream.values, 0.0)[: steps * step_period]
+    fresh = fresh.reshape(steps, step_period, stream.values.shape[1])
+    x = np.zeros((steps, stream.values.shape[1]))
+    for k in range(step_period):
+        x += fresh[:, k]
+    return step_period * np.arange(1, steps + 1), x
+
+
 def known_f_log_odds(samples: np.ndarray, g: GaussianModel, f: GaussianModel,
                      rho: float) -> np.ndarray:
-    """Log-odds trace over a sample matrix with fixed models (fast path)."""
-    log_lr = np.atleast_1d(log_density(f, samples)) - np.atleast_1d(log_density(g, samples))
-    out = np.empty(log_lr.size)
-    lo = -LOG_ODDS_CLAMP
-    for k, llr in enumerate(log_lr):
-        lo = advance_log_odds(lo, float(llr), rho)
-        out[k] = lo
-    return out
+    """Log-odds trace over a sample matrix with fixed models."""
+    return _log_odds_trace(samples, g, rho, f)[0]
 
 
 def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
@@ -335,23 +404,13 @@ def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
                       max_window: int = 50, nmin: int | None = None,
                       inflate: float = 4.0,
                       stop_at: float | None = None) -> np.ndarray:
-    """Adaptive-mode log-odds trace over a sample matrix.
+    """Adaptive-mode log-odds trace over a sample matrix (see _log_odds_trace).
 
     stop_at truncates the trace once the log-odds reach the given level
     (alarm already decided; saves the estimator refreshes).
     """
-    prior = GeometricPrior(rho)
-    est = est_prior or EstimationPrior(rho)
-    fallback = inflated_fallback(g, inflate)
-    state = DetectorState(mode=ADAPTIVE)
-    out = np.empty(samples.shape[0])
-    for k in range(samples.shape[0]):
-        state = adaptive_step(state, samples[k], g, prior, est,
-                              max_window=max_window, nmin=nmin, fallback=fallback)
-        out[k] = state.log_odds
-        if stop_at is not None and state.log_odds >= stop_at:
-            return out[: k + 1]
-    return out
+    return _log_odds_trace(samples, g, rho, None, est_prior, max_window=max_window,
+                           nmin=nmin, inflate=inflate, stop_at=stop_at)[0]
 
 
 def first_crossing(log_odds: np.ndarray, alpha: float) -> int | None:

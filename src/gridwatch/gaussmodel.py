@@ -140,26 +140,31 @@ class GaussianModel:
 
     def _factor(self) -> tuple[np.ndarray, float]:
         if self._chol is None:
-            cov = self.cov
-            ridge = ridge_epsilon(cov)
-            for attempt in range(4):
-                try:
-                    chol = np.linalg.cholesky(cov)
-                    break
-                except np.linalg.LinAlgError:
-                    cov = self.cov + (ridge * 10 ** attempt) * np.eye(self.dim)
-            else:
-                raise SingularBlockError("covariance", "not positive definite after ridge")
-            self._chol = chol
-            self._logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+            self._chol = _ridge_cholesky(self.cov)
+            self._logdet = 2.0 * float(np.log(np.diag(self._chol)).sum())
         return self._chol, self._logdet
 
 
-def ridge_epsilon(cov: np.ndarray) -> float:
-    """Trace-scaled ridge used whenever a covariance may be rank deficient."""
-    d = cov.shape[0]
-    tr = float(np.trace(cov))
-    return 1e-8 * (tr / d if tr > 0 else 1.0)
+def _ridge_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of cov; when cov is only PSD, of cov plus the
+    trace-scaled ridge times 1, 10 or 100."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        ridge = ridge_epsilon(cov)
+    for scale in (1, 10, 100):
+        try:
+            return np.linalg.cholesky(cov + (ridge * scale) * np.eye(cov.shape[0]))
+        except np.linalg.LinAlgError:
+            pass
+    raise SingularBlockError("covariance", "not positive definite after ridge")
+
+
+def ridge_epsilon(cov: np.ndarray) -> np.ndarray:
+    """Trace-scaled ridge used whenever a covariance may be rank deficient;
+    one value per matrix of a (..., d, d) stack."""
+    tr = np.trace(cov, axis1=-2, axis2=-1)
+    return 1e-8 * np.where(tr > 0, tr / cov.shape[-1], 1.0)
 
 
 def sample(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,10 +186,30 @@ def log_density(model: GaussianModel, x) -> float | np.ndarray:
         raise ValueError(f"dimension mismatch: x has {pts.shape[1]}, model has {model.dim}")
     chol, logdet = model._factor()
     dev = pts - model.mean
-    solved = scipy.linalg.solve_triangular(chol, dev.T, lower=True, check_finite=False)
+    # the LAPACK call scipy.linalg.solve_triangular(chol, dev.T, lower=True)
+    # makes, without that wrapper's cost of tens of microseconds per call
+    solved, _ = scipy.linalg.lapack.dtrtrs(chol.T, dev.T, lower=0, trans=1)
     quad = np.einsum("ij,ij->j", solved, solved)
     out = -0.5 * (quad + model.dim * LOG_2PI + logdet)
     return float(out[0]) if single else out
+
+
+def log_density_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log N(x[s]; means[s], covs[s]) for every s of a stack of models.
+
+    The covariances are factored by one np.linalg.cholesky call; when that
+    fails, each goes through the ridge rule of GaussianModel on its own
+    (SingularBlockError as there).  The points are solved against the
+    factors in one batched call.
+    """
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        chol = np.stack([_ridge_cholesky(cov) for cov in covs])
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    solved = np.linalg.solve(chol, (x - means)[:, :, None])[:, :, 0]
+    quad = np.einsum("ij,ij->i", solved, solved)
+    return -0.5 * (quad + means.shape[1] * LOG_2PI + logdet)
 
 
 def kl_divergence(f: GaussianModel, g: GaussianModel) -> float:
@@ -424,6 +449,51 @@ class EstimationPrior:
         k = np.arange(1, n + 1)
         return self.rho * (1.0 - self.rho) ** (k - 1)
 
+    def window_weights(self, lengths, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, denominators) for windows of the given lengths N: row s
+        holds cumsum(weights(N)) at the right-hand end of `width` columns,
+        zeros before, and its denominator is sum_k pi(k) (N-k+1), the sum of
+        that row.  The geometric pmf of a shorter window is a prefix of a
+        longer one's, so one pmf serves every row; explicit weights fit
+        their own length only (ValueError for any other)."""
+        lengths = np.asarray(lengths, dtype=int)
+        if self.explicit_weights is not None:
+            for n in np.unique(lengths).tolist():
+                self.weights(n)
+        cumulative = np.cumsum(self.weights(int(lengths.max())))
+        at = np.arange(width) - (width - lengths)[:, None]
+        rows = np.where(at >= 0, cumulative[np.maximum(at, 0)], 0.0)
+        return rows, np.cumsum(cumulative)[lengths - 1]
+
+
+def estimate_windows(windows: np.ndarray, lengths, prior: EstimationPrior,
+                     ridge: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_post_outage for a stack of windows: (means, covariances).
+
+    windows is an (S, W, d) array whose window s holds its lengths[s]
+    samples in its last rows; its earlier rows (zero padding, say) get
+    weight zero.  Each window gets the weights
+    cumsum(prior.weights(N)) of its length N at its right-hand end
+    (EstimationPrior.window_weights), and the whole stack goes through one
+    two-pass weighted mean and covariance and the ridge.
+    """
+    stack, width, dim = windows.shape
+    lengths = np.asarray(lengths, dtype=int)
+    if lengths.min() < 2 or lengths.max() > width:
+        raise ValueError(f"window lengths must lie in 2..{width}, got "
+                         f"{lengths.min()}..{lengths.max()}")
+    weights, denom = prior.window_weights(lengths, width)
+    # deviations from each window's last sample: a constant window then has
+    # exactly zero covariance, hence the same ridge, whatever its padding
+    dev = windows - windows[:, -1:, :]
+    offset = (weights[:, None, :] @ dev) / denom[:, None, None]
+    mu = windows[:, -1, :] + offset[:, 0]
+    dev -= offset
+    sigma = (dev.transpose(0, 2, 1) * weights[:, None, :]) @ dev / denom[:, None, None]
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    eps = ridge_epsilon(sigma) if ridge is None else np.full(stack, ridge)
+    return mu, sigma + eps[:, None, None] * np.eye(dim)
+
 
 def estimate_post_outage(window, prior: EstimationPrior,
                          ridge: float | None = None) -> GaussianModel:
@@ -437,7 +507,7 @@ def estimate_post_outage(window, prior: EstimationPrior,
     computed via cumulative weights (the inner sums telescope).  The returned
     covariance carries a ridge of `ridge` (default: the trace-scaled epsilon)
     because early windows are rank deficient; pass ridge=0.0 for the raw
-    estimate.
+    estimate.  This is the one-window case of estimate_windows.
     """
     x = np.asarray(window, dtype=float)
     if x.ndim == 1:
@@ -445,12 +515,5 @@ def estimate_post_outage(window, prior: EstimationPrior,
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 window samples, got {n}")
-    pi = prior.weights(n)
-    denom = float(pi @ np.arange(n, 0, -1))
-    w = np.cumsum(pi)  # sample n carries the total weight of positions k <= n
-    mu = (w @ x) / denom
-    dev = x - mu
-    sigma = (dev.T * w) @ dev / denom
-    sigma = 0.5 * (sigma + sigma.T)
-    eps = ridge_epsilon(sigma) if ridge is None else ridge
-    return GaussianModel(mu, sigma + eps * np.eye(x.shape[1]))
+    mu, cov = estimate_windows(x[None], [n], prior, ridge)
+    return GaussianModel(mu[0], cov[0])

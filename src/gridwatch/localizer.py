@@ -98,8 +98,24 @@ class LocalizationReport:
         return tuple(s for s in self.scores if s.degenerate)
 
 
+# Ranked deltas closer than this are one value up to round-off (pairs an
+# exact covariance leaves unchanged score ~1e-14): such ties are ordered by
+# bus pair, so a numerically equivalent input gives the same row order.
+DELTA_TIE = 1e-12
+
+
 def _sorted_scores(scores: list[PairScore]) -> tuple[PairScore, ...]:
-    return tuple(sorted(scores, key=lambda s: (-s.delta, s.i, s.j)))
+    """Scores by delta descending; a run of consecutive ranked deltas each
+    within DELTA_TIE of the previous is one tie, ordered by (i, j)."""
+    ranked = sorted(scores, key=lambda s: (-s.delta, s.i, s.j))
+    out: list[PairScore] = []
+    tie: list[PairScore] = []
+    for score in ranked:
+        if tie and tie[-1].delta - score.delta > DELTA_TIE:
+            out += sorted(tie, key=lambda s: s.pair)
+            tie = []
+        tie.append(score)
+    return tuple(out + sorted(tie, key=lambda s: s.pair))
 
 
 def all_bus_pairs(layout: CoordinateLayout) -> list[tuple[int, int]]:

@@ -150,13 +150,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class MeasurementFrame:
-    tick: int
-    values: np.ndarray
-    fresh: np.ndarray
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     lam: int | None
     out_branches: tuple[tuple[int, int], ...]
@@ -164,8 +157,7 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class MeasurementStream:
-    """Frames stored column-wise: values/fresh are (horizon, dim) arrays with
-    row t holding tick t+1."""
+    """values/fresh are (horizon, dim) arrays with row t holding tick t+1."""
 
     layout: CoordinateLayout
     schedule: SensorSchedule
@@ -178,11 +170,6 @@ class MeasurementStream:
     @property
     def horizon(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def frames(self):
-        for t in range(self.horizon):
-            yield MeasurementFrame(t + 1, self.values[t], self.fresh[t])
 
     def complex_values(self) -> np.ndarray:
         """(horizon, M) complex increments; full-phasor streams only."""
@@ -416,17 +403,12 @@ def parse_stream(data_path: str, meta_path: str,
             raise textconf.ConfigError(
                 f"{data_path} row {rows}: unknown coordinate {coord!r}") from None
     if rows != horizon * layout.dim or not np.isfinite(values).all():
-        raise textconf.ConfigError(_stream_fault(data_path, values, col))
+        names = {k: coord for coord, k in col.items()}
+        raise textconf.ConfigError(_table_fault(data_path, values, names))
     injections = None
     if injections_path is not None:
-        buses = max(b for b, _, _ in schedule.entries)
-        with open(injections_path, "r", encoding="utf-8") as fh:
-            if fh.readline().strip() != "tick,bus,re,im":
-                raise textconf.ConfigError("unexpected injections header")
-            injections = np.zeros((horizon, buses), dtype=complex)
-            for line in fh:
-                tick_s, bus_s, re_s, im_s = line.rstrip("\n").split(",")
-                injections[int(tick_s) - 1, int(bus_s) - 1] = complex(float(re_s), float(im_s))
+        injections = _parse_injections(injections_path, horizon,
+                                       max(b for b, _, _ in schedule.entries))
     scenario_meta = [(section, dict(fields)) for section, fields in meta_blocks
                      if section not in ("stream", "truth")]
     return MeasurementStream(layout=layout, schedule=schedule, values=values,
@@ -434,22 +416,47 @@ def parse_stream(data_path: str, meta_path: str,
                              injections=injections, meta=scenario_meta)
 
 
-def _stream_fault(data_path: str, values: np.ndarray, col: dict[str, int]) -> str:
-    """Names the first duplicate or non-finite row of a stream file, or the
-    first missing (tick, coordinate) cell; called only once parsing failed."""
+def _parse_injections(path: str, horizon: int, buses: int) -> np.ndarray:
+    """(horizon, buses) complex injections from an injections file, checked
+    like a stream file: every (tick, bus) exactly once, in range, finite."""
+    values = np.full((horizon, buses), complex(np.nan, np.nan))
+    rows = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip() != "tick,bus,re,im":
+            raise textconf.ConfigError("unexpected injections header")
+        for rows, line in enumerate(fh, start=1):
+            tick_s, bus_s, re_s, im_s = line.rstrip("\n").split(",")
+            t, b = int(tick_s) - 1, int(bus_s) - 1
+            if not 0 <= t < horizon:
+                raise textconf.ConfigError(
+                    f"{path} row {rows}: tick {tick_s} outside 1..{horizon}")
+            if not 0 <= b < buses:
+                raise textconf.ConfigError(
+                    f"{path} row {rows}: bus {bus_s} outside 1..{buses}")
+            values[t, b] = complex(float(re_s), float(im_s))
+    if rows != horizon * buses or not np.isfinite(values).all():
+        raise textconf.ConfigError(
+            _table_fault(path, values, {b: f"bus {b + 1}" for b in range(buses)}))
+    return values
+
+
+def _table_fault(path: str, values: np.ndarray, names: dict[int, str]) -> str:
+    """Names the first duplicate or non-finite row of a stream or injections
+    file, or the first missing (tick, column) cell, names[c] labelling
+    column c; called only once parsing failed."""
     seen: set[tuple[str, str]] = set()
-    with open(data_path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         for row, line in enumerate(fh, start=1):
-            tick_s, coord, value_s, _ = line.rstrip("\n").split(",")
-            if (tick_s, coord) in seen:
-                return f"{data_path} row {row}: duplicate row for tick {tick_s} {coord}"
-            seen.add((tick_s, coord))
-            if not np.isfinite(float(value_s)):
-                return f"{data_path} row {row}: non-finite value {value_s} at {coord}"
-    names = {k: coord for coord, k in col.items()}
+            tick_s, key, *numbers = line.rstrip("\n").split(",")
+            if (tick_s, key) in seen:
+                return f"{path} row {row}: duplicate row for tick {tick_s} {key}"
+            seen.add((tick_s, key))
+            for number in numbers:
+                if not np.isfinite(float(number)):
+                    return f"{path} row {row}: non-finite value {number} at {key}"
     t, c = np.argwhere(np.isnan(values))[0]
-    return f"{data_path}: no row for tick {t + 1} {names[c]}"
+    return f"{path}: no row for tick {t + 1} {names[c]}"
 
 
 # --- scenario config blocks ---------------------------------------------------

@@ -6,23 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from gridwatch.detector import (
     ADAPTIVE,
     DetectionRule,
     DetectorConfig,
-    DetectorState,
     GeometricPrior,
     NonFiniteLikelihoodError,
+    _log_odds_trace,
     adaptive_log_odds,
-    adaptive_step,
     advance_log_odds,
-    decide,
     expected_delay_bound,
     first_crossing,
     known_f_log_odds,
     posterior_direct,
-    posterior_update,
     run_detector,
 )
 from gridwatch.gaussmodel import GaussianModel, sample
@@ -49,10 +47,11 @@ def test_prior_and_rule_validation():
 
 def test_alarm_threshold_boundary():
     rule = DetectionRule(1e-6)
-    at = DetectorState(n=9, log_odds=rule.log_odds_threshold)
-    below = DetectorState(n=9, log_odds=rule.log_odds_threshold - 1e-9)
-    assert decide(at, rule) == 9, "posterior exactly at 1-alpha must alarm"
-    assert decide(below, rule) is None, "posterior just below 1-alpha must continue"
+    at = np.full(9, -1.0)
+    at[8] = rule.log_odds_threshold
+    below = np.full(9, rule.log_odds_threshold - 1e-9)
+    assert first_crossing(at, 1e-6) == 9, "posterior exactly at 1-alpha must alarm"
+    assert first_crossing(below, 1e-6) is None, "posterior just below 1-alpha must continue"
 
 
 # --- posterior: recursion vs direct -----------------------------------------------
@@ -60,12 +59,11 @@ def test_alarm_threshold_boundary():
 def test_identical_models_recover_prior_cdf():
     g, _ = scalar_models()
     prior = GeometricPrior(0.07)
-    state = DetectorState()
     rng = np.random.default_rng(3)
+    posterior = expit(known_f_log_odds(rng.normal(size=(200, 1)), g, g, prior.rho))
     for n in range(1, 201):
-        state = posterior_update(state, rng.normal(size=1), g, g, prior)
         expected = 1.0 - (1.0 - prior.rho) ** n
-        assert state.posterior == pytest.approx(expected, abs=1e-12), f"step {n}"
+        assert posterior[n - 1] == pytest.approx(expected, abs=1e-12), f"step {n}"
 
 
 def test_single_step_even_likelihood():
@@ -83,11 +81,10 @@ def test_recursion_matches_direct_sum(rng):
         f = GaussianModel(rng.normal(size=d), b @ b.T + np.eye(d))
         prior = GeometricPrior(float(rng.uniform(0.01, 0.5)))
         data = rng.normal(size=(50, d), scale=1.5)
-        state = DetectorState()
+        posterior = expit(known_f_log_odds(data, g, f, prior.rho))
         for n in range(1, 51):
-            state = posterior_update(state, data[n - 1], g, f, prior)
             direct = posterior_direct(g, f, prior, data[:n])
-            assert abs(state.posterior - direct) <= 1e-10, f"trial {trial} step {n}"
+            assert abs(posterior[n - 1] - direct) <= 1e-10, f"trial {trial} step {n}"
 
 
 def test_posterior_direct_overwhelming_first_sample():
@@ -148,20 +145,11 @@ def test_delay_bound_validation():
 
 # --- adaptive mode -----------------------------------------------------------------
 
-def test_adaptive_requires_adaptive_state():
-    g, _ = scalar_models()
-    with pytest.raises(ValueError, match="adaptive-mode"):
-        adaptive_step(DetectorState(), [0.0], g, GeometricPrior(0.1))
-
-
 def test_adaptive_identical_window_hits_ridge_path():
     g, _ = scalar_models()
-    prior = GeometricPrior(0.1)
-    state = DetectorState(mode=ADAPTIVE)
-    for _ in range(12):
-        state = adaptive_step(state, [2.0], g, prior, nmin=4)
-    assert math.isfinite(state.log_odds)
-    assert state.f_refreshed
+    trace, refreshed = _log_odds_trace(np.full((12, 1), 2.0), g, 0.1, nmin=4)
+    assert np.isfinite(trace).all()
+    assert refreshed[-1]
 
 
 def test_adaptive_no_change_posterior_stays_low():

@@ -1,0 +1,204 @@
+"""The batch detector core against the per-step path it replaced: a short
+loop that refits estimate_post_outage on every window, scores one sample at
+a time with log_density and advances the recursion step by step.  Also the
+period aggregation of run_detector against a per-tick accumulator."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridwatch.detector import (
+    DetectorConfig,
+    NonFiniteLikelihoodError,
+    _log_odds_trace,
+    _step_increments,
+    advance_log_odds,
+    inflated_fallback,
+    run_detector,
+)
+from gridwatch.gaussmodel import (
+    EstimationPrior,
+    GaussianModel,
+    estimate_post_outage,
+    log_density,
+    log_density_stack,
+)
+from gridwatch.grid import SingularBlockError, load_feeder
+from gridwatch.simgen import Scenario, SensorSchedule, generate
+
+REL = 1e-9
+
+
+def per_step_trace(x, g, rho, f=None, est_prior=None, window=50, nmin=None,
+                   inflate=4.0, stop_at=None):
+    """(trace, refreshed, (error type, step) or None) of the per-step path."""
+    fallback = inflated_fallback(g, inflate)
+    est_prior = est_prior or EstimationPrior(rho)
+    need = max(2, g.dim + 2 if nmin is None else nmin)
+    log_odds, trace, refreshed = -700.0, [], []
+    for k in range(x.shape[0]):
+        window_k = x[max(0, k - window):k]
+        fresh = f is None and len(window_k) >= need
+        try:
+            if f is not None:
+                model = f
+            elif fresh:
+                est = estimate_post_outage(window_k, est_prior)
+                w = g.dim / (g.dim + len(window_k))
+                model = GaussianModel((1.0 - w) * est.mean + w * fallback.mean,
+                                      (1.0 - w) * est.cov + w * fallback.cov)
+            else:
+                model = fallback
+            log_lr = float(log_density(model, x[k])) - float(log_density(g, x[k]))
+            log_odds = advance_log_odds(log_odds, log_lr, rho)
+        except ValueError as exc:
+            return np.array(trace), np.array(refreshed, dtype=bool), (type(exc), k)
+        trace.append(log_odds)
+        refreshed.append(fresh)
+        if stop_at is not None and log_odds >= stop_at:
+            break
+    return np.array(trace), np.array(refreshed, dtype=bool), None
+
+
+def core_error(x, **kwargs):
+    try:
+        _log_odds_trace(x, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@st.composite
+def detector_cases(draw):
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(d, d))
+    g = GaussianModel(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d))
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.5, 1.5, 4.0]))
+    if draw(st.booleans()):  # a run of identical samples: constant windows
+        start = draw(st.integers(0, n - 1))
+        x[start:] = x[start]
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    rho = draw(st.floats(1e-4, 0.5))
+    window = draw(st.integers(2, 60))
+    kwargs = dict(g=g, rho=rho, max_window=window,
+                  nmin=draw(st.one_of(st.none(), st.integers(0, 70))),
+                  stop_at=draw(st.one_of(st.none(), st.floats(-5.0, 40.0))))
+    mode = draw(st.sampled_from(["adaptive", "known_f", "explicit_weights"]))
+    if mode == "known_f":
+        b = rng.normal(size=(d, d))
+        kwargs["f"] = GaussianModel(rng.normal(size=d), b @ b.T + 0.5 * np.eye(d))
+    elif mode == "explicit_weights":  # fit one window length; others raise
+        length = draw(st.integers(2, window))
+        kwargs["est_prior"] = EstimationPrior(
+            rho, explicit_weights=tuple(rng.uniform(0.0, 1.0, size=length) + 0.01))
+    return x, kwargs
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(detector_cases())
+def test_core_matches_per_step_path(case):
+    x, kwargs = case
+    trace, refreshed, error = per_step_trace(
+        x, kwargs["g"], kwargs["rho"], f=kwargs.get("f"), est_prior=kwargs.get("est_prior"),
+        window=kwargs["max_window"], nmin=kwargs["nmin"], stop_at=kwargs["stop_at"])
+    reached = x if error is None else x[:error[1]]
+    got, got_refreshed = _log_odds_trace(reached, **kwargs)
+    assert got.shape == trace.shape
+    assert np.all(np.abs(got - trace) <= REL * np.maximum(1.0, np.abs(trace)))
+    assert np.array_equal(got_refreshed, refreshed)
+    if error is not None:
+        # the same error, at the same step: the prefix before it ran clean
+        assert core_error(x[:error[1] + 1], **kwargs) is error[0]
+        assert core_error(x, **kwargs) is error[0]
+
+
+def test_nan_past_stop_at_does_not_raise():
+    g = GaussianModel([0.0], [[1.0]])
+    x = np.full((40, 1), 6.0)
+    x[30, 0] = math.nan
+    trace = _log_odds_trace(x, g, 0.1, stop_at=5.0)[0]
+    assert trace.size < 30 and trace[-1] >= 5.0
+    with pytest.raises(NonFiniteLikelihoodError) as info:
+        _log_odds_trace(x, g, 0.1)
+    assert info.value.step == 30
+
+
+def test_stack_factor_falls_back_to_ridge():
+    # the second covariance is only PSD: the stacked Cholesky fails and each
+    # matrix takes the ridge rule of GaussianModel
+    rng = np.random.default_rng(4)
+    covs = np.stack([np.eye(3) * 2.0, np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])])
+    means = rng.normal(size=(2, 3))
+    x = rng.normal(size=(2, 3))
+    got = log_density_stack(means, covs, x)
+    want = [log_density(GaussianModel(m, c), p) for m, c, p in zip(means, covs, x)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    with pytest.raises(SingularBlockError):
+        log_density_stack(means, np.stack([np.eye(3), -np.eye(3)]), x)
+
+
+# --- run_detector period aggregation ---------------------------------------------
+
+def per_tick_increments(stream, step_period, hold_last_value):
+    ticks, rows = [], []
+    acc = np.zeros(stream.layout.dim)
+    for t in range(stream.horizon):
+        if hold_last_value:
+            x = stream.values[t]
+        else:
+            acc = acc + np.where(stream.fresh[t], stream.values[t], 0.0)
+            if (t + 1) % step_period != 0:
+                continue
+            x, acc = acc, np.zeros(stream.layout.dim)
+        ticks.append(t + 1)
+        rows.append(x)
+    return np.array(ticks, dtype=int), np.array(rows).reshape(len(rows), stream.layout.dim)
+
+
+LOOP8 = load_feeder("loop8")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.dictionaries(st.integers(1, 8),
+                       st.tuples(st.sampled_from(["phasor", "magnitude"]),
+                                 st.sampled_from([1, 2, 3, 4, 6, 9, 12])),
+                       min_size=1, max_size=4),
+       st.integers(1, 80), st.integers(0, 1000), st.booleans())
+def test_step_increments_match_per_tick_accumulator(kinds, horizon, seed, hold):
+    schedule = SensorSchedule.from_kinds(kinds)
+    stream = generate(Scenario(topology=LOOP8, out_branches=((3, 4),), lam=1,
+                               noise_variance=1e-2, schedule=schedule,
+                               horizon=horizon, seed=seed))
+    period = 1 if hold else math.lcm(*(p for _, p in kinds.values()))
+    ticks, x = _step_increments(stream, period, hold)
+    want_ticks, want = per_tick_increments(stream, period, hold)
+    assert np.array_equal(ticks, want_ticks)
+    assert x.shape == want.shape and x.tobytes() == want.tobytes()
+
+
+def test_run_detector_steps_on_aggregated_ticks():
+    schedule = SensorSchedule.from_kinds({2: ("magnitude", 9)})
+    scen = Scenario(topology=LOOP8, out_branches=((2, 6),), lam=40, horizon=100,
+                    noise_variance=1e-2, schedule=schedule, seed=3)
+    stream = generate(scen)
+    layout = stream.layout
+    g = scen.pre_model().project(layout)
+    f = scen.post_model().project(layout)
+    report = run_detector(stream, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
+    ticks, x = per_tick_increments(stream, 9, False)
+    trace = _log_odds_trace(x, g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))[0]
+    assert np.array_equal(report.step_ticks, ticks)
+    assert np.array_equal(report.log_odds_trace, trace)
+    bad = dataclasses.replace(stream, values=stream.values.copy())
+    bad.values[20, 0] = math.nan  # tick 21 is not fresh: never read
+    bad.values[26, 0] = math.nan  # tick 27 is fresh: its step fails
+    with pytest.raises(NonFiniteLikelihoodError, match="tick 27"):
+        run_detector(bad, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))

@@ -191,6 +191,46 @@ def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
     assert message in str(info.value)
 
 
+def _edit_injection_rows(lines):
+    """Injections-file faults, each as an edit of the data rows; row 6 holds
+    tick 1 bus 6 of a 20-tick loop8 stream."""
+    tick, bus, re, im = lines[5].rstrip("\n").split(",")
+    return {
+        "missing": (lines[:5] + lines[6:], f"no row for tick {tick} bus {bus}"),
+        "duplicate": (lines + [lines[5]],
+                      f"row {len(lines) + 1}: duplicate row for tick {tick} {bus}"),
+        "tick_zero": (lines[:5] + [f"0,{bus},{re},{im}\n"] + lines[6:],
+                      "row 6: tick 0 outside 1..20"),
+        "tick_past_horizon": (lines[:5] + [f"21,{bus},{re},{im}\n"] + lines[6:],
+                              "row 6: tick 21 outside 1..20"),
+        "bus_zero": (lines[:5] + [f"{tick},0,{re},{im}\n"] + lines[6:],
+                     "row 6: bus 0 outside 1..8"),
+        "bus_past_last": (lines[:5] + [f"{tick},9,{re},{im}\n"] + lines[6:],
+                          "row 6: bus 9 outside 1..8"),
+        "non_finite": (lines[:5] + [f"{tick},{bus},{re},nan\n"] + lines[6:],
+                       f"row 6: non-finite value nan at {bus}"),
+    }
+
+
+@pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
+                                   "bus_zero", "bus_past_last", "non_finite"])
+def test_parse_stream_rejects_bad_injection_rows(tmp_path, loop8, fault):
+    # a missing row must not read as 0j, nor tick 0 overwrite the last tick
+    # through index -1
+    stream = generate(base_scenario(loop8, horizon=20, record_injections=True))
+    data, meta, inj = (str(tmp_path / name) for name in
+                       ("stream.csv", "stream.meta", "injections.csv"))
+    write_stream(stream, data, meta, injections_path=inj)
+    with open(inj, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    rows, message = _edit_injection_rows(lines)[fault]
+    with open(inj, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(rows))
+    with pytest.raises(ConfigError) as info:
+        parse_stream(data, meta, inj)
+    assert message in str(info.value)
+
+
 def test_scenario_blocks_round_trip(loop12):
     scen = Scenario(topology=loop12, out_branches=((8, 10), (2, 3)), outage_rho=0.05,
                     injection_variance={b: float(b) for b in range(1, 13)},
@@ -198,10 +238,3 @@ def test_scenario_blocks_round_trip(loop12):
     text = format_blocks(scenario_blocks(scen))
     assert scenario_from_blocks(__import__("gridwatch.textconf", fromlist=["x"])
                                 .parse_blocks(text)) == scen
-
-
-def test_frames_view(loop8):
-    stream = generate(base_scenario(loop8, horizon=5))
-    frames = list(stream.frames)
-    assert [f.tick for f in frames] == [1, 2, 3, 4, 5]
-    np.testing.assert_array_equal(frames[2].values, stream.values[2])
