@@ -21,6 +21,7 @@ from .gaussmodel import (
     score_pairs,
 )
 from .detector import GeometricPrior, expected_delay_bound
+from .grid import philox_key
 from .simgen import Scenario, generate, sample_outage_time
 
 MODES = (det.KNOWN_F, det.ADAPTIVE)
@@ -126,8 +127,6 @@ def _replication_scenario(config: ExperimentConfig, rep: int, margin: int) -> Sc
 
 
 def _rep_key(master_seed: int, rep: int) -> int:
-    from .simgen import philox_key
-
     return philox_key(master_seed, "replication", rep)
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .grid import AdmittanceMatrix, GridTopology, SingularBlockError, build_admittance, islands
+from .grid import GridTopology, SingularBlockError, transfer
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -336,85 +336,39 @@ def conditional_corr(sigma: np.ndarray, i: int, j: int,
 
 # --- model construction from the grid --------------------------------------
 
-def model_from_grid(Y: AdmittanceMatrix, slack: set[int], injection_variance,
-                    noise_variance: float) -> GaussianModel:
+def model_from_topology(topology: GridTopology, injection_variance,
+                        noise_variance: float) -> GaussianModel:
     """Zero-mean stacked Gaussian of voltage increments driven by independent
     complex injections through the network.
 
-    Per connected component of the admittance graph: slack rows/columns are
-    deleted, the remaining block is inverted and the complex covariance is
-    Z diag(var) Z^H.  Components without a slack bus are dead and keep zero
-    voltage.  Measurement noise adds noise_variance to every stacked
-    coordinate.
+    Per energised island of grid.transfer the complex covariance is
+    Z diag(var) Z^H; grounding buses and dead islands keep zero voltage.
+    Measurement noise adds noise_variance to every stacked coordinate.
     """
-    buses = Y.buses
-    m = len(buses)
-    inj = _per_bus(injection_variance, buses)
+    m = topology.bus_count
+    var = _injection_vector(injection_variance, m)
     sigma_c = np.zeros((m, m), dtype=complex)
-    for comp in _components(Y):
-        grounded = [k for k in comp if buses[k] not in slack]
-        if len(grounded) == len(comp):
-            continue  # dead island: zero voltage, noise only
-        if not grounded:
-            continue  # slack-only component
-        sub = Y.matrix[np.ix_(grounded, grounded)]
-        try:
-            z = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            names = [buses[k] for k in grounded]
-            raise SingularBlockError("Y[component]", f"buses {names}") from None
-        d = np.array([inj[k] for k in grounded])
-        block = (z * d) @ z.conj().T
-        sigma_c[np.ix_(grounded, grounded)] = block
+    for buses, z in transfer(topology):
+        idx = [b - 1 for b in buses]
+        sigma_c[np.ix_(idx, idx)] = (z * var[idx]) @ z.conj().T
     cov = complex_to_real_cov(sigma_c) + noise_variance * np.eye(2 * m)
-    layout = CoordinateLayout.from_kinds({b: PHASOR for b in buses})
-    return GaussianModel(np.zeros(2 * m), cov, layout)
+    return GaussianModel(np.zeros(2 * m), cov, CoordinateLayout.full_phasor(m))
 
 
-def model_from_topology(topology: GridTopology, injection_variance,
-                        noise_variance: float) -> GaussianModel:
-    """model_from_grid with DER promotion: each island that has no slack but
-    contains a DER bus is grounded at its lowest DER bus."""
-    grounding = set(topology.slack)
-    for island in islands(topology):
-        if island.kind == "der":
-            grounding.add(min(island.buses & topology.der_buses))
-    return model_from_grid(build_admittance(topology), grounding,
-                           injection_variance, noise_variance)
-
-
-def _per_bus(injection_variance, buses: tuple[int, ...]) -> dict[int, float]:
+def _injection_vector(injection_variance, m: int) -> np.ndarray:
+    """Per-bus injection variances, bus b at index b - 1, from one scalar for
+    every bus or a {bus: variance} dict (buses left out get 0)."""
     if isinstance(injection_variance, dict):
-        var = {k: float(injection_variance.get(bus, 0.0)) for k, bus in enumerate(buses)}
+        out = np.zeros(m)
+        for bus, var in injection_variance.items():
+            if not 1 <= bus <= m:
+                raise ValueError(f"injection bus {bus} outside 1..{m}")
+            out[bus - 1] = float(var)
     else:
-        var = {k: float(injection_variance) for k in range(len(buses))}
-    if any(v < 0 for v in var.values()):
+        out = np.full(m, float(injection_variance))
+    if np.any(out < 0):
         raise ValueError("injection variances must be nonnegative")
-    return var
-
-
-def _components(Y: AdmittanceMatrix) -> list[list[int]]:
-    m = Y.dim
-    adj = [set() for _ in range(m)]
-    rows, cols = np.nonzero(Y.matrix)
-    for r, c in zip(rows, cols):
-        if r != c:
-            adj[r].add(int(c))
-    unseen = set(range(m))
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adj[node]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        unseen -= comp
-        comps.append(sorted(comp))
-    return comps
+    return out
 
 
 # --- post-change parameter estimation ---------------------------------------

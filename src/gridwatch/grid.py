@@ -1,5 +1,5 @@
 """Distribution network topology: admittance assembly, outage switching,
-island analysis and Kron reduction.
+island analysis, the per-island network transfer and Kron reduction.
 
 Buses are numbered 1..M.  Bus 1 is the conventional slack (feeder head).
 The admittance model is series-branch only: Y_ij = -y_ij for an in-service
@@ -9,6 +9,8 @@ sums are exactly zero.  Shunt terms are out of scope.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import importlib.resources
 from dataclasses import dataclass, field, replace
 
@@ -213,6 +215,43 @@ def islands(topology: GridTopology) -> list[Island]:
     return out
 
 
+TRANSFER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+def transfer(topology: GridTopology) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """Per energised island, its driven buses and the transfer matrix
+    Z = Y[buses, buses]^-1 that maps their injection increments to their
+    voltage increments (dV = Z dI).
+
+    An island is grounded at its slack buses or, when it has none, at its
+    lowest DER bus; `buses` is the rest of the island in ascending order.
+    Dead islands and islands holding only grounding buses are left out.
+    Memoised per topology (the model and the simulator both ask for it), so
+    the Z arrays are read-only: every caller shares them.
+    """
+    Y = build_admittance(topology).matrix
+    blocks = []
+    for island in islands(topology):
+        if island.kind == "dead":
+            continue
+        if island.kind == "slack":
+            grounding = island.buses & topology.slack
+        else:
+            grounding = {min(island.buses & topology.der_buses)}
+        buses = sorted(island.buses - grounding)
+        if not buses:
+            continue
+        idx = [b - 1 for b in buses]
+        try:
+            z = np.linalg.inv(Y[np.ix_(idx, idx)])
+        except np.linalg.LinAlgError:
+            raise SingularBlockError("Y[component]", f"buses {buses}") from None
+        z.flags.writeable = False
+        blocks.append((tuple(buses), z))
+    return tuple(blocks)
+
+
 def kron_reduce(Y: AdmittanceMatrix, keep: set[int]) -> AdmittanceMatrix:
     """Eliminate buses outside `keep` by the Schur complement.
 
@@ -336,7 +375,7 @@ def random_feeder(bus_count: int, loops: int = 0, seed: int = 0,
     """
     if bus_count < 2:
         raise TopologyError("random feeder needs at least 2 buses")
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, "feeder")))
+    rng = np.random.Generator(np.random.Philox(key=philox_key(seed, "feeder")))
     branches: list[Branch] = []
     for bus in range(2, bus_count + 1):
         if bus == 2:
@@ -387,8 +426,7 @@ def _random_admittance(rng: np.random.Generator) -> complex:
     return complex(g, -g / ratio)
 
 
-def _philox_key(seed: int, label: str) -> int:
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
-    return int.from_bytes(digest[:16], "little")
+def philox_key(seed: int, *labels) -> int:
+    """Stable 128-bit Philox key for a named substream of a master seed."""
+    text = "/".join([str(seed), *map(str, labels)])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")

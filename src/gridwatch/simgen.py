@@ -2,9 +2,10 @@
 
 Per tick, every non-slack bus receives an independent zero-mean complex
 Gaussian injection increment (real and imaginary parts independent with half
-the variance each); voltage increments follow through the per-island inverse
-of the grounded admittance matrix.  At the outage tick the network switches
-to the post-outage matrix.  Dead islands emit exactly zero (plus measurement
+the variance each); voltage increments follow through the per-island
+transfer matrices of grid.transfer, the same blocks model_from_topology
+builds the covariance from.  At the outage tick the network switches to the
+post-outage transfer.  Dead islands emit exactly zero (plus measurement
 noise); DER-backed islands run off their own grounded block.  Measurement
 noise is added to the stacked real coordinates, i.i.d. per tick, from an RNG
 substream separate from the injections so that changing the noise level
@@ -19,29 +20,21 @@ last p ticks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import textconf
 from .detector import GeometricPrior
-from .gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout, GaussianModel, model_from_topology
-from .grid import (
-    GridTopology,
-    SingularBlockError,
-    apply_outage,
-    build_admittance,
-    format_feeder,
-    islands,
-    parse_feeder,
+from .gaussmodel import (
+    MAGNITUDE,
+    PHASOR,
+    CoordinateLayout,
+    GaussianModel,
+    _injection_vector,
+    model_from_topology,
 )
-
-
-def philox_key(seed: int, *labels) -> int:
-    """Stable 128-bit Philox key for a named substream of a master seed."""
-    text = "/".join([str(seed), *map(str, labels)])
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
+from .grid import GridTopology, apply_outage, format_feeder, parse_feeder, philox_key, transfer
 
 
 def substream(seed: int, *labels) -> np.random.Generator:
@@ -221,9 +214,10 @@ def generate(scenario: Scenario) -> MeasurementStream:
     stacked = np.hstack([volts.real, volts.imag])  # re 1..M then im 1..M
     if scenario.mean_shift and lam is not None and lam <= t_total:
         shift = np.zeros(2 * m)
-        for bus in _energized_buses(post_top):
-            shift[bus - 1] = scenario.mean_shift
-            shift[m + bus - 1] = scenario.mean_shift
+        for buses, _ in transfer(post_top):
+            idx = np.array(buses) - 1
+            shift[idx] = scenario.mean_shift
+            shift[m + idx] = scenario.mean_shift
         stacked[lam - 1:] += shift
 
     noise_rng = substream(scenario.seed, "noise")
@@ -262,60 +256,14 @@ def generate(scenario: Scenario) -> MeasurementStream:
     )
 
 
-def _injection_vector(injection_variance, m: int) -> np.ndarray:
-    if isinstance(injection_variance, dict):
-        out = np.zeros(m)
-        for bus, var in injection_variance.items():
-            if not 1 <= bus <= m:
-                raise ValueError(f"injection bus {bus} outside 1..{m}")
-            out[bus - 1] = float(var)
-    else:
-        out = np.full(m, float(injection_variance))
-    if np.any(out < 0):
-        raise ValueError("injection variances must be nonnegative")
-    return out
-
-
-def _grounding_set(topology: GridTopology) -> set[int]:
-    grounding = set(topology.slack)
-    for island in islands(topology):
-        if island.kind == "der":
-            grounding.add(min(island.buses & topology.der_buses))
-    return grounding
-
-
-def _energized_buses(topology: GridTopology) -> set[int]:
-    out: set[int] = set()
-    grounding = _grounding_set(topology)
-    for island in islands(topology):
-        if island.kind != "dead":
-            out |= island.buses - grounding
-    return out
-
-
 def _apply_transfer(volts: np.ndarray, injections: np.ndarray, rows: np.ndarray,
                     topology: GridTopology) -> None:
-    """volts[rows] = per-island Z @ injections[rows]; dead islands stay zero.
-
-    Mirrors model_from_topology: same grounding (slack plus DER promotion),
-    same per-component inverse, so simulated streams match the model
-    covariance exactly.
-    """
+    """volts[rows] = Z @ injections[rows] per energised island of
+    grid.transfer; grounding buses and dead islands stay zero."""
     if not rows.any():
         return
-    Y = build_admittance(topology)
-    grounding = _grounding_set(topology)
-    for island in islands(topology):
-        if island.kind == "dead":
-            continue
-        sub = sorted(island.buses - grounding)
-        if not sub:
-            continue
-        idx = [b - 1 for b in sub]
-        try:
-            z = np.linalg.inv(Y.matrix[np.ix_(idx, idx)])
-        except np.linalg.LinAlgError:
-            raise SingularBlockError("Y[component]", f"buses {sub}") from None
+    for buses, z in transfer(topology):
+        idx = [b - 1 for b in buses]
         volts[np.ix_(rows, idx)] = injections[np.ix_(rows, idx)] @ z.T
 
 
@@ -329,11 +277,15 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
                  scenario: Scenario | None = None,
                  injections_path: str | None = None) -> None:
     """CSV of (tick, coordinate, value, fresh) plus a sidecar with the
-    schedule, ground truth and (when given) the full scenario echo."""
+    schedule, ground truth and (when given) the full scenario echo.  With an
+    injections file the sidecar's [stream] block also records its bus count,
+    which the schedule need not reach."""
+    stream_fields = {"horizon": str(stream.horizon)}
     if injections_path is not None and stream.injections is not None:
+        t_all, m = stream.injections.shape
+        stream_fields["buses"] = str(m)
         with open(injections_path, "w", encoding="utf-8") as fh:
             fh.write("tick,bus,re,im\n")
-            t_all, m = stream.injections.shape
             for t in range(t_all):
                 for b in range(m):
                     z = stream.injections[t, b]
@@ -349,7 +301,7 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
     if stream.truth.lam is not None:
         truth_fields["lambda"] = str(stream.truth.lam)
     blocks.append(("truth", truth_fields))
-    blocks.append(("stream", {"horizon": str(stream.horizon)}))
+    blocks.append(("stream", stream_fields))
     for bus, kind, period in stream.schedule.entries:
         blocks.append(("sensor", {"bus": str(bus), "kind": kind, "period": str(period)}))
     if scenario is not None:
@@ -363,12 +315,14 @@ def parse_stream(data_path: str, meta_path: str,
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_blocks = textconf.parse_blocks(fh.read())
     horizon = None
+    buses = -1
     lam = None
     out_branches: tuple[tuple[int, int], ...] = ()
     sensors: dict[int, tuple[str, int]] = {}
     for section, fields in meta_blocks:
         if section == "stream":
             horizon = textconf.as_int("stream", fields, "horizon")
+            buses = textconf.as_int("stream", fields, "buses", -1)
         elif section == "truth":
             lam = textconf.as_int("truth", fields, "lambda", -1)
             lam = None if lam == -1 else lam
@@ -407,8 +361,11 @@ def parse_stream(data_path: str, meta_path: str,
         raise textconf.ConfigError(_table_fault(data_path, values, names))
     injections = None
     if injections_path is not None:
-        injections = _parse_injections(injections_path, horizon,
-                                       max(b for b, _, _ in schedule.entries))
+        # sidecars written before the bus count was recorded: the highest
+        # sensed bus, right whenever the schedule senses the last bus
+        if buses == -1:
+            buses = schedule.entries[-1][0]
+        injections = _parse_injections(injections_path, horizon, buses)
     scenario_meta = [(section, dict(fields)) for section, fields in meta_blocks
                      if section not in ("stream", "truth")]
     return MeasurementStream(layout=layout, schedule=schedule, values=values,

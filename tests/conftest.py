@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridwatch.grid import Branch, GridTopology, load_feeder
+
+# Property tests replay the same examples on every run, take as long as they
+# need and write no example database into the checkout; each test sets its
+# own max_examples budget.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,7 @@ def detector_cases(draw):
     return x, kwargs
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
+@settings(max_examples=120)
 @given(detector_cases())
 def test_core_matches_per_step_path(case):
     x, kwargs = case
@@ -166,7 +166,7 @@ def per_tick_increments(stream, step_period, hold_last_value):
 LOOP8 = load_feeder("loop8")
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.dictionaries(st.integers(1, 8),
                        st.tuples(st.sampled_from(["phasor", "magnitude"]),
                                  st.sampled_from([1, 2, 3, 4, 6, 9, 12])),

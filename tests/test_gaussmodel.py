@@ -1,4 +1,4 @@
-"""Gaussian machinery: stacking layout, model-from-grid construction,
+"""Gaussian machinery: stacking layout, model-from-topology construction,
 densities, KL, Schur conditioning and the windowed post-change estimator.
 
 The conditional-independence property is tested in its corrected form: with
@@ -25,7 +25,6 @@ from gridwatch.gaussmodel import (
     estimate_post_outage,
     kl_divergence,
     log_density,
-    model_from_grid,
     model_from_topology,
     ridge_epsilon,
     sample,
@@ -36,9 +35,9 @@ from gridwatch.grid import (
     GridTopology,
     SingularBlockError,
     apply_outage,
-    build_admittance,
     bundled_feeders,
 )
+from gridwatch.simgen import Scenario, generate
 
 
 def random_model(rng, d, mean_scale=1.0):
@@ -76,11 +75,11 @@ def test_complex_to_real_cov_matches_sampling(rng):
     assert np.abs(emp - complex_to_real_cov(sigma_c)).max() < 0.05
 
 
-# --- model_from_grid -------------------------------------------------------------
+# --- model_from_topology ---------------------------------------------------------
 
 def test_two_bus_unit_variance():
     top = GridTopology(2, (Branch(1, 2, 1 + 0j),))
-    m = model_from_grid(build_admittance(top), {1}, 1.0, 0.0)
+    m = model_from_topology(top, 1.0, 0.0)
     # complex variance of bus 2 is 1: re and im carry half each
     c2 = m.layout.coords_of(2)
     assert sum(m.cov[c, c] for c in c2) == pytest.approx(1.0, abs=1e-14)
@@ -128,7 +127,14 @@ def test_singular_component_raises():
     top = GridTopology(3, (Branch(1, 2, 1 + 0j), Branch(2, 3, 1 + 0j),
                            Branch(1, 3, -0.5 + 0j)))
     with pytest.raises(SingularBlockError, match="component"):
-        model_from_grid(build_admittance(top), {1}, 1.0, 0.0)
+        model_from_topology(top, 1.0, 0.0)
+
+
+def test_out_of_range_injection_bus_rejected_by_model_and_simulator(loop8):
+    with pytest.raises(ValueError, match="injection bus 99 outside 1..8"):
+        model_from_topology(loop8, {99: 1.0}, 0.0)
+    with pytest.raises(ValueError, match="injection bus 99 outside 1..8"):
+        generate(Scenario(loop8, injection_variance={99: 1.0}, horizon=5))
 
 
 # --- log density -----------------------------------------------------------------

@@ -1,0 +1,112 @@
+"""Byte-identity pins: sha256 digests of model covariances, simulated streams
+and a seeded random feeder, captured before the model and the simulator
+shared one network-transfer path.  Any moved byte fails the test; a change
+that is meant to alter numerics must say so and capture new digests.
+
+The cases cover the bundled feeders, dict injection variances, a mean shift,
+recorded injections, a mixed magnitude/phasor schedule, a slack-only island
+next to a dead one, DER islands (one of them grounding-only) and a dead
+island on a random feeder.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
+from gridwatch.simgen import Scenario, SensorSchedule, generate
+
+DER_FEEDER = dict(bus_count=24, loops=2, seed=5, der_buses={9, 17, 20})
+
+
+def _scenario(case: str) -> Scenario:
+    if case == "path3":
+        # head branch out: slack-only island {1} next to the dead island {2, 3}
+        return Scenario(load_feeder("path3"), ((1, 2),), lam=30, horizon=60, seed=11)
+    if case == "loop8":
+        return Scenario(load_feeder("loop8"), ((3, 4), (2, 6)), lam=21, horizon=120,
+                        seed=3, injection_variance={1: 1.0, 2: 1.0, 3: 1.0, 4: 4.0,
+                                                   5: 4.0, 6: 6.0, 7: 1.0, 8: 1.0},
+                        mean_shift=0.5, record_injections=True)
+    if case == "loop12":
+        schedule = SensorSchedule.from_kinds(
+            {b: ("magnitude", 3) if b % 3 == 0 else ("phasor", 1) for b in range(1, 13)})
+        return Scenario(load_feeder("loop12"), ((8, 10),), lam=40, horizon=80, seed=2,
+                        injection_variance=2.5, noise_variance=1e-6, schedule=schedule)
+    if case == "random-der":
+        # (4, 5) leaves a four-bus DER island, (7, 17) a DER island of bus 17 alone
+        return Scenario(random_feeder(**DER_FEEDER), ((4, 5), (7, 17)), lam=25,
+                        horizon=50, seed=8)
+    if case == "random-dead":
+        return Scenario(random_feeder(**DER_FEEDER), ((2, 3),), lam=25, horizon=50,
+                        seed=9, mean_shift=0.25)
+    raise KeyError(case)
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def case_digests(case: str) -> dict[str, str]:
+    scenario = _scenario(case)
+    stream = generate(scenario)
+    out = {"pre_cov": _digest(scenario.pre_model().cov),
+           "post_cov": _digest(scenario.post_model().cov),
+           "values": _digest(stream.values)}
+    if stream.injections is not None:
+        out["injections"] = _digest(stream.injections)
+    return out
+
+
+GOLDEN = {
+    "path3": {
+        "pre_cov": "99884e793d8adc776216ec53d0c0553b0b1869b6a425e0a54924ee4f91631f68",
+        "post_cov": "53bac1dd96de38e01273273c2c46698af199a73d7fc2a94e3eab10af2aad6b28",
+        "values": "86c20f5ac3108bca35a04a601714550357260392c0f6e7f6b775e0de6251a751",
+    },
+    "loop8": {
+        "pre_cov": "37e250b7c887897bb63a696a95a4e35a9207bd677df140b40320fd531e19a054",
+        "post_cov": "3142d97a6a137413aed2789f12451b346a0383ddea7ce10be080cfa7cea28e19",
+        "values": "773b0c80c70ed4f6a7c5a6d66dd30d62c8f9ed3900d8204588c994258ece2feb",
+        "injections": "229aaf848cd0d1aa70a14872ccd6ab579668f7c1cdab266027653f59bc478976",
+    },
+    "loop12": {
+        "pre_cov": "c8de720d08da77962abba004f27dd4bfc2dcc0f31fe4b1f6ff736e0592b90aef",
+        "post_cov": "5caca4d6047ee92069350e918f92239877abf7c523993d495a240e05da994aef",
+        "values": "9f8b7d3bb80e03bc4b492e41200a682c4d640360bb4f65ab1b1af908a434d31e",
+    },
+    "random-der": {
+        "pre_cov": "2cb2329b3bd159f9b1c4a25c08fee2c50dfc212e9c74a879b2212785a4172661",
+        "post_cov": "480e20f25475fc811098c3b00f84d445c04569f7cd6d66ef6a1a6b0abb391e71",
+        "values": "666100b79947aeda9b98fd2f75b21631969a98cfe2f312b6c917fafc2cf65a43",
+    },
+    "random-dead": {
+        "pre_cov": "2cb2329b3bd159f9b1c4a25c08fee2c50dfc212e9c74a879b2212785a4172661",
+        "post_cov": "57a6aee98136246e73a3921e195cc87b4db9989732cf34e181bf3c011653e8f1",
+        "values": "a7ac7887177eae6c53eb943d1d751dec3621e371a55c40c129c48625514952d2",
+    },
+}
+RANDOM30_DIGEST = "22c99fd143a4e64dd82706461a60a28e4aa92080e1513a75ed878ebecc832d3d"
+
+
+def test_cases_hold_the_islands_they_name():
+    kinds = {case: sorted(i.kind for i in islands(_scenario(case).post_topology()))
+             for case in ("path3", "random-der", "random-dead")}
+    assert kinds == {"path3": ["dead", "slack"],
+                     "random-der": ["der", "der", "slack"],
+                     "random-dead": ["dead", "slack"]}
+    der = [i.buses for i in islands(_scenario("random-der").post_topology())
+           if i.kind == "der"]
+    assert sorted(map(len, der)) == [1, 4]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_digests_match_golden(case):
+    assert case_digests(case) == GOLDEN[case]
+
+
+def test_random_feeder_text_is_pinned():
+    text = format_feeder(random_feeder(30, 3, seed=7))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM30_DIGEST
+

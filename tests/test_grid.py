@@ -1,5 +1,5 @@
-"""Topology, admittance assembly, outage switching, islands, Kron reduction
-and the feeder file format."""
+"""Topology, admittance assembly, outage switching, islands, the network
+transfer, Kron reduction and the feeder file format."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from gridwatch.grid import (
     kron_reduce,
     parse_feeder,
     random_feeder,
+    transfer,
 )
 from gridwatch.textconf import ConfigError
 
@@ -135,6 +136,35 @@ def test_islands_loop_branch_out_stays_connected(loop8):
 def test_islands_invariant_under_branch_permutation(loop8):
     shuffled = GridTopology(8, tuple(reversed(loop8.branches)), loop8.slack)
     assert islands(shuffled) == islands(loop8)
+
+
+# --- network transfer ----------------------------------------------------------
+
+def test_transfer_grounds_slack_and_lowest_der_bus(loop12):
+    # 4-5 and 10-12 out: {5, 6, 11, 12} is backed by DER buses 6 and 11
+    # and grounds at 6
+    top = GridTopology(12, loop12.branches, der_buses=frozenset({11, 6}))
+    post = apply_outage(top, {(4, 5), (10, 12)})
+    Y = build_admittance(post).matrix
+    blocks = transfer(post)
+    assert [buses for buses, _ in blocks] == [(2, 3, 4, 7, 8, 9, 10), (5, 11, 12)]
+    for buses, z in blocks:
+        idx = [b - 1 for b in buses]
+        assert np.array_equal(z, np.linalg.inv(Y[np.ix_(idx, idx)]))
+
+
+def test_transfer_leaves_out_dead_and_grounding_only_islands(path3):
+    assert transfer(apply_outage(path3, {(1, 2)})) == ()
+    der = GridTopology(3, path3.branches, der_buses=frozenset({3}))
+    assert [b for b, _ in transfer(apply_outage(der, {(2, 3)}))] == [(2,)]
+
+
+def test_transfer_is_shared_and_read_only(loop8):
+    renamed = GridTopology(8, loop8.branches, loop8.slack, name="copy")
+    assert transfer(renamed) is transfer(loop8)
+    _, z = transfer(loop8)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0] = 0
 
 
 # --- Kron reduction -----------------------------------------------------------

@@ -117,7 +117,7 @@ def feeder_cases(draw):
     return apply_outage(top, out), noise, layout
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+@settings(max_examples=40,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(feeder_cases())
 def test_engine_matches_schur_on_random_feeders(case):

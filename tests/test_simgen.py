@@ -157,6 +157,20 @@ def test_stream_file_round_trip(tmp_path, loop8):
     assert rebuilt == scen
 
 
+def test_injections_round_trip_when_last_bus_unsensed(tmp_path, loop8):
+    # injections cover every bus; the schedule stops at bus 7
+    sched = SensorSchedule.from_kinds({b: (PHASOR, 1) for b in range(1, 8)})
+    stream = generate(base_scenario(loop8, horizon=5, schedule=sched,
+                                    record_injections=True))
+    data, meta, inj = (str(tmp_path / n) for n in
+                       ("stream.csv", "stream.meta", "injections.csv"))
+    write_stream(stream, data, meta, injections_path=inj)
+    back = parse_stream(data, meta, inj)
+    assert back.injections.shape == (5, 8)
+    np.testing.assert_array_equal(back.injections, stream.injections)
+    np.testing.assert_array_equal(back.values, stream.values)
+
+
 def _edit_rows(lines):
     """Stream-file faults, each as an edit of the data rows (header excluded)."""
     tick, coord, value, fresh = lines[5].split(",")
