@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -117,12 +118,10 @@ LOCALIZATION_HEADER = "pair,rho_pre,rho_post,delta,flagged,degenerate"
 
 
 def trace_csv(report) -> str:
-    lines = [TRACE_HEADER]
-    for k in range(report.step_ticks.size):
-        lines.append(f"{int(report.step_ticks[k])},{float(report.posterior_trace[k])!r},"
-                     f"{float(report.log_odds_trace[k])!r},{report.mode},"
-                     f"{int(report.f_refreshed[k])}")
-    return "\n".join(lines) + "\n"
+    rows = zip(report.step_ticks.tolist(), report.posterior_trace.tolist(),
+               report.log_odds_trace.tolist(), itertools.repeat(report.mode),
+               report.f_refreshed.tolist())
+    return "\n".join([TRACE_HEADER, *map("%d,%r,%r,%s,%d".__mod__, rows)]) + "\n"
 
 
 def parse_trace_csv(text: str) -> dict:

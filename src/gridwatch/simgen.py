@@ -20,6 +20,9 @@ last p ticks.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,13 +241,12 @@ def generate(scenario: Scenario) -> MeasurementStream:
             values[:, c] = raw[:, c]
             fresh[:, c] = True
             continue
+        # tick t carries the sum over the last period ending at or before t
         csum = np.concatenate([[0.0], np.cumsum(raw[:, c])])
-        last = 0.0
-        for t in range(t_total):
-            if (t + 1) % period == 0:
-                last = csum[t + 1] - csum[t + 1 - period]
-                fresh[t, c] = True
-            values[t, c] = last
+        ends = np.arange(period, t_total + 1, period)
+        fresh[ends - 1, c] = True
+        sums = np.concatenate([[0.0], csum[ends] - csum[ends - period]])
+        values[:, c] = sums[np.arange(1, t_total + 1) // period]
 
     return MeasurementStream(
         layout=layout,
@@ -269,6 +271,14 @@ def _apply_transfer(volts: np.ndarray, injections: np.ndarray, rows: np.ndarray,
 
 # --- stream files ------------------------------------------------------------
 
+# Stream and injections files are written and read this many rows at a time,
+# so that no more than one block of their text is held at once.
+_BLOCK_ROWS = 2 ** 12
+
+STREAM_HEADER = "tick,coordinate,value,fresh"
+INJECTIONS_HEADER = "tick,bus,re,im"
+
+
 def channel_id(bus: int, part: str) -> str:
     return f"{part}{bus}"
 
@@ -282,20 +292,13 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
     which the schedule need not reach."""
     stream_fields = {"horizon": str(stream.horizon)}
     if injections_path is not None and stream.injections is not None:
-        t_all, m = stream.injections.shape
+        m = stream.injections.shape[1]
         stream_fields["buses"] = str(m)
-        with open(injections_path, "w", encoding="utf-8") as fh:
-            fh.write("tick,bus,re,im\n")
-            for t in range(t_all):
-                for b in range(m):
-                    z = stream.injections[t, b]
-                    fh.write(f"{t + 1},{b + 1},{float(z.real)!r},{float(z.imag)!r}\n")
-    with open(data_path, "w", encoding="utf-8") as fh:
-        fh.write("tick,coordinate,value,fresh\n")
-        for t in range(stream.horizon):
-            for c, (bus, part) in enumerate(stream.layout.entries):
-                fh.write(f"{t + 1},{channel_id(bus, part)},"
-                         f"{float(stream.values[t, c])!r},{int(stream.fresh[t, c])}\n")
+        _write_table(injections_path, INJECTIONS_HEADER, range(1, m + 1),
+                     [stream.injections.real, stream.injections.imag])
+    _write_table(data_path, STREAM_HEADER,
+                 [channel_id(bus, part) for bus, part in stream.layout.entries],
+                 [stream.values, stream.fresh])
     blocks: list[tuple[str, dict[str, str]]] = []
     truth_fields = {"out_branches": ", ".join(f"{i}-{j}" for i, j in stream.truth.out_branches)}
     if stream.truth.lam is not None:
@@ -312,6 +315,9 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
 
 def parse_stream(data_path: str, meta_path: str,
                  injections_path: str | None = None) -> MeasurementStream:
+    """Reads a stream written by write_stream; data rows may come in any
+    order, but every (tick, coordinate) of the sidecar's horizon and layout
+    must appear exactly once with a finite value."""
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_blocks = textconf.parse_blocks(fh.read())
     horizon = None
@@ -335,30 +341,27 @@ def parse_stream(data_path: str, meta_path: str,
         raise textconf.ConfigError("stream sidecar missing [stream] or [sensor] blocks")
     schedule = SensorSchedule.from_kinds(sensors)
     layout = schedule.layout()
-    col = {channel_id(bus, part): k for k, (bus, part) in enumerate(layout.entries)}
+    ids = np.array([channel_id(bus, part) for bus, part in layout.entries])
+    order = np.argsort(ids)
+
+    def column(coords: np.ndarray) -> np.ndarray:
+        k = order[np.minimum(np.searchsorted(ids, coords, sorter=order), ids.size - 1)]
+        return np.where(ids[k] == coords, k, -1)
+
+    # one character wider than any channel id, so a longer coordinate
+    # cannot be cut down to a known one
+    coord_type = f"U{max(map(len, ids)) + 1}"
     values = np.full((horizon, layout.dim), np.nan)
     fresh = np.zeros((horizon, layout.dim), dtype=bool)
     rows = 0
-    with open(data_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "tick,coordinate,value,fresh":
-            raise textconf.ConfigError(f"unexpected stream header {header!r}")
-        try:
-            for rows, line in enumerate(fh, start=1):
-                tick_s, coord, value_s, fresh_s = line.rstrip("\n").split(",")
-                t = int(tick_s) - 1
-                if not 0 <= t < horizon:
-                    raise textconf.ConfigError(
-                        f"{data_path} row {rows}: tick {tick_s} outside 1..{horizon}")
-                c = col[coord]
-                values[t, c] = float(value_s)
-                fresh[t, c] = fresh_s == "1"
-        except KeyError:
-            raise textconf.ConfigError(
-                f"{data_path} row {rows}: unknown coordinate {coord!r}") from None
+    for block, t, c in _table_rows(data_path, STREAM_HEADER, horizon,
+                                   [coord_type, float, np.int8], column,
+                                   lambda coord: f"unknown coordinate {coord!r}"):
+        values[t, c] = block["value"]
+        fresh[t, c] = block["fresh"] == 1
+        rows += block.size
     if rows != horizon * layout.dim or not np.isfinite(values).all():
-        names = {k: coord for coord, k in col.items()}
-        raise textconf.ConfigError(_table_fault(data_path, values, names))
+        raise textconf.ConfigError(_table_fault(data_path, values, dict(enumerate(ids))))
     injections = None
     if injections_path is not None:
         # sidecars written before the bus count was recorded: the highest
@@ -378,23 +381,90 @@ def _parse_injections(path: str, horizon: int, buses: int) -> np.ndarray:
     like a stream file: every (tick, bus) exactly once, in range, finite."""
     values = np.full((horizon, buses), complex(np.nan, np.nan))
     rows = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != "tick,bus,re,im":
-            raise textconf.ConfigError("unexpected injections header")
-        for rows, line in enumerate(fh, start=1):
-            tick_s, bus_s, re_s, im_s = line.rstrip("\n").split(",")
-            t, b = int(tick_s) - 1, int(bus_s) - 1
-            if not 0 <= t < horizon:
-                raise textconf.ConfigError(
-                    f"{path} row {rows}: tick {tick_s} outside 1..{horizon}")
-            if not 0 <= b < buses:
-                raise textconf.ConfigError(
-                    f"{path} row {rows}: bus {bus_s} outside 1..{buses}")
-            values[t, b] = complex(float(re_s), float(im_s))
+    for block, t, b in _table_rows(path, INJECTIONS_HEADER, horizon,
+                                   [np.int64, float, float],
+                                   lambda bus: np.where((bus >= 1) & (bus <= buses), bus - 1, -1),
+                                   lambda bus: f"bus {bus} outside 1..{buses}"):
+        values.real[t, b] = block["re"]
+        values.imag[t, b] = block["im"]
+        rows += block.size
     if rows != horizon * buses or not np.isfinite(values).all():
         raise textconf.ConfigError(
             _table_fault(path, values, {b: f"bus {b + 1}" for b in range(buses)}))
     return values
+
+
+def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarray]) -> None:
+    """Writes header, then tick-major one row "tick,key,cell,..." per tick
+    and key: keys label the columns of the (horizon, len(keys)) arrays in
+    columns, whose float cells are written with repr and bool cells as 1/0."""
+    horizon = len(columns[0])
+    step = max(1, _BLOCK_ROWS // len(keys))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for t0 in range(0, horizon, step):
+            parts = [[f"{t},{key}" for t in range(t0 + 1, min(t0 + step, horizon) + 1)
+                      for key in keys]]
+            for col in columns:
+                cells = col[t0:t0 + step].ravel().tolist()
+                parts.append([",1" if cell else ",0" for cell in cells] if col.dtype == bool
+                             else [f",{cell!r}" for cell in cells])
+            parts.append(itertools.repeat("\n"))
+            fh.write("".join(itertools.chain.from_iterable(zip(*parts))))
+
+
+def _table_rows(path: str, header: str, horizon: int, types: list, column, unknown):
+    """Parses the data rows of a stream or injections file block by block.
+
+    header names the fields: tick, key, then the data fields, whose numpy
+    types are given.  column(keys) maps a block's keys to column indices,
+    -1 for a key outside the table, and unknown(key) describes such a key.
+    Yields (parsed rows, tick indices, column indices) per block; raises
+    ConfigError naming the first blank, malformed, out-of-range or unknown
+    row.
+    """
+    names = header.split(",")
+    dtype = np.dtype(list(zip(names, [np.int64, *types])))
+    with open(path, "r", encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise textconf.ConfigError(f"{path}: unexpected header {found!r}, expected {header}")
+        first = 1
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            block = None
+            if "\n" not in lines:  # loadtxt would skip a blank row
+                with contextlib.suppress(ValueError):
+                    block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                       ndmin=1)
+            if block is None:
+                k, fault = _row_fault(lines, dtype)
+                raise textconf.ConfigError(f"{path} row {first + k}: {fault}")
+            t = block["tick"] - 1
+            c = column(block[names[1]])
+            bad = (t < 0) | (t >= horizon) | (c < 0)
+            if bad.any():
+                k = int(bad.argmax())
+                tick_s, key_s = lines[k].split(",")[:2]
+                fault = (unknown(key_s) if 0 <= t[k] < horizon
+                         else f"tick {tick_s} outside 1..{horizon}")
+                raise textconf.ConfigError(f"{path} row {first + k}: {fault}")
+            yield block, t, c
+            first += len(lines)
+
+
+def _row_fault(lines: list[str], dtype: np.dtype) -> tuple[int, str]:
+    """Index and description of the first row of a block that np.loadtxt
+    skips (a blank row) or rejects (a wrong field count or an unparsable
+    field); the block's first row if no single row fails."""
+    for k, line in enumerate(lines):
+        text = line.rstrip("\n")
+        if not text:
+            return k, "blank row"
+        try:
+            np.loadtxt([line], dtype=dtype, delimiter=",", comments=None)
+        except ValueError:
+            return k, f"malformed row {text!r}, expected {','.join(dtype.names)}"
+    return 0, "malformed block of rows"
 
 
 def _table_fault(path: str, values: np.ndarray, names: dict[int, str]) -> str:

@@ -1,6 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from gridwatch.grid import Branch, GridTopology, load_feeder
 
@@ -9,6 +13,9 @@ from gridwatch.grid import Branch, GridTopology, load_feeder
 # own max_examples budget.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+# hypothesis keeps a cache of constants under its home directory whatever
+# the database setting; keep it out of the checkout.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "gridwatch-hypothesis"))
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,18 @@
 noise substreams, outage-time sampling and stream file round-trips."""
 
 import dataclasses
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridwatch import simgen
 from gridwatch.detector import GeometricPrior
 from gridwatch.gaussmodel import MAGNITUDE, PHASOR
+from gridwatch.grid import load_feeder
 from gridwatch.simgen import (
     Scenario,
     SensorSchedule,
@@ -92,6 +98,27 @@ def test_magnitude_freshness_and_aggregation(loop8):
         np.testing.assert_allclose(stream.values[t - 1], window, atol=1e-12)
 
 
+@pytest.mark.parametrize("horizon", [1, 4, 23, 60])
+def test_period_aggregation_matches_per_tick_loop(loop8, horizon):
+    sched = SensorSchedule.from_kinds({b: (MAGNITUDE if b % 2 else PHASOR, 1 + b % 5)
+                                       for b in range(1, 9)})
+    scen = base_scenario(loop8, schedule=sched, horizon=horizon, noise_variance=1e-4)
+    stream = generate(scen)
+    full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
+    for c, (bus, part) in enumerate(stream.layout.entries):
+        period = sched.period_of(bus)
+        raw = full.values[:, full.layout.entries.index((bus, part))]
+        csum = np.concatenate([[0.0], np.cumsum(raw)])
+        values, fresh, last = np.empty(horizon), np.zeros(horizon, dtype=bool), 0.0
+        for t in range(horizon):
+            if (t + 1) % period == 0:
+                last = raw[t] if period == 1 else csum[t + 1] - csum[t + 1 - period]
+                fresh[t] = True
+            values[t] = last
+        assert stream.values[:, c].tobytes() == values.tobytes()
+        np.testing.assert_array_equal(stream.fresh[:, c], fresh)
+
+
 def test_magnitude_channel_is_real_part(loop8):
     sched = SensorSchedule.from_kinds({b: (MAGNITUDE if b == 4 else PHASOR, 1)
                                        for b in range(1, 9)})
@@ -171,6 +198,71 @@ def test_injections_round_trip_when_last_bus_unsensed(tmp_path, loop8):
     np.testing.assert_array_equal(back.values, stream.values)
 
 
+@st.composite
+def recorded_scenarios(draw):
+    """Scenarios on a bundled feeder with a random schedule: phasor and
+    magnitude channels of period 1-5, the last bus sensed or not, with and
+    without an outage and recorded injections."""
+    top = load_feeder(draw(st.sampled_from(["path3", "loop8", "loop12"])))
+    m = top.bus_count
+    sensed = draw(st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True))
+    sched = SensorSchedule.from_kinds({
+        b: (draw(st.sampled_from([PHASOR, MAGNITUDE])), draw(st.integers(1, 5)))
+        for b in sensed})
+    horizon = draw(st.integers(1, 40))
+    outage = {}
+    if draw(st.booleans()):
+        outage = dict(out_branches=(draw(st.sampled_from(top.branches)).pair,),
+                      lam=draw(st.integers(1, horizon)))
+    return Scenario(topology=top, schedule=sched, horizon=horizon,
+                    noise_variance=draw(st.sampled_from([0.0, 1e-8, 1e-4])),
+                    seed=draw(st.integers(0, 2**16)),
+                    record_injections=draw(st.booleans()), **outage)
+
+
+@settings(max_examples=60)
+@given(scen=recorded_scenarios(), block_rows=st.integers(1, 50))
+def test_stream_file_round_trip_is_bit_exact(scen, block_rows):
+    # small blocks make both files end on partial and on full blocks and
+    # split ticks between blocks
+    stream = generate(scen)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simgen, "_BLOCK_ROWS", block_rows)
+        data, meta, inj = (os.path.join(tmp, n) for n in
+                           ("stream.csv", "stream.meta", "injections.csv"))
+        write_stream(stream, data, meta, scen,
+                     injections_path=inj if scen.record_injections else None)
+        back = parse_stream(data, meta, inj if scen.record_injections else None)
+    assert back.values.tobytes() == stream.values.tobytes()
+    assert back.fresh.tobytes() == stream.fresh.tobytes()
+    if scen.record_injections:
+        assert back.injections.tobytes() == stream.injections.tobytes()
+    else:
+        assert back.injections is None
+    assert back.truth == stream.truth
+    assert back.schedule == stream.schedule
+
+
+def test_shuffled_stream_rows_parse_to_same_arrays(tmp_path, loop8):
+    sched = SensorSchedule.from_kinds(
+        {b: ((MAGNITUDE, 2) if b >= 6 else (PHASOR, 1)) for b in range(1, 9)})
+    stream = generate(base_scenario(loop8, horizon=30, schedule=sched,
+                                    record_injections=True))
+    data, meta, inj = (str(tmp_path / n) for n in
+                       ("stream.csv", "stream.meta", "injections.csv"))
+    write_stream(stream, data, meta, injections_path=inj)
+    rng = np.random.default_rng(5)
+    for path in (data, inj):
+        with open(path, encoding="utf-8") as fh:
+            header, *lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "".join(lines[k] for k in rng.permutation(len(lines))))
+    back = parse_stream(data, meta, inj)
+    assert back.values.tobytes() == stream.values.tobytes()
+    assert back.fresh.tobytes() == stream.fresh.tobytes()
+    assert back.injections.tobytes() == stream.injections.tobytes()
+
+
 def _edit_rows(lines):
     """Stream-file faults, each as an edit of the data rows (header excluded)."""
     tick, coord, value, fresh = lines[5].split(",")
@@ -186,11 +278,17 @@ def _edit_rows(lines):
                                "row 6: unknown coordinate 're99'"),
         "non_finite": (lines[:5] + [f"{tick},{coord},inf,{fresh}"] + lines[6:],
                        f"row 6: non-finite value inf at {coord}"),
+        "blank": (lines[:5] + ["\n"] + lines[5:], "row 6: blank row"),
+        "short": (lines[:5] + [f"{tick},{coord},{value}\n"] + lines[6:],
+                  "row 6: malformed row"),
+        "unparsable": (lines[:5] + [f"{tick},{coord},abc,{fresh}"] + lines[6:],
+                       "row 6: malformed row"),
     }
 
 
 @pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
-                                   "unknown_coordinate", "non_finite"])
+                                   "unknown_coordinate", "non_finite", "blank", "short",
+                                   "unparsable"])
 def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
     stream = generate(base_scenario(loop8, horizon=20))
     data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
@@ -203,6 +301,23 @@ def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
     with pytest.raises(ConfigError) as info:
         parse_stream(data, meta)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 4, 5, 7])
+def test_bad_rows_are_named_across_blocks(tmp_path, loop8, monkeypatch, block_rows):
+    # the same row numbers when row 6 sits anywhere in a later block
+    monkeypatch.setattr(simgen, "_BLOCK_ROWS", block_rows)
+    stream = generate(base_scenario(loop8, horizon=20))
+    data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
+    write_stream(stream, data, meta)
+    with open(data, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    for rows, message in _edit_rows(lines).values():
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(header + "".join(rows))
+        with pytest.raises(ConfigError) as info:
+            parse_stream(data, meta)
+        assert message in str(info.value)
 
 
 def _edit_injection_rows(lines):
@@ -223,11 +338,16 @@ def _edit_injection_rows(lines):
                           "row 6: bus 9 outside 1..8"),
         "non_finite": (lines[:5] + [f"{tick},{bus},{re},nan\n"] + lines[6:],
                        f"row 6: non-finite value nan at {bus}"),
+        "blank": (lines[:5] + ["\n"] + lines[5:], "row 6: blank row"),
+        "short": (lines[:5] + [f"{tick},{bus},{re}\n"] + lines[6:], "row 6: malformed row"),
+        "unparsable": (lines[:5] + [f"{tick},{bus},{re},1.0j\n"] + lines[6:],
+                       "row 6: malformed row"),
     }
 
 
 @pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
-                                   "bus_zero", "bus_past_last", "non_finite"])
+                                   "bus_zero", "bus_past_last", "non_finite", "blank", "short",
+                                   "unparsable"])
 def test_parse_stream_rejects_bad_injection_rows(tmp_path, loop8, fault):
     # a missing row must not read as 0j, nor tick 0 overwrite the last tick
     # through index -1
