@@ -305,7 +305,7 @@ def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
 
 @pytest.mark.parametrize("block_rows", [1, 4, 5, 7])
 def test_bad_rows_are_named_across_blocks(tmp_path, loop8, monkeypatch, block_rows):
-    # the same row numbers when row 6 sits anywhere in a later block
+    # row numbers stay right wherever the block boundaries fall
     monkeypatch.setattr(simgen, "_BLOCK_ROWS", block_rows)
     stream = generate(base_scenario(loop8, horizon=20))
     data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
