@@ -229,15 +229,22 @@ def cmd_localize(args) -> None:
         rho = textconf.as_float("detector", _section(blocks, "detector"), "rho", 0.04)
         sigma1 = estimate_post_outage(post, EstimationPrior(rho)).cov
 
+    def sensed_branches() -> list[tuple[int, int]]:
+        # a branch can be scored only when both of its buses are sensed
+        pairs = [br.pair for br in scenario.topology.branches
+                 if set(br.pair) <= layout.bus_coords.keys()]
+        if not pairs:
+            raise textconf.ConfigError("no branch has both of its buses sensed")
+        return pairs
+
     zero = textconf.as_float("localize", fields, "zero", -1.0)
     if zero != -1.0:
         thresholds = Thresholds(zero, textconf.as_float("localize", fields, "active"))
     elif exact:
         thresholds = EXACT_THRESHOLDS
     else:
-        branch_pairs = [br.pair for br in scenario.topology.branches]
         thresholds = thresholds_from_bootstrap(
-            pre, branch_pairs, layout,
+            pre, sensed_branches(), layout,
             n_boot=textconf.as_int("localize", fields, "n_boot", 200),
             seed=scenario.seed)
 
@@ -245,7 +252,7 @@ def cmd_localize(args) -> None:
     if pair_mode == "all":
         pairs = all_bus_pairs(layout)
     elif pair_mode == "branches":
-        pairs = [br.pair for br in scenario.topology.branches]
+        pairs = sensed_branches()
     else:
         raise textconf.ConfigError(f"[localize].pairs must be branches|all, got {pair_mode!r}")
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit, logsumexp
 
 from .gaussmodel import (
     EstimationPrior,
@@ -92,30 +91,6 @@ def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
         raise NonFiniteLikelihoodError(f"log-likelihood ratio is {log_lr}: "
                                        "non-finite sample")
     return _advance(log_odds, log_lr, math.log(rho), math.log1p(-rho))
-
-
-def posterior_direct(g: GaussianModel, f: GaussianModel, prior: GeometricPrior,
-                     data) -> float:
-    """P(change <= N | data) by the direct weighted sum over change positions.
-
-    O(N) per evaluation; kept as the reference the recursion is tested
-    against and for small-N diagnostics.
-    """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    n = data.shape[0]
-    if n < 1:
-        raise ValueError("need at least one observation")
-    log_g = np.atleast_1d(log_density(g, data))
-    log_f = np.atleast_1d(log_density(f, data))
-    cum_g = np.concatenate([[0.0], np.cumsum(log_g)])      # sum over first k terms
-    suf_f = np.concatenate([np.cumsum(log_f[::-1])[::-1], [0.0]])  # sum over tail
-    k = np.arange(1, n + 1)
-    log_pi = math.log(prior.rho) + (k - 1) * math.log1p(-prior.rho)
-    change_terms = log_pi + cum_g[0:n] + suf_f[0:n]
-    tail = n * math.log1p(-prior.rho) + cum_g[n]
-    log_num = logsumexp(change_terms)
-    log_den = logsumexp(np.append(change_terms, tail))
-    return float(np.exp(log_num - log_den))
 
 
 def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
@@ -362,7 +337,8 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     return DetectionReport(
         tau=tau,
         step_ticks=ticks,
-        posterior_trace=expit(log_odds),
+        # log-odds lie within +-700, so exp cannot overflow
+        posterior_trace=1.0 / (1.0 + np.exp(-log_odds)),
         log_odds_trace=log_odds,
         f_refreshed=refreshed,
         mode=config.mode,

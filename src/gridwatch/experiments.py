@@ -7,7 +7,6 @@ results are merged by index so worker parallelism cannot change the output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,6 +171,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
     margin = config.margin if config.margin is not None else _default_margin(config, kl)
     jobs = [(config, rep, margin, g, f) for rep in range(config.replications)]
     if config.parallelism > 1:
+        # imported here: it loads multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             results = dict(pool.map(_run_replication, jobs, chunksize=8))
     else:

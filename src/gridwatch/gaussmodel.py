@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .grid import GridTopology, SingularBlockError, transfer
 
@@ -94,7 +93,7 @@ class GaussianModel:
 
     Treated as immutable; the Cholesky factor of the covariance is cached on
     first use (with the documented trace-scaled ridge as fall-back when the
-    covariance is only PSD).
+    covariance is only PSD), and so is the factor's inverse.
     """
 
     def __init__(self, mean, cov, layout: CoordinateLayout | None = None):
@@ -112,6 +111,7 @@ class GaussianModel:
         self.layout = layout
         self._chol: np.ndarray | None = None
         self._logdet: float | None = None
+        self._whiten: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -144,6 +144,13 @@ class GaussianModel:
             self._logdet = 2.0 * float(np.log(np.diag(self._chol)).sum())
         return self._chol, self._logdet
 
+    def _whitener(self) -> tuple[np.ndarray, float]:
+        """(inverse of the Cholesky factor, log-determinant): the inverse
+        maps a deviation from the mean to white noise."""
+        if self._whiten is None:
+            self._whiten = _tril_inverse(self._factor()[0])
+        return self._whiten, self._logdet
+
 
 def _ridge_cholesky(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor of cov; when cov is only PSD, of cov plus the
@@ -160,6 +167,31 @@ def _ridge_cholesky(cov: np.ndarray) -> np.ndarray:
     raise SingularBlockError("covariance", "not positive definite after ridge")
 
 
+# Diagonal blocks of at most this many rows are inverted by np.linalg.inv.
+_TRIL_LEAF = 32
+
+
+def _tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion,
+
+        [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]],
+
+    down to diagonal blocks of at most _TRIL_LEAF rows.  A leaf is inverted
+    as the transpose of its upper-triangular transpose: LU with partial
+    pivoting then swaps no rows and the solve is a back substitution, so the
+    inverse is lower triangular exactly."""
+    n = chol.shape[0]
+    if n <= _TRIL_LEAF:
+        return np.linalg.inv(chol.T).T
+    h = n // 2
+    head, tail = _tril_inverse(chol[:h, :h]), _tril_inverse(chol[h:, h:])
+    out = np.zeros_like(chol)
+    out[:h, :h] = head
+    out[h:, h:] = tail
+    out[h:, :h] = -(tail @ chol[h:, :h]) @ head
+    return out
+
+
 def ridge_epsilon(cov: np.ndarray) -> np.ndarray:
     """Trace-scaled ridge used whenever a covariance may be rank deficient;
     one value per matrix of a (..., d, d) stack."""
@@ -174,22 +206,21 @@ def sample(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray
 
 
 def log_density(model: GaussianModel, x) -> float | np.ndarray:
-    """Multivariate normal log-density via the cached triangular factor.
+    """Multivariate normal log-density via the model's cached whitener, the
+    inverse of its Cholesky factor: one matrix product per call.
 
-    Accepts a single vector (d,) or a batch (n, d); never forms an explicit
-    inverse.
+    Accepts a single vector (d,) or a batch (n, d).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != model.dim:
         raise ValueError(f"dimension mismatch: x has {pts.shape[1]}, model has {model.dim}")
-    chol, logdet = model._factor()
-    dev = pts - model.mean
-    # the LAPACK call scipy.linalg.solve_triangular(chol, dev.T, lower=True)
-    # makes, without that wrapper's cost of tens of microseconds per call
-    solved, _ = scipy.linalg.lapack.dtrtrs(chol.T, dev.T, lower=0, trans=1)
-    quad = np.einsum("ij,ij->j", solved, solved)
+    whiten, logdet = model._whitener()
+    # a non-finite sample yields a non-finite density, which callers report
+    with np.errstate(invalid="ignore"):
+        white = (pts - model.mean) @ whiten.T
+        quad = np.einsum("ij,ij->i", white, white)
     out = -0.5 * (quad + model.dim * LOG_2PI + logdet)
     return float(out[0]) if single else out
 
@@ -216,42 +247,13 @@ def kl_divergence(f: GaussianModel, g: GaussianModel) -> float:
     """D_KL(f || g) in closed form (trace + quadratic + log-det terms)."""
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    chol_g, logdet_g = g._factor()
+    whiten_g, logdet_g = g._whitener()
     _, logdet_f = f._factor()
-    half = scipy.linalg.solve_triangular(chol_g, f.cov, lower=True, check_finite=False)
-    trace = float(np.trace(scipy.linalg.solve_triangular(
-        chol_g, half.T, lower=True, check_finite=False)))
-    dmu = scipy.linalg.solve_triangular(chol_g, g.mean - f.mean, lower=True,
-                                        check_finite=False)
+    # trace(Sigma_g^-1 Sigma_f): the trace of Sigma_f whitened by W = L_g^-1
+    trace = float(np.trace(whiten_g @ f.cov @ whiten_g.T))
+    dmu = whiten_g @ (g.mean - f.mean)
     quad = float(dmu @ dmu)
     return max(0.0, 0.5 * (trace + quad - f.dim + logdet_g - logdet_f))
-
-
-def conditional_cov(sigma: np.ndarray, I: list[int], J: list[int]) -> np.ndarray:
-    """Schur complement Sigma_II - Sigma_IJ Sigma_JJ^-1 Sigma_JI.
-
-    Deterministic (exactly zero-variance) coordinates in J are dropped: they
-    carry no information and would otherwise make the block singular.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    I = list(I)
-    J = list(J)
-    s_ii = sigma[np.ix_(I, I)]
-    if not J:
-        return s_ii.copy()
-    diag = np.diag(sigma)
-    scale = float(diag.max(initial=0.0))
-    J = [j for j in J if diag[j] > 1e-15 * max(scale, 1.0)]
-    if not J:
-        return s_ii.copy()
-    s_ij = sigma[np.ix_(I, J)]
-    s_jj = sigma[np.ix_(J, J)]
-    try:
-        chol = np.linalg.cholesky(s_jj)
-    except np.linalg.LinAlgError:
-        raise SingularBlockError("Sigma[J, J]", f"conditioning set of size {len(J)}") from None
-    half = scipy.linalg.solve_triangular(chol, s_ij.T, lower=True, check_finite=False)
-    return s_ii - half.T @ half
 
 
 # Pair blocks are inverted in stacks of at most this many pairs, which keeps
@@ -269,11 +271,11 @@ def score_pairs(sigma: np.ndarray, pairs,
     conditionally independent.  That covariance is the inverse of the pair's
     block of the precision matrix Lambda = Sigma^-1, so coordinates with
     variance <= 1e-15 * max(largest variance, 1) are dropped, the kept block
-    is factored once, and the 2x2, 3x3 or 4x4 pair blocks of Lambda are
-    inverted as stacks by np.linalg.inv.  A pair that holds a dropped
-    coordinate, or has a conditional variance <= 1e-14 * max(largest
-    variance, 1), is degenerate and scores 0; a bus paired with itself
-    scores 1.  Raises SingularBlockError when the kept block is singular.
+    is factored once as L L^T, Lambda is formed as W^T W with W = L^-1, and
+    the 2x2, 3x3 or 4x4 pair blocks of Lambda are inverted as stacks by
+    np.linalg.inv.  A pair that holds a dropped coordinate, or has a
+    conditional variance <= 1e-14 * max(largest variance, 1), is degenerate
+    and scores 0; a bus paired with itself scores 1.  Raises SingularBlockError when the kept block is singular.
     """
     sigma = np.asarray(sigma, dtype=float)
     pairs = list(pairs)
@@ -303,8 +305,7 @@ def score_pairs(sigma: np.ndarray, pairs,
         for start in range(0, len(members), _PAIR_BATCH):
             batch = np.array(members[start:start + _PAIR_BATCH])
             at = position[[table[pairs[p][0]] + table[pairs[p][1]] for p in batch]]
-            row, col = at[:, :, None], at[:, None, :]
-            cond = np.linalg.inv(precision[np.maximum(row, col), np.minimum(row, col)])
+            cond = np.linalg.inv(precision[at[:, :, None], at[:, None, :]])
             var = np.diagonal(cond, axis1=1, axis2=2)
             live = (var > 1e-14 * scale).all(axis=1)
             cross = np.abs(cond[live, :ni, ni:])
@@ -315,17 +316,16 @@ def score_pairs(sigma: np.ndarray, pairs,
 
 
 def _kept_precision(sigma: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Inverse of Sigma[kept, kept] from its Cholesky factor (LAPACK potrf and
-    potri, in place); only the lower triangle is filled in."""
+    """Inverse of Sigma[kept, kept] as W^T W, W the inverse of its Cholesky
+    factor."""
     idx = np.flatnonzero(kept)
-    chol, info = scipy.linalg.lapack.dpotrf(sigma[np.ix_(idx, idx)], lower=True,
-                                            overwrite_a=True, clean=False)
-    if info == 0:
-        inv, info = scipy.linalg.lapack.dpotri(chol, lower=True, overwrite_c=True)
-    if info != 0:
+    try:
+        chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError:
         raise SingularBlockError("Sigma[kept, kept]",
-                                 f"{idx.size} coordinates of nonzero variance")
-    return inv
+                                 f"{idx.size} coordinates of nonzero variance") from None
+    whiten = _tril_inverse(chol)
+    return whiten.T @ whiten
 
 
 def conditional_corr(sigma: np.ndarray, i: int, j: int,

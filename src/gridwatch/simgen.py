@@ -356,7 +356,8 @@ def parse_stream(data_path: str, meta_path: str,
     rows = 0
     for block, t, c in _table_rows(data_path, STREAM_HEADER, horizon,
                                    [coord_type, float, np.int8], column,
-                                   lambda coord: f"unknown coordinate {coord!r}"):
+                                   lambda coord: f"unknown coordinate {coord!r}",
+                                   flags=("fresh",)):
         values[t, c] = block["value"]
         fresh[t, c] = block["fresh"] == 1
         rows += block.size
@@ -413,15 +414,17 @@ def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarra
             fh.write("".join(itertools.chain.from_iterable(zip(*parts))))
 
 
-def _table_rows(path: str, header: str, horizon: int, types: list, column, unknown):
+def _table_rows(path: str, header: str, horizon: int, types: list, column, unknown,
+                flags: tuple[str, ...] = ()):
     """Parses the data rows of a stream or injections file block by block.
 
     header names the fields: tick, key, then the data fields, whose numpy
     types are given.  column(keys) maps a block's keys to column indices,
-    -1 for a key outside the table, and unknown(key) describes such a key.
-    Yields (parsed rows, tick indices, column indices) per block; raises
-    ConfigError naming the first blank, malformed, out-of-range or unknown
-    row.
+    -1 for a key outside the table, and unknown(key) describes such a key;
+    the fields named in flags must hold 0 or 1.  Yields (parsed rows, tick
+    indices, column indices) per block; raises ConfigError naming the first
+    blank, malformed, out-of-range or unknown row, or one with a flag
+    outside 0 and 1.
     """
     names = header.split(",")
     dtype = np.dtype(list(zip(names, [np.int64, *types])))
@@ -448,6 +451,12 @@ def _table_rows(path: str, header: str, horizon: int, types: list, column, unkno
                 fault = (unknown(key_s) if 0 <= t[k] < horizon
                          else f"tick {tick_s} outside 1..{horizon}")
                 raise textconf.ConfigError(f"{path} row {first + k}: {fault}")
+            for name in flags:
+                off = (block[name] != 0) & (block[name] != 1)
+                if off.any():
+                    k = int(off.argmax())
+                    raise textconf.ConfigError(f"{path} row {first + k}: {name} must be "
+                                               f"0 or 1, got {block[name][k]}")
             yield block, t, c
             first += len(lines)
 

@@ -39,13 +39,11 @@ from gridwatch.detector import (
     adaptive_log_odds,
     first_crossing,
     known_f_log_odds,
-    posterior_direct,
 )
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.gaussmodel import (
     EstimationPrior,
     GaussianModel,
-    conditional_cov,
     estimate_post_outage,
     sample,
 )
@@ -59,6 +57,7 @@ from gridwatch.grid import (
 )
 from gridwatch.localizer import EXACT_THRESHOLDS, scan_pairs
 from gridwatch.simgen import Scenario, generate, substream
+from oracles import conditional_cov, posterior_direct
 
 
 @contextlib.contextmanager

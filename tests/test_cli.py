@@ -184,6 +184,49 @@ def test_detect_rejects_stream_with_nan_sample(tmp_path, config_path, capsys):
     assert "row 100: non-finite value nan" in err["message"]
 
 
+PARTIAL_CONFIG = """\
+[scenario]
+feeder = loop12
+outage = 8-10
+lambda = 301
+noise_variance = 1e-8
+horizon = 600
+seed = 4
+
+[localize]
+n_boot = 20
+"""
+
+
+def _partial_config(tmp_path, buses):
+    sensors = "".join(f"\n[sensor]\nbus = {b}\nkind = phasor\nperiod = 1\n" for b in buses)
+    path = tmp_path / "partial.conf"
+    path.write_text(PARTIAL_CONFIG + sensors)
+    return str(path)
+
+
+def test_localize_scores_only_fully_sensed_branches(tmp_path, capsys):
+    # of loop12's branches only 8-10 has both buses among the sensed ones
+    conf = _partial_config(tmp_path, [3, 5, 8, 10])
+    stream_dir, loc_dir = str(tmp_path / "stream"), str(tmp_path / "localize")
+    run_ok(["simulate", "--config", conf, "--out", stream_dir], capsys)
+    run_ok(["localize", "--config", conf, "--stream", stream_dir, "--out", loc_dir], capsys)
+    rows = open(os.path.join(loc_dir, "localization.csv")).read().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["8-10"]
+
+
+def test_localize_without_fully_sensed_branch_is_config_error(tmp_path, capsys):
+    conf = _partial_config(tmp_path, [3, 5])
+    stream_dir = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", conf, "--out", stream_dir], capsys)
+    code = main(["localize", "--config", conf, "--stream", stream_dir,
+                 "--out", str(tmp_path / "localize")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "no branch has both of its buses sensed" in err["message"]
+
+
 def test_missing_feeder_file_error(tmp_path, capsys):
     conf = tmp_path / "c.conf"
     conf.write_text("[scenario]\nfeeder = nosuch\nhorizon = 5\n")

@@ -20,12 +20,12 @@ from gridwatch.detector import (
     expected_delay_bound,
     first_crossing,
     known_f_log_odds,
-    posterior_direct,
     run_detector,
 )
 from gridwatch.gaussmodel import GaussianModel, sample
 from gridwatch.grid import load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
+from oracles import posterior_direct
 
 
 def scalar_models(mu_f=1.0, var_f=1.0):

@@ -13,15 +13,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 from gridwatch.gaussmodel import (
     CoordinateLayout,
     EstimationPrior,
     GaussianModel,
+    _tril_inverse,
     complex_to_real_cov,
     conditional_corr,
-    conditional_cov,
     estimate_post_outage,
     kl_divergence,
     log_density,
@@ -38,6 +39,7 @@ from gridwatch.grid import (
     bundled_feeders,
 )
 from gridwatch.simgen import Scenario, generate
+from oracles import conditional_cov
 
 
 def random_model(rng, d, mean_scale=1.0):
@@ -160,6 +162,28 @@ def test_log_density_matches_naive_formula(rng):
     naive = -0.5 * (np.einsum("ij,jk,ik->i", dev, inv, dev) + logdet)
     got = log_density(m, x)
     assert np.abs(got - naive).max() < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 31, 32, 33, 70, 180])
+def test_tril_inverse_whitens_like_a_triangular_solve(d):
+    # eigenvalues spread over 1e-8..1: the factor's condition number is 1e4
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    chol = np.linalg.cholesky((q * np.logspace(0, -8, d)) @ q.T)
+    whiten = _tril_inverse(chol)
+    assert np.array_equal(whiten, np.tril(whiten))
+    b = rng.normal(size=(d, 8))
+    solved = scipy.linalg.solve_triangular(chol, b, lower=True)
+    quad_ref = (solved * solved).sum(axis=0)
+    white = whiten @ b
+    assert np.abs((white * white).sum(axis=0) - quad_ref).max() < 1e-12 * quad_ref.min()
+
+
+def test_log_density_of_non_finite_sample_is_nan_silently():
+    # pytest turns a RuntimeWarning into an error (pyproject filterwarnings)
+    m = random_model(np.random.default_rng(3), 3)
+    got = log_density(m, [[np.nan, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert not np.isfinite(got[:2]).any() and np.isfinite(got[2])
 
 
 def test_log_density_dimension_mismatch():

@@ -13,7 +13,6 @@ from gridwatch.gaussmodel import (
     MAGNITUDE,
     PHASOR,
     CoordinateLayout,
-    conditional_cov,
     model_from_topology,
     score_pairs,
 )
@@ -25,6 +24,7 @@ from gridwatch.grid import (
     random_feeder,
 )
 from gridwatch.localizer import all_bus_pairs, scan_pairs
+from oracles import conditional_cov
 
 TOL = 1e-10
 

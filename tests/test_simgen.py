@@ -283,12 +283,16 @@ def _edit_rows(lines):
                   "row 6: malformed row"),
         "unparsable": (lines[:5] + [f"{tick},{coord},abc,{fresh}"] + lines[6:],
                        "row 6: malformed row"),
+        "fresh_two": (lines[:5] + [f"{tick},{coord},{value},2\n"] + lines[6:],
+                      "row 6: fresh must be 0 or 1, got 2"),
+        "fresh_negative": (lines[:5] + [f"{tick},{coord},{value},-1\n"] + lines[6:],
+                           "row 6: fresh must be 0 or 1, got -1"),
     }
 
 
 @pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
                                    "unknown_coordinate", "non_finite", "blank", "short",
-                                   "unparsable"])
+                                   "unparsable", "fresh_two", "fresh_negative"])
 def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
     stream = generate(base_scenario(loop8, horizon=20))
     data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
