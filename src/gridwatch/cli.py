@@ -243,10 +243,11 @@ def cmd_localize(args) -> None:
     elif exact:
         thresholds = EXACT_THRESHOLDS
     else:
-        thresholds = thresholds_from_bootstrap(
-            pre, sensed_branches(), layout,
-            n_boot=textconf.as_int("localize", fields, "n_boot", 200),
-            seed=scenario.seed)
+        n_boot = textconf.as_int("localize", fields, "n_boot", 200)
+        if n_boot < 1:
+            raise textconf.ConfigError(f"[localize].n_boot must be at least 1, got {n_boot}")
+        thresholds = thresholds_from_bootstrap(pre, sensed_branches(), layout,
+                                               n_boot=n_boot, seed=scenario.seed)
 
     pair_mode = textconf.as_str("localize", fields, "pairs", "branches")
     if pair_mode == "all":

@@ -124,10 +124,6 @@ class GaussianModel:
         if lo < floor * scale:
             raise ValueError(f"covariance has eigenvalue {lo:.3e} below the PSD floor")
 
-    def marginal(self, indices) -> "GaussianModel":
-        idx = np.asarray(indices, dtype=int)
-        return GaussianModel(self.mean[idx], self.cov[np.ix_(idx, idx)])
-
     def project(self, sub_layout: CoordinateLayout) -> "GaussianModel":
         if self.layout is None:
             raise ValueError("model has no layout to project from")

@@ -28,6 +28,7 @@ class SingularBlockError(np.linalg.LinAlgError):
 
     def __init__(self, block: str, detail: str = ""):
         self.block = block
+        self.detail = detail
         message = f"singular block {block}"
         if detail:
             message += f": {detail}"

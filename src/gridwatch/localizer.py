@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmodel import CoordinateLayout, score_pairs
-from .grid import GridTopology
+from .grid import GridTopology, SingularBlockError
 from .simgen import substream
 
 
@@ -40,6 +40,12 @@ class Thresholds:
 EXACT_THRESHOLDS = Thresholds(zero=1e-6, active=1e-2)
 
 
+# A bootstrap group's count matrix (resamples x window rows) and a row
+# block's moment columns (rows x (d + d(d+1)/2)) each hold at most this many
+# float64 values, 2 MB; a group or block never holds fewer than one row.
+_BOOT_BUDGET = 1 << 18
+
+
 def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayout,
                               n_boot: int = 200, seed: int = 0,
                               zero_mult: float = 3.0,
@@ -47,26 +53,74 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     """Data-driven floors: zero = zero_mult * the 99th percentile of the
     bootstrap deviation of the pair scores, active = active_mult * zero.
 
-    Each resampled covariance is scored in one score_pairs call; pairs that
-    are degenerate in a resample do not contribute a deviation, and a
-    resample whose covariance is singular (too few distinct samples) raises
-    SingularBlockError.  The window should be at least as long as the one
-    the post-event covariance will be estimated from, otherwise the floor
-    undershoots the post-side sampling noise.
+    Resample b draws n rows with replacement, rng.integers(0, n, n) from
+    substream(seed, "bootstrap"), and is kept as its count vector c_b; no
+    resample is gathered.  With X0 = samples - mean, one product per block
+    of rows gives a group's means m_b = c_b X0 / n and upper-triangle moments
+    c_b [X0_i X0_j] / n, and the covariance moment - m_b m_b^T equals
+    np.cov(ddof=0) of the resampled rows up to summation order.  Each is
+    scored by score_pairs; pairs degenerate in a resample add no deviation.
+
+    ValueError when n_boot < 1, when the window is shorter than dim + 2, or
+    when no deviation remains.  SingularBlockError, naming the resample,
+    when a resample's covariance is singular: a resample holds about 63 %
+    distinct rows, so a window below about 1.6 (dim + 1) rows fails.  The
+    window should be at least as long as the post-event one, otherwise the
+    floor undershoots the post-side sampling noise.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
+    n, dim = samples.shape
     if n < layout.dim + 2:
         raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
     pairs = list(pairs)
     rng = substream(seed, "bootstrap")
     base, _ = score_pairs(np.cov(samples.T, ddof=0), pairs, layout)
+    # a block holds one row per centred coordinate, then the products of
+    # coordinate i with coordinates i.. in rows offset[i]:offset[i + 1]
+    centre = samples.mean(axis=0)[:, None]
+    upper = np.triu_indices(dim)
+    offset = dim + np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
+    width = offset[-1]
+    group = max(1, _BOOT_BUDGET // n)
+    rows = max(1, _BOOT_BUDGET // width)
+    counts = np.empty((min(group, n_boot), n))
+    columns = np.empty((width, min(rows, n)))
     deviations = []
-    for _ in range(n_boot):
-        pick = rng.integers(0, n, size=n)
-        scores, degenerate = score_pairs(np.cov(samples[pick].T, ddof=0), pairs, layout)
-        deviations.append(np.abs(scores - base)[~degenerate])
-    zero = zero_mult * float(np.percentile(np.concatenate(deviations), 99.0))
+    for first in range(0, n_boot, group):
+        size = min(group, n_boot - first)
+        for b in range(size):
+            counts[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        moments = np.zeros((size, width))
+        for start in range(0, n, rows):
+            x = samples[start:start + rows]
+            block = columns[:, :x.shape[0]]
+            np.subtract(x.T, centre, out=block[:dim])
+            for i in range(dim):
+                np.multiply(block[i], block[i:dim], out=block[offset[i]:offset[i + 1]])
+            moments += counts[:size, start:start + rows] @ block.T
+        moments /= n
+        mean = moments[:, :dim]
+        second = moments[:, dim:] - mean[:, upper[0]] * mean[:, upper[1]]
+        covs = np.empty((size, dim, dim))
+        covs[:, upper[0], upper[1]] = second
+        covs[:, upper[1], upper[0]] = second
+        for b, cov in enumerate(covs, start=first):
+            try:
+                scores, degenerate = score_pairs(cov, pairs, layout)
+            except SingularBlockError as exc:
+                raise SingularBlockError(
+                    exc.block, f"bootstrap resample {b} of {n_boot} from a window of "
+                    f"{n} samples in dim {dim} ({exc.detail}); a resample holds about "
+                    f"63 % distinct samples, so the window needs about 1.6 x (dim + 1)"
+                ) from exc
+            deviations.append(np.abs(scores - base)[~degenerate])
+    deviations = np.concatenate(deviations)
+    if deviations.size == 0:
+        raise ValueError(f"no bootstrap deviation: every scored pair is degenerate "
+                         f"in all {n_boot} resamples")
+    zero = zero_mult * float(np.percentile(deviations, 99.0))
     return Thresholds(zero=zero, active=active_mult * zero)
 
 

@@ -1,8 +1,9 @@
 """Reference implementations the package is tested against.
 
 Only tests use these: the direct posterior sum over change positions (the
-oracle of the detector's recursion) and the Schur conditional covariance
-(the oracle of score_pairs).  They lean on scipy, which the package itself
+oracle of the detector's recursion), the Schur conditional covariance (the
+oracle of score_pairs) and the per-resample bootstrap (the oracle of
+thresholds_from_bootstrap).  They lean on scipy, which the package itself
 does not import.
 """
 
@@ -13,8 +14,10 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from gridwatch.detector import GeometricPrior
-from gridwatch.gaussmodel import GaussianModel, log_density
+from gridwatch.gaussmodel import CoordinateLayout, GaussianModel, log_density, score_pairs
 from gridwatch.grid import SingularBlockError
+from gridwatch.localizer import Thresholds
+from gridwatch.simgen import substream
 
 
 def posterior_direct(g: GaussianModel, f: GaussianModel, prior: GeometricPrior,
@@ -65,3 +68,31 @@ def conditional_cov(sigma: np.ndarray, I: list[int], J: list[int]) -> np.ndarray
         raise SingularBlockError("Sigma[J, J]", f"conditioning set of size {len(J)}") from None
     half = scipy.linalg.solve_triangular(chol, s_ij.T, lower=True, check_finite=False)
     return s_ii - half.T @ half
+
+
+def bootstrap_thresholds_direct(samples: np.ndarray, pairs, layout: CoordinateLayout,
+                                n_boot: int = 200, seed: int = 0,
+                                zero_mult: float = 3.0,
+                                active_mult: float = 10.0) -> Thresholds:
+    """thresholds_from_bootstrap by gathering every resample and taking its
+    np.cov: the same draws, one gather and one covariance per resample.
+
+    Each resampled covariance is scored in one score_pairs call; pairs that
+    are degenerate in a resample do not contribute a deviation, and a
+    resample whose covariance is singular (too few distinct samples) raises
+    SingularBlockError.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    if n < layout.dim + 2:
+        raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
+    pairs = list(pairs)
+    rng = substream(seed, "bootstrap")
+    base, _ = score_pairs(np.cov(samples.T, ddof=0), pairs, layout)
+    deviations = []
+    for _ in range(n_boot):
+        pick = rng.integers(0, n, size=n)
+        scores, degenerate = score_pairs(np.cov(samples[pick].T, ddof=0), pairs, layout)
+        deviations.append(np.abs(scores - base)[~degenerate])
+    zero = zero_mult * float(np.percentile(np.concatenate(deviations), 99.0))
+    return Thresholds(zero=zero, active=active_mult * zero)

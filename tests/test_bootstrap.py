@@ -1,0 +1,105 @@
+"""Bootstrap thresholds from multinomial counts, checked against the
+per-resample gather and np.cov (bootstrap_thresholds_direct) on random
+windows, and the named errors of bad bootstrap inputs."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from gridwatch import localizer
+from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout
+from gridwatch.grid import SingularBlockError
+from gridwatch.localizer import all_bus_pairs, thresholds_from_bootstrap
+from gridwatch.simgen import substream
+from oracles import bootstrap_thresholds_direct
+
+TOL = 1e-10
+
+
+@st.composite
+def bootstrap_cases(draw):
+    dim = draw(st.integers(2, 24))
+    # m buses, dim - m of them phasor (two coordinates each)
+    m = draw(st.integers(max(2, (dim + 1) // 2), dim))
+    phasor = set(draw(st.permutations(range(1, m + 1)))[:dim - m])
+    layout = CoordinateLayout.from_kinds(
+        {b: PHASOR if b in phasor else MAGNITUDE for b in range(1, m + 1)})
+    pairs = draw(st.lists(st.sampled_from(all_bus_pairs(layout)), min_size=1,
+                          max_size=20, unique=True))
+    n = draw(st.integers(dim + 2, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixing = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)) / np.sqrt(dim)
+    samples = rng.normal(size=(n, dim)) @ mixing + rng.normal(size=dim)
+    kind = draw(st.sampled_from(["plain", "duplicates", "constant", "few_rows"]))
+    if kind == "duplicates":
+        samples[rng.integers(0, n, size=n // 3)] = samples[rng.integers(0, n, size=n // 3)]
+    elif kind == "constant":
+        samples[:, draw(st.integers(0, dim - 1))] = 0.7
+    elif kind == "few_rows" and dim >= 5:
+        # at most dim - 3 distinct rows: the window and every resample are
+        # singular by at least four dimensions
+        pool = samples[:draw(st.integers(2, dim - 3))]
+        samples = pool[rng.integers(0, len(pool), size=n)]
+    else:
+        kind = "plain"
+    n_boot = draw(st.integers(1, 7))
+    budget = draw(st.sampled_from([1, 97, 1000, 1 << 12, localizer._BOOT_BUDGET]))
+    seed = draw(st.integers(0, 2**31))
+    return samples, pairs, layout, kind, n_boot, budget, seed
+
+
+def _resamples_full_rank(samples, kept_dim, n_boot, seed):
+    """Whether every resample holds more distinct rows than kept_dim and one
+    of them is no permutation of the window (so its deviations exceed
+    round-off)."""
+    rng = substream(seed, "bootstrap")
+    n = samples.shape[0]
+    picks = [rng.integers(0, n, size=n) for _ in range(n_boot)]
+    return (min(len(np.unique(samples[p], axis=0)) for p in picks) > kept_dim
+            and any(len(np.unique(p)) < n for p in picks))
+
+
+@settings(max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(bootstrap_cases())
+def test_bootstrap_counts_match_per_resample_covariances(case):
+    samples, pairs, layout, kind, n_boot, budget, seed = case
+    with mock.patch.object(localizer, "_BOOT_BUDGET", budget):
+        if kind == "few_rows":
+            with pytest.raises(SingularBlockError):
+                bootstrap_thresholds_direct(samples, pairs, layout, n_boot, seed)
+            with pytest.raises(SingularBlockError):
+                thresholds_from_bootstrap(samples, pairs, layout, n_boot, seed)
+            return
+        constant = np.ptp(samples, axis=0) == 0
+        if all(any(constant[list(layout.coords_of(b))].any() for b in pair)
+               for pair in pairs):
+            with pytest.raises(ValueError, match="no bootstrap deviation"):
+                thresholds_from_bootstrap(samples, pairs, layout, n_boot, seed)
+            return
+        assume(_resamples_full_rank(samples, int((~constant).sum()), n_boot, seed))
+        got = thresholds_from_bootstrap(samples, pairs, layout, n_boot, seed)
+    ref = bootstrap_thresholds_direct(samples, pairs, layout, n_boot, seed)
+    assert abs(got.zero - ref.zero) <= TOL * ref.zero
+    assert abs(got.active - ref.active) <= TOL * ref.active
+
+
+def test_bootstrap_rejects_n_boot_below_one():
+    layout = CoordinateLayout.full_phasor(2)
+    samples = np.random.default_rng(5).normal(size=(40, 4))
+    for n_boot in (0, -3):
+        with pytest.raises(ValueError, match=f"n_boot must be at least 1, got {n_boot}"):
+            thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=n_boot)
+
+
+def test_bootstrap_without_deviation_is_named():
+    # bus 1 is held constant, so its only scored pair is degenerate in every
+    # resample and no deviation is left to take a percentile of
+    layout = CoordinateLayout.full_phasor(3)
+    samples = np.random.default_rng(6).normal(size=(50, 6))
+    samples[:, list(layout.coords_of(1))] = 0.25
+    with pytest.raises(ValueError, match="no bootstrap deviation"):
+        thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=5)

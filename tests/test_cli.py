@@ -184,6 +184,33 @@ def test_detect_rejects_stream_with_nan_sample(tmp_path, config_path, capsys):
     assert "row 100: non-finite value nan" in err["message"]
 
 
+def _localize_error(tmp_path, capsys, config):
+    conf = tmp_path / "localize.conf"
+    conf.write_text(config)
+    stream_dir = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", str(conf), "--out", stream_dir], capsys)
+    code = main(["localize", "--config", str(conf), "--stream", stream_dir,
+                 "--out", str(tmp_path / "localize")])
+    assert code == 2
+    return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+def test_localize_rejects_n_boot_below_one(tmp_path, capsys):
+    err = _localize_error(tmp_path, capsys,
+                          CONFIG.replace("exact = true", "exact = false\nn_boot = 0"))
+    assert err == {"error": "ConfigError",
+                   "message": "[localize].n_boot must be at least 1, got 0"}
+
+
+def test_localize_short_window_names_the_bootstrap(tmp_path, capsys):
+    # 20 pre-outage samples for dim 16: the window itself has full rank,
+    # but a resample holds about 13 distinct samples
+    err = _localize_error(tmp_path, capsys, CONFIG.replace(
+        "exact = true", "exact = false").replace("horizon = 60", "horizon = 400"))
+    assert err["error"] == "SingularBlockError"
+    assert "bootstrap resample 0 of 200 from a window of 20 samples in dim 16" in err["message"]
+
+
 PARTIAL_CONFIG = """\
 [scenario]
 feeder = loop12
