@@ -60,12 +60,6 @@ class DetectionRule:
         return math.log1p(-self.alpha) - math.log(self.alpha)
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 class NonFiniteLikelihoodError(ValueError):
     """A log-likelihood ratio is NaN or infinite, almost always because a
     sample is.  The recursion cannot absorb such a step: min(700, nan) is
@@ -77,46 +71,28 @@ class NonFiniteLikelihoodError(ValueError):
         self.step = step
 
 
-def _advance(log_odds: float, log_lr: float, log_rho: float, log_keep: float) -> float:
-    out = log_lr + _logaddexp(log_odds, log_rho) - log_keep
-    return max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, out))
-
-
-def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
-    """One recursion step in log domain, clamped to +-700.
-
-    Raises NonFiniteLikelihoodError when log_lr is not finite.
-    """
-    if not math.isfinite(log_lr):
-        raise NonFiniteLikelihoodError(f"log-likelihood ratio is {log_lr}: "
-                                       "non-finite sample")
-    return _advance(log_odds, log_lr, math.log(rho), math.log1p(-rho))
-
-
 def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
     """Stand-in post-change model used before the window can support an
     estimate: g with the covariance inflated."""
     return GaussianModel(g.mean, g.cov * inflate, g.layout)
 
 
-# Steps are scored in blocks.  With stop_at the first block holds
-# _FIRST_BLOCK steps and each next one twice as many, so a trace cut short
-# computes at most one block past its end, about as many steps as it kept;
-# without stop_at every block is as large as the budget allows.  A block's
-# largest stacked array (the adaptive windows, or the samples) holds at most
-# _STACK_BUDGET float64 values, 128 kB: with 1 MB stacks the montecarlo
-# benchmark peaked 1.6 MB higher than the per-step path, with 128 kB about
-# as high.
+# A trace is scored in blocks: with stop_at of _FIRST_BLOCK steps, then
+# twice as many each time (a trace cut short computes at most one block past
+# its end), else as large as the budget allows.  A trace's block of samples,
+# or a stack of adaptive windows, holds at most _STACK_BUDGET float64 values,
+# 128 kB: with 1 MB the montecarlo benchmark peaked 1.6 MB higher.
 _FIRST_BLOCK = 8
 _STACK_BUDGET = 1 << 14
 
 
-def _log_odds_trace(samples, g: GaussianModel, rho: float, f: GaussianModel | None = None,
+def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
                     est_prior: EstimationPrior | None = None, *, max_window: int = 50,
                     nmin: int | None = None, inflate: float = 4.0,
-                    stop_at: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The detector core: (log-odds trace, refreshed mask) over an (n, d)
-    sample matrix, one step per row.
+                    stop_at: float | None = None
+                    ) -> list[tuple[np.ndarray, np.ndarray, ValueError | None]]:
+    """The detector core: (log-odds trace, refreshed mask, error) of every
+    (n, d) sample matrix of a batch, one step per row.
 
     With a post-change model f every step scores f against g (known_f mode).
     Without one (adaptive mode) the post-change model of a step is learned
@@ -134,109 +110,145 @@ def _log_odds_trace(samples, g: GaussianModel, rho: float, f: GaussianModel | No
     their empirical span and stall detection.  Before nmin the fallback is
     used alone.
 
-    All windows of a block are fitted as one stack (estimate_windows) and
-    scored by one log_density_stack call; g and the fallback are scored
-    once per block.  stop_at truncates the trace at the first step whose
-    log-odds reach it.  An error of a step (a non-finite log-likelihood
-    ratio as NonFiniteLikelihoodError with its step, a singular covariance,
-    explicit estimation weights of the wrong length) is raised only if the
-    recursion reaches that step.
+    Each round takes the next block of every running trace, scores g, and
+    f or the fallback, over all of its rows with one log_density call per
+    model, fits its windows in stacks filled across traces and runs the
+    recursion per trace.  The fallback, its whitener and the window weights
+    are built once.  A trace stops at its end, at the first step whose
+    log-odds reach stop_at, or before the first error of a step it reaches
+    (a non-finite log-likelihood ratio as NonFiniteLikelihoodError with its
+    step, a singular covariance, explicit estimation weights of the wrong
+    length); its result does not depend on the rest of the batch.
+    ValueError at once when the matrices are not (n, d) with one d.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError(f"samples must be an (n, d) matrix, got shape {samples.shape}")
+    batch = [np.asarray(x, dtype=float) for x in batch]
+    for x in batch:
+        if x.ndim != 2 or x.shape[1] != batch[0].shape[1]:
+            raise ValueError(f"samples must be (n, d) matrices of one d, got {x.shape}")
     prior = GeometricPrior(rho)
     log_rho, log_keep = math.log(prior.rho), math.log1p(-prior.rho)
-    n = samples.shape[0]
+    dim = batch[0].shape[1] if batch else g.dim
     adaptive = f is None
     if adaptive:
         if max_window < 1:
             raise ValueError(f"window must be >= 1, got {max_window}")
         fallback = inflated_fallback(g, inflate)
         need = max(2, g.dim + 2 if nmin is None else nmin)
-        # windows[k] holds the max_window samples before sample k, zero rows
-        # standing in for those before the first
-        padded = np.zeros((max_window + n, samples.shape[1]))
-        padded[max_window:] = samples
-        windows = sliding_window_view(padded, max_window, axis=0).transpose(0, 2, 1)
         est_prior = est_prior or EstimationPrior(rho)
-    cap = max(1, _STACK_BUDGET // (samples.shape[1] * (max_window if adaptive else 1)))
+        longest = min(max_window, max((x.shape[0] for x in batch), default=1) - 1)
+        if longest >= need:  # some step refreshes
+            # window_weights rows and denominators by window length; explicit
+            # weights fit their own length only, the others keep denominator 0
+            fits, own = np.arange(need, longest + 1), est_prior.explicit_weights
+            if own is not None:
+                fits = fits[fits == len(own)]
+            weights = np.zeros((max_window + 1, max_window)), np.zeros(max_window + 1)
+            if fits.size:
+                weights[0][fits], weights[1][fits] = est_prior.window_weights(fits, max_window)
+            # trace i's samples follow max_window zero rows from base[i] on, so
+            # windows[base[i] + k] holds the max_window samples before its
+            # sample k, zero rows standing in for those before the first
+            base = np.cumsum([0] + [max_window + x.shape[0] for x in batch])
+            padded = np.zeros((base[-1], dim))
+            for b, x in zip(base.tolist(), batch):
+                padded[b + max_window:b + max_window + x.shape[0]] = x
+            windows = sliding_window_view(padded, max_window, axis=0).transpose(0, 2, 1)
+    cap = max(1, _STACK_BUDGET // (dim * (max_window if adaptive else 1)))
     size = _FIRST_BLOCK if stop_at is not None else cap
-    trace = np.empty(n)
-    refreshed = np.zeros(n, dtype=bool)
-    log_odds = -LOG_ODDS_CLAMP
+    # a trace's last block ends at its first non-finite sample
+    last = [x.shape[0] if ok.all() else int(np.argmin(ok)) + 1
+            for x, ok in ((x, np.isfinite(x).all(axis=1)) for x in batch)]
+    out = [(np.empty(x.shape[0]), np.zeros(x.shape[0], dtype=bool), None) for x in batch]
+    log_odds = [-LOG_ODDS_CLAMP] * len(batch)
+    running = [i for i, x in enumerate(batch) if x.shape[0]]
     start = 0
-    while start < n:
-        end = min(n, start + size, start + cap)
-        finite = np.isfinite(samples[start:end]).all(axis=1)
-        if not finite.all():
-            # later windows would hold the bad sample; its own step fails
-            end = start + int(np.argmin(finite)) + 1
-        x = samples[start:end]
-        log_g = log_density(g, x)
-        error = None
+    while running:
+        rows = [min(last[i], start + size, start + cap) - start for i in running]
+        x = np.concatenate([batch[i][start:start + m] for i, m in zip(running, rows)])
+        errors: dict = {}  # row: error of its step, None for a non-finite ratio
         if adaptive:
-            lengths = np.minimum(np.arange(start, end), max_window)
-            refreshed[start:end] = lengths >= need
-            log_f, error = _adaptive_log_f(windows[start:end], lengths, x, g.dim,
-                                           need, fallback, est_prior)
+            steps = np.concatenate([np.arange(start, start + m) for m in rows])
+            lengths = np.minimum(steps, max_window)
+            fresh = lengths >= need
+            log_f = log_density(fallback, x) if not fresh.all() else np.empty(x.shape[0])
         else:
             log_f = log_density(f, x)
-        with np.errstate(invalid="ignore"):  # inf - inf: raised below as non-finite
-            log_lr = log_f - log_g[:log_f.size]
-        bad = np.flatnonzero(~np.isfinite(log_lr))
-        run = log_lr[: bad[0] if bad.size else log_lr.size].tolist()
-        for k, value in enumerate(run):
-            log_odds = _advance(log_odds, value, log_rho, log_keep)
-            run[k] = log_odds
-            if stop_at is not None and log_odds >= stop_at:
-                stop = start + k + 1
-                trace[start:stop] = run[: k + 1]
-                return trace[:stop], refreshed[:stop]
-        trace[start:start + len(run)] = run
-        if bad.size:
-            step = start + int(bad[0])
-            raise NonFiniteLikelihoodError(
-                f"log-likelihood ratio is {log_lr[bad[0]]}: non-finite sample "
-                f"at step {step + 1}", step)
-        if error is not None:
-            raise error
-        start = end
+        if adaptive and fresh.any():
+            at = np.repeat(base[running], rows) + steps
+            fit = np.flatnonzero(fresh)
+            for r in fit[weights[1][lengths[fit]] == 0].tolist():
+                errors[r] = ValueError(f"explicit weights length {len(own)} != window "
+                                       f"length {lengths[r]}")
+            _fit_log_f(log_f, fit[weights[1][lengths[fit]] > 0], windows, at, lengths,
+                       weights, fallback, x, cap, errors)
+        with np.errstate(invalid="ignore"):  # inf - inf: a non-finite ratio
+            log_lr = log_f - log_density(g, x)
+        for r in np.flatnonzero(~np.isfinite(log_lr)).tolist():
+            errors.setdefault(r, None)
+        values = log_lr.tolist()
+        still, lo = [], 0
+        for i, m in zip(running, rows):
+            trace, refreshed, _ = out[i]
+            if adaptive:
+                refreshed[start:start + m] = fresh[lo:lo + m]
+            failed = min((r for r in errors if lo <= r < lo + m), default=lo + m)
+            run, level, stopped = values[lo:failed], log_odds[i], False
+            for k, value in enumerate(run):
+                # log R_n = log L_n + logaddexp(log R_{n-1}, log rho) - log(1 - rho)
+                high, low = (level, log_rho) if level >= log_rho else (log_rho, level)
+                level = value + (high + math.log1p(math.exp(low - high))) - log_keep
+                level = run[k] = max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, level))
+                if stop_at is not None and level >= stop_at:
+                    del run[k + 1:]
+                    stopped = True
+                    break
+            end = start + len(run)
+            trace[start:end], log_odds[i] = run, level
+            if stopped or end == trace.size:
+                out[i] = (trace[:end], refreshed[:end], None)
+            elif failed < lo + m:
+                error = errors[failed] or NonFiniteLikelihoodError(
+                    f"log-likelihood ratio is {values[failed]}: non-finite sample "
+                    f"at step {end + 1}", end)
+                out[i] = (trace[:end], refreshed[:end], error)
+            else:
+                still.append(i)
+            lo += m
+        running = still
+        start += min(size, cap)
         size *= 2
-    return trace, refreshed
+    return out
 
 
-def _adaptive_log_f(windows: np.ndarray, lengths: np.ndarray, x: np.ndarray, dim: int,
-                    need: int, fallback: GaussianModel, est_prior: EstimationPrior):
-    """(log f per step, error) for one adaptive block.  The steps refresh
-    from the first whose window holds need samples on.  When a refit fails
-    the steps are refitted one by one: log f then stops before the first
-    failing step, whose error is returned."""
-    log_f = np.empty(lengths.size)
-    first = int(np.searchsorted(lengths, need))
-    if first:
-        log_f[:first] = log_density(fallback, x[:first])
-
-    def refit(lo: int, hi: int) -> np.ndarray:
-        means, covs = estimate_windows(windows[lo:hi], lengths[lo:hi], est_prior)
-        w = dim / (dim + lengths[lo:hi])
+def _fit_log_f(log_f: np.ndarray, fit: np.ndarray, windows: np.ndarray, at, lengths,
+               weights, fallback: GaussianModel, x: np.ndarray, cap: int,
+               errors: dict) -> None:
+    """log f of the rows fit of an adaptive round: the fit of the row's
+    window windows[at[row]] shrunk toward the fallback, in stacks of at most
+    cap windows.  The rows of a failing stack are refitted one by one; a row
+    that fails again puts its error into errors."""
+    def refit(sel: np.ndarray) -> np.ndarray:
+        n = lengths[sel]
+        dev = windows[at[sel]]
+        last = dev[:, -1].copy()
+        dev -= last[:, None, :]
+        means, covs = estimate_windows(dev, last, weights[0][n], weights[1][n])
+        w = fallback.dim / (fallback.dim + n)
         means = (1.0 - w)[:, None] * means + w[:, None] * fallback.mean
         covs = (1.0 - w)[:, None, None] * covs + w[:, None, None] * fallback.cov
-        return log_density_stack(means, covs, x[lo:hi])
+        return log_density_stack(means, covs, x[sel])
 
-    if first == lengths.size:
-        return log_f, None
-    try:
-        log_f[first:] = refit(first, lengths.size)
-        return log_f, None
-    except ValueError:
-        # LinAlgError and so SingularBlockError are ValueErrors too
-        for k in range(first, lengths.size):
-            try:
-                log_f[k] = refit(k, k + 1)[0]
-            except ValueError as exc:
-                return log_f[:k], exc
-        return log_f, None
+    for lo in range(0, fit.size, cap):
+        sel = fit[lo:lo + cap]
+        try:
+            log_f[sel] = refit(sel)
+        except ValueError:
+            # LinAlgError and so SingularBlockError are ValueErrors too
+            for r in sel.tolist():
+                try:
+                    log_f[r] = refit(np.array([r]))[0]
+                except ValueError as exc:
+                    errors[r] = exc
 
 
 def expected_delay_bound(alpha: float, prior: GeometricPrior, dkl: float) -> float:
@@ -324,7 +336,7 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     est_prior = EstimationPrior(config.estimation_rho
                                 if config.estimation_rho is not None else config.rho)
     try:
-        log_odds, refreshed = _log_odds_trace(
+        log_odds, refreshed = _one_trace(
             x, g_step, config.rho, f_step if config.mode == KNOWN_F else None, est_prior,
             max_window=config.window, nmin=config.nmin, inflate=config.inflate)
     except NonFiniteLikelihoodError as exc:
@@ -369,10 +381,19 @@ def _step_increments(stream, step_period: int,
     return step_period * np.arange(1, steps + 1), x
 
 
+def _one_trace(samples, *args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
+    """(log-odds trace, refreshed mask) of one sample matrix: a one-trace
+    batch of _log_odds_trace, whose error is raised."""
+    (trace, refreshed, error), = _log_odds_trace([samples], *args, **kwargs)
+    if error is not None:
+        raise error
+    return trace, refreshed
+
+
 def known_f_log_odds(samples: np.ndarray, g: GaussianModel, f: GaussianModel,
                      rho: float) -> np.ndarray:
     """Log-odds trace over a sample matrix with fixed models."""
-    return _log_odds_trace(samples, g, rho, f)[0]
+    return _one_trace(samples, g, rho, f)[0]
 
 
 def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
@@ -385,8 +406,8 @@ def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
     stop_at truncates the trace once the log-odds reach the given level
     (alarm already decided; saves the estimator refreshes).
     """
-    return _log_odds_trace(samples, g, rho, None, est_prior, max_window=max_window,
-                           nmin=nmin, inflate=inflate, stop_at=stop_at)[0]
+    return _one_trace(samples, g, rho, None, est_prior, max_window=max_window,
+                      nmin=nmin, inflate=inflate, stop_at=stop_at)[0]
 
 
 def first_crossing(log_odds: np.ndarray, alpha: float) -> int | None:

@@ -129,28 +129,66 @@ def _rep_key(master_seed: int, rep: int) -> int:
     return philox_key(master_seed, "replication", rep)
 
 
-def _run_replication(args) -> tuple[int, dict]:
-    config, rep, margin, g, f = args
-    scenario = _replication_scenario(config, rep, margin)
-    try:
-        stream = generate(scenario)
-        samples = stream.values  # all-phasor period-1 experiment streams
-        out: dict[str, dict] = {}
-        stop_at = det.DetectionRule(min(config.alphas)).log_odds_threshold
-        for mode in config.modes:
-            if mode == det.KNOWN_F:
-                trace = det.known_f_log_odds(samples, g, f, config.detector_rho)
-            else:
-                trace = det.adaptive_log_odds(
-                    samples, g, config.detector_rho,
-                    EstimationPrior(config.detector_rho),
-                    max_window=config.window, nmin=config.nmin, stop_at=stop_at)
-            out[mode] = {alpha: det.first_crossing(trace, alpha)
-                         for alpha in config.alphas}
-    except Exception as exc:
-        raise RuntimeError(
-            f"replication {rep} (seed {scenario.seed}) failed: {exc}") from exc
-    return rep, {"lam": scenario.lam, "alarms": out}
+# Replications are scored in chunks of this many: one core call per chunk and
+# detector.  A chunk's streams (about 100 rows of 16 values each on loop8)
+# and the core's zero-padded copy of them stay near 250 kB: with 16 the
+# montecarlo experiment peaked 0.35 MB higher than one replication at a time.
+_CHUNK = 8
+
+
+def _replication_error(rep: int, scenario: Scenario, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"replication {rep} (seed {scenario.seed}) failed: {exc}")
+
+
+def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
+    """(replication, outage tick, alarms per detector) of every replication
+    of a chunk.  A detector is (stream columns or None for all, g, f or None
+    for adaptive); its alarms map each alpha to the first crossing or None.
+
+    Each replication's stream is generated as on its own; then each
+    detector scores all of the chunk's streams in one core call, stopped at
+    the threshold of min(alphas).  That stop is exact: thresholds fall as
+    alpha grows, so every alpha's first crossing comes at or before it."""
+    config, reps, margin, detectors = job
+    scenarios = [_replication_scenario(config, rep, margin) for rep in reps]
+    streams = []
+    for rep, scenario in zip(reps, scenarios):
+        try:
+            streams.append(generate(scenario).values)  # all-phasor, period 1
+        except Exception as exc:
+            raise _replication_error(rep, scenario, exc) from exc
+    rho = config.detector_rho
+    stop_at = det.DetectionRule(min(config.alphas)).log_odds_threshold
+    alarms: list[list[dict]] = [[] for _ in reps]
+    for cols, g, f in detectors:
+        batch = streams if cols is None else [values[:, cols] for values in streams]
+        traces = det._log_odds_trace(batch, g, rho, f, EstimationPrior(rho),
+                                     max_window=config.window, nmin=config.nmin,
+                                     stop_at=stop_at)
+        for rep, scenario, out, (trace, _, error) in zip(reps, scenarios, alarms, traces):
+            if error is not None:
+                raise _replication_error(rep, scenario, error) from error
+            out.append({alpha: det.first_crossing(trace, alpha) for alpha in config.alphas})
+    return [(rep, scenario.lam, out) for rep, scenario, out in zip(reps, scenarios, alarms)]
+
+
+def _replications(config: ExperimentConfig, margin: int,
+                  detectors: list) -> list[tuple[int, list[dict]]]:
+    """(outage tick, alarms per detector) of every replication, by index.
+    With parallelism > 1 the chunks go to worker processes; the results are
+    merged by replication index, so they do not depend on the workers."""
+    jobs = [(config, range(lo, min(lo + _CHUNK, config.replications)), margin, detectors)
+            for lo in range(0, config.replications, _CHUNK)]
+    if config.parallelism > 1:
+        # imported here: it loads multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+            chunks = list(pool.map(_score_chunk, jobs))
+    else:
+        chunks = list(map(_score_chunk, jobs))
+    results = {rep: (lam, alarms) for chunk in chunks for rep, lam, alarms in chunk}
+    return [results[rep] for rep in range(config.replications)]
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsTable:
@@ -169,27 +207,17 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
     f = config.scenario.post_model()
     kl = kl_divergence(f, g)
     margin = config.margin if config.margin is not None else _default_margin(config, kl)
-    jobs = [(config, rep, margin, g, f) for rep in range(config.replications)]
-    if config.parallelism > 1:
-        # imported here: it loads multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = dict(pool.map(_run_replication, jobs, chunksize=8))
-    else:
-        results = dict(map(_run_replication, jobs))
-
+    results = _replications(config, margin, [(None, g, f if mode == det.KNOWN_F else None)
+                                             for mode in config.modes])
     prior = GeometricPrior(config.detector_rho)
     rows = []
-    for mode in config.modes:
+    for m, mode in enumerate(config.modes):
         for alpha in config.alphas:
             delays = []
             false_alarms = 0
             censored = 0
-            for rep in range(config.replications):
-                rec = results[rep]
-                lam = rec["lam"]
-                tau = rec["alarms"][mode][alpha]
+            for lam, alarms in results:
+                tau = alarms[m][alpha]
                 if tau is None:
                     censored += 1
                     delays.append(margin)
@@ -303,16 +331,12 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     # simulate far enough past the outage for the weakest placement to alarm
     margin = config.margin if config.margin is not None else _default_margin(
         config, min(p[3] for p in projected))
-    for rep in range(config.replications):
-        scen = _replication_scenario(config, rep, margin)
-        stream = generate(scen)
-        for p_idx, (cols, g, f, _kl) in enumerate(projected):
-            samples = stream.values[:, cols]
-            trace = det.known_f_log_odds(samples, g, f, config.detector_rho)
-            tau = det.first_crossing(trace, config.alphas[0])
-            lam = scen.lam
+    results = _replications(config, margin, [(cols, g, f) for cols, g, f, _ in projected])
+    for rep, (lam, alarms) in enumerate(results):
+        for p_idx, alarm in enumerate(alarms):
+            tau = alarm[config.alphas[0]]
             if tau is None:
-                delays[p_idx, rep] = scen.horizon - lam
+                delays[p_idx, rep] = margin  # censored at the horizon, lam + margin
             elif tau < lam:
                 delays[p_idx, rep] = np.nan  # false alarm: excluded from delay stats
             else:

@@ -11,6 +11,7 @@ the imaginary part unobserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,9 +241,21 @@ def log_density_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> np.
 
 
 def kl_divergence(f: GaussianModel, g: GaussianModel) -> float:
-    """D_KL(f || g) in closed form (trace + quadratic + log-det terms)."""
+    """D_KL(f || g) in closed form (trace + quadratic + log-det terms).
+
+    Coordinates of zero variance in both models (score_pairs' rule) are
+    dropped first: they add 0, or make the divergence infinite where the
+    means differ.  A coordinate of zero variance in one model only is kept,
+    and the ridge of that model's factor stands in for its variance.
+    """
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+    live = kept_coordinates(f.cov)[0] | kept_coordinates(g.cov)[0]
+    if not live.all():
+        if np.any(f.mean[~live] != g.mean[~live]):
+            return math.inf
+        idx = np.flatnonzero(live)
+        f, g = (GaussianModel(m.mean[idx], m.cov[np.ix_(idx, idx)]) for m in (f, g))
     whiten_g, logdet_g = g._whitener()
     _, logdet_f = f._factor()
     # trace(Sigma_g^-1 Sigma_f): the trace of Sigma_f whitened by W = L_g^-1
@@ -271,7 +284,9 @@ def score_pairs(sigma: np.ndarray, pairs,
     the 2x2, 3x3 or 4x4 pair blocks of Lambda are inverted as stacks by
     np.linalg.inv.  A pair that holds a dropped coordinate, or has a
     conditional variance <= 1e-14 * max(largest variance, 1), is degenerate
-    and scores 0; a bus paired with itself scores 1.  Raises SingularBlockError when the kept block is singular.
+    and scores 0; a bus paired with itself scores 1.  Raises
+    SingularBlockError when the kept block or a pair block of Lambda is
+    singular.
     """
     sigma = np.asarray(sigma, dtype=float)
     pairs = list(pairs)
@@ -281,9 +296,7 @@ def score_pairs(sigma: np.ndarray, pairs,
         raise KeyError(f"bus {min(unknown)} has no coordinates in this layout")
     scores = np.array([float(i == j) for i, j in pairs])
     degenerate = np.zeros(len(pairs), dtype=bool)
-    diag = np.diag(sigma)
-    scale = max(float(diag.max(initial=0.0)), 1.0)
-    kept = diag > 1e-15 * scale
+    kept, scale = kept_coordinates(sigma)
     kept_bus = {bus: bool(kept[list(c)].all()) for bus, c in table.items()}
     groups: dict[tuple[int, int], list[int]] = {}
     for p, (i, j) in enumerate(pairs):
@@ -301,7 +314,11 @@ def score_pairs(sigma: np.ndarray, pairs,
         for start in range(0, len(members), _PAIR_BATCH):
             batch = np.array(members[start:start + _PAIR_BATCH])
             at = position[[table[pairs[p][0]] + table[pairs[p][1]] for p in batch]]
-            cond = np.linalg.inv(precision[at[:, :, None], at[:, None, :]])
+            try:
+                cond = np.linalg.inv(precision[at[:, :, None], at[:, None, :]])
+            except np.linalg.LinAlgError:
+                raise SingularBlockError("Lambda[pair, pair]", f"a pair block of the "
+                                         f"precision of {kept.sum()} coordinates") from None
             var = np.diagonal(cond, axis1=1, axis2=2)
             live = (var > 1e-14 * scale).all(axis=1)
             cross = np.abs(cond[live, :ni, ni:])
@@ -309,6 +326,13 @@ def score_pairs(sigma: np.ndarray, pairs,
             scores[batch[live]] = cross.max(axis=(1, 2))
             degenerate[batch[~live]] = True
     return scores, degenerate
+
+
+def kept_coordinates(sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """(coordinates of nonzero variance, scale): variance above 1e-15 *
+    scale, scale = max(largest variance, 1)."""
+    scale = max(float(np.diag(sigma).max(initial=0.0)), 1.0)
+    return np.diag(sigma) > 1e-15 * scale, scale
 
 
 def _kept_precision(sigma: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -416,28 +440,23 @@ class EstimationPrior:
         return rows, np.cumsum(cumulative)[lengths - 1]
 
 
-def estimate_windows(windows: np.ndarray, lengths, prior: EstimationPrior,
-                     ridge: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def estimate_windows(dev: np.ndarray, last: np.ndarray, weights: np.ndarray,
+                     denom: np.ndarray, ridge: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """estimate_post_outage for a stack of windows: (means, covariances).
 
-    windows is an (S, W, d) array whose window s holds its lengths[s]
-    samples in its last rows; its earlier rows (zero padding, say) get
-    weight zero.  Each window gets the weights
-    cumsum(prior.weights(N)) of its length N at its right-hand end
-    (EstimationPrior.window_weights), and the whole stack goes through one
-    two-pass weighted mean and covariance and the ridge.
+    Window s of an (S, W, d) stack holds its N samples in its last rows;
+    dev holds each window minus its last sample (overwritten here), last
+    those samples.  Row s of weights is cumsum(prior.weights(N)) at its
+    right-hand end, zeros before, so earlier rows (zero padding, say) get
+    weight zero, and denom[s] is its sum (EstimationPrior.window_weights).
+    The whole stack goes through one two-pass weighted mean and covariance
+    and the ridge.  Deviations from the last sample give a constant window
+    exactly zero covariance, hence the same ridge, whatever its padding.
     """
-    stack, width, dim = windows.shape
-    lengths = np.asarray(lengths, dtype=int)
-    if lengths.min() < 2 or lengths.max() > width:
-        raise ValueError(f"window lengths must lie in 2..{width}, got "
-                         f"{lengths.min()}..{lengths.max()}")
-    weights, denom = prior.window_weights(lengths, width)
-    # deviations from each window's last sample: a constant window then has
-    # exactly zero covariance, hence the same ridge, whatever its padding
-    dev = windows - windows[:, -1:, :]
+    stack, _, dim = dev.shape
     offset = (weights[:, None, :] @ dev) / denom[:, None, None]
-    mu = windows[:, -1, :] + offset[:, 0]
+    mu = last + offset[:, 0]
     dev -= offset
     sigma = (dev.transpose(0, 2, 1) * weights[:, None, :]) @ dev / denom[:, None, None]
     sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
@@ -465,5 +484,6 @@ def estimate_post_outage(window, prior: EstimationPrior,
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 window samples, got {n}")
-    mu, cov = estimate_windows(x[None], [n], prior, ridge)
+    mu, cov = estimate_windows(x[None] - x[None, -1:], x[None, -1],
+                               *prior.window_weights([n], n), ridge)
     return GaussianModel(mu[0], cov[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmodel import CoordinateLayout, score_pairs
+from .gaussmodel import CoordinateLayout, kept_coordinates, score_pairs
 from .grid import GridTopology, SingularBlockError
 from .simgen import substream
 
@@ -63,10 +63,13 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
 
     ValueError when n_boot < 1, when the window is shorter than dim + 2, or
     when no deviation remains.  SingularBlockError, naming the resample,
-    when a resample's covariance is singular: a resample holds about 63 %
-    distinct rows, so a window below about 1.6 (dim + 1) rows fails.  The
-    window should be at least as long as the post-event one, otherwise the
-    floor undershoots the post-side sampling noise.
+    when a resample's covariance is singular and some pair is scored: when
+    it draws no more distinct rows (nonzero counts) than the window has
+    coordinates of nonzero variance (score_pairs' rule), or score_pairs
+    finds it singular.  A resample holds about 63 % distinct rows, so a
+    window below about 1.6 (dim + 1) rows fails.  The window should be at
+    least as long as the post-event one, otherwise the floor undershoots
+    the post-side sampling noise.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -76,7 +79,9 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
         raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
     pairs = list(pairs)
     rng = substream(seed, "bootstrap")
-    base, _ = score_pairs(np.cov(samples.T, ddof=0), pairs, layout)
+    window_cov = np.cov(samples.T, ddof=0)
+    base, _ = score_pairs(window_cov, pairs, layout)
+    kept = int(kept_coordinates(window_cov)[0].sum())
     # a block holds one row per centred coordinate, then the products of
     # coordinate i with coordinates i.. in rows offset[i]:offset[i + 1]
     centre = samples.mean(axis=0)[:, None]
@@ -106,9 +111,14 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
         covs = np.empty((size, dim, dim))
         covs[:, upper[0], upper[1]] = second
         covs[:, upper[1], upper[0]] = second
+        distinct = np.count_nonzero(counts[:size], axis=1).tolist()
         for b, cov in enumerate(covs, start=first):
             try:
                 scores, degenerate = score_pairs(cov, pairs, layout)
+                if distinct[b - first] <= kept and not degenerate.all():
+                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[b - first]} "
+                                             f"distinct samples for {kept} coordinates "
+                                             "of nonzero variance")
             except SingularBlockError as exc:
                 raise SingularBlockError(
                     exc.block, f"bootstrap resample {b} of {n_boot} from a window of "

@@ -1,10 +1,10 @@
 """Reference implementations the package is tested against.
 
-Only tests use these: the direct posterior sum over change positions (the
-oracle of the detector's recursion), the Schur conditional covariance (the
-oracle of score_pairs) and the per-resample bootstrap (the oracle of
-thresholds_from_bootstrap).  They lean on scipy, which the package itself
-does not import.
+Only tests use these: the one-step log-odds recursion and the direct
+posterior sum over change positions (the oracles of the detector's
+recursion), the Schur conditional covariance (the oracle of score_pairs)
+and the per-resample bootstrap (the oracle of thresholds_from_bootstrap).
+They lean on scipy, which the package itself does not import.
 """
 
 import math
@@ -13,11 +13,26 @@ import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
-from gridwatch.detector import GeometricPrior
+from gridwatch.detector import LOG_ODDS_CLAMP, GeometricPrior, NonFiniteLikelihoodError
 from gridwatch.gaussmodel import CoordinateLayout, GaussianModel, log_density, score_pairs
 from gridwatch.grid import SingularBlockError
 from gridwatch.localizer import Thresholds
 from gridwatch.simgen import substream
+
+
+def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
+    """One recursion step in log domain, clamped to +-700.
+
+    Raises NonFiniteLikelihoodError when log_lr is not finite.
+    """
+    if not math.isfinite(log_lr):
+        raise NonFiniteLikelihoodError(f"log-likelihood ratio is {log_lr}: "
+                                       "non-finite sample")
+    a, b = log_odds, math.log(rho)
+    if a < b:
+        a, b = b, a
+    out = log_lr + (a + math.log1p(math.exp(b - a))) - math.log1p(-rho)
+    return max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, out))
 
 
 def posterior_direct(g: GaussianModel, f: GaussianModel, prior: GeometricPrior,

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gridwatch import localizer
-from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout
+from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout, score_pairs
 from gridwatch.grid import SingularBlockError
 from gridwatch.localizer import all_bus_pairs, thresholds_from_bootstrap
 from gridwatch.simgen import substream
@@ -103,3 +103,32 @@ def test_bootstrap_without_deviation_is_named():
     samples[:, list(layout.coords_of(1))] = 0.25
     with pytest.raises(ValueError, match="no bootstrap deviation"):
         thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=5)
+
+
+def test_bootstrap_rejects_resample_with_too_few_distinct_rows():
+    # a window of dim + 2 rows whose resample draws only dim distinct rows:
+    # its covariance is singular, and before the rule it passed Cholesky on
+    # round-off and gave a zero floor of 0.758 (1.153 from the oracle)
+    layout = CoordinateLayout.full_phasor(2)
+    samples = np.random.default_rng(10).normal(size=(6, 4))
+    with pytest.raises(SingularBlockError,
+                       match=r"bootstrap resample 0 of 1 .*\(4 distinct samples for 4 "):
+        thresholds_from_bootstrap(samples, all_bus_pairs(layout), layout, n_boot=1,
+                                  seed=10)
+
+
+def test_singular_pair_block_is_named():
+    # a pair block of the precision that np.linalg.inv finds singular is a
+    # SingularBlockError, not a raw LinAlgError
+    layout = CoordinateLayout.full_phasor(3)
+    sigma = np.cov(np.random.default_rng(7).normal(size=(40, 6)).T)
+    inv = np.linalg.inv
+
+    def stacked_fails(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    with mock.patch.object(np.linalg, "inv", stacked_fails):
+        with pytest.raises(SingularBlockError, match="Lambda"):
+            score_pairs(sigma, [(1, 2)], layout)

@@ -15,8 +15,8 @@ from gridwatch.detector import (
     GeometricPrior,
     NonFiniteLikelihoodError,
     _log_odds_trace,
+    _one_trace,
     adaptive_log_odds,
-    advance_log_odds,
     expected_delay_bound,
     first_crossing,
     known_f_log_odds,
@@ -25,7 +25,7 @@ from gridwatch.detector import (
 from gridwatch.gaussmodel import GaussianModel, sample
 from gridwatch.grid import load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
-from oracles import posterior_direct
+from oracles import advance_log_odds, posterior_direct
 
 
 def scalar_models(mu_f=1.0, var_f=1.0):
@@ -147,7 +147,7 @@ def test_delay_bound_validation():
 
 def test_adaptive_identical_window_hits_ridge_path():
     g, _ = scalar_models()
-    trace, refreshed = _log_odds_trace(np.full((12, 1), 2.0), g, 0.1, nmin=4)
+    trace, refreshed = _one_trace(np.full((12, 1), 2.0), g, 0.1, nmin=4)
     assert np.isfinite(trace).all()
     assert refreshed[-1]
 
@@ -278,9 +278,16 @@ def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_log_lr_raises_instead_of_alarming(bad):
-    # min(700, nan) is 700: without the check one NaN alarms at once
-    with pytest.raises(NonFiniteLikelihoodError):
-        advance_log_odds(-15.0, bad, 1e-4)
+    # min(700, nan) is 700: without the check the non-finite log-likelihood
+    # ratio of the bad sample would alarm at once
+    g, f = scalar_models(mu_f=1.0)
+    x = np.zeros((6, 1))
+    x[3, 0] = bad
+    [(trace, refreshed, error)] = _log_odds_trace([x], g, 1e-4, f, stop_at=0.0)
+    assert isinstance(error, NonFiniteLikelihoodError) and error.step == 3
+    assert trace.size == refreshed.size == 3 and trace.max() < 0.0
+    with pytest.raises(NonFiniteLikelihoodError, match="step 4"):
+        known_f_log_odds(x, g, f, 1e-4)
 
 
 def test_nan_sample_in_loop8_stream_raises(loop8):

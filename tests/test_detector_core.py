@@ -1,22 +1,26 @@
 """The batch detector core against the per-step path it replaced: a short
 loop that refits estimate_post_outage on every window, scores one sample at
-a time with log_density and advances the recursion step by step.  Also the
-period aggregation of run_detector against a per-tick accumulator."""
+a time with log_density and advances the recursion step by step.  A batch
+of traces against one core call per trace, and the stop at the smallest
+alpha's threshold against the full trace.  Also the period aggregation of
+run_detector against a per-tick accumulator."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridwatch.detector import (
+    DetectionRule,
     DetectorConfig,
     NonFiniteLikelihoodError,
     _log_odds_trace,
+    _one_trace,
     _step_increments,
-    advance_log_odds,
+    first_crossing,
     inflated_fallback,
     run_detector,
 )
@@ -26,9 +30,11 @@ from gridwatch.gaussmodel import (
     estimate_post_outage,
     log_density,
     log_density_stack,
+    sample,
 )
 from gridwatch.grid import SingularBlockError, load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
+from oracles import advance_log_odds
 
 REL = 1e-9
 
@@ -66,7 +72,7 @@ def per_step_trace(x, g, rho, f=None, est_prior=None, window=50, nmin=None,
 
 def core_error(x, **kwargs):
     try:
-        _log_odds_trace(x, **kwargs)
+        _one_trace(x, **kwargs)
     except ValueError as exc:
         return type(exc)
     return None
@@ -110,7 +116,7 @@ def test_core_matches_per_step_path(case):
         x, kwargs["g"], kwargs["rho"], f=kwargs.get("f"), est_prior=kwargs.get("est_prior"),
         window=kwargs["max_window"], nmin=kwargs["nmin"], stop_at=kwargs["stop_at"])
     reached = x if error is None else x[:error[1]]
-    got, got_refreshed = _log_odds_trace(reached, **kwargs)
+    got, got_refreshed = _one_trace(reached, **kwargs)
     assert got.shape == trace.shape
     assert np.all(np.abs(got - trace) <= REL * np.maximum(1.0, np.abs(trace)))
     assert np.array_equal(got_refreshed, refreshed)
@@ -120,14 +126,109 @@ def test_core_matches_per_step_path(case):
         assert core_error(x, **kwargs) is error[0]
 
 
+# --- batches ------------------------------------------------------------------------
+
+@st.composite
+def batch_cases(draw):
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(d, d))
+    g = GaussianModel(rng.normal(size=d), a @ a.T + 0.5 * np.eye(d))
+    batch = []
+    for n in draw(st.lists(st.integers(0, 90), min_size=1, max_size=6)):
+        x = rng.normal(size=(n, d)) * draw(st.sampled_from([0.5, 1.5, 4.0]))
+        if n and draw(st.booleans()):  # a run of identical samples
+            x[draw(st.integers(0, n - 1)):] = x[-1]
+        if n and draw(st.integers(0, 3)) == 0:
+            x[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        batch.append(x)
+    window = draw(st.integers(2, 60))
+    kwargs = dict(g=g, rho=draw(st.floats(1e-4, 0.5)), max_window=window,
+                  nmin=draw(st.one_of(st.none(), st.integers(0, 70))),
+                  stop_at=draw(st.one_of(st.none(), st.floats(-5.0, 40.0))))
+    mode = draw(st.sampled_from(["adaptive", "known_f", "explicit_weights"]))
+    if mode == "known_f":
+        b = rng.normal(size=(d, d))
+        kwargs["f"] = GaussianModel(rng.normal(size=d), b @ b.T + 0.5 * np.eye(d))
+    elif mode == "explicit_weights":
+        length = draw(st.integers(2, window))
+        kwargs["est_prior"] = EstimationPrior(
+            kwargs["rho"], explicit_weights=tuple(rng.uniform(0.0, 1.0, size=length) + 0.01))
+    return batch, kwargs
+
+
+def same_result(got, want):
+    """Bit-for-bit equal traces and masks, and errors of one type, message
+    and step."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert type(got[2]) is type(want[2]) and str(got[2]) == str(want[2])
+    assert getattr(got[2], "step", None) == getattr(want[2], "step", None)
+
+
+@settings(max_examples=80)
+@given(batch_cases())
+def test_batch_matches_one_call_per_trace(case):
+    batch, kwargs = case
+    got = _log_odds_trace(batch, **kwargs)
+    assert len(got) == len(batch)
+    for x, result in zip(batch, got):
+        same_result(result, _log_odds_trace([x], **kwargs)[0])
+
+
+@settings(max_examples=40)
+@given(batch_cases(), st.data())
+def test_nan_row_fails_only_its_trace(case, data):
+    batch, kwargs = case
+    kwargs["stop_at"] = None
+    batch = [np.nan_to_num(x, nan=0.5, posinf=0.5, neginf=0.5) for x in batch]
+    long = [i for i, x in enumerate(batch) if x.shape[0]]
+    assume(long)
+    bad = data.draw(st.sampled_from(long))
+    row = data.draw(st.integers(0, batch[bad].shape[0] - 1))
+    clean = _log_odds_trace(batch, **kwargs)
+    poisoned = [x.copy() for x in batch]
+    poisoned[bad][row, 0] = math.nan
+    got = _log_odds_trace(poisoned, **kwargs)
+    for i, (result, want) in enumerate(zip(got, clean)):
+        if i != bad:
+            same_result(result, want)
+        elif want[2] is None or want[0].size > row:
+            # the clean trace reaches the row: the poisoned one fails there
+            assert isinstance(result[2], NonFiniteLikelihoodError)
+            assert result[2].step == row and result[0].size == row
+            assert result[0].tobytes() == want[0][:row].tobytes()
+
+
+ALPHAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+       st.floats(1e-4, 0.3))
+def test_stop_at_smallest_alpha_keeps_every_crossing(d, n, seed, rho):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(d, d)), rng.normal(size=(d, d))
+    g = GaussianModel(np.zeros(d), a @ a.T + 0.5 * np.eye(d))
+    f = GaussianModel(rng.normal(size=d) * 0.5, b @ b.T + 0.5 * np.eye(d))
+    lam = int(rng.integers(0, n))
+    x = np.vstack([sample(g, lam, rng), sample(f, n - lam, rng)])
+    stop_at = DetectionRule(min(ALPHAS)).log_odds_threshold
+    full = _one_trace(x, g, rho, f)[0]
+    stopped = _one_trace(x, g, rho, f, stop_at=stop_at)[0]
+    for alpha in ALPHAS:
+        assert first_crossing(stopped, alpha) == first_crossing(full, alpha)
+
+
 def test_nan_past_stop_at_does_not_raise():
     g = GaussianModel([0.0], [[1.0]])
     x = np.full((40, 1), 6.0)
     x[30, 0] = math.nan
-    trace = _log_odds_trace(x, g, 0.1, stop_at=5.0)[0]
+    trace = _one_trace(x, g, 0.1, stop_at=5.0)[0]
     assert trace.size < 30 and trace[-1] >= 5.0
     with pytest.raises(NonFiniteLikelihoodError) as info:
-        _log_odds_trace(x, g, 0.1)
+        _one_trace(x, g, 0.1)
     assert info.value.step == 30
 
 
@@ -194,7 +295,7 @@ def test_run_detector_steps_on_aggregated_ticks():
     f = scen.post_model().project(layout)
     report = run_detector(stream, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
     ticks, x = per_tick_increments(stream, 9, False)
-    trace = _log_odds_trace(x, g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))[0]
+    trace = _one_trace(x, g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))[0]
     assert np.array_equal(report.step_ticks, ticks)
     assert np.array_equal(report.log_odds_trace, trace)
     bad = dataclasses.replace(stream, values=stream.values.copy())

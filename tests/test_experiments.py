@@ -104,7 +104,7 @@ def test_experiment_fixed_outage_time(loop8):
 
 
 def test_replication_failure_names_replication_and_seed():
-    from gridwatch.experiments import _run_replication
+    from gridwatch.experiments import _score_chunk
     from gridwatch.grid import Branch, GridTopology
 
     # removing (2,4) and (3,4) leaves the grounded 2/3 block exactly singular
@@ -118,7 +118,7 @@ def test_replication_failure_names_replication_and_seed():
                            rho=0.1, master_seed=1, margin=8)
     g = scen.pre_model()
     with pytest.raises(RuntimeError, match=r"replication 0 \(seed \d+\) failed"):
-        _run_replication((cfg, 0, 8, g, g))
+        _score_chunk((cfg, range(2), 8, [(None, g, g)]))
 
 
 # --- coverage sweep ------------------------------------------------------------------

@@ -37,6 +37,7 @@ from gridwatch.grid import (
     SingularBlockError,
     apply_outage,
     bundled_feeders,
+    load_feeder,
 )
 from gridwatch.simgen import Scenario, generate
 from oracles import conditional_cov
@@ -235,6 +236,28 @@ def test_kl_asymmetric_for_unequal_variances():
     f = GaussianModel([0.0], [[1.0]])
     g = GaussianModel([0.0], [[4.0]])
     assert kl_divergence(f, g) != pytest.approx(kl_divergence(g, f), rel=1e-3)
+
+
+@pytest.mark.parametrize("feeder, outage", [("loop8", (7, 8)), ("loop12", (8, 10))])
+def test_kl_continuous_at_zero_noise(feeder, outage):
+    # at zero noise the slack coordinates have zero variance in both models:
+    # they add nothing, as they do at a vanishing noise
+    def kl(noise):
+        scenario = Scenario(topology=load_feeder(feeder), out_branches=(outage,),
+                            lam=1, horizon=2, noise_variance=noise)
+        return kl_divergence(scenario.post_model(), scenario.pre_model())
+
+    assert kl(0.0) == pytest.approx(kl(1e-12), rel=1e-6)
+
+
+def test_kl_zero_variance_coordinates():
+    # a coordinate of zero variance in both models adds 0, or infinity when
+    # the means differ there
+    f = GaussianModel([0.3, 2.0], [[0.8, 0.0], [0.0, 0.0]])
+    g = GaussianModel([-0.5, 2.0], [[1.7, 0.0], [0.0, 0.0]])
+    one = kl_divergence(GaussianModel([0.3], [[0.8]]), GaussianModel([-0.5], [[1.7]]))
+    assert kl_divergence(f, g) == one
+    assert kl_divergence(f, GaussianModel([-0.5, 2.5], g.cov)) == math.inf
 
 
 def test_kl_dimension_mismatch():

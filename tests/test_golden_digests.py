@@ -3,6 +3,10 @@ and a seeded random feeder, captured before the model and the simulator
 shared one network-transfer path.  Any moved byte fails the test; a change
 that is meant to alter numerics must say so and capture new digests.
 
+The digests of the experiment and coverage-sweep tables were captured
+while each replication was still scored on its own, before replications
+were scored in chunks through one batch detector core.
+
 The cases cover the bundled feeders, dict injection variances, a mean shift,
 recorded injections, a mixed magnitude/phasor schedule, a slack-only island
 next to a dead one, DER islands (one of them grounding-only) and a dead
@@ -14,6 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from gridwatch import experiments
+from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
 
@@ -110,3 +116,39 @@ def test_random_feeder_text_is_pinned():
     text = format_feeder(random_feeder(30, 3, seed=7))
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM30_DIGEST
 
+
+
+# loop8, outage 7-8 at a geometric time, both modes over the default alphas
+EXPERIMENT_DIGEST = "a6f82dbac8260eb6f4168cc59365a1fcf7e1a2f2dc90669f3185e417ce0dd5a0"
+PMU_SWEEP_DIGEST = "e85100a82675ba9d1559f054f13d05f6c3de2a4fcf40bd275e72cfa9ff9dbebd"
+
+
+def _delay_scenario() -> Scenario:
+    return Scenario(load_feeder("loop8"), ((7, 8),), outage_rho=0.04, noise_variance=2e-2,
+                    horizon=10, seed=11)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# 7 replications a chunk leaves a ragged last chunk of 4
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_experiment_csv_is_pinned(parallelism, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    config = ExperimentConfig(scenario=_delay_scenario(), replications=60,
+                              modes=("known_f", "adaptive"), master_seed=5,
+                              parallelism=parallelism)
+    assert _sha(run_experiment(config).to_csv()) == EXPERIMENT_DIGEST
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_pmu_sweep_csv_is_pinned(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    config = ExperimentConfig(scenario=_delay_scenario(), alphas=(1e-6,), replications=30,
+                              master_seed=9)
+    table = run_pmu_sweep(config, placements=[list(range(1, 9)), [2, 4, 5, 8], [2, 5]])
+    assert _sha(table.to_csv()) == PMU_SWEEP_DIGEST
