@@ -412,8 +412,16 @@ def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
 
 def first_crossing(log_odds: np.ndarray, alpha: float) -> int | None:
     """1-based index of the first step at/above the alarm threshold."""
-    hits = np.nonzero(log_odds >= DetectionRule(alpha).log_odds_threshold)[0]
-    return int(hits[0]) + 1 if hits.size else None
+    return first_crossings(log_odds, [DetectionRule(alpha).log_odds_threshold])[0]
+
+
+def first_crossings(log_odds: np.ndarray, thresholds) -> list[int | None]:
+    """1-based index of the first step at/above each threshold, None where
+    none is reached: one running maximum of the trace (NaN steps count as
+    -inf, since they reach no threshold), searched for every threshold."""
+    peak = np.maximum.accumulate(np.where(np.isnan(log_odds), -np.inf, log_odds))
+    hits = np.searchsorted(peak, thresholds).tolist()
+    return [k + 1 if k < peak.size else None for k in hits]
 
 
 def _lcm_all(values) -> int:

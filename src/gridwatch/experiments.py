@@ -7,7 +7,7 @@ results are merged by index so worker parallelism cannot change the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .gaussmodel import (
 )
 from .detector import GeometricPrior, expected_delay_bound
 from .grid import philox_key
-from .simgen import Scenario, generate, sample_outage_time
+from .simgen import Scenario, _synthesize, sample_outage_time
 
 MODES = (det.KNOWN_F, det.ADAPTIVE)
 
@@ -53,6 +53,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown mode {m!r}")
         if not self.scenario.out_branches:
             raise ValueError("experiment scenario needs out_branches")
+        if self.margin is not None and self.margin < 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.rho is None and self.scenario.outage_rho is None:
             raise ValueError("need a detector rho: set rho or use a geometric "
                              "outage time in the scenario")
@@ -112,17 +114,17 @@ def _default_margin(config: ExperimentConfig, kl: float) -> int:
     return max(64, int(4 * bound) + 16)
 
 
-def _replication_scenario(config: ExperimentConfig, rep: int, margin: int) -> Scenario:
-    """Per-replication variant: fresh seed, outage time drawn from the
-    geometric prior (or kept as configured when fixed)."""
+def _replication_draw(config: ExperimentConfig, rep: int, margin: int) -> tuple[int, int, int]:
+    """(seed, outage tick, horizon) of a replication: a fresh seed, the
+    outage tick drawn from the geometric prior (or kept as configured when
+    fixed), and margin ticks past it."""
     seed = int(np.random.Generator(
         np.random.Philox(key=_rep_key(config.master_seed, rep))).integers(2 ** 62))
     if config.scenario.outage_rho is not None:
         lam = sample_outage_time(config.scenario.outage_rho, seed)
     else:
         lam = config.scenario.lam
-    return replace(config.scenario, lam=lam, outage_rho=None,
-                   horizon=lam + margin, seed=seed)
+    return seed, lam, lam + margin
 
 
 def _rep_key(master_seed: int, rep: int) -> int:
@@ -136,8 +138,8 @@ def _rep_key(master_seed: int, rep: int) -> int:
 _CHUNK = 8
 
 
-def _replication_error(rep: int, scenario: Scenario, exc: Exception) -> RuntimeError:
-    return RuntimeError(f"replication {rep} (seed {scenario.seed}) failed: {exc}")
+def _replication_error(rep: int, seed: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"replication {rep} (seed {seed}) failed: {exc}")
 
 
 def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
@@ -145,31 +147,31 @@ def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
     of a chunk.  A detector is (stream columns or None for all, g, f or None
     for adaptive); its alarms map each alpha to the first crossing or None.
 
-    Each replication's stream is generated as on its own; then each
+    The chunk's streams come from one simgen._synthesize call, each as on
+    its own; a failure there names the chunk's first replication.  Then each
     detector scores all of the chunk's streams in one core call, stopped at
-    the threshold of min(alphas).  That stop is exact: thresholds fall as
-    alpha grows, so every alpha's first crossing comes at or before it."""
+    the highest threshold, that of min(alphas).  That stop is exact:
+    thresholds fall as alpha grows, so every alpha's first crossing comes at
+    or before it."""
     config, reps, margin, detectors = job
-    scenarios = [_replication_scenario(config, rep, margin) for rep in reps]
-    streams = []
-    for rep, scenario in zip(reps, scenarios):
-        try:
-            streams.append(generate(scenario).values)  # all-phasor, period 1
-        except Exception as exc:
-            raise _replication_error(rep, scenario, exc) from exc
+    draws = [_replication_draw(config, rep, margin) for rep in reps]
+    try:
+        streams = [s.values for s in _synthesize(config.scenario, draws)]
+    except Exception as exc:
+        raise _replication_error(reps[0], draws[0][0], exc) from exc
     rho = config.detector_rho
-    stop_at = det.DetectionRule(min(config.alphas)).log_odds_threshold
+    thresholds = [det.DetectionRule(alpha).log_odds_threshold for alpha in config.alphas]
     alarms: list[list[dict]] = [[] for _ in reps]
     for cols, g, f in detectors:
         batch = streams if cols is None else [values[:, cols] for values in streams]
         traces = det._log_odds_trace(batch, g, rho, f, EstimationPrior(rho),
                                      max_window=config.window, nmin=config.nmin,
-                                     stop_at=stop_at)
-        for rep, scenario, out, (trace, _, error) in zip(reps, scenarios, alarms, traces):
+                                     stop_at=max(thresholds))
+        for rep, (seed, _, _), out, (trace, _, error) in zip(reps, draws, alarms, traces):
             if error is not None:
-                raise _replication_error(rep, scenario, error) from error
-            out.append({alpha: det.first_crossing(trace, alpha) for alpha in config.alphas})
-    return [(rep, scenario.lam, out) for rep, scenario, out in zip(reps, scenarios, alarms)]
+                raise _replication_error(rep, seed, error) from error
+            out.append(dict(zip(config.alphas, det.first_crossings(trace, thresholds))))
+    return [(rep, lam, out) for rep, (_, lam, _), out in zip(reps, draws, alarms)]
 
 
 def _replications(config: ExperimentConfig, margin: int,

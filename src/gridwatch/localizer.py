@@ -62,14 +62,15 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     scored by score_pairs; pairs degenerate in a resample add no deviation.
 
     ValueError when n_boot < 1, when the window is shorter than dim + 2, or
-    when no deviation remains.  SingularBlockError, naming the resample,
-    when a resample's covariance is singular and some pair is scored: when
-    it draws no more distinct rows (nonzero counts) than the window has
-    coordinates of nonzero variance (score_pairs' rule), or score_pairs
-    finds it singular.  A resample holds about 63 % distinct rows, so a
-    window below about 1.6 (dim + 1) rows fails.  The window should be at
-    least as long as the post-event one, otherwise the floor undershoots
-    the post-side sampling noise.
+    when no deviation remains.  SingularBlockError, naming the window or
+    the resample, when its covariance is singular and some pair is scored:
+    when it holds no more distinct rows than the window has coordinates of
+    nonzero variance (score_pairs' rule), or score_pairs finds it singular.
+    Rows are told apart by value, so a window that repeats rows has fewer
+    distinct rows than samples.  A resample holds about 63 % of the
+    window's distinct rows, so a window below about 1.6 (dim + 1) rows
+    fails.  The window should be at least as long as the post-event one,
+    otherwise the floor undershoots the post-side sampling noise.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -80,8 +81,17 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     pairs = list(pairs)
     rng = substream(seed, "bootstrap")
     window_cov = np.cov(samples.T, ddof=0)
-    base, _ = score_pairs(window_cov, pairs, layout)
+    base, base_degenerate = score_pairs(window_cov, pairs, layout)
     kept = int(kept_coordinates(window_cov)[0].sum())
+    # row_id[k]: which distinct row sample k is (+ 0.0 makes -0.0 equal 0.0)
+    rows_as_bytes = np.ascontiguousarray(samples + 0.0).view(
+        np.dtype((np.void, samples.itemsize * dim))).ravel()
+    _, row_id = np.unique(rows_as_bytes, return_inverse=True)
+    n_distinct = int(row_id.max()) + 1
+    if n_distinct <= kept and not base_degenerate.all():
+        raise SingularBlockError("Sigma[kept, kept]", (
+            f"bootstrap window of {n} samples in dim {dim}: {n_distinct} distinct "
+            f"samples for {kept} coordinates of nonzero variance"))
     # a block holds one row per centred coordinate, then the products of
     # coordinate i with coordinates i.. in rows offset[i]:offset[i + 1]
     centre = samples.mean(axis=0)[:, None]
@@ -111,7 +121,11 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
         covs = np.empty((size, dim, dim))
         covs[:, upper[0], upper[1]] = second
         covs[:, upper[1], upper[0]] = second
-        distinct = np.count_nonzero(counts[:size], axis=1).tolist()
+        # a resample's distinct rows: its nonzero counts once the counts of
+        # equal window rows are merged
+        merged = counts[:size] if n_distinct == n else np.stack(
+            [np.bincount(row_id, weights=c, minlength=n_distinct) for c in counts[:size]])
+        distinct = np.count_nonzero(merged, axis=1).tolist()
         for b, cov in enumerate(covs, start=first):
             try:
                 scores, degenerate = score_pairs(cov, pairs, layout)

@@ -79,14 +79,12 @@ class SensorSchedule:
     def layout(self) -> CoordinateLayout:
         return CoordinateLayout.from_kinds({b: k for b, k, _ in self.entries})
 
-    def period_of(self, bus: int) -> int:
-        for b, _, p in self.entries:
-            if b == bus:
-                return p
-        raise KeyError(f"bus {bus} not in schedule")
-
     def channel_periods(self, layout: CoordinateLayout) -> list[int]:
-        return [self.period_of(bus) for bus, _ in layout.entries]
+        period = {bus: p for bus, _, p in self.entries}
+        try:
+            return [period[bus] for bus, _ in layout.entries]
+        except KeyError as exc:
+            raise KeyError(f"bus {exc.args[0]} not in schedule") from None
 
 
 @dataclass(frozen=True)
@@ -190,83 +188,100 @@ def sample_outage_time(prior, seed: int) -> int:
 
 
 def generate(scenario: Scenario) -> MeasurementStream:
-    """Synthesize the measurement stream for a scenario."""
-    top = scenario.topology
-    m = top.bus_count
-    t_total = scenario.horizon
-
+    """Synthesize the measurement stream for a scenario: the one-draw case of
+    _synthesize, with the scenario's seed, outage tick and horizon."""
     lam: int | None = None
     if scenario.out_branches:
         lam = scenario.lam if scenario.lam is not None else sample_outage_time(
             scenario.outage_rho, scenario.seed)
+    return _synthesize(scenario, [(scenario.seed, lam, scenario.horizon)])[0]
 
-    inj_rng = substream(scenario.seed, "injection")
+
+def _synthesize(scenario: Scenario, draws) -> list[MeasurementStream]:
+    """The stream of every draw (seed, outage tick or None, horizon) of a
+    scenario, whose own seed, outage and horizon are not read.
+
+    What depends only on the scenario is set up once per call: the
+    post-outage topology and each regime's transfer blocks (asked for only
+    when some draw has rows in that regime), the injection std, the mean
+    shift, the layout columns and the channel periods.  Per draw come its
+    substreams and, per island and regime, one transfer product on that
+    draw's rows alone: stacking the rows of several draws into one BLAS
+    product would change the last bits.  So each draw's stream equals, bit
+    for bit, the stream it gives on its own.
+    """
+    m = scenario.topology.bus_count
     std = np.sqrt(_injection_vector(scenario.injection_variance, m) / 2.0)
-    injections = (inj_rng.normal(size=(t_total, m)) +
-                  1j * inj_rng.normal(size=(t_total, m))) * std
-
-    volts = np.zeros((t_total, m), dtype=complex)
-    pre_rows = np.arange(t_total) < (lam - 1 if lam is not None else t_total)
-    _apply_transfer(volts, injections, pre_rows, top)
-    if lam is not None and lam <= t_total:
-        post_top = scenario.post_topology()
-        _apply_transfer(volts, injections, ~pre_rows, post_top)
-    else:
-        post_top = top
-
-    stacked = np.hstack([volts.real, volts.imag])  # re 1..M then im 1..M
-    if scenario.mean_shift and lam is not None and lam <= t_total:
-        shift = np.zeros(2 * m)
-        for buses, _ in transfer(post_top):
-            idx = np.array(buses) - 1
-            shift[idx] = scenario.mean_shift
-            shift[m + idx] = scenario.mean_shift
-        stacked[lam - 1:] += shift
-
-    noise_rng = substream(scenario.seed, "noise")
-    noise = noise_rng.normal(size=(t_total, 2 * m))
-    if scenario.noise_variance:
-        stacked = stacked + np.sqrt(scenario.noise_variance) * noise
-
+    # a draw's rows before split run on the pre-outage network, the rest after
+    splits = [lam - 1 if lam is not None and lam <= horizon else horizon
+              for _, lam, horizon in draws]
+    pre = _transfer_blocks(scenario.topology) if any(splits) else []
+    post: list[tuple[np.ndarray, np.ndarray]] = []
+    shift = None
+    if any(split < horizon for split, (_, _, horizon) in zip(splits, draws)):
+        post = _transfer_blocks(scenario.post_topology())
+        if scenario.mean_shift:
+            shift = np.zeros(2 * m)
+            for idx, _ in post:
+                shift[idx] = scenario.mean_shift
+                shift[m + idx] = scenario.mean_shift
+    noise_std = np.sqrt(scenario.noise_variance) if scenario.noise_variance else None
     layout = scenario.schedule.layout()
-    full = CoordinateLayout.full_phasor(m)
-    cols = layout.indices_in(full)
-    raw = stacked[:, cols]
+    cols = layout.indices_in(CoordinateLayout.full_phasor(m))
+    periods = np.array(scenario.schedule.channel_periods(layout))
+    every_tick = periods == 1
+    slow = [(c, int(periods[c])) for c in np.flatnonzero(~every_tick)]
+    truth = scenario.normalized_outage()
 
-    values = np.empty_like(raw)
-    fresh = np.zeros(raw.shape, dtype=bool)
-    for c, (bus, _part) in enumerate(layout.entries):
-        period = scenario.schedule.period_of(bus)
-        if period == 1:
-            values[:, c] = raw[:, c]
-            fresh[:, c] = True
-            continue
-        # tick t carries the sum over the last period ending at or before t
-        csum = np.concatenate([[0.0], np.cumsum(raw[:, c])])
-        ends = np.arange(period, t_total + 1, period)
-        fresh[ends - 1, c] = True
-        sums = np.concatenate([[0.0], csum[ends] - csum[ends - period]])
-        values[:, c] = sums[np.arange(1, t_total + 1) // period]
+    streams = []
+    for (seed, lam, horizon), split in zip(draws, splits):
+        inj_rng = substream(seed, "injection")
+        injections = (inj_rng.normal(size=(horizon, m)) +
+                      1j * inj_rng.normal(size=(horizon, m))) * std
+        stacked = np.zeros((horizon, 2 * m))  # re 1..M then im 1..M
+        _apply_transfer(stacked[:split], injections[:split], pre)
+        _apply_transfer(stacked[split:], injections[split:], post)
+        if shift is not None:
+            stacked[split:] += shift
+        if noise_std is not None:
+            stacked += noise_std * substream(seed, "noise").normal(size=(horizon, 2 * m))
 
-    return MeasurementStream(
-        layout=layout,
-        schedule=scenario.schedule,
-        values=values,
-        fresh=fresh,
-        truth=GroundTruth(lam, scenario.normalized_outage()),
-        injections=injections if scenario.record_injections else None,
-    )
+        values = stacked[:, cols]
+        fresh = np.zeros(values.shape, dtype=bool)
+        fresh[:, every_tick] = True
+        for c, period in slow:
+            # tick t carries the sum over the last period ending at or before t
+            csum = np.concatenate([[0.0], np.cumsum(values[:, c])])
+            ends = np.arange(period, horizon + 1, period)
+            fresh[ends - 1, c] = True
+            sums = np.concatenate([[0.0], csum[ends] - csum[ends - period]])
+            values[:, c] = sums[np.arange(1, horizon + 1) // period]
+        streams.append(MeasurementStream(
+            layout=layout,
+            schedule=scenario.schedule,
+            values=values,
+            fresh=fresh,
+            truth=GroundTruth(lam, truth),
+            injections=injections if scenario.record_injections else None,
+        ))
+    return streams
 
 
-def _apply_transfer(volts: np.ndarray, injections: np.ndarray, rows: np.ndarray,
-                    topology: GridTopology) -> None:
-    """volts[rows] = Z @ injections[rows] per energised island of
-    grid.transfer; grounding buses and dead islands stay zero."""
-    if not rows.any():
-        return
-    for buses, z in transfer(topology):
-        idx = [b - 1 for b in buses]
-        volts[np.ix_(rows, idx)] = injections[np.ix_(rows, idx)] @ z.T
+def _transfer_blocks(topology: GridTopology) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(0-based bus indices, Z^T) per energised island of grid.transfer."""
+    return [(np.array(buses) - 1, z.T) for buses, z in transfer(topology)]
+
+
+def _apply_transfer(stacked: np.ndarray, injections: np.ndarray,
+                    blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Writes the real and imaginary parts of Z @ injections, rows of one
+    regime, into the two halves of stacked, per island block of that
+    regime; grounding buses and dead islands stay zero."""
+    m = injections.shape[1]
+    for idx, zt in blocks:
+        volts = injections[:, idx] @ zt
+        stacked[:, idx] = volts.real
+        stacked[:, m + idx] = volts.imag
 
 
 # --- stream files ------------------------------------------------------------

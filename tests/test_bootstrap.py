@@ -117,6 +117,38 @@ def test_bootstrap_rejects_resample_with_too_few_distinct_rows():
                                   seed=10)
 
 
+def test_bootstrap_rejects_window_with_too_few_distinct_rows():
+    # windows of 12 rows drawn from 4 distinct rows in d = 4: the window and
+    # every resample are singular (rank at most 3 after centring), but the
+    # count vectors count window indices, so before the distinct-row rule 23
+    # of these seeds gave thresholds from round-off (seed 12: zero floor
+    # 0.0837)
+    layout = CoordinateLayout.full_phasor(2)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=(4, 4))[rng.integers(0, 4, size=12)]
+        with pytest.raises((SingularBlockError, ValueError)):
+            thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=1, seed=seed)
+    rng = np.random.default_rng(12)
+    samples = rng.normal(size=(4, 4))[rng.integers(0, 4, size=12)]
+    with pytest.raises(SingularBlockError, match=r"bootstrap window of 12 samples in dim 4: "
+                                                 r"4 distinct samples for 4 coordinates"):
+        thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=1, seed=12)
+
+
+def test_bootstrap_distinct_rows_ignore_the_sign_of_zero():
+    # rows equal up to the sign of a zero coordinate are one row: the window
+    # below has 4 distinct rows, not 5, for 4 coordinates of nonzero variance
+    layout = CoordinateLayout.full_phasor(2)
+    pool = np.random.default_rng(0).normal(size=(4, 4))
+    pool[0, 0] = 0.0
+    samples = pool[np.arange(12) % 4]
+    samples[4, 0] = -0.0
+    with pytest.raises(SingularBlockError, match=r"bootstrap window of 12 samples in dim 4: "
+                                                 r"4 distinct samples for 4 coordinates"):
+        thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=1)
+
+
 def test_singular_pair_block_is_named():
     # a pair block of the precision that np.linalg.inv finds singular is a
     # SingularBlockError, not a raw LinAlgError

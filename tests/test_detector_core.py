@@ -1,8 +1,9 @@
 """The batch detector core against the per-step path it replaced: a short
 loop that refits estimate_post_outage on every window, scores one sample at
 a time with log_density and advances the recursion step by step.  A batch
-of traces against one core call per trace, and the stop at the smallest
-alpha's threshold against the full trace.  Also the period aggregation of
+of traces against one core call per trace, the stop at the smallest
+alpha's threshold against the full trace, and the alarm steps of every
+alpha from one running maximum against a per-alpha scan.  Also the period aggregation of
 run_detector against a per-tick accumulator."""
 
 import dataclasses
@@ -21,6 +22,7 @@ from gridwatch.detector import (
     _one_trace,
     _step_increments,
     first_crossing,
+    first_crossings,
     inflated_fallback,
     run_detector,
 )
@@ -219,6 +221,39 @@ def test_stop_at_smallest_alpha_keeps_every_crossing(d, n, seed, rho):
     stopped = _one_trace(x, g, rho, f, stop_at=stop_at)[0]
     for alpha in ALPHAS:
         assert first_crossing(stopped, alpha) == first_crossing(full, alpha)
+
+
+def _scan_crossing(log_odds, threshold):
+    """First crossing by a scan of the whole trace (first_crossing before it
+    became the one-alpha case of first_crossings)."""
+    hits = np.nonzero(log_odds >= threshold)[0]
+    return int(hits[0]) + 1 if hits.size else None
+
+
+_ON_THRESHOLD = [DetectionRule(a).log_odds_threshold for a in ALPHAS]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.floats(-800.0, 800.0), st.sampled_from(
+           [-700.0, 700.0, math.nan, *_ON_THRESHOLD])), max_size=40).map(
+           lambda xs: np.clip(np.array(xs, dtype=float), -700.0, 700.0)),
+       st.permutations(ALPHAS), st.integers(1, len(ALPHAS)))
+def test_first_crossings_match_per_alpha_scans(trace, alphas, count):
+    # values clamped at +-700, values exactly on a threshold, NaN steps,
+    # empty traces and traces that never cross; alphas in any order
+    alphas = alphas[:count]
+    thresholds = [DetectionRule(a).log_odds_threshold for a in alphas]
+    got = first_crossings(trace, thresholds)
+    assert got == [_scan_crossing(trace, t) for t in thresholds]
+    assert [first_crossing(trace, a) for a in alphas] == got
+
+
+def test_first_crossings_edge_traces():
+    low, high = _ON_THRESHOLD[0], _ON_THRESHOLD[-1]
+    assert first_crossings(np.array([]), [low, high]) == [None, None]
+    assert first_crossings(np.full(5, low - 1.0), [high, low]) == [None, None]
+    assert first_crossings(np.array([0.0, low, -700.0, high]), [high, low]) == [4, 2]
+    assert first_crossings(np.array([math.nan, 700.0]), [low]) == [2]
 
 
 def test_nan_past_stop_at_does_not_raise():

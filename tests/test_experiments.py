@@ -121,6 +121,32 @@ def test_replication_failure_names_replication_and_seed():
         _score_chunk((cfg, range(2), 8, [(None, g, g)]))
 
 
+def test_chunk_setup_failure_names_first_replication_and_its_seed():
+    from gridwatch.experiments import _replication_draw, _score_chunk
+    from gridwatch.grid import Branch, GridTopology, SingularBlockError
+
+    # the singular post-outage block of the test above, now found in the
+    # shared set-up of a chunk of replications 5..7
+    top = GridTopology(4, (Branch(1, 2, 1 + 0j), Branch(2, 3, 1 + 0j),
+                           Branch(1, 3, -0.5 + 0j), Branch(2, 4, 1 + 0j),
+                           Branch(3, 4, 1 + 0j)))
+    scen = Scenario(topology=top, out_branches=((2, 4), (3, 4)), outage_rho=0.2,
+                    horizon=10, noise_variance=1e-6)
+    cfg = ExperimentConfig(scenario=scen, alphas=(1e-4,), replications=8,
+                           rho=0.1, master_seed=3, margin=8)
+    g = scen.pre_model()
+    seed = _replication_draw(cfg, 5, 8)[0]
+    assert seed != _replication_draw(cfg, 6, 8)[0]
+    with pytest.raises(RuntimeError, match=rf"^replication 5 \(seed {seed}\) failed") as info:
+        _score_chunk((cfg, range(5, 8), 8, [(None, g, g)]))
+    assert isinstance(info.value.__cause__, SingularBlockError)
+
+
+def test_experiment_rejects_negative_margin(loop8):
+    with pytest.raises(ValueError, match="margin must be >= 0, got -1"):
+        ExperimentConfig(scenario=delay_scenario(loop8), margin=-1)
+
+
 # --- coverage sweep ------------------------------------------------------------------
 
 def test_pmu_sweep_full_coverage_matches_experiment(loop8):

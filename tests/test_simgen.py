@@ -1,5 +1,6 @@
 """Stream synthesis: determinism, model agreement, islands, schedules,
-noise substreams, outage-time sampling and stream file round-trips."""
+noise substreams, outage-time sampling, draws of the synthesis core against
+the same draws alone, and stream file round-trips."""
 
 import dataclasses
 import os
@@ -7,13 +8,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch import simgen
 from gridwatch.detector import GeometricPrior
 from gridwatch.gaussmodel import MAGNITUDE, PHASOR
-from gridwatch.grid import load_feeder
+from gridwatch.grid import Branch, GridTopology, islands, load_feeder, random_feeder
 from gridwatch.simgen import (
     Scenario,
     SensorSchedule,
@@ -105,8 +106,9 @@ def test_period_aggregation_matches_per_tick_loop(loop8, horizon):
     scen = base_scenario(loop8, schedule=sched, horizon=horizon, noise_variance=1e-4)
     stream = generate(scen)
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
+    periods = {bus: period for bus, _, period in sched.entries}
     for c, (bus, part) in enumerate(stream.layout.entries):
-        period = sched.period_of(bus)
+        period = periods[bus]
         raw = full.values[:, full.layout.entries.index((bus, part))]
         csum = np.concatenate([[0.0], np.cumsum(raw)])
         values, fresh, last = np.empty(horizon), np.zeros(horizon, dtype=bool), 0.0
@@ -376,3 +378,81 @@ def test_scenario_blocks_round_trip(loop12):
     text = format_blocks(scenario_blocks(scen))
     assert scenario_from_blocks(__import__("gridwatch.textconf", fromlist=["x"])
                                 .parse_blocks(text)) == scen
+
+
+# --- the synthesis core: a draw does not depend on its batch ------------------
+
+def _draws(draw, first_seed):
+    """Draws (seed, outage tick, horizon) with ragged horizons: one with the
+    outage at tick 1, one at the last tick, one whose horizon ends before
+    its outage, and up to three more, in any order."""
+    horizon = st.integers(1, 30)
+    h1, h2, h3 = draw(horizon), draw(horizon), draw(horizon)
+    draws = [(first_seed, 1, h1), (first_seed + 1, h2, h2),
+             (first_seed + 2, h3 + draw(st.integers(1, 5)), h3)]
+    for k in range(draw(st.integers(0, 3))):
+        h = draw(horizon)
+        draws.append((first_seed + 3 + k, draw(st.integers(1, h)), h))
+    return draw(st.permutations(draws))
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(scenario, draws) on a random feeder with DER buses and one or two
+    branches out, so that some outages leave dead or DER-backed islands."""
+    n = draw(st.integers(8, 14))
+    der = draw(st.sets(st.integers(2, n), max_size=2))
+    top = random_feeder(n, loops=draw(st.integers(0, 1)), seed=draw(st.integers(0, 999)),
+                        der_buses=der or None)
+    out = draw(st.lists(st.sampled_from([br.pair for br in top.branches]), min_size=1,
+                        max_size=2, unique=True))
+    kinds = draw(st.dictionaries(st.integers(1, n),
+                                 st.tuples(st.sampled_from([PHASOR, MAGNITUDE]),
+                                           st.integers(1, 4)), min_size=1))
+    scen = Scenario(topology=top, out_branches=tuple(out), outage_rho=0.1,
+                    injection_variance=draw(st.sampled_from([1.0, 2.5])),
+                    noise_variance=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+                    schedule=SensorSchedule.from_kinds(kinds),
+                    mean_shift=draw(st.sampled_from([0.0, 0.5])),
+                    record_injections=draw(st.booleans()))
+    return scen, _draws(draw, draw(st.integers(0, 2 ** 40)))
+
+
+# a 6-bus path cut at 2-3 and 3-4: slack island {1, 2}, dead bus 3 and the
+# island {4, 5, 6} grounded at its DER bus 5; every bus a magnitude channel
+# of period 2 or phasor at period 1
+_ISLANDS = Scenario(
+    topology=GridTopology(6, tuple(Branch(i, i + 1, complex(1.0 + i, -0.5)) for i in range(1, 6)),
+                          der_buses=frozenset({5})),
+    out_branches=((2, 3), (3, 4)), outage_rho=0.1, noise_variance=1e-4,
+    schedule=SensorSchedule.from_kinds({b: (MAGNITUDE, 2) if b % 2 else (PHASOR, 1)
+                                        for b in range(1, 7)}),
+    mean_shift=0.25, record_injections=True)
+
+
+def _same_stream(a, b) -> bool:
+    return (a.values.tobytes() == b.values.tobytes() and np.array_equal(a.fresh, b.fresh)
+            and a.truth == b.truth and a.layout == b.layout
+            and (a.injections is None) == (b.injections is None)
+            and (a.injections is None or a.injections.tobytes() == b.injections.tobytes()))
+
+
+@settings(max_examples=40)
+@example(case=(_ISLANDS, [(5, 1, 9), (6, 12, 12), (7, 15, 10), (8, 4, 7)]))
+@given(case=synthesis_cases())
+def test_synthesized_draw_does_not_depend_on_its_batch(case):
+    scen, draws = case
+    streams = simgen._synthesize(scen, draws)
+    assert len(streams) == len(draws)
+    for (seed, lam, horizon), stream in zip(draws, streams):
+        assert stream.horizon == horizon and stream.truth.lam == lam
+        assert _same_stream(stream, simgen._synthesize(scen, [(seed, lam, horizon)])[0])
+        if lam <= horizon:
+            alone = generate(dataclasses.replace(scen, seed=seed, lam=lam, outage_rho=None,
+                                                 horizon=horizon))
+            assert _same_stream(stream, alone)
+
+
+def test_islands_example_has_dead_and_der_islands():
+    kinds = sorted(island.kind for island in islands(_ISLANDS.post_topology()))
+    assert kinds == ["dead", "der", "slack"]
