@@ -148,17 +148,22 @@ def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
     for adaptive); its alarms map each alpha to the first crossing or None.
 
     The chunk's streams come from one simgen._synthesize call, each as on
-    its own; a failure there names the chunk's first replication.  Then each
+    its own.  A failure in making a stream names that stream's replication
+    and seed; one in the call's shared set-up, which runs with the first
+    stream, names the chunk's first replication.  Then each
     detector scores all of the chunk's streams in one core call, stopped at
     the highest threshold, that of min(alphas).  That stop is exact:
     thresholds fall as alpha grows, so every alpha's first crossing comes at
     or before it."""
     config, reps, margin, detectors = job
     draws = [_replication_draw(config, rep, margin) for rep in reps]
-    try:
-        streams = [s.values for s in _synthesize(config.scenario, draws)]
-    except Exception as exc:
-        raise _replication_error(reps[0], draws[0][0], exc) from exc
+    made = _synthesize(config.scenario, draws)
+    streams = []
+    for rep, (seed, _, _) in zip(reps, draws):
+        try:
+            streams.append(next(made).values)
+        except Exception as exc:
+            raise _replication_error(rep, seed, exc) from exc
     rho = config.detector_rho
     thresholds = [det.DetectionRule(alpha).log_odds_threshold for alpha in config.alphas]
     alarms: list[list[dict]] = [[] for _ in reps]

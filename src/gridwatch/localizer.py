@@ -123,9 +123,9 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
         covs[:, upper[1], upper[0]] = second
         # a resample's distinct rows: its nonzero counts once the counts of
         # equal window rows are merged
-        merged = counts[:size] if n_distinct == n else np.stack(
-            [np.bincount(row_id, weights=c, minlength=n_distinct) for c in counts[:size]])
-        distinct = np.count_nonzero(merged, axis=1).tolist()
+        distinct = np.count_nonzero(np.stack(
+            [np.bincount(row_id, weights=c, minlength=n_distinct) for c in counts[:size]]),
+            axis=1).tolist()
         for b, cov in enumerate(covs, start=first):
             try:
                 scores, degenerate = score_pairs(cov, pairs, layout)

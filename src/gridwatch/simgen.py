@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,17 +194,18 @@ def generate(scenario: Scenario) -> MeasurementStream:
     if scenario.out_branches:
         lam = scenario.lam if scenario.lam is not None else sample_outage_time(
             scenario.outage_rho, scenario.seed)
-    return _synthesize(scenario, [(scenario.seed, lam, scenario.horizon)])[0]
+    return next(_synthesize(scenario, [(scenario.seed, lam, scenario.horizon)]))
 
 
-def _synthesize(scenario: Scenario, draws) -> list[MeasurementStream]:
-    """The stream of every draw (seed, outage tick or None, horizon) of a
-    scenario, whose own seed, outage and horizon are not read.
+def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
+    """Yields the stream of every draw (seed, outage tick or None, horizon)
+    of a scenario, whose own seed, outage and horizon are not read.
 
     What depends only on the scenario is set up once per call: the
     post-outage topology and each regime's transfer blocks (asked for only
     when some draw has rows in that regime), the injection std, the mean
-    shift, the layout columns and the channel periods.  Per draw come its
+    shift, the layout columns and the channel periods.  That set-up runs on
+    the first next(), so its failures come from there.  Per draw come its
     substreams and, per island and regime, one transfer product on that
     draw's rows alone: stacking the rows of several draws into one BLAS
     product would change the last bits.  So each draw's stream equals, bit
@@ -233,7 +234,6 @@ def _synthesize(scenario: Scenario, draws) -> list[MeasurementStream]:
     slow = [(c, int(periods[c])) for c in np.flatnonzero(~every_tick)]
     truth = scenario.normalized_outage()
 
-    streams = []
     for (seed, lam, horizon), split in zip(draws, splits):
         inj_rng = substream(seed, "injection")
         injections = (inj_rng.normal(size=(horizon, m)) +
@@ -256,15 +256,14 @@ def _synthesize(scenario: Scenario, draws) -> list[MeasurementStream]:
             fresh[ends - 1, c] = True
             sums = np.concatenate([[0.0], csum[ends] - csum[ends - period]])
             values[:, c] = sums[np.arange(1, horizon + 1) // period]
-        streams.append(MeasurementStream(
+        yield MeasurementStream(
             layout=layout,
             schedule=scenario.schedule,
             values=values,
             fresh=fresh,
             truth=GroundTruth(lam, truth),
             injections=injections if scenario.record_injections else None,
-        ))
-    return streams
+        )
 
 
 def _transfer_blocks(topology: GridTopology) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -142,6 +142,29 @@ def test_chunk_setup_failure_names_first_replication_and_its_seed():
     assert isinstance(info.value.__cause__, SingularBlockError)
 
 
+def test_later_draw_failure_names_its_own_replication_and_seed(loop8, monkeypatch):
+    from gridwatch import experiments
+
+    cfg = ExperimentConfig(scenario=Scenario(topology=loop8, out_branches=((3, 4),),
+                                             outage_rho=0.1, horizon=10),
+                           alphas=(1e-4,), replications=8, rho=0.1, master_seed=3,
+                           margin=8)
+    draw = experiments._replication_draw
+
+    def bad_at_six(config, rep, margin):
+        # replication 6 alone gets a negative horizon, which fails when its
+        # stream is made, after the chunk's set-up and first draws succeeded
+        seed, lam, horizon = draw(config, rep, margin)
+        return (seed, lam, -1) if rep == 6 else (seed, lam, horizon)
+
+    monkeypatch.setattr(experiments, "_replication_draw", bad_at_six)
+    seed = draw(cfg, 6, 8)[0]
+    g = cfg.scenario.pre_model()
+    with pytest.raises(RuntimeError, match=rf"^replication 6 \(seed {seed}\) failed") as info:
+        experiments._score_chunk((cfg, range(4, 8), 8, [(None, g, None)]))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_experiment_rejects_negative_margin(loop8):
     with pytest.raises(ValueError, match="margin must be >= 0, got -1"):
         ExperimentConfig(scenario=delay_scenario(loop8), margin=-1)

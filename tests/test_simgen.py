@@ -442,11 +442,11 @@ def _same_stream(a, b) -> bool:
 @given(case=synthesis_cases())
 def test_synthesized_draw_does_not_depend_on_its_batch(case):
     scen, draws = case
-    streams = simgen._synthesize(scen, draws)
+    streams = list(simgen._synthesize(scen, draws))
     assert len(streams) == len(draws)
     for (seed, lam, horizon), stream in zip(draws, streams):
         assert stream.horizon == horizon and stream.truth.lam == lam
-        assert _same_stream(stream, simgen._synthesize(scen, [(seed, lam, horizon)])[0])
+        assert _same_stream(stream, next(simgen._synthesize(scen, [(seed, lam, horizon)])))
         if lam <= horizon:
             alone = generate(dataclasses.replace(scen, seed=seed, lam=lam, outage_rho=None,
                                                  horizon=horizon))
