@@ -306,9 +306,16 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     given, a seeded nested placement is drawn (dropping random non-slack
     buses).  The same streams are reused across placements (projected onto
     the observed channels), so delays are seed-wise comparable.  Censored
-    replications count with the horizon-floored delay.
+    replications count with the horizon-floored delay.  Every channel must
+    report at period 1: the placements are scored tick by tick with per-tick
+    models, which held values between fresh ticks do not follow (ValueError
+    naming the first bus with a longer period).
     """
     scenario = config.scenario
+    for bus, _, period in scenario.schedule.entries:
+        if period != 1:
+            raise ValueError(f"coverage sweeps need every channel at period 1: "
+                             f"bus {bus} has period {period}")
     m = scenario.topology.bus_count
     if placements is None:
         if not counts:
@@ -373,13 +380,14 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
 def correlation_matrix(sigma: np.ndarray, layout: CoordinateLayout) -> np.ndarray:
     """|conditional correlation| per bus pair, ones on the diagonal.
 
-    All pairs are scored in one score_pairs call (one factorisation of
-    sigma); degenerate pairs read 0.  Raises SingularBlockError when sigma
-    is singular after its zero-variance coordinates are dropped.
+    The upper-triangle pairs are scored as one array in one score_pairs
+    call (one factorisation of sigma); degenerate pairs read 0.  Raises
+    SingularBlockError when sigma is singular after its zero-variance
+    coordinates are dropped.
     """
-    buses = layout.buses
+    buses = np.array(layout.buses)
     upper = np.triu_indices(len(buses), 1)
-    scores, _ = score_pairs(sigma, [(buses[a], buses[b]) for a, b in zip(*upper)], layout)
+    scores, _ = score_pairs(sigma, buses[np.column_stack(upper)], layout)
     out = np.eye(len(buses))
     out[upper] = scores
     out.T[upper] = scores
@@ -387,10 +395,12 @@ def correlation_matrix(sigma: np.ndarray, layout: CoordinateLayout) -> np.ndarra
 
 
 def heatmap_csv(matrix: np.ndarray, layout: CoordinateLayout) -> str:
+    """The matrix as CSV: a header row of bus ids, then per bus its id and
+    the repr of each cell."""
     buses = layout.buses
     lines = ["bus," + ",".join(map(str, buses))]
-    for a, bus in enumerate(buses):
-        lines.append(f"{bus}," + ",".join(repr(float(v)) for v in matrix[a]))
+    for bus, row in zip(buses, matrix):
+        lines.append(f"{bus}," + ",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

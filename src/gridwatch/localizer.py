@@ -58,8 +58,9 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     resample is gathered.  With X0 = samples - mean, one product per block
     of rows gives a group's means m_b = c_b X0 / n and upper-triangle moments
     c_b [X0_i X0_j] / n, and the covariance moment - m_b m_b^T equals
-    np.cov(ddof=0) of the resampled rows up to summation order.  Each is
-    scored by score_pairs; pairs degenerate in a resample add no deviation.
+    np.cov(ddof=0) of the resampled rows up to summation order.  A group's
+    covariances are scored as one stack by score_pairs, and one by one when
+    the stack raises; pairs degenerate in a resample add no deviation.
 
     ValueError when n_boot < 1, when the window is shorter than dim + 2, or
     when no deviation remains.  SingularBlockError, naming the window or
@@ -126,17 +127,22 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
         distinct = np.count_nonzero(np.stack(
             [np.bincount(row_id, weights=c, minlength=n_distinct) for c in counts[:size]]),
             axis=1).tolist()
-        for b, cov in enumerate(covs, start=first):
+        try:
+            stacked = score_pairs(covs, pairs, layout)
+        except SingularBlockError:
+            stacked = None  # scored one by one below, so the error names the resample
+        for b, cov in enumerate(covs):
             try:
-                scores, degenerate = score_pairs(cov, pairs, layout)
-                if distinct[b - first] <= kept and not degenerate.all():
-                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[b - first]} "
-                                             f"distinct samples for {kept} coordinates "
-                                             "of nonzero variance")
+                scores, degenerate = (score_pairs(cov, pairs, layout) if stacked is None
+                                      else (stacked[0][b], stacked[1][b]))
+                if distinct[b] <= kept and not degenerate.all():
+                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[b]} distinct "
+                                             f"samples for {kept} coordinates of nonzero "
+                                             "variance")
             except SingularBlockError as exc:
                 raise SingularBlockError(
-                    exc.block, f"bootstrap resample {b} of {n_boot} from a window of "
-                    f"{n} samples in dim {dim} ({exc.detail}); a resample holds about "
+                    exc.block, f"bootstrap resample {first + b} of {n_boot} from a window "
+                    f"of {n} samples in dim {dim} ({exc.detail}); a resample holds about "
                     f"63 % distinct samples, so the window needs about 1.6 x (dim + 1)"
                 ) from exc
             deviations.append(np.abs(scores - base)[~degenerate])
@@ -206,10 +212,10 @@ def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: Coordinate
                noise_floor: float | None = None) -> LocalizationReport:
     """Zero test over the given bus pairs (typically the known branch list).
 
-    Both covariances are scored in one score_pairs call each.  A pair is
-    flagged when |rho_pre| > active and |rho_post| < zero.  Pairs that are
-    degenerate under either covariance are kept in the report with the
-    degenerate marker but never flagged; when noise_floor (the measurement
+    Both covariances are scored as one stack in one score_pairs call.  A
+    pair is flagged when |rho_pre| > active and |rho_post| < zero.  Pairs
+    that are degenerate under either covariance are kept in the report with
+    the degenerate marker but never flagged; when noise_floor (the measurement
     noise variance) is given, pairs whose post-event marginals sit at the
     noise floor on both ends (a de-energised island) are likewise skipped,
     since everything in such an island looks conditionally independent.
@@ -218,8 +224,8 @@ def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: Coordinate
     """
     sigma1 = np.asarray(sigma1, dtype=float)
     pairs = list(pairs)
-    pre, degen_pre = score_pairs(sigma0, pairs, layout)
-    post, degen_post = score_pairs(sigma1, pairs, layout)
+    (pre, post), (degen_pre, degen_post) = score_pairs(np.stack([sigma0, sigma1]),
+                                                       pairs, layout)
     degenerate = degen_pre | degen_post
     if noise_floor is not None:
         diag = np.diag(sigma1)
@@ -237,11 +243,10 @@ def rank_changes(sigma0: np.ndarray, sigma1: np.ndarray, observed_pairs,
                  layout: CoordinateLayout, top_k: int | None = None) -> tuple[PairScore, ...]:
     """Pairs sorted by |rho_post - rho_pre| descending (ties by bus pair);
     the first stage of limited-sensor localization.  Both covariances are
-    scored in one score_pairs call each (SingularBlockError as there);
+    scored as one stack in one score_pairs call (SingularBlockError as there);
     degenerate pairs score 0 and are not marked."""
     pairs = list(observed_pairs)
-    pre, _ = score_pairs(sigma0, pairs, layout)
-    post, _ = score_pairs(sigma1, pairs, layout)
+    (pre, post), _ = score_pairs(np.stack([sigma0, sigma1]), pairs, layout)
     ranked = _sorted_scores([PairScore(i, j, a, b) for (i, j), a, b
                              in zip(pairs, pre.tolist(), post.tolist())])
     return ranked[:top_k] if top_k is not None else ranked

@@ -2,8 +2,9 @@
 
 Only tests use these: the one-step log-odds recursion and the direct
 posterior sum over change positions (the oracles of the detector's
-recursion), the Schur conditional covariance (the oracle of score_pairs)
-and the per-resample bootstrap (the oracle of thresholds_from_bootstrap).
+recursion), the Schur conditional covariance and the per-pair scorer of one
+covariance (the oracles of score_pairs) and the per-resample bootstrap (the
+oracle of thresholds_from_bootstrap).
 They lean on scipy, which the package itself does not import.
 """
 
@@ -14,7 +15,13 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from gridwatch.detector import LOG_ODDS_CLAMP, GeometricPrior, NonFiniteLikelihoodError
-from gridwatch.gaussmodel import CoordinateLayout, GaussianModel, log_density, score_pairs
+from gridwatch.gaussmodel import (
+    CoordinateLayout,
+    GaussianModel,
+    _tril_inverse,
+    log_density,
+    score_pairs,
+)
 from gridwatch.grid import SingularBlockError
 from gridwatch.localizer import Thresholds
 from gridwatch.simgen import substream
@@ -83,6 +90,61 @@ def conditional_cov(sigma: np.ndarray, I: list[int], J: list[int]) -> np.ndarray
         raise SingularBlockError("Sigma[J, J]", f"conditioning set of size {len(J)}") from None
     half = scipy.linalg.solve_triangular(chol, s_ij.T, lower=True, check_finite=False)
     return s_ii - half.T @ half
+
+
+def score_pairs_per_pair(sigma: np.ndarray, pairs,
+                         layout: CoordinateLayout) -> tuple[np.ndarray, np.ndarray]:
+    """score_pairs of one (d, d) covariance, pair by pair: a Python loop
+    groups the pairs by block shape, gathers each pair's coordinates from
+    layout.bus_coords and inverts the groups' pair blocks of the precision
+    in stacks of at most 256.  Same rules and errors as score_pairs, whose
+    arithmetic on each matrix it repeats step for step."""
+    sigma = np.asarray(sigma, dtype=float)
+    pairs = [tuple(pair) for pair in pairs]
+    table = layout.bus_coords
+    unknown = {bus for pair in pairs for bus in pair} - table.keys()
+    if unknown:
+        raise KeyError(f"bus {min(unknown)} has no coordinates in this layout")
+    scores = np.array([float(i == j) for i, j in pairs])
+    degenerate = np.zeros(len(pairs), dtype=bool)
+    scale = max(float(np.diag(sigma).max(initial=0.0)), 1.0)
+    kept = np.diag(sigma) > 1e-15 * scale
+    kept_bus = {bus: bool(kept[list(c)].all()) for bus, c in table.items()}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (i, j) in enumerate(pairs):
+        if i == j:
+            continue
+        if kept_bus[i] and kept_bus[j]:
+            groups.setdefault((len(table[i]), len(table[j])), []).append(p)
+        else:
+            degenerate[p] = True
+    if not groups:
+        return scores, degenerate
+    idx = np.flatnonzero(kept)
+    try:
+        chol = np.linalg.cholesky(sigma[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError:
+        raise SingularBlockError("Sigma[kept, kept]",
+                                 f"{idx.size} coordinates of nonzero variance") from None
+    whiten = _tril_inverse(chol)
+    precision = whiten.T @ whiten
+    position = np.cumsum(kept) - 1  # of each kept coordinate in the kept block
+    for (ni, _), members in groups.items():
+        for start in range(0, len(members), 256):
+            batch = np.array(members[start:start + 256])
+            at = position[[table[pairs[p][0]] + table[pairs[p][1]] for p in batch]]
+            try:
+                cond = np.linalg.inv(precision[at[:, :, None], at[:, None, :]])
+            except np.linalg.LinAlgError:
+                raise SingularBlockError("Lambda[pair, pair]", f"a pair block of the "
+                                         f"precision of {kept.sum()} coordinates") from None
+            var = np.diagonal(cond, axis1=1, axis2=2)
+            live = (var > 1e-14 * scale).all(axis=1)
+            cross = np.abs(cond[live, :ni, ni:])
+            cross /= np.sqrt(var[live, :ni, None] * var[live, None, ni:])
+            scores[batch[live]] = cross.max(axis=(1, 2))
+            degenerate[batch[~live]] = True
+    return scores, degenerate
 
 
 def bootstrap_thresholds_direct(samples: np.ndarray, pairs, layout: CoordinateLayout,

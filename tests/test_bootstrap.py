@@ -151,16 +151,40 @@ def test_bootstrap_distinct_rows_ignore_the_sign_of_zero():
 
 def test_singular_pair_block_is_named():
     # a pair block of the precision that np.linalg.inv finds singular is a
-    # SingularBlockError, not a raw LinAlgError
+    # SingularBlockError, not a raw LinAlgError; the pair blocks are the one
+    # 4-D input (covariances x pairs x block) score_pairs inverts
     layout = CoordinateLayout.full_phasor(3)
     sigma = np.cov(np.random.default_rng(7).normal(size=(40, 6)).T)
     inv = np.linalg.inv
 
-    def stacked_fails(a):
-        if np.ndim(a) == 3:
+    def pair_blocks_fail(a):
+        if np.ndim(a) == 4:
             raise np.linalg.LinAlgError("Singular matrix")
         return inv(a)
 
-    with mock.patch.object(np.linalg, "inv", stacked_fails):
+    with mock.patch.object(np.linalg, "inv", pair_blocks_fail):
         with pytest.raises(SingularBlockError, match="Lambda"):
             score_pairs(sigma, [(1, 2)], layout)
+
+
+def test_failing_stack_names_its_resample():
+    # the group's stacked score_pairs call raises for resample 5 of 6 (its
+    # kept block fails Cholesky), so the group is scored again one by one
+    # and the error names resample 5, as scoring each resample alone did
+    layout = CoordinateLayout.full_phasor(2)
+    samples = np.random.default_rng(2).normal(size=(7, 4))
+    stack_failed = []
+
+    def spy(sigma, pairs, lay):
+        try:
+            return score_pairs(sigma, pairs, lay)
+        except SingularBlockError:
+            stack_failed.append(np.ndim(sigma) == 3)
+            raise
+
+    with mock.patch.object(localizer, "score_pairs", spy):
+        with pytest.raises(SingularBlockError, match=r"Sigma\[kept, kept\]: bootstrap "
+                           r"resample 5 of 6 from a window of 7 samples in dim 4 \(4 coord"):
+            thresholds_from_bootstrap(samples, all_bus_pairs(layout), layout, n_boot=6,
+                                      seed=2)
+    assert stack_failed == [True, False]

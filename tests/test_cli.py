@@ -254,6 +254,21 @@ def test_localize_without_fully_sensed_branch_is_config_error(tmp_path, capsys):
     assert "no branch has both of its buses sensed" in err["message"]
 
 
+def test_pmu_sweep_rejects_periods_above_one(tmp_path, capsys):
+    # every bus sensed, magnitude at buses 3, 6, 9 and 12, period 2 at even
+    # buses: held values would be scored with per-tick models
+    sensors = "".join(f"\n[sensor]\nbus = {b}\nkind = {'magnitude' if b % 3 == 0 else 'phasor'}"
+                      f"\nperiod = {2 - b % 2}\n" for b in range(1, 13))
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(PARTIAL_CONFIG + "\n[detector]\nrho = 1e-4\n\n[pmu_sweep]\n"
+                    "counts = 10, 6, 3\nreplications = 10\n" + sensors)
+    code = main(["pmu-sweep", "--config", str(conf), "--out", str(tmp_path / "sweep")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "ValueError", "message": "coverage sweeps need every channel "
+                   "at period 1: bus 2 has period 2"}
+
+
 def test_missing_feeder_file_error(tmp_path, capsys):
     conf = tmp_path / "c.conf"
     conf.write_text("[scenario]\nfeeder = nosuch\nhorizon = 5\n")

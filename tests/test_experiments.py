@@ -248,3 +248,32 @@ def test_heatmap_estimated_covariance_flags_same_entries(loop8):
     # intact branches stay clearly nonzero in both
     for i, j in ((2, 3), (4, 5), (7, 8)):
         assert sampled[buses.index(i), buses.index(j)] > 0.2
+
+
+def _heatmap_csv_per_cell(matrix, layout):
+    """heatmap_csv with one repr per cell: the reference of its bytes."""
+    buses = layout.buses
+    lines = ["bus," + ",".join(map(str, buses))]
+    for a, bus in enumerate(buses):
+        lines.append(f"{bus}," + ",".join(repr(float(v)) for v in matrix[a]))
+    return "\n".join(lines) + "\n"
+
+
+def test_heatmap_csv_matches_per_cell_repr(loop8):
+    g = delay_scenario(loop8, noise_variance=1e-8).pre_model()
+    symmetric = correlation_matrix(g.cov, g.layout)
+    rng = np.random.default_rng(3)
+    skewed = symmetric + np.triu(rng.normal(scale=1e-3, size=(8, 8)), 1)
+    signed_zeros = symmetric.copy()
+    signed_zeros[0, 1:4] = 0.0
+    signed_zeros[1:4, 0] = -0.0
+    signed_zeros[5, 5] = -0.0
+    signed_zeros[2, 6] = signed_zeros[6, 2] = np.nan
+    signed_zeros[3, 7] = 1e-300
+    signed_zeros[7, 3] = -1e-300
+    for matrix in (symmetric, skewed, signed_zeros):
+        assert heatmap_csv(matrix, g.layout) == _heatmap_csv_per_cell(matrix, g.layout)
+    text = heatmap_csv(signed_zeros, g.layout).splitlines()
+    assert text[1].split(",")[1:5] == ["1.0", "0.0", "0.0", "0.0"]
+    assert [row.split(",")[1] for row in text[2:5]] == ["-0.0"] * 3
+    assert text[3].split(",")[7] == "nan"

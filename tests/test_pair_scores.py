@@ -1,7 +1,8 @@
-"""Batched pair scoring from one precision matrix, checked against per-pair
-Schur complements (conditional_cov) on bundled and random feeders, exact and
-noisy covariances, dead and DER islands, and phasor, magnitude and mixed
-layouts."""
+"""Pair scoring from the precision matrix, checked against per-pair Schur
+complements (conditional_cov) on bundled and random feeders, exact and noisy
+covariances, dead and DER islands, and phasor, magnitude and mixed layouts;
+and the array scorer over covariance stacks checked bit for bit against the
+per-pair scorer of one covariance (score_pairs_per_pair)."""
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gridwatch.grid import (
     random_feeder,
 )
 from gridwatch.localizer import all_bus_pairs, scan_pairs
-from oracles import conditional_cov
+from oracles import conditional_cov, score_pairs_per_pair
 
 TOL = 1e-10
 
@@ -152,3 +153,98 @@ def test_correlation_matrix_scatters_symmetric_scores(loop8):
     pairs = all_bus_pairs(model.layout)
     scores, _ = score_pairs(model.cov, pairs, model.layout)
     assert [matrix[i - 1, j - 1] for i, j in pairs] == scores.tolist()
+
+
+@st.composite
+def stack_cases(draw):
+    # up to 48 coordinates: kept blocks above 32 rows take _tril_inverse's
+    # block recursion
+    m = draw(st.integers(1, 24))
+    flags = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    layout = CoordinateLayout.from_kinds(
+        {b: PHASOR if flags[b - 1] else MAGNITUDE for b in range(1, m + 1)})
+    d = layout.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = []
+    for _ in range(draw(st.integers(1, 5))):
+        x = rng.normal(size=(d + 3, d)) * rng.uniform(0.1, 10.0, size=d)
+        kind = draw(st.sampled_from(["plain"] * 4 + ["zero_variance"] * 3
+                                    + ["near_dependent", "singular"]))
+        if kind == "near_dependent" and d > 1:
+            # a coordinate within 1e-9 of a combination of the others: its
+            # pairs sit at the conditional-variance floor, or its kept
+            # block fails Cholesky
+            x[:, 0] = x[:, 1:] @ rng.normal(size=d - 1) + 1e-9 * rng.normal(size=d + 3)
+        elif kind == "singular" and d > 1:
+            x[:, 0] = x[:, 1]
+        cov = x.T @ x / (d + 3)
+        if kind == "zero_variance":
+            # dropped coordinates in this covariance of the stack only
+            dead = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=2))
+            cov[list(dead)] = 0.0
+            cov[:, list(dead)] = 0.0
+        covs.append(cov)
+    buses = st.integers(1, m)
+    pairs = draw(st.lists(st.tuples(buses, buses), min_size=1, max_size=30))
+    if draw(st.booleans()):
+        pairs += pairs[:3]  # duplicates
+    if draw(st.sampled_from([False] * 9 + [True])):
+        pairs = []
+    if draw(st.sampled_from([False] * 7 + [True])):
+        unknown = sorted(draw(st.sets(st.sampled_from([-2, 0, m + 1, m + 3]), min_size=1,
+                                      max_size=2)))
+        pairs = ([(unknown[0], 1)] + pairs if draw(st.booleans())
+                 else pairs + [(1, bus) for bus in unknown])
+    return np.stack(covs), pairs, layout, draw(st.booleans())
+
+
+def _outcome(score, *args):
+    try:
+        return score(*args)
+    except (KeyError, SingularBlockError) as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist()
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(stack_cases())
+def test_stack_scorer_matches_per_pair_oracle_bit_for_bit(case):
+    covs, pairs, layout, as_array = case
+    given_pairs = np.array(pairs, dtype=int).reshape(-1, 2) if as_array else pairs
+    want = [_outcome(score_pairs_per_pair, cov, pairs, layout) for cov in covs]
+    for cov, expected in zip(covs, want):
+        _same_outcome(_outcome(score_pairs, cov, given_pairs, layout), expected)
+    got = _outcome(score_pairs, covs, given_pairs, layout)
+    errors = [w for w in want if isinstance(w, Exception)]
+    if any(isinstance(w, KeyError) for w in errors):
+        _same_outcome(got, errors[0])
+    elif errors:
+        # a stack names no covariance: it raises when some member does
+        assert isinstance(got, SingularBlockError), got
+    else:
+        assert got[0].shape == got[1].shape == (len(covs), len(pairs))
+        _same_outcome(got, (np.stack([w[0] for w in want]), np.stack([w[1] for w in want])))
+
+
+def test_random90_stack_matches_per_pair_oracle_bit_for_bit():
+    # the heatmap benchmark's feeder at d = 180: pre and post covariances,
+    # with and without the slack coordinates dropped, as one stack
+    top = random_feeder(90, 5, 43)
+    layout = CoordinateLayout.full_phasor(90)
+    post = apply_outage(top, {top.branches[89].pair})
+    covs = np.stack([model_from_topology(t, 1.0, noise).cov
+                     for t in (top, post) for noise in (1e-8, 0.0)])
+    pairs = all_bus_pairs(layout)
+    scores, degenerate = score_pairs(covs, np.array(pairs), layout)
+    for cov, got, flags in zip(covs, scores, degenerate):
+        want, want_flags = score_pairs_per_pair(cov, pairs, layout)
+        assert got.tobytes() == want.tobytes() and flags.tolist() == want_flags.tolist()
