@@ -95,31 +95,21 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
     (n, d) sample matrix of a batch, one step per row.
 
     With a post-change model f every step scores f against g (known_f mode).
-    Without one (adaptive mode) the post-change model of a step is learned
-    from the window of up to max_window samples before it.  The sample is
-    scored against a model fitted on the window *before* it is appended:
-    that keeps E[L_n | past] = 1 under no-change data, which preserves the
-    optional-stopping false-alarm bound of the alarm rule.  (Scoring a
-    sample against a model that was fitted on it inflates the likelihood
-    ratio without bound once the window is barely larger than the
-    dimension.)  Once the window holds at least nmin samples (default
-    dim + 2, never below 2) the fitted model is used and the step is marked
-    refreshed; it is shrunk toward the g-with-inflated-covariance fallback
-    with weight dim/(dim + window), because near-singular early-window
-    covariance estimates would otherwise assign vanishing density outside
-    their empirical span and stall detection.  Before nmin the fallback is
-    used alone.
+    Without one (adaptive mode) a step scores the model fitted on the window
+    of up to max_window samples *before* it, which keeps E[L_n | past] = 1
+    under no-change data and so the false-alarm bound.  Once the window
+    holds nmin samples (default dim + 2, never below 2) that fit, shrunk
+    toward the g-with-inflated-covariance fallback with weight
+    dim/(dim + window), is used and the step is marked refreshed; before,
+    the fallback is used alone.  The README's adaptive detector notes give
+    the reasons, and how a round scores the next block of every trace.
 
-    Each round takes the next block of every running trace, scores g, and
-    f or the fallback, over all of its rows with one log_density call per
-    model, fits its windows in stacks filled across traces and runs the
-    recursion per trace.  The fallback, its whitener and the window weights
-    are built once.  A trace stops at its end, at the first step whose
-    log-odds reach stop_at, or before the first error of a step it reaches
-    (a non-finite log-likelihood ratio as NonFiniteLikelihoodError with its
-    step, a singular covariance, explicit estimation weights of the wrong
-    length); its result does not depend on the rest of the batch.
-    ValueError at once when the matrices are not (n, d) with one d.
+    A trace stops at its end, at the first step whose log-odds reach
+    stop_at, or before the first error of a step it reaches (a non-finite
+    log-likelihood ratio as NonFiniteLikelihoodError with its step, a
+    singular covariance, explicit estimation weights of the wrong length);
+    its result does not depend on the rest of the batch.  ValueError at
+    once when the matrices are not (n, d) with one d.
     """
     batch = [np.asarray(x, dtype=float) for x in batch]
     for x in batch:
@@ -133,7 +123,7 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
         if max_window < 1:
             raise ValueError(f"window must be >= 1, got {max_window}")
         fallback = inflated_fallback(g, inflate)
-        need = max(2, g.dim + 2 if nmin is None else nmin)
+        need = _nmin(g.dim, nmin)
         est_prior = est_prior or EstimationPrior(rho)
         longest = min(max_window, max((x.shape[0] for x in batch), default=1) - 1)
         if longest >= need:  # some step refreshes
@@ -218,6 +208,20 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
         start += min(size, cap)
         size *= 2
     return out
+
+
+def _nmin(dim: int, nmin: int | None) -> int:
+    """Window length from which adaptive steps refresh (never below 2)."""
+    return max(2, dim + 2 if nmin is None else nmin)
+
+
+def _check_window(section: str, window: int, dim: int, nmin: int | None) -> None:
+    """ValueError naming [section].window when it is below the effective
+    nmin at dimension dim, so that only the fallback would ever score."""
+    need = _nmin(dim, nmin)
+    if window < need:
+        raise ValueError(f"[{section}].window = {window} is below nmin = {need} at dim "
+                         f"{dim}: no adaptive step would refresh")
 
 
 def _fit_log_f(log_f: np.ndarray, fit: np.ndarray, windows: np.ndarray, at, lengths,
@@ -328,6 +332,8 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
         f = config.f.project(layout) if config.f.layout is not None else config.f
         f_step = f.scaled_cov(float(step_period)) if step_period > 1 else f
 
+    if config.mode == ADAPTIVE:
+        _check_window("detector", config.window, g.dim, config.nmin)
     rule = DetectionRule(config.alpha)
     if stream.values.shape[1] != layout.dim:
         raise ValueError(f"dimension drift: stream has {stream.values.shape[1]} "

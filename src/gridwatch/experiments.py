@@ -58,6 +58,9 @@ class ExperimentConfig:
         if self.rho is None and self.scenario.outage_rho is None:
             raise ValueError("need a detector rho: set rho or use a geometric "
                              "outage time in the scenario")
+        if det.ADAPTIVE in self.modes:
+            det._check_window("experiment", self.window, 2 * self.scenario.topology.bus_count,
+                             self.nmin)
 
     @property
     def detector_rho(self) -> float:
@@ -146,15 +149,10 @@ def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
     """(replication, outage tick, alarms per detector) of every replication
     of a chunk.  A detector is (stream columns or None for all, g, f or None
     for adaptive); its alarms map each alpha to the first crossing or None.
-
-    The chunk's streams come from one simgen._synthesize call, each as on
-    its own.  A failure in making a stream names that stream's replication
-    and seed; one in the call's shared set-up, which runs with the first
-    stream, names the chunk's first replication.  Then each
-    detector scores all of the chunk's streams in one core call, stopped at
-    the highest threshold, that of min(alphas).  That stop is exact:
-    thresholds fall as alpha grows, so every alpha's first crossing comes at
-    or before it."""
+    The streams come from one simgen._synthesize call; each detector scores
+    them in one core call stopped at the threshold of min(alphas), which
+    every alpha's first crossing comes at or before.  A failure names its
+    replication and seed (the first replication's, in the shared set-up)."""
     config, reps, margin, detectors = job
     draws = [_replication_draw(config, rep, margin) for rep in reps]
     made = _synthesize(config.scenario, draws)

@@ -346,23 +346,22 @@ def format_feeder(topology: GridTopology) -> str:
     return textconf.format_blocks(blocks)
 
 
+_BUNDLED = ("path3", "loop8", "loop12")
+
+
 def load_feeder(path_or_name: str) -> GridTopology:
-    """Load a feeder by bundled name ("loop8") or filesystem path."""
-    bundled = {t.name: t for t in bundled_feeders()}
-    if path_or_name in bundled:
-        return bundled[path_or_name]
+    """Load a feeder by bundled name ("loop8") or filesystem path, parsing only it."""
+    if path_or_name in _BUNDLED:
+        root = importlib.resources.files("gridwatch").joinpath("feeders")
+        text = root.joinpath(f"{path_or_name}.feeder").read_text(encoding="utf-8")
+        return parse_feeder(text, name=path_or_name)
     with open(path_or_name, "r", encoding="utf-8") as fh:
         return parse_feeder(fh.read(), name=path_or_name)
 
 
 def bundled_feeders() -> list[GridTopology]:
     """The feeders shipped with the package, in a fixed order."""
-    out = []
-    root = importlib.resources.files("gridwatch").joinpath("feeders")
-    for name in ("path3", "loop8", "loop12"):
-        text = root.joinpath(f"{name}.feeder").read_text(encoding="utf-8")
-        out.append(parse_feeder(text, name=name))
-    return out
+    return [load_feeder(name) for name in _BUNDLED]
 
 
 def random_feeder(bus_count: int, loops: int = 0, seed: int = 0,

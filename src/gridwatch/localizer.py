@@ -40,9 +40,9 @@ class Thresholds:
 EXACT_THRESHOLDS = Thresholds(zero=1e-6, active=1e-2)
 
 
-# A bootstrap group's count matrix (resamples x window rows) and a row
-# block's moment columns (rows x (d + d(d+1)/2)) each hold at most this many
-# float64 values, 2 MB; a group or block never holds fewer than one row.
+# A row block's moment columns (rows x (d + d(d+1)/2)) hold at most this many
+# float64 values, 2 MB, and resamples are scored in groups of this many over
+# the window length (26 for 9 999 rows); never fewer than one row or resample.
 _BOOT_BUDGET = 1 << 18
 
 
@@ -54,24 +54,22 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     bootstrap deviation of the pair scores, active = active_mult * zero.
 
     Resample b draws n rows with replacement, rng.integers(0, n, n) from
-    substream(seed, "bootstrap"), and is kept as its count vector c_b; no
-    resample is gathered.  With X0 = samples - mean, one product per block
-    of rows gives a group's means m_b = c_b X0 / n and upper-triangle moments
-    c_b [X0_i X0_j] / n, and the covariance moment - m_b m_b^T equals
-    np.cov(ddof=0) of the resampled rows up to summation order.  A group's
-    covariances are scored as one stack by score_pairs, and one by one when
-    the stack raises; pairs degenerate in a resample add no deviation.
+    substream(seed, "bootstrap"), and is kept as its count vector, in the
+    smallest unsigned type that holds every count.  One pass over blocks of
+    rows builds each block's centred moment columns once and multiplies them
+    by all count vectors; the covariances, np.cov(ddof=0) of the resampled
+    rows up to summation order, are scored a group at a time by score_pairs
+    (one by one when the group's stack raises).  Pairs degenerate in a
+    resample add no deviation.  The README's bootstrap paragraph gives the
+    arithmetic.
 
     ValueError when n_boot < 1, when the window is shorter than dim + 2, or
-    when no deviation remains.  SingularBlockError, naming the window or
-    the resample, when its covariance is singular and some pair is scored:
-    when it holds no more distinct rows than the window has coordinates of
-    nonzero variance (score_pairs' rule), or score_pairs finds it singular.
-    Rows are told apart by value, so a window that repeats rows has fewer
-    distinct rows than samples.  A resample holds about 63 % of the
-    window's distinct rows, so a window below about 1.6 (dim + 1) rows
-    fails.  The window should be at least as long as the post-event one,
-    otherwise the floor undershoots the post-side sampling noise.
+    when no deviation remains.  SingularBlockError, naming the window or the
+    resample, when some pair is scored and it holds no more distinct rows
+    (told apart by value) than the window has coordinates of nonzero
+    variance, or score_pairs finds it singular: a window below about
+    1.6 (dim + 1) rows fails.  The window should be at least as long as the
+    post-event one, or the floor undershoots the post-side sampling noise.
     """
     if n_boot < 1:
         raise ValueError(f"n_boot must be at least 1, got {n_boot}")
@@ -99,34 +97,36 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     upper = np.triu_indices(dim)
     offset = dim + np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
     width = offset[-1]
-    group = max(1, _BOOT_BUDGET // n)
+    counts = np.empty((n_boot, n), dtype=np.uint8)
+    distinct = []
+    for b in range(n_boot):
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        if drawn.max() > np.iinfo(counts.dtype).max:
+            counts = counts.astype(np.min_scalar_type(drawn.max()))
+        counts[b] = drawn
+        # its distinct rows: its nonzero counts once those of equal rows are merged
+        distinct.append(np.count_nonzero(np.bincount(row_id, weights=drawn,
+                                                     minlength=n_distinct)))
     rows = max(1, _BOOT_BUDGET // width)
-    counts = np.empty((min(group, n_boot), n))
     columns = np.empty((width, min(rows, n)))
+    moments = np.zeros((n_boot, width))
+    for start in range(0, n, rows):
+        x = samples[start:start + rows]
+        block = columns[:, :x.shape[0]]
+        np.subtract(x.T, centre, out=block[:dim])
+        for i in range(dim):
+            np.multiply(block[i], block[i:dim], out=block[offset[i]:offset[i + 1]])
+        moments += counts[:, start:start + rows] @ block.T
+    moments /= n
+    mean, second = moments[:, :dim], moments[:, dim:]
+    second -= mean[:, upper[0]] * mean[:, upper[1]]
+    group = max(1, _BOOT_BUDGET // n)
     deviations = []
     for first in range(0, n_boot, group):
         size = min(group, n_boot - first)
-        for b in range(size):
-            counts[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        moments = np.zeros((size, width))
-        for start in range(0, n, rows):
-            x = samples[start:start + rows]
-            block = columns[:, :x.shape[0]]
-            np.subtract(x.T, centre, out=block[:dim])
-            for i in range(dim):
-                np.multiply(block[i], block[i:dim], out=block[offset[i]:offset[i + 1]])
-            moments += counts[:size, start:start + rows] @ block.T
-        moments /= n
-        mean = moments[:, :dim]
-        second = moments[:, dim:] - mean[:, upper[0]] * mean[:, upper[1]]
         covs = np.empty((size, dim, dim))
-        covs[:, upper[0], upper[1]] = second
-        covs[:, upper[1], upper[0]] = second
-        # a resample's distinct rows: its nonzero counts once the counts of
-        # equal window rows are merged
-        distinct = np.count_nonzero(np.stack(
-            [np.bincount(row_id, weights=c, minlength=n_distinct) for c in counts[:size]]),
-            axis=1).tolist()
+        covs[:, upper[0], upper[1]] = second[first:first + size]
+        covs[:, upper[1], upper[0]] = second[first:first + size]
         try:
             stacked = score_pairs(covs, pairs, layout)
         except SingularBlockError:
@@ -135,10 +135,10 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
             try:
                 scores, degenerate = (score_pairs(cov, pairs, layout) if stacked is None
                                       else (stacked[0][b], stacked[1][b]))
-                if distinct[b] <= kept and not degenerate.all():
-                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[b]} distinct "
-                                             f"samples for {kept} coordinates of nonzero "
-                                             "variance")
+                if distinct[first + b] <= kept and not degenerate.all():
+                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[first + b]} "
+                                             f"distinct samples for {kept} coordinates of "
+                                             "nonzero variance")
             except SingularBlockError as exc:
                 raise SingularBlockError(
                     exc.block, f"bootstrap resample {first + b} of {n_boot} from a window "

@@ -199,17 +199,11 @@ def generate(scenario: Scenario) -> MeasurementStream:
 
 def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
     """Yields the stream of every draw (seed, outage tick or None, horizon)
-    of a scenario, whose own seed, outage and horizon are not read.
-
-    What depends only on the scenario is set up once per call: the
-    post-outage topology and each regime's transfer blocks (asked for only
-    when some draw has rows in that regime), the injection std, the mean
-    shift, the layout columns and the channel periods.  That set-up runs on
-    the first next(), so its failures come from there.  Per draw come its
-    substreams and, per island and regime, one transfer product on that
-    draw's rows alone: stacking the rows of several draws into one BLAS
-    product would change the last bits.  So each draw's stream equals, bit
-    for bit, the stream it gives on its own.
+    of a scenario, whose own seed, outage and horizon are not read.  What
+    depends only on the scenario is set up once, on the first next(), so
+    its failures come from there; each draw's transfer products use its own
+    rows alone (stacking draws would change the last bits), so its stream
+    equals, bit for bit, the one it gives on its own.
     """
     m = scenario.topology.bus_count
     std = np.sqrt(_injection_vector(scenario.injection_variance, m) / 2.0)
@@ -355,21 +349,17 @@ def parse_stream(data_path: str, meta_path: str,
         raise textconf.ConfigError("stream sidecar missing [stream] or [sensor] blocks")
     schedule = SensorSchedule.from_kinds(sensors)
     layout = schedule.layout()
-    ids = np.array([channel_id(bus, part) for bus, part in layout.entries])
-    order = np.argsort(ids)
-
-    def column(coords: np.ndarray) -> np.ndarray:
-        k = order[np.minimum(np.searchsorted(ids, coords, sorter=order), ids.size - 1)]
-        return np.where(ids[k] == coords, k, -1)
-
-    # one character wider than any channel id, so a longer coordinate
-    # cannot be cut down to a known one
-    coord_type = f"U{max(map(len, ids)) + 1}"
+    ids = [channel_id(bus, part) for bus, part in layout.entries]
+    # coordinates are read as bytes in whole 64-bit words, at least one wider
+    # than any channel id, so a longer one cannot be cut down to a known id
+    coord_type = f"S{8 * (max(map(len, ids)) // 8 + 1)}"
+    known = np.array(ids, dtype=coord_type)
     values = np.full((horizon, layout.dim), np.nan)
     fresh = np.zeros((horizon, layout.dim), dtype=bool)
     rows = 0
     for block, t, c in _table_rows(data_path, STREAM_HEADER, horizon,
-                                   [coord_type, float, np.int8], column,
+                                   [coord_type, float, np.int8],
+                                   lambda coords: _word_ranks(known, coords),
                                    lambda coord: f"unknown coordinate {coord!r}",
                                    flags=("fresh",)):
         values[t, c] = block["value"]
@@ -389,6 +379,30 @@ def parse_stream(data_path: str, meta_path: str,
     return MeasurementStream(layout=layout, schedule=schedule, values=values,
                              fresh=fresh, truth=GroundTruth(lam, out_branches),
                              injections=injections, meta=scenario_meta)
+
+
+def _word_ranks(known: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Index of the string of known equal to each of coords, -1 where none
+    is: bytes strings of one width, read as rows of 64-bit words.  A word is
+    ranked among the known words of its column, and from the second column
+    on (rank so far, word rank) among the known pairs, so ranks stay small."""
+    known, words = (np.ascontiguousarray(a).view(np.uint64).reshape(a.size, -1)
+                    for a in (known, coords))
+
+    def ranks(values, known_values):
+        table = np.sort(known_values)
+        at = np.minimum(np.searchsorted(table, values), table.size - 1)
+        return at, table[at] == values, np.searchsorted(table, known_values)
+
+    found = np.ones(len(words), dtype=bool)
+    for j in range(known.shape[1]):
+        at, hit, known_at = ranks(words[:, j], known[:, j])
+        found &= hit
+        if j:
+            at, hit, known_at = ranks(rank * len(known) + at, known_rank * len(known) + known_at)
+            found &= hit
+        rank, known_rank = at, known_at
+    return np.where(found, np.argsort(known_rank)[rank], -1)
 
 
 def _parse_injections(path: str, horizon: int, buses: int) -> np.ndarray:
@@ -412,34 +426,37 @@ def _parse_injections(path: str, horizon: int, buses: int) -> np.ndarray:
 def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarray]) -> None:
     """Writes header, then tick-major one row "tick,key,cell,..." per tick
     and key: keys label the columns of the (horizon, len(keys)) arrays in
-    columns, whose float cells are written with repr and bool cells as 1/0."""
+    columns, whose float cells are written with repr and bool cells as 1/0.
+    A block is one join of parts slice-assigned a kind at a time: tick
+    strings shared by their keys, ",key," heads shared by all ticks, float
+    cells and their separators, and flags that carry their separator."""
     horizon = len(columns[0])
     step = max(1, _BLOCK_ROWS // len(keys))
+    heads = [f",{key}," for key in keys]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for t0 in range(0, horizon, step):
-            parts = [[f"{t},{key}" for t in range(t0 + 1, min(t0 + step, horizon) + 1)
-                      for key in keys]]
-            for col in columns:
+            ticks = list(map(str, range(t0 + 1, min(t0 + step, horizon) + 1)))
+            kinds = [itertools.chain.from_iterable(zip(*[ticks] * len(keys))), heads * len(ticks)]
+            for col, end in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
                 cells = col[t0:t0 + step].ravel().tolist()
-                parts.append([",1" if cell else ",0" for cell in cells] if col.dtype == bool
-                             else [f",{cell!r}" for cell in cells])
-            parts.append(itertools.repeat("\n"))
-            fh.write("".join(itertools.chain.from_iterable(zip(*parts))))
+                kinds += ([map(("0" + end, "1" + end).__getitem__, cells)] if col.dtype == bool
+                          else [map(repr, cells), [end] * len(cells)])
+            parts = [""] * (len(kinds) * len(ticks) * len(keys))
+            for k, kind in enumerate(kinds):
+                parts[k::len(kinds)] = kind
+            fh.write("".join(parts))
 
 
 def _table_rows(path: str, header: str, horizon: int, types: list, column, unknown,
                 flags: tuple[str, ...] = ()):
     """Parses the data rows of a stream or injections file block by block.
-
-    header names the fields: tick, key, then the data fields, whose numpy
-    types are given.  column(keys) maps a block's keys to column indices,
-    -1 for a key outside the table, and unknown(key) describes such a key;
-    the fields named in flags must hold 0 or 1.  Yields (parsed rows, tick
-    indices, column indices) per block; raises ConfigError naming the first
-    blank, malformed, out-of-range or unknown row, or one with a flag
-    outside 0 and 1.
-    """
+    header names the fields: tick, key, then the data fields of the given
+    numpy types.  column(keys) maps a block's keys to column indices, -1 for
+    a key outside the table, which unknown(key) describes; the fields named
+    in flags must hold 0 or 1.  Yields (parsed rows, tick indices, column
+    indices) per block; ConfigError names the first blank, malformed,
+    out-of-range or unknown row, or one with a flag outside 0 and 1."""
     names = header.split(",")
     dtype = np.dtype(list(zip(names, [np.int64, *types])))
     with open(path, "r", encoding="utf-8") as fh:

@@ -36,8 +36,10 @@ from gridwatch.cli import main as cli_main
 from gridwatch.detector import (
     DetectionRule,
     GeometricPrior,
+    _log_odds_trace,
     adaptive_log_odds,
     first_crossing,
+    first_crossings,
     known_f_log_odds,
 )
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
@@ -175,6 +177,8 @@ def test_c5_false_alarm_control():
         # Runs are pre-change segments truncated at a geometric outage tick
         # with the matching detector prior; sampling straight from the
         # pre-change model equals the simulator's pre-outage law.
+        # Each mode scores every run in one batch of the detector core, in
+        # which a run's trace does not depend on the other runs.
         path3 = next(t for t in bundled_feeders() if t.name == "path3")
         scen = Scenario(topology=path3, out_branches=((2, 3),), outage_rho=0.1,
                         noise_variance=1e-2, horizon=10, seed=0)
@@ -183,24 +187,16 @@ def test_c5_false_alarm_control():
         runs = 20_000
         lams = substream(2024, "fa-lams").geometric(rho, size=runs)
         batch = sample(g, int((lams - 1).sum()), substream(2024, "fa-samples"))
+        chunks = [x for x in np.split(batch, np.cumsum(lams - 1)[:-1]) if x.shape[0]]
         alphas = (1e-2, 1e-3)
+        thresholds = [DetectionRule(a).log_odds_threshold for a in alphas]
         stop = DetectionRule(min(alphas)).log_odds_threshold
-        for mode in ("known_f", "adaptive"):
+        for mode, post, stop_at in (("known_f", f, None), ("adaptive", None, stop)):
             counts = {a: 0 for a in alphas}
-            offset = 0
-            for lam in lams:
-                n = int(lam) - 1
-                if n == 0:
-                    continue
-                chunk = batch[offset: offset + n]
-                offset += n
-                if mode == "known_f":
-                    trace = known_f_log_odds(chunk, g, f, rho)
-                else:
-                    trace = adaptive_log_odds(chunk, g, rho, stop_at=stop)
-                for a in alphas:
-                    if first_crossing(trace, a) is not None:
-                        counts[a] += 1
+            for trace, _, error in _log_odds_trace(chunks, g, rho, post, stop_at=stop_at):
+                assert error is None
+                for a, hit in zip(alphas, first_crossings(trace, thresholds)):
+                    counts[a] += hit is not None
             for a in alphas:
                 rate = counts[a] / runs
                 assert rate <= 2 * a, f"{mode} alpha={a}: rate {rate:.5f} > {2 * a}"

@@ -14,6 +14,7 @@ from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout, score_pair
 from gridwatch.grid import SingularBlockError
 from gridwatch.localizer import all_bus_pairs, thresholds_from_bootstrap
 from gridwatch.simgen import substream
+import oracles
 from oracles import bootstrap_thresholds_direct
 
 TOL = 1e-10
@@ -85,6 +86,29 @@ def test_bootstrap_counts_match_per_resample_covariances(case):
     ref = bootstrap_thresholds_direct(samples, pairs, layout, n_boot, seed)
     assert abs(got.zero - ref.zero) <= TOL * ref.zero
     assert abs(got.active - ref.active) <= TOL * ref.active
+
+
+def test_counts_past_uint8_widen_their_storage(monkeypatch):
+    # every resample draws row 0 at least 300 times, so counts pass 255
+    class Skewed:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, low, high, size):
+            pick = self.rng.integers(low, high, size=size)
+            pick[:300] = 0
+            return pick
+
+    def skewed(seed, *labels):
+        return Skewed(substream(seed, *labels))
+
+    monkeypatch.setattr(localizer, "substream", skewed)
+    monkeypatch.setattr(oracles, "substream", skewed)
+    layout = CoordinateLayout.full_phasor(2)
+    samples = np.random.default_rng(3).normal(size=(400, 4))
+    got = thresholds_from_bootstrap(samples, [(1, 2)], layout, n_boot=5, seed=1)
+    ref = bootstrap_thresholds_direct(samples, [(1, 2)], layout, n_boot=5, seed=1)
+    assert abs(got.zero - ref.zero) <= TOL * ref.zero
 
 
 def test_bootstrap_rejects_n_boot_below_one():

@@ -257,6 +257,19 @@ def test_run_detector_dimension_drift_rejected(loop8):
         run_detector(bad, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
 
 
+def test_run_detector_rejects_adaptive_window_below_nmin(loop8):
+    # six sensed buses project the 16-dim models to dim 12, where nmin is 14:
+    # a window of 13 never holds it, so no step could refresh
+    scen = _double_outage_scenario(loop8, schedule=SensorSchedule.all_phasor(6))
+    stream = generate(scen)
+    config = DetectorConfig(g=scen.pre_model(), mode=ADAPTIVE, window=13)
+    with pytest.raises(ValueError,
+                       match=r"^\[detector\]\.window = 13 is below nmin = 14 at dim 12"):
+        run_detector(stream, config)
+    report = run_detector(stream, dataclasses.replace(config, window=14))
+    assert report.f_refreshed.any()
+
+
 def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
     scen_p = _double_outage_scenario(loop8, noise_variance=1e-2, horizon=60)
     scen_m = dataclasses.replace(scen_p, schedule=SensorSchedule.all_magnitude(8))

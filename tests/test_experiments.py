@@ -94,6 +94,17 @@ def test_experiment_validation(loop8):
     assert ExperimentConfig(scenario=fixed, rho=1e-3).detector_rho == 1e-3
 
 
+def test_experiment_rejects_adaptive_window_below_nmin(loop8):
+    # full phasors on loop8: dim 16, where the default nmin is 18
+    with pytest.raises(ValueError,
+                       match=r"^\[experiment\]\.window = 17 is below nmin = 18 at dim 16"):
+        ExperimentConfig(scenario=delay_scenario(loop8), modes=("known_f", "adaptive"),
+                         window=17)
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8), modes=("adaptive",), window=18,
+                           alphas=(1e-2,), replications=4, master_seed=1)
+    assert len(run_experiment(cfg).rows) == 1
+
+
 def test_experiment_fixed_outage_time(loop8):
     fixed = delay_scenario(loop8, outage_rho=None, lam=7)
     cfg = ExperimentConfig(scenario=fixed, alphas=(1e-4,), replications=20,

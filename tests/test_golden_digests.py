@@ -7,6 +7,10 @@ The digests of the experiment and coverage-sweep tables were captured
 while each replication was still scored on its own, before replications
 were scored in chunks through one batch detector core.
 
+The digests of the files write_stream writes (stream, sidecar and
+injections) were captured while each row's text still began with its own
+f-string, before a block of rows was joined from shared parts.
+
 The cases cover the bundled feeders, dict injection variances, a mean shift,
 recorded injections, a mixed magnitude/phasor schedule, a slack-only island
 next to a dead one, DER islands (one of them grounding-only) and a dead
@@ -21,7 +25,7 @@ import pytest
 from gridwatch import experiments
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
-from gridwatch.simgen import Scenario, SensorSchedule, generate
+from gridwatch.simgen import Scenario, SensorSchedule, generate, write_stream
 
 DER_FEEDER = dict(bus_count=24, loops=2, seed=5, der_buses={9, 17, 20})
 
@@ -110,6 +114,32 @@ def test_cases_hold_the_islands_they_name():
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_digests_match_golden(case):
     assert case_digests(case) == GOLDEN[case]
+
+
+# loop8: recorded injections and a mean shift; loop12: magnitude channels at
+# period 3, so the stream file holds stale rows
+STREAM_FILES = {
+    "loop8": {
+        "stream.csv": "6c08f34bd103b7bde8c055e8f4062bda6aded99816c34ef077dbfb513c77b1d1",
+        "stream.meta": "fdb0eb255ef02a76f6751c4e3177a8bda1d09cba1c7c27564d477b99fd71ad41",
+        "injections.csv": "bcda4cb6ac4ce934fe0a31b6fa5c22cad693aff0f2458c90e44394c4f410efe8",
+    },
+    "loop12": {
+        "stream.csv": "6ea71616e9c9bf12ee1f187b5bce9cf6029bf26eda886148a17d45dc19c98c56",
+        "stream.meta": "e76a9443b0e75f87ee361de8b4d9d53f12ed9cdd4385737d89d2b8ff080d6092",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_FILES))
+def test_stream_files_are_pinned(case, tmp_path):
+    scenario = _scenario(case)
+    paths = {name: tmp_path / name for name in ("stream.csv", "stream.meta", "injections.csv")}
+    write_stream(generate(scenario), str(paths["stream.csv"]), str(paths["stream.meta"]),
+                 scenario, injections_path=str(paths["injections.csv"]))
+    written = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items() if path.exists()}
+    assert written == STREAM_FILES[case]
 
 
 def test_random_feeder_text_is_pinned():

@@ -1,10 +1,13 @@
 """Topology, admittance assembly, outage switching, islands, the network
 transfer, Kron reduction and the feeder file format."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from conftest import unit_path
+from gridwatch import grid
 from gridwatch.grid import (
     Branch,
     GridTopology,
@@ -16,6 +19,7 @@ from gridwatch.grid import (
     format_feeder,
     islands,
     kron_reduce,
+    load_feeder,
     parse_feeder,
     random_feeder,
     transfer,
@@ -292,3 +296,24 @@ def test_feeder_duplicate_bus():
     text = "[bus]\nid = 1\n[bus]\nid = 1\n"
     with pytest.raises(ConfigError, match="duplicate bus"):
         parse_feeder(text)
+
+
+def test_load_feeder_parses_only_the_feeder_it_loads(tmp_path, monkeypatch):
+    path = tmp_path / "random9.feeder"
+    path.write_text(format_feeder(random_feeder(9, loops=1, seed=2)), encoding="utf-8")
+    root = importlib.resources.files("gridwatch").joinpath("feeders")
+    expected = {name: parse_feeder(root.joinpath(f"{name}.feeder").read_text(encoding="utf-8"),
+                                   name=name) for name in ("path3", "loop8", "loop12")}
+    expected[str(path)] = parse_feeder(path.read_text(encoding="utf-8"), name=str(path))
+    parsed = []
+
+    def counting_parse(text, name=""):
+        parsed.append(name)
+        return parse_feeder(text, name)
+
+    monkeypatch.setattr(grid, "parse_feeder", counting_parse)
+    for name, topology in expected.items():
+        parsed.clear()
+        assert load_feeder(name) == topology
+        assert parsed == [name]
+    assert bundled_feeders() == [expected[name] for name in ("path3", "loop8", "loop12")]

@@ -278,6 +278,19 @@ def _edit_rows(lines):
                               "row 6: tick 21 outside 1..20"),
         "unknown_coordinate": (lines[:5] + [f"{tick},re99,{value},{fresh}"] + lines[6:],
                                "row 6: unknown coordinate 're99'"),
+        # a proper prefix of an id, and ids with characters appended: one past
+        # the longest id, and past the 8-byte field coordinates are read into
+        "coordinate_prefix": (lines[:5] + [f"{tick},re,{value},{fresh}"] + lines[6:],
+                              "row 6: unknown coordinate 're'"),
+        "coordinate_extended": (lines[:5] + [f"{tick},{coord}0,{value},{fresh}"] + lines[6:],
+                                f"row 6: unknown coordinate '{coord}0'"),
+        "coordinate_past_field": (
+            lines[:5] + [f"{tick},{coord}00000000,{value},{fresh}"] + lines[6:],
+            f"row 6: unknown coordinate '{coord}00000000'"),
+        # coordinates are read as bytes, which cannot hold a character
+        # outside Latin-1
+        "coordinate_outside_latin1": (lines[:5] + [f"{tick},re\u20ac,{value},{fresh}"]
+                                      + lines[6:], "row 6: malformed row"),
         "non_finite": (lines[:5] + [f"{tick},{coord},inf,{fresh}"] + lines[6:],
                        f"row 6: non-finite value inf at {coord}"),
         "blank": (lines[:5] + ["\n"] + lines[5:], "row 6: blank row"),
@@ -293,7 +306,9 @@ def _edit_rows(lines):
 
 
 @pytest.mark.parametrize("fault", ["missing", "duplicate", "tick_zero", "tick_past_horizon",
-                                   "unknown_coordinate", "non_finite", "blank", "short",
+                                   "unknown_coordinate", "coordinate_prefix",
+                                   "coordinate_extended", "coordinate_past_field",
+                                   "coordinate_outside_latin1", "non_finite", "blank", "short",
                                    "unparsable", "fresh_two", "fresh_negative"])
 def test_parse_stream_rejects_bad_rows(tmp_path, loop8, fault):
     stream = generate(base_scenario(loop8, horizon=20))
@@ -324,6 +339,33 @@ def test_bad_rows_are_named_across_blocks(tmp_path, loop8, monkeypatch, block_ro
         with pytest.raises(ConfigError) as info:
             parse_stream(data, meta)
         assert message in str(info.value)
+
+
+@pytest.mark.parametrize("bus", [123456, 12345678901234])
+def test_channel_ids_past_one_word_are_matched_whole(tmp_path, bus):
+    # ids of 8 and 16 characters are read into fields of two and three
+    # 64-bit words, beside the one-word ids of bus 7
+    data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
+    with open(meta, "w", encoding="utf-8") as fh:
+        fh.write(format_blocks([("stream", {"horizon": "2"})] + [
+            ("sensor", {"bus": str(b), "kind": PHASOR, "period": "1"}) for b in (7, bus)]))
+    ids = [f"{part}{b}" for b in (bus, 7) for part in ("im", "re")]
+    rows = [f"{t},{key},{10 * t + k}.0,1\n" for t in (1, 2) for k, key in enumerate(ids)]
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(simgen.STREAM_HEADER + "\n" + "".join(rows))
+    stream = parse_stream(data, meta)
+    for k, key in enumerate(ids):
+        column = [simgen.channel_id(b, part) for b, part in stream.layout.entries].index(key)
+        assert stream.values[:, column].tolist() == [10.0 + k, 20.0 + k]
+    # one past the id, proper prefixes of it (its first word alone matches a
+    # known word in every column), and past the field it is read into
+    key = f"re{bus}"
+    for wrong in {key + "0", key[:-1], key[:8], key + "0" * 9} - {key}:
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(simgen.STREAM_HEADER + "\n" + "".join(rows[:5])
+                     + f"2,{wrong},1.0,1\n" + "".join(rows[6:]))
+        with pytest.raises(ConfigError, match=f"row 6: unknown coordinate '{wrong}'"):
+            parse_stream(data, meta)
 
 
 def _edit_injection_rows(lines):
