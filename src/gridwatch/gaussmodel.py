@@ -133,13 +133,6 @@ class GaussianModel:
     def dim(self) -> int:
         return self.mean.size
 
-    def validate_psd(self, floor: float = -1e-10) -> None:
-        """Check eigenvalues are above the PSD floor (pre-regularisation)."""
-        lo = float(np.linalg.eigvalsh(self.cov).min())
-        scale = max(1.0, float(np.abs(self.cov).max()))
-        if lo < floor * scale:
-            raise ValueError(f"covariance has eigenvalue {lo:.3e} below the PSD floor")
-
     def project(self, sub_layout: CoordinateLayout) -> "GaussianModel":
         if self.layout is None:
             raise ValueError("model has no layout to project from")
@@ -385,12 +378,6 @@ def _kept_precision(block: np.ndarray) -> np.ndarray:
                                  "of nonzero variance") from None
     whiten = _tril_inverse(chol)
     return whiten.swapaxes(1, 2) @ whiten
-
-
-def conditional_corr(sigma: np.ndarray, i: int, j: int,
-                     layout: CoordinateLayout) -> float:
-    """Conditional-correlation score of one bus pair; see score_pairs."""
-    return float(score_pairs(sigma, [(i, j)], layout)[0][0])
 
 
 # --- model construction from the grid --------------------------------------

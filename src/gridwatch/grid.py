@@ -97,9 +97,6 @@ class GridTopology:
     def branch_map(self) -> dict[tuple[int, int], Branch]:
         return {br.pair: br for br in self.branches}
 
-    def in_service_pairs(self) -> list[tuple[int, int]]:
-        return [br.pair for br in self.branches if br.in_service]
-
     def adjacency(self) -> dict[int, set[int]]:
         """Neighbour sets over in-service branches."""
         adj: dict[int, set[int]] = {b: set() for b in range(1, self.bus_count + 1)}

@@ -21,7 +21,13 @@ last p ticks.
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
+import os
+import pickle
+import shutil
+import tempfile
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -67,10 +73,6 @@ class SensorSchedule:
     @classmethod
     def all_phasor(cls, bus_count: int, period: int = 1) -> "SensorSchedule":
         return cls(tuple((b, PHASOR, period) for b in range(1, bus_count + 1)))
-
-    @classmethod
-    def all_magnitude(cls, bus_count: int, period: int = 1) -> "SensorSchedule":
-        return cls(tuple((b, MAGNITUDE, period) for b in range(1, bus_count + 1)))
 
     @classmethod
     def from_kinds(cls, kinds: dict[int, tuple[str, int]]) -> "SensorSchedule":
@@ -325,7 +327,8 @@ def parse_stream(data_path: str, meta_path: str,
                  injections_path: str | None = None) -> MeasurementStream:
     """Reads a stream written by write_stream; data rows may come in any
     order, but every (tick, coordinate) of the sidecar's horizon and layout
-    must appear exactly once with a finite value."""
+    must appear exactly once with a finite value, and so must every (tick,
+    bus) of an injections file."""
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_blocks = textconf.parse_blocks(fh.read())
     horizon = None
@@ -354,26 +357,23 @@ def parse_stream(data_path: str, meta_path: str,
     # than any channel id, so a longer one cannot be cut down to a known id
     coord_type = f"S{8 * (max(map(len, ids)) // 8 + 1)}"
     known = np.array(ids, dtype=coord_type)
-    values = np.full((horizon, layout.dim), np.nan)
-    fresh = np.zeros((horizon, layout.dim), dtype=bool)
-    rows = 0
-    for block, t, c in _table_rows(data_path, STREAM_HEADER, horizon,
-                                   [coord_type, float, np.int8],
-                                   lambda coords: _word_ranks(known, coords),
-                                   lambda coord: f"unknown coordinate {coord!r}",
-                                   flags=("fresh",)):
-        values[t, c] = block["value"]
-        fresh[t, c] = block["fresh"] == 1
-        rows += block.size
-    if rows != horizon * layout.dim or not np.isfinite(values).all():
-        raise textconf.ConfigError(_table_fault(data_path, values, dict(enumerate(ids))))
+    values, fresh = _shared((horizon, layout.dim), np.nan, False)
+    _table_rows(data_path, STREAM_HEADER, [values, fresh], [coord_type, float, np.int8],
+                lambda coords: _word_ranks(known, coords),
+                lambda coord: f"unknown coordinate {coord!r}", dict(enumerate(ids)),
+                flags=("fresh",))
     injections = None
     if injections_path is not None:
         # sidecars written before the bus count was recorded: the highest
         # sensed bus, right whenever the schedule senses the last bus
         if buses == -1:
             buses = schedule.entries[-1][0]
-        injections = _parse_injections(injections_path, horizon, buses)
+        injections, = _shared((horizon, buses), complex(np.nan, np.nan))
+        _table_rows(injections_path, INJECTIONS_HEADER, [injections.real, injections.imag],
+                    [np.int64, float, float],
+                    lambda bus: np.where((bus >= 1) & (bus <= buses), bus - 1, -1),
+                    lambda bus: f"bus {bus} outside 1..{buses}",
+                    {b: f"bus {b + 1}" for b in range(buses)})
     scenario_meta = [(section, dict(fields)) for section, fields in meta_blocks
                      if section not in ("stream", "truth")]
     return MeasurementStream(layout=layout, schedule=schedule, values=values,
@@ -405,38 +405,18 @@ def _word_ranks(known: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.where(found, np.argsort(known_rank)[rank], -1)
 
 
-def _parse_injections(path: str, horizon: int, buses: int) -> np.ndarray:
-    """(horizon, buses) complex injections from an injections file, checked
-    like a stream file: every (tick, bus) exactly once, in range, finite."""
-    values = np.full((horizon, buses), complex(np.nan, np.nan))
-    rows = 0
-    for block, t, b in _table_rows(path, INJECTIONS_HEADER, horizon,
-                                   [np.int64, float, float],
-                                   lambda bus: np.where((bus >= 1) & (bus <= buses), bus - 1, -1),
-                                   lambda bus: f"bus {bus} outside 1..{buses}"):
-        values.real[t, b] = block["re"]
-        values.imag[t, b] = block["im"]
-        rows += block.size
-    if rows != horizon * buses or not np.isfinite(values).all():
-        raise textconf.ConfigError(
-            _table_fault(path, values, {b: f"bus {b + 1}" for b in range(buses)}))
-    return values
-
-
 def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarray]) -> None:
     """Writes header, then tick-major one row "tick,key,cell,..." per tick
     and key: keys label the columns of the (horizon, len(keys)) arrays in
     columns, whose float cells are written with repr and bool cells as 1/0.
-    A block is one join of parts slice-assigned a kind at a time: tick
-    strings shared by their keys, ",key," heads shared by all ticks, float
-    cells and their separators, and flags that carry their separator."""
+    When _splits, a forked child writes the later blocks to a file then appended."""
     horizon = len(columns[0])
     step = max(1, _BLOCK_ROWS // len(keys))
     heads = [f",{key}," for key in keys]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t0 in range(0, horizon, step):
-            ticks = list(map(str, range(t0 + 1, min(t0 + step, horizon) + 1)))
+
+    def emit(fh, lo: int, hi: int) -> None:
+        for t0 in range(lo, hi, step):
+            ticks = list(map(str, range(t0 + 1, min(t0 + step, hi) + 1)))
             kinds = [itertools.chain.from_iterable(zip(*[ticks] * len(keys))), heads * len(ticks)]
             for col, end in zip(columns, [","] * (len(columns) - 1) + ["\n"]):
                 cells = col[t0:t0 + step].ravel().tolist()
@@ -446,50 +426,158 @@ def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarra
             for k, kind in enumerate(kinds):
                 parts[k::len(kinds)] = kind
             fh.write("".join(parts))
+        fh.flush()
+
+    blocks = -(-horizon // step)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        if not _splits(blocks):
+            return emit(fh, 0, horizon)
+        cut = blocks // 2 * step
+        with tempfile.TemporaryFile("w+", encoding="utf-8",
+                                    dir=os.path.dirname(os.path.abspath(path))) as part:
+            _forked(lambda: emit(fh, 0, cut), lambda: emit(part, cut, horizon))
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, fh.buffer)
 
 
-def _table_rows(path: str, header: str, horizon: int, types: list, column, unknown,
-                flags: tuple[str, ...] = ()):
-    """Parses the data rows of a stream or injections file block by block.
-    header names the fields: tick, key, then the data fields of the given
-    numpy types.  column(keys) maps a block's keys to column indices, -1 for
-    a key outside the table, which unknown(key) describes; the fields named
-    in flags must hold 0 or 1.  Yields (parsed rows, tick indices, column
-    indices) per block; ConfigError names the first blank, malformed,
-    out-of-range or unknown row, or one with a flag outside 0 and 1."""
+def _table_rows(path: str, header: str, targets: list[np.ndarray], types: list, column,
+                unknown, labels: dict[int, str], flags: tuple[str, ...] = ()) -> None:
+    """Parses a stream or injections file, block by block, into targets:
+    (horizon, columns) arrays, the first NaN-filled, one per data field of
+    header (typed by types), at [tick - 1, column].  column(keys) maps keys
+    to columns, -1 for an unknown key, which unknown(key) describes;
+    labels[c] names column c; the fields named in flags must hold 0 or 1.
+    ConfigError names the first faulty row or missing cell.  When _splits,
+    a forked child parses the lines past the file's middle."""
     names = header.split(",")
     dtype = np.dtype(list(zip(names, [np.int64, *types])))
-    with open(path, "r", encoding="utf-8") as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise textconf.ConfigError(f"{path}: unexpected header {found!r}, expected {header}")
-        first = 1
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            block = None
-            if "\n" not in lines:  # loadtxt would skip a blank row
-                with contextlib.suppress(ValueError):
-                    block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                                       ndmin=1)
-            if block is None:
-                k, fault = _row_fault(lines, dtype)
-                raise textconf.ConfigError(f"{path} row {first + k}: {fault}")
-            t = block["tick"] - 1
-            c = column(block[names[1]])
-            bad = (t < 0) | (t >= horizon) | (c < 0)
-            if bad.any():
-                k = int(bad.argmax())
-                tick_s, key_s = lines[k].split(",")[:2]
-                fault = (unknown(key_s) if 0 <= t[k] < horizon
-                         else f"tick {tick_s} outside 1..{horizon}")
-                raise textconf.ConfigError(f"{path} row {first + k}: {fault}")
-            for name in flags:
-                off = (block[name] != 0) & (block[name] != 1)
-                if off.any():
-                    k = int(off.argmax())
-                    raise textconf.ConfigError(f"{path} row {first + k}: {name} must be "
-                                               f"0 or 1, got {block[name][k]}")
-            yield block, t, c
-            first += len(lines)
+    horizon = len(targets[0])
+
+    def parse(lo: int, hi: int) -> int:
+        # the data rows in bytes lo..hi; _RowFault counts rows from lo
+        with io.TextIOWrapper(io.BufferedReader(_Span(path, lo, hi)), encoding="utf-8") as fh:
+            if not lo:
+                found = fh.readline().strip()
+                if found != header:
+                    raise textconf.ConfigError(
+                        f"{path}: unexpected header {found!r}, expected {header}")
+            first = 0
+            while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+                block = None
+                if "\n" not in lines:  # loadtxt would skip a blank row
+                    with contextlib.suppress(ValueError):
+                        block = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                                           ndmin=1)
+                if block is None:
+                    k, fault = _row_fault(lines, dtype)
+                    raise _RowFault(first + k, fault)
+                t = block["tick"] - 1
+                c = column(block[names[1]])
+                bad = (t < 0) | (t >= horizon) | (c < 0)
+                if bad.any():
+                    k = int(bad.argmax())
+                    tick_s, key_s = lines[k].split(",")[:2]
+                    raise _RowFault(first + k, unknown(key_s) if 0 <= t[k] < horizon
+                                    else f"tick {tick_s} outside 1..{horizon}")
+                for name in flags:
+                    off = (block[name] != 0) & (block[name] != 1)
+                    if off.any():
+                        k = int(off.argmax())
+                        raise _RowFault(first + k, f"{name} must be 0 or 1, "
+                                                   f"got {block[name][k]}")
+                for target, name in zip(targets, names[2:]):
+                    target[t, c] = block[name]
+                first += len(lines)
+        return first
+
+    end = os.path.getsize(path)
+    try:
+        if _splits(-(-targets[0].size // _BLOCK_ROWS)):
+            with open(path, "rb") as fh:
+                fh.seek(end // 2)
+                cut = end // 2 + len(fh.readline())
+            rows = sum(_forked(lambda: parse(0, cut), lambda: parse(cut, end)))
+        else:
+            rows = parse(0, end)
+    except _RowFault as fault:
+        raise textconf.ConfigError(f"{path} row {fault.args[0] + 1}: {fault.args[1]}") from None
+    if rows != targets[0].size or not all(np.isfinite(t).all() for t in targets):
+        raise textconf.ConfigError(_table_fault(path, targets[0], labels))
+
+
+class _RowFault(Exception):
+    """args: (index of a faulty row among the rows read, its fault)."""
+
+
+class _Span(io.FileIO):
+    """A file read from byte lo up to byte hi."""
+
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto
+
+    def __init__(self, path: str, lo: int, hi: int):
+        super().__init__(path)
+        self._left = hi - self.seek(lo)
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(memoryview(buffer)[:self._left])
+        self._left -= n
+        return n
+
+
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where that is unknown (every system
+    that reports it can fork)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _splits(blocks: int) -> bool:
+    """Whether two processes write or read a table file of this many blocks."""
+    return blocks >= 2 and threading.active_count() == 1 and _cpus() >= 2
+
+
+def _forked(here, there) -> tuple:
+    """(here(), there()), there() run in a forked child that pipes back its
+    result or exception and ends with os._exit.  The child is reaped even
+    when here() raises, which wins; else there()'s exception is raised, a
+    _RowFault moved past the rows here() counted."""
+    read, write = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as report:
+        if not (pid := os.fork()):
+            try:
+                try:
+                    pickle.dump(there(), report)
+                except BaseException as exc:  # raised in the parent
+                    pickle.dump(exc, report)
+                report.flush()
+            finally:
+                os._exit(0)
+        report.close()
+        try:
+            mine = here()
+        finally:
+            sent = pipe.read()
+            os.waitpid(pid, 0)
+    theirs = pickle.loads(sent) if sent else ChildProcessError(f"process {pid} sent nothing")
+    if isinstance(theirs, _RowFault):
+        theirs = _RowFault(mine + theirs.args[0], theirs.args[1])
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return mine, theirs
+
+
+def _shared(shape: tuple[int, int], *fills) -> list[np.ndarray]:
+    """Arrays of one shape, typed like and filled with fills, in one
+    anonymous shared memory map, so that a forked child writes into them."""
+    import mmap  # loaded with the first table parse, not with the package
+
+    n, kinds = shape[0] * shape[1], [np.asarray(fill).dtype for fill in fills]
+    at = np.cumsum([0] + [n * kind.itemsize for kind in kinds]).tolist()
+    memory = mmap.mmap(-1, max(1, at[-1]))
+    arrays = [np.frombuffer(memory, kind, n, at[i]).reshape(shape) for i, kind in enumerate(kinds)]
+    for array, fill in zip(arrays, fills):
+        array[...] = fill
+    return arrays
 
 
 def _row_fault(lines: list[str], dtype: np.dtype) -> tuple[int, str]:

@@ -18,6 +18,17 @@ settings.load_profile("tier1")
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "gridwatch-hypothesis"))
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave {left})")
+
+
 @pytest.fixture(scope="session")
 def path3():
     return load_feeder("path3")

@@ -4,7 +4,9 @@ Only tests use these: the one-step log-odds recursion and the direct
 posterior sum over change positions (the oracles of the detector's
 recursion), the Schur conditional covariance and the per-pair scorer of one
 covariance (the oracles of score_pairs) and the per-resample bootstrap (the
-oracle of thresholds_from_bootstrap).
+oracle of thresholds_from_bootstrap).  Then small helpers that only tests
+call: the score of one bus pair, a PSD check of a model's covariance, a
+topology's in-service pairs and an all-magnitude sensor schedule.
 They lean on scipy, which the package itself does not import.
 """
 
@@ -16,15 +18,16 @@ from scipy.special import logsumexp
 
 from gridwatch.detector import LOG_ODDS_CLAMP, GeometricPrior, NonFiniteLikelihoodError
 from gridwatch.gaussmodel import (
+    MAGNITUDE,
     CoordinateLayout,
     GaussianModel,
     _tril_inverse,
     log_density,
     score_pairs,
 )
-from gridwatch.grid import SingularBlockError
+from gridwatch.grid import GridTopology, SingularBlockError
 from gridwatch.localizer import Thresholds
-from gridwatch.simgen import substream
+from gridwatch.simgen import SensorSchedule, substream
 
 
 def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
@@ -173,3 +176,27 @@ def bootstrap_thresholds_direct(samples: np.ndarray, pairs, layout: CoordinateLa
         deviations.append(np.abs(scores - base)[~degenerate])
     zero = zero_mult * float(np.percentile(np.concatenate(deviations), 99.0))
     return Thresholds(zero=zero, active=active_mult * zero)
+
+
+def conditional_corr(sigma: np.ndarray, i: int, j: int,
+                     layout: CoordinateLayout) -> float:
+    """Conditional-correlation score of one bus pair; see score_pairs."""
+    return float(score_pairs(sigma, [(i, j)], layout)[0][0])
+
+
+def validate_psd(model: GaussianModel, floor: float = -1e-10) -> None:
+    """ValueError unless the model's covariance has no eigenvalue below the
+    PSD floor, relative to its largest entry (pre-regularisation)."""
+    lo = float(np.linalg.eigvalsh(model.cov).min())
+    scale = max(1.0, float(np.abs(model.cov).max()))
+    if lo < floor * scale:
+        raise ValueError(f"covariance has eigenvalue {lo:.3e} below the PSD floor")
+
+
+def in_service_pairs(topology: GridTopology) -> list[tuple[int, int]]:
+    return [br.pair for br in topology.branches if br.in_service]
+
+
+def all_magnitude(bus_count: int, period: int = 1) -> SensorSchedule:
+    """Magnitude channels at every bus, all of one period."""
+    return SensorSchedule(tuple((b, MAGNITUDE, period) for b in range(1, bus_count + 1)))

@@ -59,7 +59,7 @@ from gridwatch.grid import (
 )
 from gridwatch.localizer import EXACT_THRESHOLDS, scan_pairs
 from gridwatch.simgen import Scenario, generate, substream
-from oracles import conditional_cov, posterior_direct
+from oracles import conditional_cov, in_service_pairs, posterior_direct
 
 
 @contextlib.contextmanager
@@ -112,7 +112,7 @@ def test_c2_zero_test_soundness_sweep():
     with criterion(2, "exact localization sweep"):
         checked = 0
         for top in bundled_feeders():
-            pairs = top.in_service_pairs()
+            pairs = in_service_pairs(top)
             for r in (1, 2):
                 for out in itertools.combinations(sorted(pairs), r):
                     post_top = apply_outage(top, set(out))

@@ -25,7 +25,7 @@ from gridwatch.detector import (
 from gridwatch.gaussmodel import GaussianModel, sample
 from gridwatch.grid import load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
-from oracles import advance_log_odds, posterior_direct
+from oracles import advance_log_odds, all_magnitude, posterior_direct
 
 
 def scalar_models(mu_f=1.0, var_f=1.0):
@@ -227,7 +227,7 @@ def test_run_detector_no_change_stream_never_alarms(loop8):
 
 def test_run_detector_aggregated_magnitude_stream(loop8):
     period = 3
-    scen = _double_outage_scenario(loop8, schedule=SensorSchedule.all_magnitude(8, period),
+    scen = _double_outage_scenario(loop8, schedule=all_magnitude(8, period),
                           lam=22, horizon=45)
     stream = generate(scen)
     report = run_detector(stream,
@@ -239,7 +239,7 @@ def test_run_detector_aggregated_magnitude_stream(loop8):
 
 
 def test_run_detector_hold_last_value_steps_every_tick(loop8):
-    scen = _double_outage_scenario(loop8, schedule=SensorSchedule.all_magnitude(8, 3),
+    scen = _double_outage_scenario(loop8, schedule=all_magnitude(8, 3),
                           lam=22, horizon=45)
     stream = generate(scen)
     report = run_detector(stream,
@@ -272,7 +272,7 @@ def test_run_detector_rejects_adaptive_window_below_nmin(loop8):
 
 def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
     scen_p = _double_outage_scenario(loop8, noise_variance=1e-2, horizon=60)
-    scen_m = dataclasses.replace(scen_p, schedule=SensorSchedule.all_magnitude(8))
+    scen_m = dataclasses.replace(scen_p, schedule=all_magnitude(8))
     g = scen_p.pre_model()
     f = scen_p.post_model()
     lay_m = scen_m.schedule.layout()

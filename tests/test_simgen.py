@@ -1,10 +1,12 @@
 """Stream synthesis: determinism, model agreement, islands, schedules,
 noise substreams, outage-time sampling, draws of the synthesis core against
-the same draws alone, and stream file round-trips."""
+the same draws alone, and stream file round-trips, by one process or two."""
 
 import dataclasses
 import os
+import pathlib
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from gridwatch.simgen import (
     write_stream,
 )
 from gridwatch.textconf import ConfigError, format_blocks
+from oracles import all_magnitude
 
 
 def base_scenario(top, **overrides):
@@ -85,7 +88,7 @@ def test_noise_substream_is_separate(loop8):
 
 def test_magnitude_freshness_and_aggregation(loop8):
     period = 5
-    scen = base_scenario(loop8, schedule=SensorSchedule.all_magnitude(8, period),
+    scen = base_scenario(loop8, schedule=all_magnitude(8, period),
                          horizon=23, noise_variance=0.0)
     stream = generate(scen)
     ticks = np.arange(1, 24)
@@ -411,6 +414,172 @@ def test_parse_stream_rejects_bad_injection_rows(tmp_path, loop8, fault):
     with pytest.raises(ConfigError) as info:
         parse_stream(data, meta, inj)
     assert message in str(info.value)
+
+
+# --- stream files split between two processes ------------------------------
+
+def force_split(monkeypatch, cpus: int = 2, block_rows: int = 16) -> list:
+    """Small blocks, and the given CPU count for the split rule (so that the
+    split also runs on a one-CPU host); returns the list of the split calls."""
+    monkeypatch.setattr(simgen, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(simgen, "_cpus", lambda: cpus)
+    calls = []
+    forked = simgen._forked
+
+    def spy(here, there):
+        calls.append(here)
+        return forked(here, there)
+
+    monkeypatch.setattr(simgen, "_forked", spy)
+    return calls
+
+
+def _files(tmp_path) -> tuple[str, str, str]:
+    return tuple(str(tmp_path / name) for name in ("stream.csv", "stream.meta", "injections.csv"))
+
+
+@pytest.mark.parametrize("cpus, block_rows, splits", [(2, 16, True), (1, 16, False),
+                                                       (2, 1000, False)])
+def test_split_needs_two_cpus_and_two_blocks(tmp_path, loop8, monkeypatch, cpus, block_rows,
+                                             splits):
+    # 20 ticks of 16 coordinates: 320 rows
+    calls = force_split(monkeypatch, cpus, block_rows)
+    data, meta, _ = _files(tmp_path)
+    stream = generate(base_scenario(loop8, horizon=20))
+    write_stream(stream, data, meta)
+    parse_stream(data, meta)
+    assert len(calls) == (2 if splits else 0)
+
+
+def test_no_split_beside_another_thread(tmp_path, loop8, monkeypatch):
+    calls = force_split(monkeypatch)
+    data, meta, _ = _files(tmp_path)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        write_stream(generate(base_scenario(loop8, horizon=20)), data, meta)
+        parse_stream(data, meta)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive() and not calls
+
+
+def test_split_files_and_arrays_equal_one_process(tmp_path, loop8, monkeypatch):
+    stream = generate(base_scenario(loop8, horizon=40, record_injections=True))
+    read = {}
+    for cpus in (1, 2):
+        calls = force_split(monkeypatch, cpus)
+        paths = _files(tmp_path / str(cpus))
+        os.mkdir(tmp_path / str(cpus))
+        write_stream(stream, paths[0], paths[1], injections_path=paths[2])
+        read[cpus] = ([pathlib.Path(path).read_bytes() for path in paths], parse_stream(*paths))
+        assert len(calls) == (4 if cpus == 2 else 0)
+        assert sorted(os.listdir(tmp_path / str(cpus))) == sorted(map(os.path.basename, paths))
+    (one_files, one), (split_files, split) = read[1], read[2]
+    assert split_files == one_files
+    for name in ("values", "fresh", "injections"):
+        assert getattr(split, name).tobytes() == getattr(one, name).tobytes()
+        assert getattr(split, name).tobytes() == getattr(stream, name).tobytes()
+
+
+# row 306 of the 320 rows of a 20-tick loop8 stream file is past the middle
+# of the file, where the second process starts, whatever the rows' lengths
+LATE = 300
+
+
+@pytest.mark.parametrize("fault", ["tick_zero", "tick_past_horizon", "unknown_coordinate",
+                                   "coordinate_outside_latin1", "non_finite", "blank",
+                                   "short", "unparsable", "fresh_two"])
+def test_split_parse_names_a_late_fault_by_its_row_in_the_file(tmp_path, loop8, monkeypatch,
+                                                               fault):
+    calls = force_split(monkeypatch)
+    data, meta, _ = _files(tmp_path)
+    write_stream(generate(base_scenario(loop8, horizon=20)), data, meta)
+    with open(data, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    rows, message = _edit_rows(lines[LATE:])[fault]
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(lines[:LATE] + rows))
+    with pytest.raises(ConfigError) as info:
+        parse_stream(data, meta)
+    assert message.replace("row 6:", f"row {LATE + 6}:") in str(info.value)
+    assert calls
+
+
+@pytest.mark.parametrize("early, late", [("tick_zero", "short"), ("short", "tick_zero"),
+                                         ("fresh_two", "unknown_coordinate")])
+def test_split_parse_names_the_earlier_of_two_faults(tmp_path, loop8, monkeypatch, early,
+                                                     late):
+    calls = force_split(monkeypatch)
+    data, meta, _ = _files(tmp_path)
+    write_stream(generate(base_scenario(loop8, horizon=20)), data, meta)
+    with open(data, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    head, message = _edit_rows(lines[:LATE])[early]
+    tail, _ = _edit_rows(lines[LATE:])[late]
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(head + tail))
+    with pytest.raises(ConfigError) as info:
+        parse_stream(data, meta)
+    assert message in str(info.value)
+    assert calls
+
+
+def test_split_parse_names_a_late_injections_fault_by_its_row(tmp_path, loop8, monkeypatch):
+    calls = force_split(monkeypatch)
+    data, meta, inj = _files(tmp_path)
+    write_stream(generate(base_scenario(loop8, horizon=40, record_injections=True)), data,
+                 meta, injections_path=inj)
+    with open(inj, encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines(keepends=True)
+    rows, _ = _edit_injection_rows(lines[LATE:])["bus_zero"]
+    with open(inj, "w", encoding="utf-8") as fh:
+        fh.write(header + "".join(lines[:LATE] + rows))
+    with pytest.raises(ConfigError, match=f"injections.csv row {LATE + 6}: bus 0 outside 1..8"):
+        parse_stream(data, meta, inj)
+    assert len(calls) == 4
+
+
+class _ChildOnly(float):
+    """A float whose repr fails in any process but the one that made it."""
+
+    def __repr__(self):
+        if os.getpid() != self.pid:
+            raise ZeroDivisionError("repr in the child")
+        return float.__repr__(self)
+
+
+def test_a_failing_child_writer_raises_here_and_leaves_no_part_file(tmp_path, monkeypatch):
+    calls = force_split(monkeypatch, block_rows=4)
+    cells = np.array([[_ChildOnly(t)] for t in range(20)], dtype=object)
+    for cell in cells.ravel():
+        cell.pid = os.getpid()
+    path = str(tmp_path / "table.csv")
+    with pytest.raises(ZeroDivisionError, match="repr in the child"):
+        simgen._write_table(path, "tick,key,value", ["k"], [cells])
+    assert calls and os.listdir(tmp_path) == ["table.csv"]
+    monkeypatch.setattr(simgen, "_cpus", lambda: 1)
+    simgen._write_table(path, "tick,key,value", ["k"], [cells])
+    assert pathlib.Path(path).read_text().splitlines()[-1] == "20,k,19.0"
+
+
+def test_a_failing_child_parser_raises_here(tmp_path, loop8, monkeypatch):
+    calls = force_split(monkeypatch)
+    data, meta, _ = _files(tmp_path)
+    write_stream(generate(base_scenario(loop8, horizon=20)), data, meta)
+    parent, word_ranks = os.getpid(), simgen._word_ranks
+
+    def fail_in_child(known, coords):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("parse in the child")
+        return word_ranks(known, coords)
+
+    monkeypatch.setattr(simgen, "_word_ranks", fail_in_child)
+    with pytest.raises(ZeroDivisionError, match="parse in the child"):
+        parse_stream(data, meta)
+    assert calls
 
 
 def test_scenario_blocks_round_trip(loop12):
