@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import detector as det
-from . import textconf
+from . import forking, textconf
 from .experiments import (
     ExperimentConfig,
     correlation_matrix,
@@ -359,23 +359,35 @@ def cmd_pmu_sweep(args) -> None:
 
 
 def cmd_heatmap(args) -> None:
+    """The exact pre- and post-outage matrices, and beside them (in a forked
+    child when forking.may_fork) the post-outage matrix estimated from the
+    synthesized stream.  The exact job's error wins, as in serial order."""
     blocks = load_config(args.config)
     scenario = build_scenario(blocks, os.path.dirname(args.config), args.seed)
     layout = scenario.schedule.layout()
-    g = scenario.pre_model().project(layout)
-    f = scenario.post_model().project(layout)
-    out = _outdir(args)
-    emit_heatmap(g.cov, f.cov, layout,
-                 os.path.join(out, "heatmap_pre.csv"),
-                 os.path.join(out, "heatmap_post.csv"))
-    stream = generate(scenario)
-    lam = stream.truth.lam
-    if lam is not None and stream.horizon - lam + 1 >= layout.dim + 2:
+
+    def exact() -> None:
+        g = scenario.pre_model().project(layout)
+        f = scenario.post_model().project(layout)
+        out = _outdir(args)
+        emit_heatmap(g.cov, f.cov, layout,
+                     os.path.join(out, "heatmap_pre.csv"),
+                     os.path.join(out, "heatmap_post.csv"))
+
+    def estimated() -> str | None:
+        stream = generate(scenario)
+        lam = stream.truth.lam
+        if lam is None or stream.horizon - lam + 1 < layout.dim + 2:
+            return None
         rho = textconf.as_float("detector", _section(blocks, "detector"), "rho", 0.04)
         est = estimate_post_outage(stream.values[lam - 1:], EstimationPrior(rho))
-        _write(os.path.join(out, "heatmap_post_estimated.csv"),
-               heatmap_csv(correlation_matrix(est.cov, layout), layout))
-    print(f"heatmaps -> {out}")
+        return heatmap_csv(correlation_matrix(est.cov, layout), layout)
+
+    _, text = (forking.forked(exact, estimated) if forking.may_fork()
+               else (exact(), estimated()))
+    if text is not None:
+        _write(os.path.join(args.out, "heatmap_post_estimated.csv"), text)
+    print(f"heatmaps -> {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from .gaussmodel import (
     score_pairs,
 )
 from .detector import GeometricPrior, expected_delay_bound
-from .grid import philox_key
+from .grid import substream
 from .simgen import Scenario, _synthesize, sample_outage_time
 
 MODES = (det.KNOWN_F, det.ADAPTIVE)
@@ -121,17 +121,12 @@ def _replication_draw(config: ExperimentConfig, rep: int, margin: int) -> tuple[
     """(seed, outage tick, horizon) of a replication: a fresh seed, the
     outage tick drawn from the geometric prior (or kept as configured when
     fixed), and margin ticks past it."""
-    seed = int(np.random.Generator(
-        np.random.Philox(key=_rep_key(config.master_seed, rep))).integers(2 ** 62))
+    seed = int(substream(config.master_seed, "replication", rep).integers(2 ** 62))
     if config.scenario.outage_rho is not None:
         lam = sample_outage_time(config.scenario.outage_rho, seed)
     else:
         lam = config.scenario.lam
     return seed, lam, lam + margin
-
-
-def _rep_key(master_seed: int, rep: int) -> int:
-    return philox_key(master_seed, "replication", rep)
 
 
 # Replications are scored in chunks of this many: one core call per chunk and
@@ -318,8 +313,7 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     if placements is None:
         if not counts:
             raise ValueError("need placements or counts")
-        rng = np.random.Generator(np.random.Philox(
-            key=_rep_key(config.master_seed, -1)))
+        rng = substream(config.master_seed, "replication", -1)
         order = [b for b in range(2, m + 1)]
         rng.shuffle(order)
         placements = [sorted(order[:c]) for c in sorted(counts, reverse=True)]
@@ -394,11 +388,20 @@ def correlation_matrix(sigma: np.ndarray, layout: CoordinateLayout) -> np.ndarra
 
 def heatmap_csv(matrix: np.ndarray, layout: CoordinateLayout) -> str:
     """The matrix as CSV: a header row of bus ids, then per bus its id and
-    the repr of each cell."""
+    the repr of each cell.  The upper triangle, diagonal included, is
+    formatted once; a lower cell reuses its mirror's text when the two hold
+    the same float64 bits, and is formatted itself otherwise."""
     buses = layout.buses
+    matrix = np.asarray(matrix, dtype=np.float64)
+    upper = np.triu_indices(len(buses))
+    text = np.empty(matrix.shape, dtype=object)
+    text[upper] = list(map(repr, matrix[upper].tolist()))
+    text.T[upper] = text[upper]
+    bits = matrix.view(np.uint64)
+    skew = np.flatnonzero(np.tril(bits != bits.T, -1))
+    text.flat[skew] = list(map(repr, matrix.flat[skew].tolist()))
     lines = ["bus," + ",".join(map(str, buses))]
-    for bus, row in zip(buses, matrix):
-        lines.append(f"{bus}," + ",".join(map(repr, row.tolist())))
+    lines += [f"{bus}," + ",".join(row) for bus, row in zip(buses, text.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -34,6 +34,11 @@ class SingularBlockError(np.linalg.LinAlgError):
             message += f": {detail}"
         super().__init__(message)
 
+    def __reduce__(self):
+        # rebuilt from its parts, so that it pickles (as from a forked child)
+        # with its message intact
+        return type(self), (self.block, self.detail)
+
 
 def _norm_pair(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
@@ -372,7 +377,7 @@ def random_feeder(bus_count: int, loops: int = 0, seed: int = 0,
     """
     if bus_count < 2:
         raise TopologyError("random feeder needs at least 2 buses")
-    rng = np.random.Generator(np.random.Philox(key=philox_key(seed, "feeder")))
+    rng = substream(seed, "feeder")
     branches: list[Branch] = []
     for bus in range(2, bus_count + 1):
         if bus == 2:
@@ -427,3 +432,8 @@ def philox_key(seed: int, *labels) -> int:
     """Stable 128-bit Philox key for a named substream of a master seed."""
     text = "/".join([str(seed), *map(str, labels)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
+
+
+def substream(seed: int, *labels) -> np.random.Generator:
+    """The Philox generator of a named substream of a master seed."""
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))

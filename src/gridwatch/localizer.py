@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmodel import CoordinateLayout, kept_coordinates, score_pairs
-from .grid import GridTopology, SingularBlockError
-from .simgen import substream
+from .grid import GridTopology, SingularBlockError, substream
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,14 @@ import contextlib
 import io
 import itertools
 import os
-import pickle
 import shutil
 import tempfile
-import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textconf
+from . import forking, textconf
 from .detector import GeometricPrior
 from .gaussmodel import (
     MAGNITUDE,
@@ -43,11 +41,7 @@ from .gaussmodel import (
     _injection_vector,
     model_from_topology,
 )
-from .grid import GridTopology, apply_outage, format_feeder, parse_feeder, philox_key, transfer
-
-
-def substream(seed: int, *labels) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
+from .grid import GridTopology, apply_outage, format_feeder, parse_feeder, substream, transfer
 
 
 @dataclass(frozen=True)
@@ -436,7 +430,7 @@ def _write_table(path: str, header: str, keys: Sequence, columns: list[np.ndarra
         cut = blocks // 2 * step
         with tempfile.TemporaryFile("w+", encoding="utf-8",
                                     dir=os.path.dirname(os.path.abspath(path))) as part:
-            _forked(lambda: emit(fh, 0, cut), lambda: emit(part, cut, horizon))
+            forking.forked(lambda: emit(fh, 0, cut), lambda: emit(part, cut, horizon))
             part.seek(0)
             shutil.copyfileobj(part.buffer, fh.buffer)
 
@@ -497,7 +491,17 @@ def _table_rows(path: str, header: str, targets: list[np.ndarray], types: list, 
             with open(path, "rb") as fh:
                 fh.seek(end // 2)
                 cut = end // 2 + len(fh.readline())
-            rows = sum(_forked(lambda: parse(0, cut), lambda: parse(cut, end)))
+
+            def tail() -> tuple:  # (rows, None) or (None, the fault's args)
+                try:
+                    return parse(cut, end), None
+                except _RowFault as fault:
+                    return None, fault.args
+
+            mine, (theirs, fault) = forking.forked(lambda: parse(0, cut), tail)
+            if fault:  # moved past the rows of the first half
+                raise _RowFault(mine + fault[0], fault[1])
+            rows = mine + theirs
         else:
             rows = parse(0, end)
     except _RowFault as fault:
@@ -525,45 +529,9 @@ class _Span(io.FileIO):
         return n
 
 
-def _cpus() -> int:
-    """CPUs this process may run on; 1 where that is unknown (every system
-    that reports it can fork)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _splits(blocks: int) -> bool:
     """Whether two processes write or read a table file of this many blocks."""
-    return blocks >= 2 and threading.active_count() == 1 and _cpus() >= 2
-
-
-def _forked(here, there) -> tuple:
-    """(here(), there()), there() run in a forked child that pipes back its
-    result or exception and ends with os._exit.  The child is reaped even
-    when here() raises, which wins; else there()'s exception is raised, a
-    _RowFault moved past the rows here() counted."""
-    read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as report:
-        if not (pid := os.fork()):
-            try:
-                try:
-                    pickle.dump(there(), report)
-                except BaseException as exc:  # raised in the parent
-                    pickle.dump(exc, report)
-                report.flush()
-            finally:
-                os._exit(0)
-        report.close()
-        try:
-            mine = here()
-        finally:
-            sent = pipe.read()
-            os.waitpid(pid, 0)
-    theirs = pickle.loads(sent) if sent else ChildProcessError(f"process {pid} sent nothing")
-    if isinstance(theirs, _RowFault):
-        theirs = _RowFault(mine + theirs.args[0], theirs.args[1])
-    if isinstance(theirs, BaseException):
-        raise theirs
-    return mine, theirs
+    return blocks >= 2 and forking.may_fork()
 
 
 def _shared(shape: tuple[int, int], *fills) -> list[np.ndarray]:

@@ -346,7 +346,8 @@ def test_c9_cli_determinism(tmp_path):
             for base, _dirs, files in os.walk(root):
                 for name in files:
                     path = os.path.join(base, name)
-                    out[os.path.relpath(path, root)] = open(path, "rb").read()
+                    with open(path, "rb") as fh:
+                        out[os.path.relpath(path, root)] = fh.read()
             return out
 
         def run(argv):

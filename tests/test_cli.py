@@ -3,11 +3,14 @@ experiment/sweep emitters, determinism and the machine-readable error path."""
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from gridwatch import cli, forking
 from gridwatch.cli import main
+from gridwatch.grid import SingularBlockError
 from gridwatch.simgen import parse_stream
 
 CONFIG = """\
@@ -57,6 +60,10 @@ def config_path(tmp_path):
     return str(path)
 
 
+def _read(*parts) -> str:
+    return pathlib.Path(*parts).read_text(encoding="utf-8")
+
+
 def run_ok(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -75,20 +82,20 @@ def test_simulate_detect_localize_pipeline(tmp_path, config_path, capsys):
     out = run_ok(["detect", "--config", config_path, "--stream", stream_dir,
                   "--out", detect_dir], capsys)
     assert "tau=21" in out
-    trace = open(os.path.join(detect_dir, "trace.csv")).read().splitlines()
+    trace = _read(detect_dir, "trace.csv").splitlines()
     assert trace[0] == "n,posterior,log_odds,mode,f_refreshed"
     assert len(trace) == 61
-    meta = open(os.path.join(detect_dir, "detection.meta")).read()
+    meta = _read(detect_dir, "detection.meta")
     assert "tau = 21" in meta and "delay = 0" in meta
 
     loc_dir = str(tmp_path / "localize")
     out = run_ok(["localize", "--config", config_path, "--stream", stream_dir,
                   "--out", loc_dir], capsys)
     assert "2-6, 3-4" in out
-    rows = open(os.path.join(loc_dir, "localization.csv")).read().splitlines()
+    rows = _read(loc_dir, "localization.csv").splitlines()
     flagged = {r.split(",")[0] for r in rows[1:] if r.split(",")[4] == "1"}
     assert flagged == {"3-4", "2-6"}
-    adm = open(os.path.join(loc_dir, "admittance.csv")).read().splitlines()
+    adm = _read(loc_dir, "admittance.csv").splitlines()
     marked = {r.split(",")[0] for r in adm[1:] if r.split(",")[6] == "1"}
     assert marked == {"3-4", "2-6"}
     assert os.path.exists(os.path.join(loc_dir, "rho_pre.csv"))
@@ -109,13 +116,13 @@ def test_adaptive_detect_cli(tmp_path, config_path, capsys):
 def test_experiment_and_sweep_cli(tmp_path, config_path, capsys):
     exp_dir = str(tmp_path / "exp")
     run_ok(["experiment", "--config", config_path, "--out", exp_dir], capsys)
-    metrics = open(os.path.join(exp_dir, "metrics.csv")).read().splitlines()
+    metrics = _read(exp_dir, "metrics.csv").splitlines()
     assert metrics[0].startswith("alpha,mode,replications")
     assert len(metrics) == 4  # header + 3 alphas
 
     sweep_dir = str(tmp_path / "sweep")
     run_ok(["pmu-sweep", "--config", config_path, "--out", sweep_dir], capsys)
-    rows = open(os.path.join(sweep_dir, "pmu_sweep.csv")).read().splitlines()
+    rows = _read(sweep_dir, "pmu_sweep.csv").splitlines()
     assert rows[0] == "n_sensors,buses,kl,avg_delay,frac_delay_ge_prev"
     assert [r.split(",")[0] for r in rows[1:]] == ["8", "4", "2"]
 
@@ -127,10 +134,65 @@ def test_heatmap_cli(tmp_path, config_path, capsys):
     heat_dir = str(tmp_path / "heat")
     run_ok(["heatmap", "--config", str(conf), "--out", heat_dir], capsys)
     for name in ("heatmap_pre.csv", "heatmap_post.csv", "heatmap_post_estimated.csv"):
-        lines = open(os.path.join(heat_dir, name)).read().splitlines()
+        lines = _read(heat_dir, name).splitlines()
         assert lines[0] == "bus,1,2,3,4,5,6,7,8"
         diag = [float(lines[k].split(",")[k]) for k in range(1, 9)]
         assert diag == [1.0] * 8
+
+
+def _heatmap_error(tmp_path, capsys, monkeypatch, cpus: int, config: str) -> tuple[dict, int]:
+    """The JSON error of a failing heatmap run with the given CPU count, and
+    how many jobs went to a forked child."""
+    monkeypatch.setattr(forking, "cpus", lambda: cpus)
+    forked = []
+    monkeypatch.setattr(forking, "forked", lambda *jobs: forked.append(jobs) or _FORKED(*jobs))
+    conf = tmp_path / f"heat{cpus}.conf"
+    conf.write_text(config)
+    out = tmp_path / f"heat{cpus}"
+    code = main(["heatmap", "--config", str(conf), "--out", str(out)])
+    assert code == 2
+    assert not (out / "heatmap_post_estimated.csv").exists()
+    return json.loads(capsys.readouterr().err.splitlines()[-1]), len(forked)
+
+
+HEAT_CONFIG = CONFIG.replace("horizon = 60", "horizon = 400")
+_FORKED = forking.forked
+
+
+def _singular_estimate(*_args):
+    raise SingularBlockError("Sigma[kept, kept]", "estimated in the child")
+
+
+@pytest.mark.parametrize("fault", ["rho", "singular"])
+def test_heatmap_child_error_is_reported_as_in_one_process(tmp_path, capsys, monkeypatch,
+                                                          fault):
+    # both faults lie in the estimated job, which a child runs at two CPUs
+    config = HEAT_CONFIG
+    if fault == "rho":
+        config = HEAT_CONFIG.replace("rho = 1e-4", "rho = often")
+    else:
+        monkeypatch.setattr(cli, "estimate_post_outage", _singular_estimate)
+    forked_err, forks = _heatmap_error(tmp_path, capsys, monkeypatch, 2, config)
+    serial_err, no_forks = _heatmap_error(tmp_path, capsys, monkeypatch, 1, config)
+    assert (forks, no_forks) == (1, 0)
+    assert forked_err == serial_err
+    assert forked_err["error"] == {"rho": "ConfigError", "singular": "SingularBlockError"}[fault]
+    if fault == "singular":
+        assert forked_err["message"] == "singular block Sigma[kept, kept]: estimated in the child"
+
+
+def test_heatmap_exact_job_error_wins(tmp_path, capsys, monkeypatch):
+    # both jobs fail: the exact matrices' error is the one serial order meets first
+    def failing_emit(*_args):
+        raise SingularBlockError("Sigma[kept, kept]", "the exact job")
+
+    monkeypatch.setattr(cli, "emit_heatmap", failing_emit)
+    config = HEAT_CONFIG.replace("rho = 1e-4", "rho = often")
+    for cpus, forks in ((2, 1), (1, 0)):
+        err, forked = _heatmap_error(tmp_path, capsys, monkeypatch, cpus, config)
+        assert forked == forks
+        assert err == {"error": "SingularBlockError",
+                       "message": "singular block Sigma[kept, kept]: the exact job"}
 
 
 def _tree_bytes(root):
@@ -138,7 +200,7 @@ def _tree_bytes(root):
     for base, _dirs, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = pathlib.Path(path).read_bytes()
     return out
 
 
@@ -238,7 +300,7 @@ def test_localize_scores_only_fully_sensed_branches(tmp_path, capsys):
     stream_dir, loc_dir = str(tmp_path / "stream"), str(tmp_path / "localize")
     run_ok(["simulate", "--config", conf, "--out", stream_dir], capsys)
     run_ok(["localize", "--config", conf, "--stream", stream_dir, "--out", loc_dir], capsys)
-    rows = open(os.path.join(loc_dir, "localization.csv")).read().splitlines()
+    rows = _read(loc_dir, "localization.csv").splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["8-10"]
 
 
@@ -290,17 +352,17 @@ def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):
         out_dir = str(tmp_path / cmd)
         run_ok([cmd, "--config", config_path, "--out", out_dir] + extra, capsys)
 
-    trace = parse_trace_csv(open(tmp_path / "detect" / "trace.csv").read())
+    trace = parse_trace_csv(_read(tmp_path, "detect", "trace.csv"))
     assert trace["n"][0] == 1 and len(trace["posterior"]) == 60
-    rows = parse_localization_csv(open(tmp_path / "localize" / "localization.csv").read())
+    rows = parse_localization_csv(_read(tmp_path, "localize", "localization.csv"))
     assert {r["pair"] for r in rows if r["flagged"]} == {(3, 4), (2, 6)}
-    metrics = MetricsTable.from_csv(open(tmp_path / "experiment" / "metrics.csv").read())
+    metrics = MetricsTable.from_csv(_read(tmp_path, "experiment", "metrics.csv"))
     assert len(metrics.rows) == 3
-    sweep = PmuSweepTable.from_csv(open(tmp_path / "pmu-sweep" / "pmu_sweep.csv").read())
+    sweep = PmuSweepTable.from_csv(_read(tmp_path, "pmu-sweep", "pmu_sweep.csv"))
     assert [r.n_sensors for r in sweep.rows] == [8, 4, 2]
     for name in ("heatmap_pre.csv", "heatmap_post.csv"):
-        buses, matrix = parse_heatmap_csv(open(tmp_path / "heatmap" / name).read())
+        buses, matrix = parse_heatmap_csv(_read(tmp_path, "heatmap", name))
         assert buses == tuple(range(1, 9))
         np.testing.assert_array_equal(np.diag(matrix), np.ones(8))
-    buses, rho_pre = parse_heatmap_csv(open(tmp_path / "localize" / "rho_pre.csv").read())
+    buses, rho_pre = parse_heatmap_csv(_read(tmp_path, "localize", "rho_pre.csv"))
     assert buses == tuple(range(1, 9))

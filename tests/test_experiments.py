@@ -236,7 +236,8 @@ def test_heatmap_matrices(tmp_path, loop8):
     for i, j in ((3, 4), (2, 6)):
         assert post[buses.index(i), buses.index(j)] < 1e-6
         assert pre[buses.index(i), buses.index(j)] > 0.3
-    text = open(pre_path).read()
+    with open(pre_path, encoding="utf-8") as fh:
+        text = fh.read()
     assert text.startswith("bus,1,2,3,4,5,6,7,8")
 
 

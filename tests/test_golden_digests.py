@@ -11,6 +11,10 @@ The digests of the files write_stream writes (stream, sidecar and
 injections) were captured while each row's text still began with its own
 f-string, before a block of rows was joined from shared parts.
 
+The digests of the heatmap command's output files were captured while its
+exact and estimated matrices were still made one after the other in one
+process, and every cell was formatted on its own.
+
 The cases cover the bundled feeders, dict injection variances, a mean shift,
 recorded injections, a mixed magnitude/phasor schedule, a slack-only island
 next to a dead one, DER islands (one of them grounding-only) and a dead
@@ -18,11 +22,13 @@ island on a random feeder.
 """
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
-from gridwatch import experiments, simgen
+from gridwatch import experiments, forking, simgen
+from gridwatch.cli import main
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate, write_stream
@@ -146,11 +152,79 @@ def test_stream_files_are_pinned(case, tmp_path):
 def test_split_stream_files_match_the_pins(case, tmp_path, monkeypatch):
     # blocks of 64 rows, written by two processes even on a one-CPU host
     monkeypatch.setattr(simgen, "_BLOCK_ROWS", 64)
-    monkeypatch.setattr(simgen, "_cpus", lambda: 2)
-    forked, fork = [], simgen._forked
-    monkeypatch.setattr(simgen, "_forked", lambda *halves: forked.append(halves) or fork(*halves))
+    monkeypatch.setattr(forking, "cpus", lambda: 2)
+    forked, fork = [], forking.forked
+    monkeypatch.setattr(forking, "forked", lambda *halves: forked.append(halves) or fork(*halves))
     test_stream_files_are_pinned(case, tmp_path)
     assert len(forked) == len(STREAM_FILES[case]) - 1  # each table but the sidecar
+
+
+HEATMAP_CONFIG = """\
+[scenario]
+feeder = {feeder}
+outage = {outage}
+lambda = {lam}
+noise_variance = 1e-8
+horizon = {horizon}
+seed = {seed}
+"""
+HEATMAP_CASES = {
+    "loop8": dict(outage="3-4", lam=101, horizon=400, seed=3),
+    # a loop branch of random_feeder(30, 3, seed=7): every island stays energised
+    "random30": dict(outage="14-25", lam=201, horizon=600, seed=5),
+}
+HEATMAP_TREES = {
+    "loop8": {
+        "heatmap_post.csv": "337958e0167c06d000aa777281c3d0913dcab910c923dfa512b8c0645ef35935",
+        "heatmap_post_estimated.csv":
+            "5f3246004fdc7b1cdf14c0bbe67e8fd5a9e91b91df15d4c2a7216549c4ea8ee9",
+        "heatmap_pre.csv": "a84f5dae04ef29acf4ee6f32944b619159e3ae6e831076f5c80e1ab5210d4288",
+    },
+    "random30": {
+        "heatmap_post.csv": "dcf28cf18ff1172154fee57e9f5fe0dd656405b47ab751fd13f2a6e93058b0f8",
+        "heatmap_post_estimated.csv":
+            "6ed1628931725c7a5b68b2b582451e9b38948e9ec396853ed09302ebd434a041",
+        "heatmap_pre.csv": "79b4345f90a738714c6b75a0275762ceca0e303e1cac1cd6d1c1f447bb72f06d",
+    },
+}
+
+
+def heatmap_tree(case: str, tmp_path) -> dict[str, str]:
+    """sha256 per file of the heatmap command's --out tree for a case."""
+    feeder = "loop8"
+    if case == "random30":
+        feeder = tmp_path / "random30.feeder"
+        feeder.write_text(format_feeder(random_feeder(30, 3, seed=7)))
+    conf = tmp_path / "heatmap.conf"
+    conf.write_text(HEATMAP_CONFIG.format(feeder=feeder, **HEATMAP_CASES[case]))
+    out = tmp_path / "heat"
+    assert main(["heatmap", "--config", str(conf), "--out", str(out)]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+# the estimated matrix comes from a forked child only with two CPUs and no
+# other thread; the bytes are the same either way
+@pytest.mark.parametrize("cpus, other_thread, forks", [(2, False, 1), (1, False, 0),
+                                                       (2, True, 0)])
+@pytest.mark.parametrize("case", sorted(HEATMAP_TREES))
+def test_heatmap_tree_is_pinned(case, cpus, other_thread, forks, tmp_path, monkeypatch,
+                                capsys):
+    monkeypatch.setattr(forking, "cpus", lambda: cpus)
+    forked, fork = [], forking.forked
+    monkeypatch.setattr(forking, "forked", lambda *jobs: forked.append(jobs) or fork(*jobs))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if other_thread:
+        other.start()
+    try:
+        assert heatmap_tree(case, tmp_path) == HEATMAP_TREES[case]
+    finally:
+        release.set()
+        if other_thread:
+            other.join(timeout=10)
+    assert len(forked) == forks
+    assert capsys.readouterr().out == f"heatmaps -> {tmp_path / 'heat'}\n"
 
 
 def test_random_feeder_text_is_pinned():

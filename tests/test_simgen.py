@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridwatch import simgen
+from gridwatch import forking, simgen
 from gridwatch.detector import GeometricPrior
 from gridwatch.gaussmodel import MAGNITUDE, PHASOR
 from gridwatch.grid import Branch, GridTopology, islands, load_feeder, random_feeder
@@ -422,15 +422,15 @@ def force_split(monkeypatch, cpus: int = 2, block_rows: int = 16) -> list:
     """Small blocks, and the given CPU count for the split rule (so that the
     split also runs on a one-CPU host); returns the list of the split calls."""
     monkeypatch.setattr(simgen, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(simgen, "_cpus", lambda: cpus)
+    monkeypatch.setattr(forking, "cpus", lambda: cpus)
     calls = []
-    forked = simgen._forked
+    forked = forking.forked
 
     def spy(here, there):
         calls.append(here)
         return forked(here, there)
 
-    monkeypatch.setattr(simgen, "_forked", spy)
+    monkeypatch.setattr(forking, "forked", spy)
     return calls
 
 
@@ -560,7 +560,7 @@ def test_a_failing_child_writer_raises_here_and_leaves_no_part_file(tmp_path, mo
     with pytest.raises(ZeroDivisionError, match="repr in the child"):
         simgen._write_table(path, "tick,key,value", ["k"], [cells])
     assert calls and os.listdir(tmp_path) == ["table.csv"]
-    monkeypatch.setattr(simgen, "_cpus", lambda: 1)
+    monkeypatch.setattr(forking, "cpus", lambda: 1)
     simgen._write_table(path, "tick,key,value", ["k"], [cells])
     assert pathlib.Path(path).read_text().splitlines()[-1] == "20,k,19.0"
 
