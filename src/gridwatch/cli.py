@@ -299,6 +299,8 @@ def _experiment_config(blocks, scenario, args) -> ExperimentConfig:
     margin = textconf.as_int("experiment", fields, "margin", -1)
     rho = textconf.as_float("detector", det_fields, "rho", -1.0)
     nmin = textconf.as_int("experiment", fields, "nmin", -1)
+    # retired: chunks split over forking.cpus(); still checked so old configs parse
+    textconf.as_int("experiment", fields, "parallelism", 1)
     return ExperimentConfig(
         scenario=scenario,
         alphas=alphas,
@@ -307,8 +309,6 @@ def _experiment_config(blocks, scenario, args) -> ExperimentConfig:
         rho=None if rho == -1.0 else rho,
         window=textconf.as_int("experiment", fields, "window", 50),
         nmin=None if nmin == -1 else nmin,
-        parallelism=args.parallelism or textconf.as_int("experiment", fields,
-                                                        "parallelism", 1),
         master_seed=args.seed if args.seed is not None else scenario.seed,
         margin=None if margin == -1 else margin,
     )
@@ -350,7 +350,6 @@ def cmd_pmu_sweep(args) -> None:
         replications=textconf.as_int("pmu_sweep", fields, "replications", 100),
         rho=None if det_rho == -1.0 else det_rho,
         master_seed=args.seed if args.seed is not None else scenario.seed,
-        parallelism=1,
     )
     table = run_pmu_sweep(config, placements=placements, counts=counts)
     out = _outdir(args)
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--parallelism", type=int, default=None)
         if stream:
             p.add_argument("--stream", required=True,
                            help="directory holding stream.csv/stream.meta")

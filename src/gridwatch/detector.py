@@ -47,13 +47,19 @@ class GeometricPrior:
 
 @dataclass(frozen=True)
 class DetectionRule:
-    """Alarm when the posterior reaches 1 - alpha (inclusive)."""
+    """Alarm when the posterior reaches 1 - alpha (inclusive).  An alpha
+    whose log-odds threshold lies past LOG_ODDS_CLAMP, below about
+    9.86e-305, could never alarm and is rejected."""
 
     alpha: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.log_odds_threshold > LOG_ODDS_CLAMP:
+            raise ValueError(f"alpha {self.alpha!r} needs log-odds "
+                             f"{self.log_odds_threshold:.1f}, past the clamp at "
+                             f"{LOG_ODDS_CLAMP:g}: it could never alarm")
 
     @property
     def log_odds_threshold(self) -> float:

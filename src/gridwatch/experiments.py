@@ -1,7 +1,8 @@
 """Monte Carlo experiment harness: delay/false-alarm curves over an alpha
 grid, limited-sensor coverage sweeps, and conditional-correlation heatmap
-emission.  Everything is deterministic given the master seed; replication
-results are merged by index so worker parallelism cannot change the output.
+emission.  Everything is deterministic given the master seed; replications
+are scored in chunks, split over forked processes in contiguous groups that
+are joined in replication order, so the split cannot change the output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detector as det
+from . import forking
 from .gaussmodel import (
     CoordinateLayout,
     EstimationPrior,
@@ -38,7 +40,6 @@ class ExperimentConfig:
     rho: float | None = None       # detector prior; defaults to the outage rate
     window: int = 50
     nmin: int | None = None
-    parallelism: int = 1
     master_seed: int = 0
     margin: int | None = None      # extra ticks simulated past the outage
 
@@ -46,8 +47,7 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha {a} outside (0, 1)")
+            det.DetectionRule(a)
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown mode {m!r}")
@@ -140,15 +140,15 @@ def _replication_error(rep: int, seed: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"replication {rep} (seed {seed}) failed: {exc}")
 
 
-def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
-    """(replication, outage tick, alarms per detector) of every replication
-    of a chunk.  A detector is (stream columns or None for all, g, f or None
-    for adaptive); its alarms map each alpha to the first crossing or None.
-    The streams come from one simgen._synthesize call; each detector scores
-    them in one core call stopped at the threshold of min(alphas), which
-    every alpha's first crossing comes at or before.  A failure names its
+def _score_chunk(config: ExperimentConfig, reps: range, margin: int,
+                 detectors: list) -> list[tuple[int, list[dict]]]:
+    """(outage tick, alarms per detector) of every replication of a chunk.
+    A detector is (stream columns or None for all, g, f or None for
+    adaptive); its alarms map each alpha to the first crossing or None.  The
+    streams come from one simgen._synthesize call; each detector scores them
+    in one core call stopped at the threshold of min(alphas), which every
+    alpha's first crossing comes at or before.  A failure names its
     replication and seed (the first replication's, in the shared set-up)."""
-    config, reps, margin, detectors = job
     draws = [_replication_draw(config, rep, margin) for rep in reps]
     made = _synthesize(config.scenario, draws)
     streams = []
@@ -169,26 +169,31 @@ def _score_chunk(job) -> list[tuple[int, int, list[dict]]]:
             if error is not None:
                 raise _replication_error(rep, seed, error) from error
             out.append(dict(zip(config.alphas, det.first_crossings(trace, thresholds))))
-    return [(rep, lam, out) for rep, (_, lam, _), out in zip(reps, draws, alarms)]
+    return [(lam, out) for (_, lam, _), out in zip(draws, alarms)]
 
 
 def _replications(config: ExperimentConfig, margin: int,
                   detectors: list) -> list[tuple[int, list[dict]]]:
     """(outage tick, alarms per detector) of every replication, by index.
-    With parallelism > 1 the chunks go to worker processes; the results are
-    merged by replication index, so they do not depend on the workers."""
-    jobs = [(config, range(lo, min(lo + _CHUNK, config.replications)), margin, detectors)
-            for lo in range(0, config.replications, _CHUNK)]
-    if config.parallelism > 1:
-        # imported here: it loads multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            chunks = list(pool.map(_score_chunk, jobs))
-    else:
-        chunks = list(map(_score_chunk, jobs))
-    results = {rep: (lam, alarms) for chunk in chunks for rep, lam, alarms in chunk}
-    return [results[rep] for rep in range(config.replications)]
+    When forking.may_fork and there are two or more chunks, the chunks are
+    cut into min(cpus, chunks) contiguous groups whose sizes differ by at
+    most one chunk: the first group is scored here, each other one in a
+    forked child.  The groups come back in order and are joined, so the
+    result does not depend on the split, and a failure raises the error of
+    the lowest failing chunk, as in one process."""
+    chunks = [range(lo, min(lo + _CHUNK, config.replications))
+              for lo in range(0, config.replications, _CHUNK)]
+
+    def group(part: list[range]):
+        return lambda: [row for reps in part
+                        for row in _score_chunk(config, reps, margin, detectors)]
+
+    n = min(forking.cpus(), len(chunks)) if forking.may_fork() else 1
+    cuts = [len(chunks) * k // n for k in range(n + 1)]
+    jobs = [group(chunks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    scored = forking.forked(*jobs) if n > 1 else [jobs[0]()]
+    return [row for rows in scored for row in rows]
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsTable:

@@ -1,9 +1,9 @@
-"""Two jobs at once in two processes: the rule for when a forked child may
-take one of them, and the helper that runs it.
+"""Jobs at once in several processes: the rule for when forked children may
+take some of them, and the helper that runs them.
 
-Stream files (simgen) and the heatmap command (cli) split their work this
-way.  The child ends with os._exit, so it runs no exit handler and flushes
-no buffer that it inherited.
+Stream files (simgen), the heatmap command (cli) and the Monte Carlo chunks
+(experiments) split their work this way.  A child ends with os._exit, so it
+runs no exit handler and flushes no buffer that it inherited.
 """
 
 from __future__ import annotations
@@ -25,29 +25,50 @@ def may_fork() -> bool:
     return threading.active_count() == 1 and cpus() >= 2
 
 
-def forked(here, there) -> tuple:
-    """(here(), there()), there() run in a forked child that pipes back its
-    result or exception.  The child is reaped even when here() raises, which
-    wins; else there()'s exception is raised here."""
+def _spawn(job):
+    """(pid, read end of its pipe) of a forked child that pipes back job()'s
+    result or exception."""
     read, write = os.pipe()
-    with open(read, "rb") as pipe, open(write, "wb") as report:
-        if not (pid := os.fork()):
-            try:
-                try:
-                    pickle.dump(there(), report)
-                except BaseException as exc:  # raised in the parent
-                    pickle.dump(exc, report)
-                report.flush()
-            finally:
-                os._exit(0)
-        report.close()
+    pipe = open(read, "rb")
+    with open(write, "wb") as report:
         try:
-            mine = here()
+            pid = os.fork()
+        except BaseException:
+            pipe.close()
+            raise
+        if pid:
+            return pid, pipe
+        try:
+            pipe.close()
+            try:
+                pickle.dump(job(), report)
+            except BaseException as exc:  # raised in the parent
+                pickle.dump(exc, report)
+            report.flush()
         finally:
-            sent = pipe.read()
-            os.waitpid(pid, 0)
-    theirs = pickle.loads(sent) if sent else ChildProcessError(f"process {pid} sent nothing")
-    if isinstance(theirs, BaseException):
-        raise theirs
-    return mine, theirs
+            os._exit(0)
 
+
+def forked(*jobs) -> tuple:
+    """The results of jobs, in job order: the first job runs here, each other
+    one in its own forked child.  Every child is read and reaped, also when
+    the first job raises; the lowest-indexed job's exception is raised, so a
+    failure is the one that running the jobs in order would meet first."""
+    children = []
+    try:
+        for job in jobs[1:]:
+            children.append(_spawn(job))
+        mine = jobs[0]()
+    finally:
+        sent = []
+        for pid, pipe in children:
+            with pipe:
+                sent.append(pipe.read())
+            os.waitpid(pid, 0)
+    results = (mine, *(pickle.loads(data) if data else
+                       ChildProcessError(f"process {pid} sent nothing")
+                       for data, (pid, _) in zip(sent, children)))
+    for result in results[1:]:
+        if isinstance(result, BaseException):
+            raise result
+    return results

@@ -6,16 +6,20 @@ recursion), the Schur conditional covariance and the per-pair scorer of one
 covariance (the oracles of score_pairs) and the per-resample bootstrap (the
 oracle of thresholds_from_bootstrap).  Then small helpers that only tests
 call: the score of one bus pair, a PSD check of a model's covariance, a
-topology's in-service pairs and an all-magnitude sensor schedule.
+topology's in-service pairs, an all-magnitude sensor schedule and a forced
+fork setting that counts the forked calls.
 They lean on scipy, which the package itself does not import.
 """
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
 from scipy.special import logsumexp
 
+from gridwatch import forking
 from gridwatch.detector import LOG_ODDS_CLAMP, GeometricPrior, NonFiniteLikelihoodError
 from gridwatch.gaussmodel import (
     MAGNITUDE,
@@ -200,3 +204,27 @@ def in_service_pairs(topology: GridTopology) -> list[tuple[int, int]]:
 def all_magnitude(bus_count: int, period: int = 1) -> SensorSchedule:
     """Magnitude channels at every bus, all of one period."""
     return SensorSchedule(tuple((b, MAGNITUDE, period) for b in range(1, bus_count + 1)))
+
+
+_FORKED = forking.forked
+
+
+@contextlib.contextmanager
+def forks_under(monkeypatch, cpus: int, other_thread: bool = False):
+    """Runs the block with forking.cpus() forced to cpus and, when
+    other_thread, another thread alive; yields the list that gathers the
+    jobs of each forking.forked call made meanwhile."""
+    monkeypatch.setattr(forking, "cpus", lambda: cpus)
+    calls = []
+    monkeypatch.setattr(forking, "forked", lambda *jobs: calls.append(jobs) or _FORKED(*jobs))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if other_thread:
+        other.start()
+    try:
+        yield calls
+    finally:
+        release.set()
+        if other_thread:
+            other.join(timeout=10)
+            assert not other.is_alive()

@@ -8,10 +8,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from gridwatch import cli, forking
+from gridwatch import cli, experiments
 from gridwatch.cli import main
 from gridwatch.grid import SingularBlockError
 from gridwatch.simgen import parse_stream
+from oracles import forks_under
 
 CONFIG = """\
 [scenario]
@@ -127,6 +128,31 @@ def test_experiment_and_sweep_cli(tmp_path, config_path, capsys):
     assert [r.split(",")[0] for r in rows[1:]] == ["8", "4", "2"]
 
 
+# 25 replications make chunks of 8, 8, 8 and 1: at two CPUs the groups are
+# replications 0-15 and 16-24, at three 0-7, 8-15 and 16-24
+@pytest.mark.parametrize("bad", [(17, 23), (10, 17)])
+def test_failing_replication_is_reported_as_in_one_process(tmp_path, config_path, capsys,
+                                                            monkeypatch, bad):
+    draw, seeds = experiments._replication_draw, {}
+
+    def negative_horizon(config, rep, margin):
+        seed, lam, horizon = seeds[rep] = draw(config, rep, margin)
+        return (seed, lam, -1) if rep in bad else (seed, lam, horizon)
+
+    monkeypatch.setattr(experiments, "_replication_draw", negative_horizon)
+    errors = {}
+    for cpus, forks in ((1, 0), (2, 1), (3, 1)):
+        out = tmp_path / f"exp{cpus}"
+        with forks_under(monkeypatch, cpus) as forked:
+            assert main(["experiment", "--config", config_path, "--out", str(out)]) == 2
+        assert len(forked) == forks and not out.exists()
+        errors[cpus] = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert errors[2] == errors[3] == errors[1]
+    assert errors[1]["error"] == "RuntimeError"
+    assert errors[1]["message"].startswith(
+        f"replication {bad[0]} (seed {seeds[bad[0]][0]}) failed: ")
+
+
 def test_heatmap_cli(tmp_path, config_path, capsys):
     # heatmap wants enough post-outage ticks to estimate a covariance
     conf = tmp_path / "heat.conf"
@@ -143,20 +169,17 @@ def test_heatmap_cli(tmp_path, config_path, capsys):
 def _heatmap_error(tmp_path, capsys, monkeypatch, cpus: int, config: str) -> tuple[dict, int]:
     """The JSON error of a failing heatmap run with the given CPU count, and
     how many jobs went to a forked child."""
-    monkeypatch.setattr(forking, "cpus", lambda: cpus)
-    forked = []
-    monkeypatch.setattr(forking, "forked", lambda *jobs: forked.append(jobs) or _FORKED(*jobs))
     conf = tmp_path / f"heat{cpus}.conf"
     conf.write_text(config)
     out = tmp_path / f"heat{cpus}"
-    code = main(["heatmap", "--config", str(conf), "--out", str(out)])
+    with forks_under(monkeypatch, cpus) as forked:
+        code = main(["heatmap", "--config", str(conf), "--out", str(out)])
     assert code == 2
     assert not (out / "heatmap_post_estimated.csv").exists()
     return json.loads(capsys.readouterr().err.splitlines()[-1]), len(forked)
 
 
 HEAT_CONFIG = CONFIG.replace("horizon = 60", "horizon = 400")
-_FORKED = forking.forked
 
 
 def _singular_estimate(*_args):
@@ -329,6 +352,27 @@ def test_pmu_sweep_rejects_periods_above_one(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {"error": "ValueError", "message": "coverage sweeps need every channel "
                    "at period 1: bus 2 has period 2"}
+
+
+@pytest.mark.parametrize("alpha", ["1e-305", "1e-300"])
+def test_alpha_past_the_log_odds_clamp_is_rejected(tmp_path, capsys, alpha):
+    # log((1 - alpha) / alpha) is 702.3 at 1e-305, past the clamp at 700
+    conf = tmp_path / "alpha.conf"
+    conf.write_text(CONFIG.replace("alpha = 1e-6", f"alpha = {alpha}")
+                    .replace("alphas = 1e-2, 1e-4, 1e-6", f"alphas = 1e-2, {alpha}"))
+    stream = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", str(conf), "--out", stream], capsys)
+    for argv in (["detect", "--stream", stream], ["experiment"], ["pmu-sweep"]):
+        code = main(argv + ["--config", str(conf), "--out", str(tmp_path / argv[0])])
+        err = capsys.readouterr().err
+        if alpha == "1e-300":
+            assert code == 0, err
+            continue
+        assert code == 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "ValueError", "message": "alpha 1e-305 needs log-odds 702.3, past the "
+                                              "clamp at 700: it could never alarm"}
+        assert not os.path.exists(tmp_path / argv[0])
 
 
 def test_missing_feeder_file_error(tmp_path, capsys):

@@ -43,6 +43,10 @@ def test_prior_and_rule_validation():
         DetectionRule(0.0)
     with pytest.raises(ValueError):
         DetectionRule(1.5)
+    # the threshold passes the log-odds clamp of 700 below alpha = 9.86e-305
+    with pytest.raises(ValueError, match="alpha 9.85e-305 needs log-odds 700.0, past"):
+        DetectionRule(9.85e-305)
+    assert DetectionRule(9.86e-305).log_odds_threshold < 700.0
 
 
 def test_alarm_threshold_boundary():

@@ -16,6 +16,7 @@ from gridwatch.experiments import (
     run_pmu_sweep,
 )
 from gridwatch.simgen import Scenario
+from oracles import forks_under
 
 
 def delay_scenario(loop8, **overrides):
@@ -41,12 +42,18 @@ def test_single_replication_reproducible(loop8):
     assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
 
 
-def test_parallel_matches_serial(loop8):
-    serial = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-2, 1e-8),
-                              replications=24, master_seed=3, parallelism=1)
-    parallel = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-2, 1e-8),
-                                replications=24, master_seed=3, parallelism=3)
-    assert run_experiment(serial).to_csv() == run_experiment(parallel).to_csv()
+def test_parallel_matches_serial(loop8, monkeypatch):
+    # three chunks over one, two and three CPUs, and beside another thread,
+    # where nothing forks
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-2, 1e-8),
+                           replications=24, master_seed=3)
+    texts, forks = [], []
+    for cpus, other_thread in ((1, False), (2, False), (3, False), (2, True)):
+        with forks_under(monkeypatch, cpus, other_thread) as forked:
+            texts.append(run_experiment(cfg).to_csv())
+        forks.append([len(jobs) for jobs in forked])
+    assert texts[1:] == texts[:1] * 3
+    assert forks == [[], [2], [3], []]
 
 
 def test_adaptive_close_to_known(loop8):
@@ -129,7 +136,7 @@ def test_replication_failure_names_replication_and_seed():
                            rho=0.1, master_seed=1, margin=8)
     g = scen.pre_model()
     with pytest.raises(RuntimeError, match=r"replication 0 \(seed \d+\) failed"):
-        _score_chunk((cfg, range(2), 8, [(None, g, g)]))
+        _score_chunk(cfg, range(2), 8, [(None, g, g)])
 
 
 def test_chunk_setup_failure_names_first_replication_and_its_seed():
@@ -149,7 +156,7 @@ def test_chunk_setup_failure_names_first_replication_and_its_seed():
     seed = _replication_draw(cfg, 5, 8)[0]
     assert seed != _replication_draw(cfg, 6, 8)[0]
     with pytest.raises(RuntimeError, match=rf"^replication 5 \(seed {seed}\) failed") as info:
-        _score_chunk((cfg, range(5, 8), 8, [(None, g, g)]))
+        _score_chunk(cfg, range(5, 8), 8, [(None, g, g)])
     assert isinstance(info.value.__cause__, SingularBlockError)
 
 
@@ -172,7 +179,7 @@ def test_later_draw_failure_names_its_own_replication_and_seed(loop8, monkeypatc
     seed = draw(cfg, 6, 8)[0]
     g = cfg.scenario.pre_model()
     with pytest.raises(RuntimeError, match=rf"^replication 6 \(seed {seed}\) failed") as info:
-        experiments._score_chunk((cfg, range(4, 8), 8, [(None, g, None)]))
+        experiments._score_chunk(cfg, range(4, 8), 8, [(None, g, None)])
     assert isinstance(info.value.__cause__, ValueError)
 
 

@@ -22,7 +22,6 @@ island on a random feeder.
 """
 
 import hashlib
-import threading
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from gridwatch.cli import main
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate, write_stream
+from oracles import forks_under
 
 DER_FEEDER = dict(bus_count=24, loops=2, seed=5, der_buses={9, 17, 20})
 
@@ -210,19 +210,8 @@ def heatmap_tree(case: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(HEATMAP_TREES))
 def test_heatmap_tree_is_pinned(case, cpus, other_thread, forks, tmp_path, monkeypatch,
                                 capsys):
-    monkeypatch.setattr(forking, "cpus", lambda: cpus)
-    forked, fork = [], forking.forked
-    monkeypatch.setattr(forking, "forked", lambda *jobs: forked.append(jobs) or fork(*jobs))
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    if other_thread:
-        other.start()
-    try:
+    with forks_under(monkeypatch, cpus, other_thread) as forked:
         assert heatmap_tree(case, tmp_path) == HEATMAP_TREES[case]
-    finally:
-        release.set()
-        if other_thread:
-            other.join(timeout=10)
     assert len(forked) == forks
     assert capsys.readouterr().out == f"heatmaps -> {tmp_path / 'heat'}\n"
 
@@ -247,23 +236,33 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# (forced CPU count, another live thread): the chunks go to forked children
+# only with two or more CPUs and no other thread, in one forked call
+FORK_SETTINGS = [pytest.param(1, False, id="1"), pytest.param(2, False, id="2"),
+                 pytest.param(3, False, id="3"), pytest.param(2, True, id="thread")]
+
+
 # 7 replications a chunk leaves a ragged last chunk of 4
 @pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_experiment_csv_is_pinned(parallelism, chunk, monkeypatch):
+@pytest.mark.parametrize("cpus, other_thread", FORK_SETTINGS)
+def test_experiment_csv_is_pinned(cpus, other_thread, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(experiments, "_CHUNK", chunk)
     config = ExperimentConfig(scenario=_delay_scenario(), replications=60,
-                              modes=("known_f", "adaptive"), master_seed=5,
-                              parallelism=parallelism)
-    assert _sha(run_experiment(config).to_csv()) == EXPERIMENT_DIGEST
+                              modes=("known_f", "adaptive"), master_seed=5)
+    with forks_under(monkeypatch, cpus, other_thread) as forked:
+        assert _sha(run_experiment(config).to_csv()) == EXPERIMENT_DIGEST
+    assert len(forked) == (cpus > 1 and not other_thread)
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_pmu_sweep_csv_is_pinned(chunk, monkeypatch):
+@pytest.mark.parametrize("cpus, other_thread", FORK_SETTINGS)
+def test_pmu_sweep_csv_is_pinned(cpus, other_thread, chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(experiments, "_CHUNK", chunk)
     config = ExperimentConfig(scenario=_delay_scenario(), alphas=(1e-6,), replications=30,
                               master_seed=9)
-    table = run_pmu_sweep(config, placements=[list(range(1, 9)), [2, 4, 5, 8], [2, 5]])
+    with forks_under(monkeypatch, cpus, other_thread) as forked:
+        table = run_pmu_sweep(config, placements=[list(range(1, 9)), [2, 4, 5, 8], [2, 5]])
     assert _sha(table.to_csv()) == PMU_SWEEP_DIGEST
+    assert len(forked) == (cpus > 1 and not other_thread)

@@ -19,8 +19,18 @@ noise_variance = 1e-8
 horizon = 300
 seed = 3
 
+[detector]
+rho = 1e-4
+
 [localize]
 n_boot = 20
+
+[experiment]
+replications = 20
+
+[pmu_sweep]
+counts = 6, 3
+replications = 20
 """
 
 
@@ -48,12 +58,17 @@ def test_cli_commands_run_with_scipy_blocked(tmp_path):
                    "for argv in (['simulate', '--out', 'stream'],\n"
                    "             ['detect', '--stream', 'stream', '--out', 'detect'],\n"
                    "             ['localize', '--stream', 'stream', '--out', 'localize'],\n"
-                   "             ['heatmap', '--out', 'heat']):\n"
+                   "             ['heatmap', '--out', 'heat'],\n"
+                   "             ['experiment', '--out', 'exp'],\n"
+                   "             ['pmu-sweep', '--out', 'sweep']):\n"
                    "    code = main(argv + ['--config', 'run.conf'])\n"
                    "    if code:\n"
-                   "        sys.exit(f'{argv[0]} exited {code}')\n",
+                   "        sys.exit(f'{argv[0]} exited {code}')\n"
+                   "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+                   "             if m in sys.modules))\n",
                    tmp_path)
     assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
     for name in ("stream/stream.csv", "detect/trace.csv", "localize/localization.csv",
-                 "heat/heatmap_post_estimated.csv"):
+                 "heat/heatmap_post_estimated.csv", "exp/metrics.csv", "sweep/pmu_sweep.csv"):
         assert (tmp_path / name).exists(), name
