@@ -86,10 +86,15 @@ def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
 # A trace is scored in blocks: with stop_at of _FIRST_BLOCK steps, then
 # twice as many each time (a trace cut short computes at most one block past
 # its end), else as large as the budget allows.  A trace's block of samples,
-# or a stack of adaptive windows, holds at most _STACK_BUDGET float64 values,
-# 128 kB: with 1 MB the montecarlo benchmark peaked 1.6 MB higher.
+# or its block of adaptive windows, holds at most _STACK_BUDGET float64
+# values, 128 kB: with 1 MB the montecarlo benchmark peaked 1.6 MB higher.
+# The windows of a round, filled across its traces, are refitted in stacks
+# of at most _REFIT_BUDGET gathered window values, 512 kB: 81 windows of 50
+# samples at d = 16.  On the montecarlo experiment the refits took 15 % less
+# time than in stacks of 20 windows, and stacks of 327 were no faster.
 _FIRST_BLOCK = 8
 _STACK_BUDGET = 1 << 14
+_REFIT_BUDGET = 1 << 16
 
 
 def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
@@ -176,7 +181,7 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
                 errors[r] = ValueError(f"explicit weights length {len(own)} != window "
                                        f"length {lengths[r]}")
             _fit_log_f(log_f, fit[weights[1][lengths[fit]] > 0], windows, at, lengths,
-                       weights, fallback, x, cap, errors)
+                       weights, fallback, x, errors)
         with np.errstate(invalid="ignore"):  # inf - inf: a non-finite ratio
             log_lr = log_f - log_density(g, x)
         for r in np.flatnonzero(~np.isfinite(log_lr)).tolist():
@@ -231,12 +236,11 @@ def _check_window(section: str, window: int, dim: int, nmin: int | None) -> None
 
 
 def _fit_log_f(log_f: np.ndarray, fit: np.ndarray, windows: np.ndarray, at, lengths,
-               weights, fallback: GaussianModel, x: np.ndarray, cap: int,
-               errors: dict) -> None:
+               weights, fallback: GaussianModel, x: np.ndarray, errors: dict) -> None:
     """log f of the rows fit of an adaptive round: the fit of the row's
     window windows[at[row]] shrunk toward the fallback, in stacks of at most
-    cap windows.  The rows of a failing stack are refitted one by one; a row
-    that fails again puts its error into errors."""
+    _REFIT_BUDGET gathered window values.  The rows of a failing stack are
+    refitted one by one; a row that fails again puts its error into errors."""
     def refit(sel: np.ndarray) -> np.ndarray:
         n = lengths[sel]
         dev = windows[at[sel]]
@@ -248,8 +252,9 @@ def _fit_log_f(log_f: np.ndarray, fit: np.ndarray, windows: np.ndarray, at, leng
         covs = (1.0 - w)[:, None, None] * covs + w[:, None, None] * fallback.cov
         return log_density_stack(means, covs, x[sel])
 
-    for lo in range(0, fit.size, cap):
-        sel = fit[lo:lo + cap]
+    stack = max(1, _REFIT_BUDGET // (windows.shape[1] * windows.shape[2]))
+    for lo in range(0, fit.size, stack):
+        sel = fit[lo:lo + stack]
         try:
             log_f[sel] = refit(sel)
         except ValueError:

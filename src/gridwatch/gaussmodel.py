@@ -157,16 +157,21 @@ class GaussianModel:
         return self._whiten, self._logdet
 
 
-def _ridge_cholesky(cov: np.ndarray) -> np.ndarray:
+def _ridge_cholesky(cov: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Cholesky factor of cov; when cov is only PSD, of cov plus the
-    trace-scaled ridge times 1, 10 or 100."""
+    trace-scaled ridge times 1, 10 or 100 on the diagonal of its leading
+    dim x dim block (all of cov by default; a bordered matrix keeps its
+    border as it is)."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        ridge = ridge_epsilon(cov)
+        dim = cov.shape[0] if dim is None else dim
+        ridge = ridge_epsilon(cov[:dim, :dim])
+    eye = np.eye(cov.shape[0])
+    eye[dim:] = 0.0
     for scale in (1, 10, 100):
         try:
-            return np.linalg.cholesky(cov + (ridge * scale) * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(cov + (ridge * scale) * eye)
         except np.linalg.LinAlgError:
             pass
     raise SingularBlockError("covariance", "not positive definite after ridge")
@@ -235,19 +240,40 @@ def log_density(model: GaussianModel, x) -> float | np.ndarray:
 def log_density_stack(means: np.ndarray, covs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log N(x[s]; means[s], covs[s]) for every s of a stack of models.
 
-    The covariances are factored by one np.linalg.cholesky call; when that
-    fails, each goes through the ridge rule of GaussianModel on its own
-    (SingularBlockError as there).  The points are solved against the
-    factors in one batched call.
+    Each covariance is bordered by the deviation v = x[s] - means[s], as
+    its last row and column, with +inf in the corner, and the (S, d+1, d+1)
+    stack is factored by one np.linalg.cholesky call.  The factor of
+
+        [[C, v], [v^T, inf]]  is  [[L, 0], [y^T, inf]],  L L^T = C,  L y = v,
+
+    so its first d diagonal entries give the log-determinant and the first
+    d entries of its last row the quadratic form |y|^2 (the bordering form
+    of the Cholesky factorization).  When the stacked call fails, each
+    bordered matrix goes through the ridge rule of GaussianModel on its
+    covariance block alone (SingularBlockError as there), so a matrix gets
+    the same bits whatever its neighbours.  A row with a non-finite sample
+    is bordered by zeros and scores NaN; a finite row whose |y|^2
+    overflows scores -inf (its corner becomes NaN, which potrf of OpenBLAS
+    does not flag).
     """
+    stack, dim = means.shape
+    dev = x - means
+    bad = ~np.isfinite(dev).all(axis=1)
+    dev[bad] = 0.0
+    bordered = np.empty((stack, dim + 1, dim + 1))
+    bordered[:, :dim, :dim] = covs
+    bordered[:, dim, :dim] = bordered[:, :dim, dim] = dev
+    bordered[:, dim, dim] = np.inf
     try:
-        chol = np.linalg.cholesky(covs)
+        chol = np.linalg.cholesky(bordered)
     except np.linalg.LinAlgError:
-        chol = np.stack([_ridge_cholesky(cov) for cov in covs])
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    solved = np.linalg.solve(chol, (x - means)[:, :, None])[:, :, 0]
-    quad = np.einsum("ij,ij->i", solved, solved)
-    return -0.5 * (quad + means.shape[1] * LOG_2PI + logdet)
+        chol = np.stack([_ridge_cholesky(b, dim) for b in bordered])
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)[:, :dim]).sum(axis=1)
+    white = chol[:, dim, :dim]
+    quad = np.einsum("ij,ij->i", white, white)
+    out = -0.5 * (quad + dim * LOG_2PI + logdet)
+    out[bad] = np.nan
+    return out
 
 
 def kl_divergence(f: GaussianModel, g: GaussianModel) -> float:

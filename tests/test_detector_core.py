@@ -8,12 +8,14 @@ run_detector against a per-tick accumulator."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridwatch import detector
 from gridwatch.detector import (
     DetectionRule,
     DetectorConfig,
@@ -178,6 +180,20 @@ def test_batch_matches_one_call_per_trace(case):
     assert len(got) == len(batch)
     for x, result in zip(batch, got):
         same_result(result, _log_odds_trace([x], **kwargs)[0])
+
+
+@settings(max_examples=40)
+@given(batch_cases())
+def test_refit_stack_size_does_not_move_a_bit(case):
+    # stacks of one window, and one stack per round, give the bits of the
+    # default refit budget: a window's fit does not depend on its stack
+    batch, kwargs = case
+    want = _log_odds_trace(batch, **kwargs)
+    for budget in (1, 1 << 62):
+        with mock.patch.object(detector, "_REFIT_BUDGET", budget):
+            got = _log_odds_trace(batch, **kwargs)
+        for result, expected in zip(got, want):
+            same_result(result, expected)
 
 
 @settings(max_examples=40)

@@ -78,6 +78,23 @@ def test_bound_column_matches_formula(loop8):
     assert row.bound == pytest.approx(expected, rel=1e-12)
 
 
+def test_known_f_slope_reaches_the_bound(loop8):
+    # The bound |log alpha| / (KL + |log(1 - rho)|) has slope 0.2290 here.
+    # Seed 3 gives 0.2282 at 1e-200 and a marginal slope of 0.2303.  Over
+    # master seeds 0-5, 7, 43, 71 and 404 the first ranged from -1.3 % to
+    # +4.0 % of the bound and the second from -1.4 % to +4.4 %: at 100
+    # replications the mean delay carries a few per cent of noise.
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-50, 1e-100, 1e-200),
+                           replications=100, master_seed=3)
+    rows = run_experiment(cfg).rows
+    assert all(r.censored == 0 for r in rows)
+    slope = rows[-1].bound / abs(math.log(rows[-1].alpha))
+    assert rows[-1].delay_over_logalpha == pytest.approx(slope, rel=0.03)
+    marginal = ((rows[-1].avg_delay - rows[-2].avg_delay)
+                / (math.log(rows[-2].alpha) - math.log(rows[-1].alpha)))
+    assert marginal == pytest.approx(slope, rel=0.05)
+
+
 def test_metrics_csv_round_trip(loop8):
     cfg = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-2, 1e-6),
                            replications=10, master_seed=2)

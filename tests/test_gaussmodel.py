@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gridwatch.gaussmodel import (
@@ -25,6 +27,7 @@ from gridwatch.gaussmodel import (
     estimate_post_outage,
     kl_divergence,
     log_density,
+    log_density_stack,
     model_from_topology,
     ridge_epsilon,
     sample,
@@ -184,6 +187,55 @@ def test_log_density_of_non_finite_sample_is_nan_silently():
     m = random_model(np.random.default_rng(3), 3)
     got = log_density(m, [[np.nan, 0.0, 0.0], [np.inf, 1.0, 0.0], [0.0, 0.0, 0.0]])
     assert not np.isfinite(got[:2]).any() and np.isfinite(got[2])
+
+
+ROW_KINDS = ("finite", "nan", "inf", "-inf", "overflow")
+
+
+def check_bordered_stack(rng, d, psd, rows):
+    """log_density_stack of one stack against log_density per model: psd[s]
+    gives covariance s a coordinate of zero variance (the ridge path), rows[s]
+    is the kind of its sample.  Each matrix must also give the same bits as
+    a stack of one."""
+    stack = len(rows)
+    a = rng.normal(size=(stack, d, d))
+    covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    for s in np.flatnonzero(psd):
+        k = rng.integers(d)
+        covs[s, k, :] = covs[s, :, k] = 0.0
+    means = rng.normal(size=(stack, d))
+    x = means + 2.0 * rng.normal(size=(stack, d))
+    for s, kind in enumerate(rows):
+        if kind == "overflow":  # finite, but |L^-1 (x - mean)|^2 > 1.8e308
+            x[s] = means[s] + 1e200
+        elif kind != "finite":
+            x[s, rng.integers(d)] = float(kind)
+    got = log_density_stack(means, covs, x)
+    for s, kind in enumerate(rows):
+        one = log_density_stack(means[s:s + 1], covs[s:s + 1], x[s:s + 1])
+        assert one.tobytes() == got[s:s + 1].tobytes()
+        if kind == "overflow":
+            assert got[s] == -math.inf
+        elif kind != "finite":
+            assert math.isnan(got[s])
+        else:
+            want = log_density(GaussianModel(means[s], covs[s]), x[s])
+            assert got[s] == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.booleans(), st.sampled_from(ROW_KINDS)), min_size=1,
+                max_size=6))
+def test_bordered_stack_matches_one_model_at_a_time(d, seed, matrices):
+    psd, rows = zip(*matrices)
+    check_bordered_stack(np.random.default_rng(seed), d, psd, rows)
+
+
+def test_bordered_stack_past_the_blas_blocking():
+    # a factor of 182 rows crosses OpenBLAS's blocking of potrf
+    check_bordered_stack(np.random.default_rng(181), 181, [False, True, False],
+                         ["finite", "finite", "overflow"])
 
 
 def test_log_density_dimension_mismatch():

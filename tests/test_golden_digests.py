@@ -15,6 +15,11 @@ The digests of the heatmap command's output files were captured while its
 exact and estimated matrices were still made one after the other in one
 process, and every cell was formatted on its own.
 
+The digests of the adaptive detect trees were captured after each
+adaptive step's covariance was factored with its deviation as one bordered
+Cholesky factor, in place of an LU solve on the factor (a labelled change
+of the last bits of adaptive log f).
+
 The cases cover the bundled feeders, dict injection variances, a mean shift,
 recorded injections, a mixed magnitude/phasor schedule, a slack-only island
 next to a dead one, DER islands (one of them grounding-only) and a dead
@@ -26,7 +31,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridwatch import experiments, forking, simgen
+from gridwatch import detector, experiments, forking, simgen
 from gridwatch.cli import main
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
@@ -266,3 +271,51 @@ def test_pmu_sweep_csv_is_pinned(cpus, other_thread, chunk, monkeypatch):
         table = run_pmu_sweep(config, placements=[list(range(1, 9)), [2, 4, 5, 8], [2, 5]])
     assert _sha(table.to_csv()) == PMU_SWEEP_DIGEST
     assert len(forked) == (cpus > 1 and not other_thread)
+
+
+# adaptive detect on a simulated stream: the refit stack of one window, the
+# default and one stack per round give the same bytes
+ADAPTIVE_CONFIG = """\
+[scenario]
+feeder = {feeder}
+outage = {outage}
+lambda = {lam}
+noise_variance = {noise}
+horizon = {horizon}
+seed = {seed}
+
+[detector]
+alpha = 1e-6
+mode = adaptive
+window = {window}
+"""
+ADAPTIVE_CASES = {
+    "loop8": dict(outage="3-4", lam=150, noise=1e-4, horizon=300, seed=5, window=40),
+    "loop12": dict(outage="8-10", lam=200, noise=1e-6, horizon=400, seed=7, window=50),
+}
+ADAPTIVE_TREES = {
+    "loop8": {
+        "detection.meta": "4b088ecdaa8c906d2b160afd1440fcb423708c1a8bc9eca6af213aa00f5b6754",
+        "trace.csv": "08d3dd6e38fa1f68695e04535937bca0b34d92977e1c0454c5b563cdb277d83f",
+    },
+    "loop12": {
+        "detection.meta": "a8d57c1c9ac579ca08d2313a101088ef2fde408a7f5011ae1ea19d6f2b963ad9",
+        "trace.csv": "6dfd343a68da5a0c75cba329bfbf739668db4e1af0939881737bcf73a3104d7a",
+    },
+}
+
+
+@pytest.mark.parametrize("budget", [None, 1, 1 << 62], ids=["default", "one", "round"])
+@pytest.mark.parametrize("case", sorted(ADAPTIVE_TREES))
+def test_adaptive_detect_tree_is_pinned(case, budget, tmp_path, monkeypatch, capsys):
+    if budget is not None:
+        monkeypatch.setattr(detector, "_REFIT_BUDGET", budget)
+    conf = tmp_path / "adaptive.conf"
+    conf.write_text(ADAPTIVE_CONFIG.format(feeder=case, **ADAPTIVE_CASES[case]))
+    stream, out = tmp_path / "stream", tmp_path / "detect"
+    assert main(["simulate", "--config", str(conf), "--out", str(stream)]) == 0
+    assert main(["detect", "--config", str(conf), "--stream", str(stream),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())} == ADAPTIVE_TREES[case]
