@@ -5,6 +5,8 @@ sequential Bayesian change-point detector on them, and localizes the
 out-of-service branches through conditional-correlation tests.
 """
 
+import types as _types
+
 from .grid import (
     AdmittanceMatrix,
     Branch,
@@ -68,55 +70,5 @@ from .experiments import (
     run_pmu_sweep,
 )
 
-__all__ = [
-    "AdmittanceMatrix",
-    "Branch",
-    "CoordinateLayout",
-    "DetectionReport",
-    "DetectionRule",
-    "DetectorConfig",
-    "EstimationPrior",
-    "ExperimentConfig",
-    "GaussianModel",
-    "GeometricPrior",
-    "GridTopology",
-    "Island",
-    "LocalizationReport",
-    "MeasurementStream",
-    "MetricsTable",
-    "NonFiniteLikelihoodError",
-    "PairScore",
-    "PhasorWindow",
-    "Scenario",
-    "SensorSchedule",
-    "SingularBlockError",
-    "Thresholds",
-    "TopologyError",
-    "apply_outage",
-    "build_admittance",
-    "bundled_feeders",
-    "emit_heatmap",
-    "estimate_admittance",
-    "estimate_post_outage",
-    "expected_delay_bound",
-    "generate",
-    "islands",
-    "kl_divergence",
-    "kron_reduce",
-    "load_feeder",
-    "log_density",
-    "model_from_topology",
-    "parse_feeder",
-    "parse_stream",
-    "random_feeder",
-    "rank_changes",
-    "run_detector",
-    "run_experiment",
-    "run_pmu_sweep",
-    "sample_outage_time",
-    "scan_pairs",
-    "score_pairs",
-    "thresholds_from_bootstrap",
-    "transfer",
-    "write_stream",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -28,7 +28,6 @@ from .experiments import (
     run_pmu_sweep,
 )
 from .gaussmodel import EstimationPrior, estimate_post_outage
-from .grid import load_feeder
 from .localizer import (
     EXACT_THRESHOLDS,
     PhasorWindow,
@@ -42,63 +41,67 @@ from .simgen import (
     Scenario,
     generate,
     parse_stream,
-    scenario_blocks,
     scenario_from_blocks,
     write_stream,
 )
 
-_DETECTOR_KEYS = {"alpha", "rho", "mode", "window", "nmin", "estimation_rho",
-                  "inflate", "hold_last_value"}
-_EXPERIMENT_KEYS = {"alphas", "replications", "modes", "parallelism", "margin",
-                    "window", "nmin"}
-_PMU_KEYS = {"placements", "counts", "alpha", "replications"}
-_LOCALIZE_KEYS = {"exact", "zero", "active", "n_boot", "pairs", "post_ticks",
-                  "estimate_admittance", "candidate_cut"}
+
+def _placements(raw: str) -> list[list[int]]:
+    """Sensed-bus sets like ``1 2 3 | 2 5`` into [[1, 2, 3], [2, 5]]."""
+    return [sorted(map(int, part.split())) for part in raw.split("|")]
+
+
+# Per section a command reads: its kinds table, and the keys where -1 means auto.
+_SECTIONS = {
+    "detector": ({"alpha": float, "rho": float, "mode": str, "window": int, "nmin": int,
+                  "estimation_rho": float, "inflate": float,
+                  "hold_last_value": textconf.boolean}, ("nmin", "estimation_rho")),
+    "experiment": ({"alphas": textconf.floats, "replications": int,
+                    "modes": lambda raw: tuple(raw.split()), "parallelism": int, "margin": int,
+                    "window": int, "nmin": int}, ("margin", "nmin")),
+    "pmu_sweep": ({"placements": _placements, "counts": textconf.ints, "alpha": float,
+                   "replications": int}, ()),
+    "localize": ({"exact": textconf.boolean, "zero": float, "active": float, "n_boot": int,
+                  "pairs": str, "post_ticks": int, "estimate_admittance": textconf.boolean,
+                  "candidate_cut": float}, ("zero", "active")),
+}
 
 
 def load_config(path: str) -> list[tuple[str, dict[str, str]]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return textconf.parse_blocks(fh.read())
+        blocks = textconf.parse_blocks(fh.read())
+    for name, _ in blocks:
+        if name not in ("scenario", "injection", "sensor", "bus", "branch", *_SECTIONS):
+            raise textconf.ConfigError(f"unknown section [{name}]")
+    return blocks
 
 
-def _section(blocks, name: str) -> dict[str, str]:
-    for section, fields in blocks:
-        if section == name:
-            return fields
-    return {}
+def _read(blocks, name: str) -> dict:
+    kinds, auto = _SECTIONS[name]
+    fields = next((fields for section, fields in blocks if section == name), {})
+    return textconf.read(name, fields, kinds, auto=auto)
+
+
+def _given(options: dict, *keys: str) -> dict:
+    """The options among keys that the config sets, as keyword arguments."""
+    return {key: options[key] for key in keys if key in options}
+
+
+def _estimation_prior(blocks) -> EstimationPrior:
+    # localize and heatmap read [detector] rho as the estimation prior, with
+    # a default of 0.04 where detect's is 1e-4
+    return EstimationPrior(_read(blocks, "detector").get("rho", 0.04))
 
 
 def build_scenario(blocks, config_dir: str, seed: int | None) -> Scenario:
-    fields = _section(blocks, "scenario")
-    topology = None
-    feeder = fields.get("feeder")
-    if feeder is not None:
-        path = feeder if os.path.isabs(feeder) else os.path.join(config_dir, feeder)
-        topology = load_feeder(feeder if not os.path.exists(path) else path)
-    scenario = scenario_from_blocks(blocks, topology)
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
-    return scenario
+    scenario = scenario_from_blocks(blocks, config_dir)
+    return scenario if seed is None else dataclasses.replace(scenario, seed=seed)
 
 
 def detector_config(blocks, g, f) -> det.DetectorConfig:
-    fields = _section(blocks, "detector")
-    textconf.check_keys("detector", fields, _DETECTOR_KEYS)
-    nmin = textconf.as_int("detector", fields, "nmin", -1)
-    est_rho = textconf.as_float("detector", fields, "estimation_rho", -1.0)
-    mode = textconf.as_str("detector", fields, "mode", det.KNOWN_F)
-    return det.DetectorConfig(
-        g=g,
-        f=None if mode == det.ADAPTIVE else f,
-        mode=mode,
-        alpha=textconf.as_float("detector", fields, "alpha", 1e-6),
-        rho=textconf.as_float("detector", fields, "rho", 1e-4),
-        estimation_rho=None if est_rho == -1.0 else est_rho,
-        window=textconf.as_int("detector", fields, "window", 50),
-        nmin=None if nmin == -1 else nmin,
-        inflate=textconf.as_float("detector", fields, "inflate", 4.0),
-        hold_last_value=textconf.as_bool("detector", fields, "hold_last_value", False),
-    )
+    options = _read(blocks, "detector")
+    return det.DetectorConfig(g=g, f=None if options.get("mode") == det.ADAPTIVE else f,
+                              **options)
 
 
 def _outdir(args) -> str:
@@ -202,16 +205,20 @@ def cmd_detect(args) -> None:
 
 def cmd_localize(args) -> None:
     blocks = load_config(args.config)
-    fields = _section(blocks, "localize")
-    textconf.check_keys("localize", fields, _LOCALIZE_KEYS)
+    options = _read(blocks, "localize")
+    if ("zero" in options) != ("active" in options):
+        raise textconf.ConfigError("[localize]: zero and active are set together or not at all")
+    if options.get("n_boot", 1) < 1:
+        raise textconf.ConfigError(
+            f"[localize].n_boot must be at least 1, got {options['n_boot']}")
     stream = _load_stream(args)
     scenario = scenario_from_blocks(stream.meta)
     lam = stream.truth.lam
     if lam is None:
         raise textconf.ConfigError("stream has no outage to localize")
     layout = stream.layout
-    exact = textconf.as_bool("localize", fields, "exact", False)
-    post_ticks = textconf.as_int("localize", fields, "post_ticks", stream.horizon - lam + 1)
+    exact = options.get("exact", False)
+    post_ticks = options.get("post_ticks", stream.horizon - lam + 1)
     pre = stream.values[: lam - 1]
     post = stream.values[lam - 1: lam - 1 + post_ticks]
     if exact:
@@ -226,8 +233,7 @@ def cmd_localize(args) -> None:
                 f"windows too short to estimate a {layout.dim}-dim covariance "
                 f"(pre {pre.shape[0]}, post {post.shape[0]})")
         sigma0 = np.cov(pre.T, ddof=0)
-        rho = textconf.as_float("detector", _section(blocks, "detector"), "rho", 0.04)
-        sigma1 = estimate_post_outage(post, EstimationPrior(rho)).cov
+        sigma1 = estimate_post_outage(post, _estimation_prior(blocks)).cov
 
     def sensed_branches() -> list[tuple[int, int]]:
         # a branch can be scored only when both of its buses are sensed
@@ -237,19 +243,15 @@ def cmd_localize(args) -> None:
             raise textconf.ConfigError("no branch has both of its buses sensed")
         return pairs
 
-    zero = textconf.as_float("localize", fields, "zero", -1.0)
-    if zero != -1.0:
-        thresholds = Thresholds(zero, textconf.as_float("localize", fields, "active"))
+    if "zero" in options:
+        thresholds = Thresholds(options["zero"], options["active"])
     elif exact:
         thresholds = EXACT_THRESHOLDS
     else:
-        n_boot = textconf.as_int("localize", fields, "n_boot", 200)
-        if n_boot < 1:
-            raise textconf.ConfigError(f"[localize].n_boot must be at least 1, got {n_boot}")
         thresholds = thresholds_from_bootstrap(pre, sensed_branches(), layout,
-                                               n_boot=n_boot, seed=scenario.seed)
+                                               seed=scenario.seed, **_given(options, "n_boot"))
 
-    pair_mode = textconf.as_str("localize", fields, "pairs", "branches")
+    pair_mode = options.get("pairs", "branches")
     if pair_mode == "all":
         pairs = all_bus_pairs(layout)
     elif pair_mode == "branches":
@@ -266,17 +268,17 @@ def cmd_localize(args) -> None:
     _write(os.path.join(out, "rho_post.csv"),
            heatmap_csv(correlation_matrix(sigma1, layout), layout))
 
-    if textconf.as_bool("localize", fields, "estimate_admittance", False):
+    if options.get("estimate_admittance"):
         if stream.injections is None:
             raise textconf.ConfigError(
                 "admittance estimation needs recorded injections "
                 "(scenario record_injections = true)")
-        cut = textconf.as_float("localize", fields, "candidate_cut", 0.1)
         dv = stream.complex_values()
         pre_w = PhasorWindow(dv[: lam - 1], stream.injections[: lam - 1])
         post_w = PhasorWindow(dv[lam - 1:], stream.injections[lam - 1:])
         candidates = sorted(report.flagged) or [br.pair for br in scenario.topology.branches]
-        estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates, cut)
+        estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates,
+                                        **_given(options, "candidate_cut"))
         report = dataclasses.replace(report, admittance_estimates=estimates)
         lines = ["branch,pre_re,pre_im,post_re,post_im,magnitude_ratio,likely_out"]
         for (i, j), est in sorted(estimates.items()):
@@ -289,35 +291,21 @@ def cmd_localize(args) -> None:
     print(f"flagged branches: {flagged}")
 
 
-def _experiment_config(blocks, scenario, args) -> ExperimentConfig:
-    fields = _section(blocks, "experiment")
-    textconf.check_keys("experiment", fields, _EXPERIMENT_KEYS)
-    det_fields = _section(blocks, "detector")
-    alphas = tuple(textconf.as_floats("experiment", fields, "alphas")) \
-        if "alphas" in fields else (1e-2, 1e-4, 1e-6)
-    modes = tuple(textconf.as_str("experiment", fields, "modes", det.KNOWN_F).split())
-    margin = textconf.as_int("experiment", fields, "margin", -1)
-    rho = textconf.as_float("detector", det_fields, "rho", -1.0)
-    nmin = textconf.as_int("experiment", fields, "nmin", -1)
-    # retired: chunks split over forking.cpus(); still checked so old configs parse
-    textconf.as_int("experiment", fields, "parallelism", 1)
-    return ExperimentConfig(
-        scenario=scenario,
-        alphas=alphas,
-        replications=textconf.as_int("experiment", fields, "replications", 100),
-        modes=modes,
-        rho=None if rho == -1.0 else rho,
-        window=textconf.as_int("experiment", fields, "window", 50),
-        nmin=None if nmin == -1 else nmin,
-        master_seed=args.seed if args.seed is not None else scenario.seed,
-        margin=None if margin == -1 else margin,
-    )
+def _monte_carlo(blocks, args, **options) -> ExperimentConfig:
+    scenario = build_scenario(blocks, os.path.dirname(args.config), None)
+    return ExperimentConfig(scenario=scenario, rho=_read(blocks, "detector").get("rho"),
+                            master_seed=args.seed if args.seed is not None else scenario.seed,
+                            **options)
 
 
 def cmd_experiment(args) -> None:
     blocks = load_config(args.config)
-    scenario = build_scenario(blocks, os.path.dirname(args.config), None)
-    config = _experiment_config(blocks, scenario, args)
+    options = _read(blocks, "experiment")
+    # retired: chunks split over forking.cpus(); still read so old configs parse
+    options.pop("parallelism", None)
+    # the CLI runs fewer replications and alphas than the API's defaults
+    config = _monte_carlo(blocks, args, replications=options.pop("replications", 100),
+                          alphas=options.pop("alphas", (1e-2, 1e-4, 1e-6)), **options)
     table = run_experiment(config)
     out = _outdir(args)
     _write(os.path.join(out, "metrics.csv"), table.to_csv())
@@ -330,28 +318,14 @@ def cmd_experiment(args) -> None:
 
 def cmd_pmu_sweep(args) -> None:
     blocks = load_config(args.config)
-    scenario = build_scenario(blocks, os.path.dirname(args.config), None)
-    fields = _section(blocks, "pmu_sweep")
-    textconf.check_keys("pmu_sweep", fields, _PMU_KEYS)
-    placements = None
-    counts = None
-    if "placements" in fields:
-        placements = []
-        for part in fields["placements"].split("|"):
-            placements.append(sorted(int(tok) for tok in part.split()))
-    elif "counts" in fields:
-        counts = textconf.as_ints("pmu_sweep", fields, "counts")
-    else:
-        raise textconf.ConfigError("[pmu_sweep] needs placements or counts")
-    det_rho = textconf.as_float("detector", _section(blocks, "detector"), "rho", -1.0)
-    config = ExperimentConfig(
-        scenario=scenario,
-        alphas=(textconf.as_float("pmu_sweep", fields, "alpha", 1e-6),),
-        replications=textconf.as_int("pmu_sweep", fields, "replications", 100),
-        rho=None if det_rho == -1.0 else det_rho,
-        master_seed=args.seed if args.seed is not None else scenario.seed,
-    )
-    table = run_pmu_sweep(config, placements=placements, counts=counts)
+    options = _read(blocks, "pmu_sweep")
+    if ("placements" in options) == ("counts" in options):
+        raise textconf.ConfigError("[pmu_sweep] needs placements or counts, not both")
+    # a sweep runs one alpha, and the CLI's 100 replications
+    config = _monte_carlo(blocks, args, alphas=(options.get("alpha", 1e-6),),
+                          replications=options.get("replications", 100))
+    table = run_pmu_sweep(config, placements=options.get("placements"),
+                          counts=options.get("counts"))
     out = _outdir(args)
     _write(os.path.join(out, "pmu_sweep.csv"), table.to_csv())
     print(f"{len(table.rows)} coverage levels -> {out}")
@@ -378,8 +352,7 @@ def cmd_heatmap(args) -> None:
         lam = stream.truth.lam
         if lam is None or stream.horizon - lam + 1 < layout.dim + 2:
             return None
-        rho = textconf.as_float("detector", _section(blocks, "detector"), "rho", 0.04)
-        est = estimate_post_outage(stream.values[lam - 1:], EstimationPrior(rho))
+        est = estimate_post_outage(stream.values[lam - 1:], _estimation_prior(blocks))
         return heatmap_csv(correlation_matrix(est.cov, layout), layout)
 
     _, text = (forking.forked(exact, estimated) if forking.may_fork()

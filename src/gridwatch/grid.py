@@ -288,8 +288,9 @@ def kron_reduce(Y: AdmittanceMatrix, keep: set[int]) -> AdmittanceMatrix:
 
 # --- bundled feeders -------------------------------------------------------
 
-_FEEDER_KEYS_BUS = {"id", "slack", "der"}
-_FEEDER_KEYS_BRANCH = {"from", "to", "conductance", "susceptance", "in_service"}
+_BUS = {"id": int, "slack": textconf.boolean, "der": textconf.boolean}
+_BRANCH = {"from": int, "to": int, "conductance": float, "susceptance": float,
+           "in_service": textconf.boolean}
 
 
 def parse_feeder(text: str, name: str = "") -> GridTopology:
@@ -300,25 +301,21 @@ def parse_feeder(text: str, name: str = "") -> GridTopology:
     branches: list[Branch] = []
     for section, fields in textconf.parse_blocks(text):
         if section == "bus":
-            textconf.check_keys("bus", fields, _FEEDER_KEYS_BUS, {"id"})
-            bus = textconf.as_int("bus", fields, "id")
+            options = textconf.read("bus", fields, _BUS, required=("id",))
+            bus = options["id"]
             if bus in buses:
                 raise textconf.ConfigError(f"duplicate bus id {bus}")
             buses.append(bus)
-            if textconf.as_bool("bus", fields, "slack", False):
+            if options.get("slack"):
                 slack.add(bus)
-            if textconf.as_bool("bus", fields, "der", False):
+            if options.get("der"):
                 der.add(bus)
         elif section == "branch":
-            textconf.check_keys("branch", fields, _FEEDER_KEYS_BRANCH,
-                                {"from", "to", "conductance", "susceptance"})
-            branches.append(Branch(
-                textconf.as_int("branch", fields, "from"),
-                textconf.as_int("branch", fields, "to"),
-                complex(textconf.as_float("branch", fields, "conductance"),
-                        textconf.as_float("branch", fields, "susceptance")),
-                textconf.as_bool("branch", fields, "in_service", True),
-            ))
+            br = textconf.read("branch", fields, _BRANCH,
+                               required=("from", "to", "conductance", "susceptance"))
+            branches.append(Branch(br.pop("from"), br.pop("to"),
+                                   complex(br.pop("conductance"), br.pop("susceptance")),
+                                   **br))
         else:
             raise textconf.ConfigError(f"unknown section [{section}] in feeder file")
     if not buses:

@@ -41,7 +41,15 @@ from .gaussmodel import (
     _injection_vector,
     model_from_topology,
 )
-from .grid import GridTopology, apply_outage, format_feeder, parse_feeder, substream, transfer
+from .grid import (
+    GridTopology,
+    apply_outage,
+    format_feeder,
+    load_feeder,
+    parse_feeder,
+    substream,
+    transfer,
+)
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,9 @@ class Scenario:
             if self.lam is None and self.outage_rho is None:
                 raise ValueError("outage needs a fixed time (lam) or a rate (outage_rho)")
             if self.lam is not None and not 1 <= self.lam <= self.horizon:
-                raise ValueError(f"lam {self.lam} outside 1..{self.horizon}")
+                raise ValueError(f"[scenario].lambda = {self.lam} is outside 1..{self.horizon}")
+            if self.outage_rho is not None and not 0.0 < self.outage_rho <= 1.0:
+                raise ValueError(f"[scenario].outage_rho = {self.outage_rho} is outside (0, 1]")
         if self.schedule is None:
             object.__setattr__(
                 self, "schedule", SensorSchedule.all_phasor(self.topology.bus_count))
@@ -303,14 +313,11 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
     _write_table(data_path, STREAM_HEADER,
                  [channel_id(bus, part) for bus, part in stream.layout.entries],
                  [stream.values, stream.fresh])
-    blocks: list[tuple[str, dict[str, str]]] = []
     truth_fields = {"out_branches": ", ".join(f"{i}-{j}" for i, j in stream.truth.out_branches)}
     if stream.truth.lam is not None:
         truth_fields["lambda"] = str(stream.truth.lam)
-    blocks.append(("truth", truth_fields))
-    blocks.append(("stream", stream_fields))
-    for bus, kind, period in stream.schedule.entries:
-        blocks.append(("sensor", {"bus": str(bus), "kind": kind, "period": str(period)}))
+    blocks = [("truth", truth_fields), ("stream", stream_fields),
+              *_sensor_blocks(stream.schedule)]
     if scenario is not None:
         blocks.extend(scenario_blocks(scenario))
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -325,26 +332,19 @@ def parse_stream(data_path: str, meta_path: str,
     bus) of an injections file."""
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta_blocks = textconf.parse_blocks(fh.read())
-    horizon = None
-    buses = -1
-    lam = None
-    out_branches: tuple[tuple[int, int], ...] = ()
-    sensors: dict[int, tuple[str, int]] = {}
+    sidecar, truth = None, {}
     for section, fields in meta_blocks:
         if section == "stream":
-            horizon = textconf.as_int("stream", fields, "horizon")
-            buses = textconf.as_int("stream", fields, "buses", -1)
+            sidecar = textconf.read("stream", fields, {"horizon": int, "buses": int},
+                                    required=("horizon",))
         elif section == "truth":
-            lam = textconf.as_int("truth", fields, "lambda", -1)
-            lam = None if lam == -1 else lam
-            out_branches = tuple(textconf.as_pairs("truth", fields, "out_branches", []))
-        elif section == "sensor":
-            bus = textconf.as_int("sensor", fields, "bus")
-            sensors[bus] = (textconf.as_str("sensor", fields, "kind"),
-                            textconf.as_int("sensor", fields, "period"))
-    if horizon is None or not sensors:
+            truth = textconf.read("truth", fields, {"lambda": int, "out_branches": textconf.pairs})
+    schedule = _read_schedule(meta_blocks)
+    if sidecar is None or schedule is None:
         raise textconf.ConfigError("stream sidecar missing [stream] or [sensor] blocks")
-    schedule = SensorSchedule.from_kinds(sensors)
+    if truth.get("lambda", 1) < 1:
+        raise textconf.ConfigError(f"[truth].lambda must be at least 1, got {truth['lambda']}")
+    horizon = sidecar["horizon"]
     layout = schedule.layout()
     ids = [channel_id(bus, part) for bus, part in layout.entries]
     # coordinates are read as bytes in whole 64-bit words, at least one wider
@@ -360,8 +360,7 @@ def parse_stream(data_path: str, meta_path: str,
     if injections_path is not None:
         # sidecars written before the bus count was recorded: the highest
         # sensed bus, right whenever the schedule senses the last bus
-        if buses == -1:
-            buses = schedule.entries[-1][0]
+        buses = sidecar.get("buses", schedule.entries[-1][0])
         injections, = _shared((horizon, buses), complex(np.nan, np.nan))
         _table_rows(injections_path, INJECTIONS_HEADER, [injections.real, injections.imag],
                     [np.int64, float, float],
@@ -371,7 +370,8 @@ def parse_stream(data_path: str, meta_path: str,
     scenario_meta = [(section, dict(fields)) for section, fields in meta_blocks
                      if section not in ("stream", "truth")]
     return MeasurementStream(layout=layout, schedule=schedule, values=values,
-                             fresh=fresh, truth=GroundTruth(lam, out_branches),
+                             fresh=fresh,
+                             truth=GroundTruth(truth.get("lambda"), truth.get("out_branches", ())),
                              injections=injections, meta=scenario_meta)
 
 
@@ -584,9 +584,29 @@ def _table_fault(path: str, values: np.ndarray, names: dict[int, str]) -> str:
 
 # --- scenario config blocks ---------------------------------------------------
 
-_SCENARIO_KEYS = {"outage", "lambda", "outage_rho", "injection_variance",
-                  "noise_variance", "horizon", "seed", "mean_shift",
-                  "record_injections", "feeder"}
+_SCENARIO = {"outage": textconf.pairs, "lambda": int, "outage_rho": float,
+             "injection_variance": float, "noise_variance": float, "horizon": int,
+             "seed": int, "mean_shift": float, "record_injections": textconf.boolean,
+             "feeder": str}
+# the config keys named otherwise than the Scenario field they set
+_RENAMED = {"outage": "out_branches", "lambda": "lam"}
+_SENSOR = {"bus": int, "kind": str, "period": int}
+
+
+def _sensor_blocks(schedule: SensorSchedule) -> list[tuple[str, dict[str, str]]]:
+    return [("sensor", {"bus": str(bus), "kind": kind, "period": str(period)})
+            for bus, kind, period in schedule.entries]
+
+
+def _read_schedule(blocks) -> SensorSchedule | None:
+    """The schedule of the [sensor] blocks, None without one; a bus's later
+    block wins, as a stream sidecar holds each twice (in the scenario echo)."""
+    kinds: dict[int, tuple[str, int]] = {}
+    for section, fields in blocks:
+        if section == "sensor":
+            sensor = textconf.read("sensor", fields, _SENSOR, required=_SENSOR)
+            kinds[sensor["bus"]] = (sensor["kind"], sensor["period"])
+    return SensorSchedule.from_kinds(kinds) if kinds else None
 
 
 def scenario_blocks(scenario: Scenario) -> list[tuple[str, dict[str, str]]]:
@@ -612,55 +632,40 @@ def scenario_blocks(scenario: Scenario) -> list[tuple[str, dict[str, str]]]:
         blocks.append(("injection", {f"bus{b}": repr(float(v))
                                      for b, v in sorted(scenario.injection_variance.items())}))
     blocks.extend(textconf.parse_blocks(format_feeder(scenario.topology)))
-    for bus, kind, period in scenario.schedule.entries:
-        blocks.append(("sensor", {"bus": str(bus), "kind": kind, "period": str(period)}))
-    return blocks
+    return blocks + _sensor_blocks(scenario.schedule)
 
 
 def scenario_from_blocks(blocks: list[tuple[str, dict[str, str]]],
-                         topology: GridTopology | None = None) -> Scenario:
+                         config_dir: str = "") -> Scenario:
     """Rebuild a Scenario from config blocks (inverse of scenario_blocks).
 
-    A topology built from inline [bus]/[branch] blocks is used unless an
-    explicit one is passed.
+    The feeder is the one the [scenario] feeder key names, a file path
+    relative to config_dir or else a bundled name, or without that key the
+    one of the inline [bus]/[branch] blocks.
     """
     fields: dict[str, str] = {}
-    injection: dict[int, float] = {}
-    sensors: dict[int, tuple[str, int]] = {}
+    injection: dict[str, str] = {}
     feeder_blocks = []
     for section, block in blocks:
         if section == "scenario":
             fields = block
         elif section == "injection":
-            for key, value in block.items():
-                if not key.startswith("bus"):
-                    raise textconf.ConfigError(f"[injection]: bad key {key!r}")
-                injection[int(key[3:])] = float(value)
-        elif section == "sensor":
-            bus = textconf.as_int("sensor", block, "bus")
-            sensors[bus] = (textconf.as_str("sensor", block, "kind"),
-                            textconf.as_int("sensor", block, "period"))
+            injection.update(block)
         elif section in ("bus", "branch"):
             feeder_blocks.append((section, block))
-    textconf.check_keys("scenario", fields, _SCENARIO_KEYS)
-    if topology is None:
-        if not feeder_blocks:
-            raise textconf.ConfigError("no feeder given: need inline [bus]/[branch] "
-                                       "blocks or a feeder reference")
+    options = textconf.read("scenario", fields, _SCENARIO)
+    feeder = options.pop("feeder", None)
+    if feeder is not None:
+        path = os.path.join(config_dir, feeder)
+        topology = load_feeder(path if os.path.exists(path) else feeder)
+    elif feeder_blocks:
         topology = parse_feeder(textconf.format_blocks(feeder_blocks))
-    lam = textconf.as_int("scenario", fields, "lambda", -1)
-    rho = textconf.as_float("scenario", fields, "outage_rho", -1.0)
-    return Scenario(
-        topology=topology,
-        out_branches=tuple(textconf.as_pairs("scenario", fields, "outage", [])),
-        lam=None if lam == -1 else lam,
-        outage_rho=None if rho == -1.0 else rho,
-        injection_variance=injection if injection else textconf.as_float(
-            "scenario", fields, "injection_variance", 1.0),
-        noise_variance=textconf.as_float("scenario", fields, "noise_variance", 1e-8),
-        schedule=SensorSchedule.from_kinds(sensors) if sensors else None,
-        horizon=textconf.as_int("scenario", fields, "horizon", 100),
-        seed=textconf.as_int("scenario", fields, "seed", 0),
-        mean_shift=textconf.as_float("scenario", fields, "mean_shift", 0.0),
-        record_injections=textconf.as_bool("scenario", fields, "record_injections", False),
-    )
+    else:
+        raise textconf.ConfigError("no feeder given: need inline [bus]/[branch] "
+                                   "blocks or a feeder reference")
+    variances = textconf.read("injection", injection,
+                              {f"bus{b}": float for b in range(1, topology.bus_count + 1)})
+    if variances:
+        options["injection_variance"] = {int(key[3:]): v for key, v in variances.items()}
+    return Scenario(topology=topology, schedule=_read_schedule(blocks),
+                    **{_RENAMED.get(key, key): value for key, value in options.items()})

@@ -4,8 +4,9 @@ and stream sidecars.
 A file is a sequence of sections.  A section starts with a ``[name]`` header
 and collects ``key = value`` lines until the next header.  Section names may
 repeat (e.g. one ``[branch]`` block per branch).  ``#`` starts a comment,
-blank lines are ignored.  Values are kept as raw strings; consumers convert
-them through the ``as_*`` helpers and are expected to reject unknown keys.
+blank lines are ignored.  Values are kept as raw strings; consumers read a
+section through ``read`` and the section's kinds table, which rejects
+unknown keys and converts the values.
 """
 
 from __future__ import annotations
@@ -54,93 +55,61 @@ def format_blocks(blocks: list[tuple[str, dict[str, str]]]) -> str:
     return "\n".join(out)
 
 
-def check_keys(section: str, fields: dict[str, str], allowed: set[str],
-               required: set[str] = frozenset()) -> None:
-    """Reject unknown keys and report missing required ones."""
-    unknown = set(fields) - allowed
+_PLAIN = {int: "not an integer", float: "not a number"}
+
+
+def read(section: str, fields: dict[str, str], kinds: dict, required=(), auto=()) -> dict:
+    """The values of the keys present in a section's fields, each converted
+    by its entry in kinds, {key: converter}; a converter raises ValueError on
+    a bad string.  A key in auto written as -1 is left out, so its default
+    applies.  ConfigError names [section] for an unknown or missing key, and
+    [section].key for a rejected value."""
+    unknown = fields.keys() - kinds.keys()
     if unknown:
         raise ConfigError(f"[{section}]: unknown keys {sorted(unknown)}")
-    missing = required - set(fields)
+    missing = set(required) - fields.keys()
     if missing:
         raise ConfigError(f"[{section}]: missing keys {sorted(missing)}")
-
-
-def as_int(section: str, fields: dict[str, str], key: str, default=None) -> int:
-    if key not in fields:
-        if default is None:
-            raise ConfigError(f"[{section}]: missing integer key {key!r}")
-        return default
-    try:
-        return int(fields[key])
-    except ValueError:
-        raise ConfigError(f"[{section}].{key}: not an integer: {fields[key]!r}") from None
-
-
-def as_float(section: str, fields: dict[str, str], key: str, default=None) -> float:
-    if key not in fields:
-        if default is None:
-            raise ConfigError(f"[{section}]: missing numeric key {key!r}")
-        return default
-    try:
-        return float(fields[key])
-    except ValueError:
-        raise ConfigError(f"[{section}].{key}: not a number: {fields[key]!r}") from None
+    values = {}
+    for key, raw in fields.items():
+        kind = kinds[key]
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}].{key}: {_PLAIN.get(kind, exc)}: {raw!r}") from None
+        if key not in auto or value != -1:
+            values[key] = value
+    return values
 
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def as_bool(section: str, fields: dict[str, str], key: str, default=None) -> bool:
-    if key not in fields:
-        if default is None:
-            raise ConfigError(f"[{section}]: missing boolean key {key!r}")
-        return default
-    value = fields[key].lower()
-    if value not in _BOOLS:
-        raise ConfigError(f"[{section}].{key}: not a boolean: {fields[key]!r}")
-    return _BOOLS[value]
-
-
-def as_str(section: str, fields: dict[str, str], key: str, default=None) -> str:
-    if key not in fields:
-        if default is None:
-            raise ConfigError(f"[{section}]: missing key {key!r}")
-        return default
-    return fields[key]
-
-
-def as_floats(section: str, fields: dict[str, str], key: str) -> list[float]:
-    """Comma-separated float list, e.g. ``1e-2, 1e-4, 1e-6``."""
-    raw = as_str(section, fields, key)
+def boolean(raw: str) -> bool:
+    """``true``/``yes``/``1`` or ``false``/``no``/``0``, in any case."""
     try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"[{section}].{key}: bad float list: {raw!r}") from None
+        return _BOOLS[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
 
 
-def as_ints(section: str, fields: dict[str, str], key: str) -> list[int]:
-    raw = as_str(section, fields, key)
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"[{section}].{key}: bad integer list: {raw!r}") from None
+def floats(raw: str) -> tuple[float, ...]:
+    """Comma-separated numbers, e.g. ``1e-2, 1e-4, 1e-6``."""
+    return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
-def as_pairs(section: str, fields: dict[str, str], key: str, default=None) -> list[tuple[int, int]]:
-    """Branch list like ``3-4, 2-6`` into [(3, 4), (2, 6)]."""
-    if key not in fields:
-        if default is None:
-            raise ConfigError(f"[{section}]: missing key {key!r}")
-        return default
-    raw = fields[key]
-    pairs: list[tuple[int, int]] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
+def ints(raw: str) -> tuple[int, ...]:
+    """Comma-separated integers, e.g. ``7, 4, 2``."""
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def pairs(raw: str) -> tuple[tuple[int, int], ...]:
+    """Branch list like ``3-4, 2-6`` into ((3, 4), (2, 6))."""
+    out = []
+    for part in filter(None, map(str.strip, raw.split(","))):
         try:
             a, b = part.split("-")
-            pairs.append((int(a), int(b)))
+            out.append((int(a), int(b)))
         except ValueError:
-            raise ConfigError(f"[{section}].{key}: bad pair {part!r} (want 'i-j')") from None
-    return pairs
+            raise ValueError(f"bad pair {part!r} (want 'i-j')") from None
+    return tuple(out)

@@ -4,11 +4,12 @@ experiment/sweep emitters, determinism and the machine-readable error path."""
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from gridwatch import cli, experiments
+from gridwatch import cli, experiments, simgen
 from gridwatch.cli import main
 from gridwatch.grid import SingularBlockError
 from gridwatch.simgen import parse_stream
@@ -250,6 +251,106 @@ def test_error_reported_as_json(tmp_path, capsys):
     err = json.loads(captured.err.splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "bogus_key" in err["message"]
+
+
+# (command, replaced text, replacement, error, text the message must hold)
+BAD_INPUTS = {
+    "experiment_unknown_detector_key": ("experiment", "rho = 1e-4", "rh0 = 0.5",
+                                        "ConfigError", "[detector]: unknown keys ['rh0']"),
+    "pmu_sweep_unknown_detector_key": ("pmu-sweep", "rho = 1e-4", "rh0 = 0.5",
+                                       "ConfigError", "[detector]: unknown keys ['rh0']"),
+    "experiment_detector_rho_minus_one": ("experiment", "rho = 1e-4", "rho = -1",
+                                          "ValueError", "rho must be in (0, 1), got -1.0"),
+    "bad_placements_token": ("pmu-sweep", "| 2 5", "| 2 x", "ConfigError",
+                             "[pmu_sweep].placements: "),
+    "placements_and_counts": ("pmu-sweep", "alpha = 1e-6\nreplications = 20",
+                              "alpha = 1e-6\nreplications = 20\ncounts = 4, 2",
+                              "ConfigError", "[pmu_sweep] needs placements or counts"),
+    "bad_injection_key": ("simulate", "bus4 = 4.0", "busx = 4.0", "ConfigError",
+                          "[injection]: unknown keys ['busx']"),
+    "injection_bus_outside_feeder": ("simulate", "bus4 = 4.0", "bus9 = 4.0", "ConfigError",
+                                     "[injection]: unknown keys ['bus9']"),
+    "bad_injection_value": ("simulate", "bus4 = 4.0", "bus4 = four", "ConfigError",
+                            "[injection].bus4: not a number: 'four'"),
+    "active_without_zero": ("localize", "exact = true", "exact = true\nactive = 0.9",
+                            "ConfigError", "[localize]: zero and active"),
+    "zero_without_active": ("localize", "exact = true", "exact = true\nzero = 0.1",
+                            "ConfigError", "[localize]: zero and active"),
+    "lambda_minus_one": ("simulate", "lambda = 21", "lambda = -1\noutage_rho = 0.04",
+                         "ValueError", "[scenario].lambda = -1"),
+    "outage_rho_minus_one": ("experiment", "lambda = 21", "outage_rho = -1", "ValueError",
+                             "[scenario].outage_rho = -1"),
+    "unknown_section": ("experiment", "[experiment]", "[experimnet]", "ConfigError",
+                        "unknown section [experimnet]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_config_input_is_a_named_error(tmp_path, config_path, capsys, case):
+    command, old, new, error, message = BAD_INPUTS[case]
+    assert old in CONFIG
+    conf = tmp_path / "bad.conf"
+    conf.write_text(CONFIG.replace(old, new))
+    extra = []
+    if command == "localize":
+        extra = ["--stream", str(tmp_path / "stream")]
+        run_ok(["simulate", "--config", config_path, "--out", extra[1]], capsys)
+    code = main([command, "--config", str(conf), "--out", str(tmp_path / "out")] + extra)
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert code == 2
+    assert err["error"] == error and message in err["message"], err
+
+
+# per command: the config line replaced, and its replacement with the keys
+# where -1 means the same as leaving the key out
+AUTO_KEYS = {
+    "detect": ("mode = known_f", "mode = adaptive\nnmin = -1\nestimation_rho = -1.0"),
+    "experiment": ("[experiment]", "[experiment]\nmodes = known_f adaptive\nmargin = -1\n"
+                                   "nmin = -1"),
+    "localize": ("[localize]", "[localize]\nzero = -1.0\nactive = -1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(AUTO_KEYS))
+def test_minus_one_reads_as_a_key_left_out(tmp_path, capsys, command):
+    line, keys = AUTO_KEYS[command]
+    left_out = "\n".join(k for k in keys.splitlines() if "-1" not in k)
+    stream = str(tmp_path / "stream")
+    trees = []
+    for name, text in (("left_out", left_out), ("minus_one", keys)):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(CONFIG.replace(line, text))
+        if not trees:
+            run_ok(["simulate", "--config", str(conf), "--out", stream], capsys)
+        out = tmp_path / name
+        extra = [] if command == "experiment" else ["--stream", stream]
+        run_ok([command, "--config", str(conf), "--out", str(out)] + extra, capsys)
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1] and trees[0]
+
+
+def test_readme_config_documents_every_key(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = readme.split("A complete config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+    conf = tmp_path / "readme.conf"
+    conf.write_text(text)
+    blocks = cli.load_config(str(conf))
+    # [scenario], [injection] and [sensor] through their tables
+    scenario = cli.build_scenario(blocks, str(tmp_path), None)
+    assert scenario.injection_variance == {4: 4.0, 5: 4.0, 6: 6.0}
+    assert scenario.schedule.entries == ((7, "magnitude", 15),)
+    for name in cli._SECTIONS:
+        cli._read(blocks, name)
+    # keys set in the block, and the alternatives its comments name ("or: key =")
+    documented: dict[str, set] = {}
+    for line in text.splitlines():
+        if line.startswith("["):
+            keys = documented.setdefault(line[1:line.index("]")], set())
+        keys.update(re.findall(r"(?:^|or: )(\w+) =", line))
+    assert documented.pop("injection") == {"bus4", "bus5", "bus6"}
+    tables = {"scenario": simgen._SCENARIO, "sensor": simgen._SENSOR,
+              **{name: kinds for name, (kinds, _) in cli._SECTIONS.items()}}
+    assert documented == {name: set(kinds) for name, kinds in tables.items()}
 
 
 def test_detect_rejects_stream_with_nan_sample(tmp_path, config_path, capsys):

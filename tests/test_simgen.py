@@ -189,6 +189,20 @@ def test_stream_file_round_trip(tmp_path, loop8):
     assert rebuilt == scen
 
 
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_sidecar_outage_tick_below_one_is_rejected(tmp_path, loop8, lam):
+    # -1 has no "no outage" meaning in a sidecar: a stream without one has no lambda
+    stream = generate(base_scenario(loop8, out_branches=((3, 4),), lam=3, horizon=5))
+    data, meta = str(tmp_path / "stream.csv"), str(tmp_path / "stream.meta")
+    write_stream(stream, data, meta)
+    with open(meta, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(meta, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("lambda = 3", f"lambda = {lam}"))
+    with pytest.raises(ConfigError, match=rf"^\[truth\]\.lambda must be at least 1, got {lam}$"):
+        parse_stream(data, meta)
+
+
 def test_injections_round_trip_when_last_bus_unsensed(tmp_path, loop8):
     # injections cover every bus; the schedule stops at bus 7
     sched = SensorSchedule.from_kinds({b: (PHASOR, 1) for b in range(1, 8)})

@@ -2,15 +2,7 @@
 
 import pytest
 
-from gridwatch.textconf import (
-    ConfigError,
-    as_bool,
-    as_float,
-    as_pairs,
-    check_keys,
-    format_blocks,
-    parse_blocks,
-)
+from gridwatch.textconf import ConfigError, boolean, format_blocks, pairs, parse_blocks, read
 
 
 def test_round_trip():
@@ -40,19 +32,26 @@ def test_duplicate_key_rejected():
 
 
 def test_check_keys():
-    with pytest.raises(ConfigError, match="unknown keys"):
-        check_keys("sec", {"a": "1", "z": "2"}, {"a"})
-    with pytest.raises(ConfigError, match="missing keys"):
-        check_keys("sec", {"a": "1"}, {"a", "b"}, required={"b"})
+    with pytest.raises(ConfigError, match=r"^\[sec\]: unknown keys \['z'\]$"):
+        read("sec", {"a": "1", "z": "2"}, {"a": int})
+    with pytest.raises(ConfigError, match=r"^\[sec\]: missing keys \['b'\]$"):
+        read("sec", {"a": "1"}, {"a": int, "b": int}, required=("b",))
 
 
 def test_typed_accessors():
+    kinds = {"f": float, "b": boolean, "pairs": pairs, "absent": float}
     fields = {"f": "2.5", "b": "yes", "pairs": "3-4, 2-6"}
-    assert as_float("s", fields, "f") == 2.5
-    assert as_bool("s", fields, "b") is True
-    assert as_pairs("s", fields, "pairs") == [(3, 4), (2, 6)]
-    assert as_float("s", fields, "absent", 1.0) == 1.0
-    with pytest.raises(ConfigError, match="not a number"):
-        as_float("s", fields, "b")
-    with pytest.raises(ConfigError, match="bad pair"):
-        as_pairs("s", {"p": "3+4"}, "p")
+    assert read("s", fields, kinds) == {"f": 2.5, "b": True, "pairs": ((3, 4), (2, 6))}
+    with pytest.raises(ConfigError, match=r"^\[s\]\.f: not a number: 'yes'$"):
+        read("s", {"f": "yes"}, kinds)
+    with pytest.raises(ConfigError, match=r"^\[s\]\.p: bad pair '3\+4' \(want 'i-j'\)"):
+        read("s", {"p": "3+4"}, {"p": pairs})
+    with pytest.raises(ConfigError, match=r"^\[s\]\.b: not a boolean: 'maybe'$"):
+        read("s", {"b": "maybe"}, kinds)
+    with pytest.raises(ConfigError, match=r"^\[s\]\.n: not an integer: '1.5'$"):
+        read("s", {"n": "1.5"}, {"n": int})
+
+
+def test_auto_keys_written_as_minus_one_are_left_out():
+    kinds = {"n": int, "x": float, "y": float}
+    assert read("s", {"n": "-1", "x": "-1.0", "y": "-1"}, kinds, auto=("n", "x")) == {"y": -1.0}
