@@ -26,8 +26,8 @@ from .grid import (
 )
 from .gaussmodel import (
     CoordinateLayout,
-    EstimationPrior,
     GaussianModel,
+    GeometricPrior,
     estimate_post_outage,
     kl_divergence,
     log_density,
@@ -38,7 +38,6 @@ from .detector import (
     DetectionReport,
     DetectionRule,
     DetectorConfig,
-    GeometricPrior,
     NonFiniteLikelihoodError,
     expected_delay_bound,
     run_detector,

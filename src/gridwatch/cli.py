@@ -27,7 +27,7 @@ from .experiments import (
     run_experiment,
     run_pmu_sweep,
 )
-from .gaussmodel import EstimationPrior, estimate_post_outage
+from .gaussmodel import GeometricPrior, estimate_post_outage
 from .localizer import (
     EXACT_THRESHOLDS,
     PhasorWindow,
@@ -70,9 +70,13 @@ _SECTIONS = {
 def load_config(path: str) -> list[tuple[str, dict[str, str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         blocks = textconf.parse_blocks(fh.read())
-    for name, _ in blocks:
+    names = [name for name, _ in blocks]
+    for name in names:
         if name not in ("scenario", "injection", "sensor", "bus", "branch", *_SECTIONS):
             raise textconf.ConfigError(f"unknown section [{name}]")
+        if name in ("scenario", *_SECTIONS) and names.count(name) > 1:
+            raise textconf.ConfigError(f"section [{name}] is repeated; only [sensor], "
+                                       "[injection], [bus] and [branch] may repeat")
     return blocks
 
 
@@ -87,10 +91,10 @@ def _given(options: dict, *keys: str) -> dict:
     return {key: options[key] for key in keys if key in options}
 
 
-def _estimation_prior(blocks) -> EstimationPrior:
+def _estimation_prior(blocks) -> GeometricPrior:
     # localize and heatmap read [detector] rho as the estimation prior, with
     # a default of 0.04 where detect's is 1e-4
-    return EstimationPrior(_read(blocks, "detector").get("rho", 0.04))
+    return GeometricPrior(_read(blocks, "detector").get("rho", 0.04))
 
 
 def build_scenario(blocks, config_dir: str, seed: int | None) -> Scenario:

@@ -21,8 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gaussmodel import (
-    EstimationPrior,
     GaussianModel,
+    GeometricPrior,
     estimate_windows,
     log_density,
     log_density_stack,
@@ -32,17 +32,6 @@ LOG_ODDS_CLAMP = 700.0
 
 KNOWN_F = "known_f"
 ADAPTIVE = "adaptive"
-
-
-@dataclass(frozen=True)
-class GeometricPrior:
-    """Geometric change-time prior, pmf rho * (1 - rho)^(k-1)."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +87,7 @@ _REFIT_BUDGET = 1 << 16
 
 
 def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
-                    est_prior: EstimationPrior | None = None, *, max_window: int = 50,
+                    est_prior: GeometricPrior | None = None, *, max_window: int = 50,
                     nmin: int | None = None, inflate: float = 4.0,
                     stop_at: float | None = None
                     ) -> list[tuple[np.ndarray, np.ndarray, ValueError | None]]:
@@ -112,15 +101,16 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
     holds nmin samples (default dim + 2, never below 2) that fit, shrunk
     toward the g-with-inflated-covariance fallback with weight
     dim/(dim + window), is used and the step is marked refreshed; before,
-    the fallback is used alone.  The README's adaptive detector notes give
-    the reasons, and how a round scores the next block of every trace.
+    the fallback is used alone.  The fit weighs the change position by
+    est_prior (default: the change-time prior).  The README's adaptive
+    detector notes give the reasons, and how a round scores each block.
 
     A trace stops at its end, at the first step whose log-odds reach
     stop_at, or before the first error of a step it reaches (a non-finite
     log-likelihood ratio as NonFiniteLikelihoodError with its step, a
-    singular covariance, explicit estimation weights of the wrong length);
-    its result does not depend on the rest of the batch.  ValueError at
-    once when the matrices are not (n, d) with one d.
+    singular covariance); its result does not depend on the rest of the
+    batch as long as log_density's rows keep their bits (see there).  ValueError
+    at once when the matrices are not (n, d) with one d.
     """
     batch = [np.asarray(x, dtype=float) for x in batch]
     for x in batch:
@@ -135,17 +125,13 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
             raise ValueError(f"window must be >= 1, got {max_window}")
         fallback = inflated_fallback(g, inflate)
         need = _nmin(g.dim, nmin)
-        est_prior = est_prior or EstimationPrior(rho)
+        est_prior = est_prior or prior
         longest = min(max_window, max((x.shape[0] for x in batch), default=1) - 1)
         if longest >= need:  # some step refreshes
-            # window_weights rows and denominators by window length; explicit
-            # weights fit their own length only, the others keep denominator 0
-            fits, own = np.arange(need, longest + 1), est_prior.explicit_weights
-            if own is not None:
-                fits = fits[fits == len(own)]
+            # window_weights rows and denominators by window length
+            fits = np.arange(need, longest + 1)
             weights = np.zeros((max_window + 1, max_window)), np.zeros(max_window + 1)
-            if fits.size:
-                weights[0][fits], weights[1][fits] = est_prior.window_weights(fits, max_window)
+            weights[0][fits], weights[1][fits] = est_prior.window_weights(fits, max_window)
             # trace i's samples follow max_window zero rows from base[i] on, so
             # windows[base[i] + k] holds the max_window samples before its
             # sample k, zero rows standing in for those before the first
@@ -176,12 +162,8 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
             log_f = log_density(f, x)
         if adaptive and fresh.any():
             at = np.repeat(base[running], rows) + steps
-            fit = np.flatnonzero(fresh)
-            for r in fit[weights[1][lengths[fit]] == 0].tolist():
-                errors[r] = ValueError(f"explicit weights length {len(own)} != window "
-                                       f"length {lengths[r]}")
-            _fit_log_f(log_f, fit[weights[1][lengths[fit]] > 0], windows, at, lengths,
-                       weights, fallback, x, errors)
+            _fit_log_f(log_f, np.flatnonzero(fresh), windows, at, lengths, weights,
+                       fallback, x, errors)
         with np.errstate(invalid="ignore"):  # inf - inf: a non-finite ratio
             log_lr = log_f - log_density(g, x)
         for r in np.flatnonzero(~np.isfinite(log_lr)).tolist():
@@ -350,8 +332,8 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
         raise ValueError(f"dimension drift: stream has {stream.values.shape[1]} "
                          f"channels, layout has {layout.dim}")
     ticks, x = _step_increments(stream, step_period, config.hold_last_value)
-    est_prior = EstimationPrior(config.estimation_rho
-                                if config.estimation_rho is not None else config.rho)
+    est_prior = (GeometricPrior(config.estimation_rho)
+                 if config.estimation_rho is not None else None)
     try:
         log_odds, refreshed = _one_trace(
             x, g_step, config.rho, f_step if config.mode == KNOWN_F else None, est_prior,
@@ -414,7 +396,7 @@ def known_f_log_odds(samples: np.ndarray, g: GaussianModel, f: GaussianModel,
 
 
 def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
-                      est_prior: EstimationPrior | None = None, *,
+                      est_prior: GeometricPrior | None = None, *,
                       max_window: int = 50, nmin: int | None = None,
                       inflate: float = 4.0,
                       stop_at: float | None = None) -> np.ndarray:

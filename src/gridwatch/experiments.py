@@ -16,12 +16,12 @@ from . import detector as det
 from . import forking
 from .gaussmodel import (
     CoordinateLayout,
-    EstimationPrior,
     GaussianModel,
+    GeometricPrior,
     kl_divergence,
     score_pairs,
 )
-from .detector import GeometricPrior, expected_delay_bound
+from .detector import expected_delay_bound
 from .grid import substream
 from .simgen import Scenario, _synthesize, sample_outage_time
 
@@ -162,9 +162,8 @@ def _score_chunk(config: ExperimentConfig, reps: range, margin: int,
     alarms: list[list[dict]] = [[] for _ in reps]
     for cols, g, f in detectors:
         batch = streams if cols is None else [values[:, cols] for values in streams]
-        traces = det._log_odds_trace(batch, g, rho, f, EstimationPrior(rho),
-                                     max_window=config.window, nmin=config.nmin,
-                                     stop_at=max(thresholds))
+        traces = det._log_odds_trace(batch, g, rho, f, max_window=config.window,
+                                     nmin=config.nmin, stop_at=max(thresholds))
         for rep, (seed, _, _), out, (trace, _, error) in zip(reps, draws, alarms, traces):
             if error is not None:
                 raise _replication_error(rep, seed, error) from error

@@ -221,7 +221,10 @@ def log_density(model: GaussianModel, x) -> float | np.ndarray:
     """Multivariate normal log-density via the model's cached whitener, the
     inverse of its Cholesky factor: one matrix product per call.
 
-    Accepts a single vector (d,) or a batch (n, d).
+    Accepts a single vector (d,) or a batch (n, d).  One row is scored as
+    two, as BLAS gemv rounds a one-row product otherwise than gemm a batch;
+    whether a row keeps its bits in batches of every size depends on the
+    BLAS kernel and d (README, adaptive detector notes).
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -231,8 +234,9 @@ def log_density(model: GaussianModel, x) -> float | np.ndarray:
     whiten, logdet = model._whitener()
     # a non-finite sample yields a non-finite density, which callers report
     with np.errstate(invalid="ignore"):
-        white = (pts - model.mean) @ whiten.T
-        quad = np.einsum("ij,ij->i", white, white)
+        rows = np.repeat(pts, 2, axis=0) if len(pts) == 1 else pts
+        white = (rows - model.mean) @ whiten.T
+        quad = np.einsum("ij,ij->i", white, white)[:len(pts)]
     out = -0.5 * (quad + model.dim * LOG_2PI + logdet)
     return float(out[0]) if single else out
 
@@ -446,46 +450,28 @@ def _injection_vector(injection_variance, m: int) -> np.ndarray:
 # --- post-change parameter estimation ---------------------------------------
 
 @dataclass(frozen=True)
-class EstimationPrior:
-    """Change-position prior used by the windowed ML estimator.
+class GeometricPrior:
+    """Geometric prior, pmf rho * (1 - rho)^(k-1) for k = 1, 2, ...: of the
+    change time for the detector, and of the change position within the
+    window for the post-change estimator."""
 
-    rho parameterises the geometric pmf over the change position within the
-    window.  explicit_weights, when given, override the pmf (useful for
-    collapsing all mass onto one position); individual zeros are allowed but
-    negative weights and an all-zero vector are not.
-    """
-
-    rho: float = 0.04
-    explicit_weights: tuple[float, ...] | None = None
+    rho: float
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if self.explicit_weights is not None:
-            w = np.asarray(self.explicit_weights, dtype=float)
-            if np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative with positive sum")
 
     def weights(self, n: int) -> np.ndarray:
-        if self.explicit_weights is not None:
-            w = np.asarray(self.explicit_weights, dtype=float)
-            if w.size != n:
-                raise ValueError(f"explicit weights length {w.size} != window length {n}")
-            return w
-        k = np.arange(1, n + 1)
-        return self.rho * (1.0 - self.rho) ** (k - 1)
+        """The pmf at positions 1..n."""
+        return self.rho * (1.0 - self.rho) ** np.arange(n)
 
     def window_weights(self, lengths, width: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, denominators) for windows of the given lengths N: row s
         holds cumsum(weights(N)) at the right-hand end of `width` columns,
         zeros before, and its denominator is sum_k pi(k) (N-k+1), the sum of
-        that row.  The geometric pmf of a shorter window is a prefix of a
-        longer one's, so one pmf serves every row; explicit weights fit
-        their own length only (ValueError for any other)."""
+        that row.  The pmf of a shorter window is a prefix of a longer one's,
+        so one pmf serves every row."""
         lengths = np.asarray(lengths, dtype=int)
-        if self.explicit_weights is not None:
-            for n in np.unique(lengths).tolist():
-                self.weights(n)
         cumulative = np.cumsum(self.weights(int(lengths.max())))
         at = np.arange(width) - (width - lengths)[:, None]
         rows = np.where(at >= 0, cumulative[np.maximum(at, 0)], 0.0)
@@ -501,7 +487,7 @@ def estimate_windows(dev: np.ndarray, last: np.ndarray, weights: np.ndarray,
     dev holds each window minus its last sample (overwritten here), last
     those samples.  Row s of weights is cumsum(prior.weights(N)) at its
     right-hand end, zeros before, so earlier rows (zero padding, say) get
-    weight zero, and denom[s] is its sum (EstimationPrior.window_weights).
+    weight zero, and denom[s] is its sum (GeometricPrior.window_weights).
     The whole stack goes through one two-pass weighted mean and covariance
     and the ridge.  Deviations from the last sample give a constant window
     exactly zero covariance, hence the same ridge, whatever its padding.
@@ -516,7 +502,7 @@ def estimate_windows(dev: np.ndarray, last: np.ndarray, weights: np.ndarray,
     return mu, sigma + eps[:, None, None] * np.eye(dim)
 
 
-def estimate_post_outage(window, prior: EstimationPrior,
+def estimate_post_outage(window, prior: GeometricPrior,
                          ridge: float | None = None) -> GaussianModel:
     """Weighted ML estimate of the post-change mean and covariance.
 

@@ -37,6 +37,8 @@ class Thresholds:
 # Defaults for exact model covariances, where the only "noise" is float
 # arithmetic; data-driven runs should use thresholds_from_bootstrap.
 EXACT_THRESHOLDS = Thresholds(zero=1e-6, active=1e-2)
+# thresholds_from_bootstrap's floors, in multiples of the bootstrap deviation
+ZERO_MULT, ACTIVE_MULT = 3.0, 10.0
 
 
 # A row block's moment columns (rows x (d + d(d+1)/2)) hold at most this many
@@ -46,11 +48,9 @@ _BOOT_BUDGET = 1 << 18
 
 
 def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayout,
-                              n_boot: int = 200, seed: int = 0,
-                              zero_mult: float = 3.0,
-                              active_mult: float = 10.0) -> Thresholds:
-    """Data-driven floors: zero = zero_mult * the 99th percentile of the
-    bootstrap deviation of the pair scores, active = active_mult * zero.
+                              n_boot: int = 200, seed: int = 0) -> Thresholds:
+    """Data-driven floors: zero = ZERO_MULT (3) * the 99th percentile of the
+    bootstrap deviation of the pair scores, active = ACTIVE_MULT (10) * zero.
 
     Resample b draws n rows with replacement, rng.integers(0, n, n) from
     substream(seed, "bootstrap"), and is kept as its count vector, in the
@@ -149,8 +149,8 @@ def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayo
     if deviations.size == 0:
         raise ValueError(f"no bootstrap deviation: every scored pair is degenerate "
                          f"in all {n_boot} resamples")
-    zero = zero_mult * float(np.percentile(deviations, 99.0))
-    return Thresholds(zero=zero, active=active_mult * zero)
+    zero = ZERO_MULT * float(np.percentile(deviations, 99.0))
+    return Thresholds(zero=zero, active=ACTIVE_MULT * zero)
 
 
 @dataclass(frozen=True)

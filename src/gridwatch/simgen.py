@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forking, textconf
-from .detector import GeometricPrior
 from .gaussmodel import (
     MAGNITUDE,
     PHASOR,
@@ -182,10 +181,8 @@ class MeasurementStream:
         return self.values[:, re_idx] + 1j * self.values[:, im_idx]
 
 
-def sample_outage_time(prior, seed: int) -> int:
-    """Geometric outage tick, deterministic per seed; accepts a
-    GeometricPrior or a bare rate in (0, 1]."""
-    rho = prior.rho if isinstance(prior, GeometricPrior) else float(prior)
+def sample_outage_time(rho: float, seed: int) -> int:
+    """Geometric outage tick of rate rho in (0, 1], deterministic per seed."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if rho == 1.0:
@@ -666,6 +663,9 @@ def scenario_from_blocks(blocks: list[tuple[str, dict[str, str]]],
     variances = textconf.read("injection", injection,
                               {f"bus{b}": float for b in range(1, topology.bus_count + 1)})
     if variances:
+        if "injection_variance" in options:
+            raise textconf.ConfigError("[scenario].injection_variance and an [injection] "
+                                       "block are given together: set one of them")
         options["injection_variance"] = {int(key[3:]): v for key, v in variances.items()}
     return Scenario(topology=topology, schedule=_read_schedule(blocks),
                     **{_RENAMED.get(key, key): value for key, value in options.items()})

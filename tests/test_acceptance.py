@@ -44,9 +44,9 @@ from gridwatch.detector import (
 )
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.gaussmodel import (
-    EstimationPrior,
     GaussianModel,
     estimate_post_outage,
+    estimate_windows,
     sample,
 )
 from gridwatch.grid import (
@@ -225,17 +225,18 @@ def test_c6_estimator_matches_double_sums():
             n = int(rng.integers(2, 11))
             d = int(rng.integers(1, 4))
             x = rng.normal(size=(n, d))
-            prior = EstimationPrior(float(rng.uniform(0.02, 0.98)))
+            prior = GeometricPrior(float(rng.uniform(0.02, 0.98)))
             est = estimate_post_outage(x, prior, ridge=0.0)
             mu, sig = _double_sum_estimate(x, prior.weights(n))
             assert np.abs(est.mean - mu).max() <= 1e-12
             assert np.abs(est.cov - sig).max() <= 1e-12
         x = rng.normal(size=(9, 3))
-        collapse = EstimationPrior(0.5, explicit_weights=(1.0,) + (0.0,) * 8)
-        est = estimate_post_outage(x, collapse, ridge=0.0)
+        # all mass at position 1: cumulative weights all ones, denominator n
+        mu, cov = estimate_windows(x[None] - x[None, -1:], x[None, -1], np.ones((1, 9)),
+                                   np.array([9.0]), ridge=0.0)
         # identical formulas; only float accumulation order may differ
-        assert np.abs(est.mean - x.mean(axis=0)).max() < 1e-15
-        assert np.abs(est.cov - np.cov(x.T, ddof=0)).max() < 1e-15
+        assert np.abs(mu[0] - x.mean(axis=0)).max() < 1e-15
+        assert np.abs(cov[0] - np.cov(x.T, ddof=0)).max() < 1e-15
 
 
 def test_c7_conditioning_matches_monte_carlo():

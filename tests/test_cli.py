@@ -282,6 +282,15 @@ BAD_INPUTS = {
                              "[scenario].outage_rho = -1"),
     "unknown_section": ("experiment", "[experiment]", "[experimnet]", "ConfigError",
                         "unknown section [experimnet]"),
+    "bad_pairs_value": ("localize", "exact = true", "exact = true\npairs = some",
+                        "ConfigError", "[localize].pairs must be branches|all, got 'some'"),
+    "repeated_scenario": ("simulate", "[detector]", "[scenario]\nfeeder = path3\n\n[detector]",
+                          "ConfigError", "section [scenario] is repeated"),
+    "repeated_detector": ("simulate", "[experiment]", "[detector]\nbogus = 3\n\n[experiment]",
+                          "ConfigError", "section [detector] is repeated"),
+    "injection_variance_and_injection_block": (
+        "simulate", "horizon = 60", "horizon = 60\ninjection_variance = 2.0", "ConfigError",
+        "[scenario].injection_variance and an [injection] block"),
 }
 
 
@@ -379,6 +388,28 @@ def _localize_error(tmp_path, capsys, config):
                  "--out", str(tmp_path / "localize")])
     assert code == 2
     return json.loads(capsys.readouterr().err.splitlines()[-1])
+
+
+def test_localize_all_pairs_and_explicit_thresholds(tmp_path, config_path, capsys):
+    stream_dir = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", config_path, "--out", stream_dir], capsys)
+
+    def localize(name, keys):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(CONFIG.replace("estimate_admittance = true", keys))
+        run_ok(["localize", "--config", str(conf), "--stream", stream_dir,
+                "--out", str(tmp_path / name)], capsys)
+        return cli.parse_localization_csv(_read(tmp_path, name, "localization.csv"))
+
+    rows = localize("all", "pairs = all")
+    assert sorted(r["pair"] for r in rows) == [(i, j) for i in range(1, 9)
+                                               for j in range(i + 1, 9)]
+    assert {(3, 4), (2, 6)} <= {r["pair"] for r in rows if r["flagged"]}
+    # the given floors, not the exact defaults, decide the flags
+    rows = localize("floors", "pairs = all\nzero = 0.05\nactive = 0.4")
+    assert [r["flagged"] for r in rows] == [
+        not r["degenerate"] and r["rho_pre"] > 0.4 and r["rho_post"] < 0.05 for r in rows]
+    assert not any(r["flagged"] for r in localize("none", "zero = 1e-6\nactive = 2.0"))
 
 
 def test_localize_rejects_n_boot_below_one(tmp_path, capsys):

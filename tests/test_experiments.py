@@ -1,11 +1,13 @@
 """Monte Carlo harness: determinism, serial/parallel agreement, mode
 comparison, coverage sweep, heatmap emission and metrics round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gridwatch import experiments
 from gridwatch.experiments import (
     ExperimentConfig,
     MetricsTable,
@@ -216,6 +218,46 @@ def test_pmu_sweep_full_coverage_matches_experiment(loop8):
     assert sweep.rows[0].avg_delay == pytest.approx(baseline.rows[0].avg_delay)
 
 
+def test_censored_and_false_alarm_rules_match_a_hand_reduction(loop8, monkeypatch):
+    # from the (outage tick, alarms) pairs of _replications: a replication
+    # without an alarm counts as margin, one alarming before its outage is a
+    # false alarm; margin 1 censors some, alpha 0.5 alarms early in some
+    seen = []
+    real = experiments._replications
+    monkeypatch.setattr(experiments, "_replications",
+                        lambda *args: seen.append(real(*args)) or seen[-1])
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(0.5, 1e-6),
+                           replications=16, margin=1, master_seed=7)
+    table = run_experiment(cfg)
+    for row in table.rows:
+        taus = [(lam, alarms[0][row.alpha]) for lam, alarms in seen[0]]
+        kept = [1 if tau is None else tau - lam for lam, tau in taus
+                if tau is None or tau >= lam]
+        false_alarms = sum(tau is not None and tau < lam for lam, tau in taus)
+        assert row.censored == sum(tau is None for _, tau in taus)
+        assert row.false_alarms == false_alarms
+        assert row.empirical_false_alarm == false_alarms / 16
+        assert row.avg_delay == sum(kept) / len(kept)
+    assert table.rows[0].false_alarms and table.rows[0].censored
+
+    # the sweep: censored as margin, false alarms left out of both columns
+    sweep = run_pmu_sweep(dataclasses.replace(cfg, alphas=(0.5,)),
+                          placements=[list(range(1, 9)), [7, 8], [2]])
+    delays = [[1 if tau is None else None if tau < lam else tau - lam
+               for lam, tau in ((lam, alarms[p][0.5]) for lam, alarms in seen[1])]
+              for p in range(3)]
+    for p, row in enumerate(sweep.rows):
+        kept = [x for x in delays[p] if x is not None]
+        assert row.avg_delay == sum(kept) / len(kept)
+        if p:
+            both = [(now, before) for now, before in zip(delays[p], delays[p - 1])
+                    if now is not None and before is not None]
+            assert row.frac_delay_ge_prev == sum(n >= b for n, b in both) / len(both)
+    # the sweep met both: a replication without an alarm, and a false alarm
+    assert any(alarm[0.5] is None for _, alarms in seen[1] for alarm in alarms)
+    assert any(None in d for d in delays)
+
+
 def test_pmu_sweep_trend(loop8):
     scen = delay_scenario(loop8, out_branches=((2, 6),), noise_variance=1e-2)
     cfg = ExperimentConfig(scenario=scen, alphas=(1e-6,), replications=120,
@@ -266,13 +308,13 @@ def test_heatmap_matrices(tmp_path, loop8):
 
 
 def test_heatmap_estimated_covariance_flags_same_entries(loop8):
-    from gridwatch.gaussmodel import EstimationPrior, estimate_post_outage
+    from gridwatch.gaussmodel import GeometricPrior, estimate_post_outage
     from gridwatch.simgen import generate
 
     scen = Scenario(topology=loop8, out_branches=((3, 4), (2, 6)), lam=1,
                     horizon=8000, noise_variance=1e-4, seed=21)
     stream = generate(scen)
-    est = estimate_post_outage(stream.values, EstimationPrior(0.04))
+    est = estimate_post_outage(stream.values, GeometricPrior(0.04))
     g = scen.pre_model()
     exact = correlation_matrix(scen.post_model().cov, g.layout)
     sampled = correlation_matrix(est.cov, g.layout)

@@ -20,11 +20,12 @@ from scipy.integrate import quad
 
 from gridwatch.gaussmodel import (
     CoordinateLayout,
-    EstimationPrior,
     GaussianModel,
+    GeometricPrior,
     _tril_inverse,
     complex_to_real_cov,
     estimate_post_outage,
+    estimate_windows,
     kl_divergence,
     log_density,
     log_density_stack,
@@ -413,17 +414,25 @@ def brute_force_estimate(window, weights):
     return mu, sig / denom
 
 
+def first_position_estimate(x):
+    """estimate_windows with all prior mass at window position 1: every
+    cumulative weight is 1 and the denominator n."""
+    n = x.shape[0]
+    mu, cov = estimate_windows(x[None] - x[None, -1:], x[None, -1], np.ones((1, n)),
+                               np.array([float(n)]), ridge=0.0)
+    return mu[0], cov[0]
+
+
 def test_estimator_mass_at_first_position_collapses_to_mle(rng):
     x = rng.normal(size=(12, 3))
-    prior = EstimationPrior(0.5, explicit_weights=(1.0,) + (0.0,) * 11)
-    est = estimate_post_outage(x, prior, ridge=0.0)
-    np.testing.assert_allclose(est.mean, x.mean(axis=0), atol=1e-15)
-    np.testing.assert_allclose(est.cov, np.cov(x.T, ddof=0), atol=1e-14)
+    mean, cov = first_position_estimate(x)
+    np.testing.assert_allclose(mean, x.mean(axis=0), atol=1e-15)
+    np.testing.assert_allclose(cov, np.cov(x.T, ddof=0), atol=1e-14)
 
 
 def test_estimator_constant_window_gives_ridge_identity():
     x = np.full((6, 2), 3.5)
-    est = estimate_post_outage(x, EstimationPrior(0.3))
+    est = estimate_post_outage(x, GeometricPrior(0.3))
     np.testing.assert_allclose(est.mean, [3.5, 3.5], atol=1e-14)
     eps = ridge_epsilon(np.zeros((2, 2)))
     np.testing.assert_allclose(est.cov, eps * np.eye(2), atol=1e-20)
@@ -432,7 +441,7 @@ def test_estimator_constant_window_gives_ridge_identity():
 def test_estimator_hand_evaluated_geometric_case():
     # N=3, rho=0.5, scalar data 1,2,3: mu = 37/17, sigma = 3026/4913
     est = estimate_post_outage(np.array([[1.0], [2.0], [3.0]]),
-                               EstimationPrior(0.5), ridge=0.0)
+                               GeometricPrior(0.5), ridge=0.0)
     assert est.mean[0] == pytest.approx(37 / 17, abs=1e-12)
     assert est.cov[0, 0] == pytest.approx(3026 / 4913, abs=1e-12)
 
@@ -443,7 +452,7 @@ def test_estimator_matches_brute_force(rng):
         d = int(rng.integers(1, 4))
         x = rng.normal(size=(n, d))
         rho = float(rng.uniform(0.05, 0.95))
-        prior = EstimationPrior(rho)
+        prior = GeometricPrior(rho)
         est = estimate_post_outage(x, prior, ridge=0.0)
         mu, sig = brute_force_estimate(x, prior.weights(n))
         assert np.abs(est.mean - mu).max() < 1e-12
@@ -452,32 +461,23 @@ def test_estimator_matches_brute_force(rng):
 
 def test_estimator_consistency_rate(rng):
     truth = random_model(rng, 3)
-    prior = EstimationPrior(0.9, explicit_weights=None)
     errs = {n: [] for n in (100, 1000, 10000)}
     for seed in range(20):
         local = np.random.default_rng(seed)
         x = sample(truth, 10000, local)
         for n in errs:
-            w = (1.0,) + (0.0,) * (n - 1)  # change known to sit at the start
-            est = estimate_post_outage(x[:n], EstimationPrior(0.5, explicit_weights=w),
-                                       ridge=0.0)
-            errs[n].append(np.linalg.norm(est.mean - truth.mean) +
-                           np.linalg.norm(est.cov - truth.cov))
+            mean, cov = first_position_estimate(x[:n])  # change known to sit at the start
+            errs[n].append(np.linalg.norm(mean - truth.mean) +
+                           np.linalg.norm(cov - truth.cov))
     med = [np.median(errs[n]) for n in (100, 1000, 10000)]
     assert med[0] > med[1] > med[2], f"medians not shrinking: {med}"
 
 
 def test_estimator_input_validation():
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_post_outage(np.ones((1, 2)), EstimationPrior(0.5))
-    with pytest.raises(ValueError, match="nonnegative"):
-        EstimationPrior(0.5, explicit_weights=(1.0, -0.5))
-    with pytest.raises(ValueError, match="positive sum"):
-        EstimationPrior(0.5, explicit_weights=(0.0, 0.0))
+        estimate_post_outage(np.ones((1, 2)), GeometricPrior(0.5))
     with pytest.raises(ValueError, match="rho"):
-        EstimationPrior(1.0)
-    with pytest.raises(ValueError, match="length"):
-        estimate_post_outage(np.ones((3, 1)), EstimationPrior(0.5, explicit_weights=(1.0,)))
+        GeometricPrior(1.0)
 
 
 # --- model validation ----------------------------------------------------------------

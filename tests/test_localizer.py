@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridwatch.gaussmodel import EstimationPrior, estimate_post_outage
+from gridwatch.gaussmodel import GeometricPrior, estimate_post_outage
 from gridwatch.grid import Branch, GridTopology, apply_outage
 from gridwatch.localizer import (
     DELTA_TIE,
@@ -80,7 +80,7 @@ def test_estimated_covariance_flags_same_set(loop8):
     pre = stream.values[:4000]
     post = stream.values[4000:]
     sigma0 = np.cov(pre.T, ddof=0)
-    sigma1 = estimate_post_outage(post, EstimationPrior(0.04)).cov
+    sigma1 = estimate_post_outage(post, GeometricPrior(0.04)).cov
     report = scan_pairs(sigma0, sigma1, branch_pairs(loop8), stream.layout,
                         Thresholds(zero=0.05, active=0.3))
     assert report.flagged == {(3, 4), (2, 6)}

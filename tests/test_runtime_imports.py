@@ -1,6 +1,10 @@
 """The runtime needs numpy only: importing the CLI loads no scipy and no
-process pool, and every CLI path used here runs with scipy blocked."""
+process pool, and every CLI path used here runs with scipy blocked.  The
+modules keep their layering: gaussmodel below detector and simgen, and
+simgen beside detector."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -38,6 +42,44 @@ def _python(code: str, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _parse_modules() -> dict[str, ast.Module]:
+    out = {}
+    for path in glob.glob(os.path.join(SRC, "gridwatch", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            out[os.path.basename(path)[:-3]] = ast.parse(fh.read())
+    return out
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The gridwatch modules a module imports, relatively or by name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "gridwatch" + ("." + base if base else "")
+            if base == "gridwatch":
+                out.update(alias.name for alias in node.names)
+            elif base.startswith("gridwatch."):
+                out.add(base.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("gridwatch."))
+    return out
+
+
+def test_module_layering():
+    # the geometric prior is defined once, in gaussmodel, the lowest module
+    # that uses it, and neither it nor simgen reaches up into the detector
+    modules = _parse_modules()
+    assert not _imports(modules["gaussmodel"]) & {"detector", "simgen"}
+    assert "detector" not in _imports(modules["simgen"])
+    assert {"grid", "gaussmodel"} <= _imports(modules["simgen"])  # the parser sees them
+    defined = [name for name, tree in modules.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "GeometricPrior"]
+    assert defined == ["gaussmodel"]
 
 
 def test_cli_import_loads_no_scipy_or_process_pool(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch import forking, simgen
-from gridwatch.detector import GeometricPrior
 from gridwatch.gaussmodel import MAGNITUDE, PHASOR
 from gridwatch.grid import Branch, GridTopology, islands, load_feeder, random_feeder
 from gridwatch.simgen import (
@@ -148,7 +147,7 @@ def test_mean_shift_stress_option(loop8):
 
 def test_sample_outage_time_degenerate_and_mean():
     assert all(sample_outage_time(1.0, seed) == 1 for seed in range(5))
-    rng_draws = [sample_outage_time(GeometricPrior(0.04), seed) for seed in range(100_000)]
+    rng_draws = [sample_outage_time(0.04, seed) for seed in range(100_000)]
     assert np.mean(rng_draws) == pytest.approx(25.0, rel=0.02)
     assert sample_outage_time(0.04, 7) == sample_outage_time(0.04, 7)
 
