@@ -280,7 +280,8 @@ def cmd_localize(args) -> None:
         dv = stream.complex_values()
         pre_w = PhasorWindow(dv[: lam - 1], stream.injections[: lam - 1])
         post_w = PhasorWindow(dv[lam - 1:], stream.injections[lam - 1:])
-        candidates = sorted(report.flagged) or [br.pair for br in scenario.topology.branches]
+        branches = [br.pair for br in scenario.topology.branches]
+        candidates = sorted(report.flagged.intersection(branches)) or branches
         estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates,
                                         **_given(options, "candidate_cut"))
         report = dataclasses.replace(report, admittance_estimates=estimates)
@@ -351,18 +352,23 @@ def cmd_heatmap(args) -> None:
                      os.path.join(out, "heatmap_pre.csv"),
                      os.path.join(out, "heatmap_post.csv"))
 
-    def estimated() -> str | None:
+    def estimated() -> str | int:
+        # the matrix's CSV, or the post-outage tick count when too short
         stream = generate(scenario)
         lam = stream.truth.lam
-        if lam is None or stream.horizon - lam + 1 < layout.dim + 2:
-            return None
+        ticks = 0 if lam is None else stream.horizon - lam + 1
+        if ticks < layout.dim + 2:
+            return ticks
         est = estimate_post_outage(stream.values[lam - 1:], _estimation_prior(blocks))
         return heatmap_csv(correlation_matrix(est.cov, layout), layout)
 
     _, text = (forking.forked(exact, estimated) if forking.may_fork()
                else (exact(), estimated()))
-    if text is not None:
+    if isinstance(text, str):
         _write(os.path.join(args.out, "heatmap_post_estimated.csv"), text)
+    else:
+        print(f"heatmap_post_estimated.csv left out: {text} post-outage ticks, "
+              f"fewer than dim + 2 = {layout.dim + 2}")
     print(f"heatmaps -> {args.out}")
 
 

@@ -78,12 +78,13 @@ def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
 # or its block of adaptive windows, holds at most _STACK_BUDGET float64
 # values, 128 kB: with 1 MB the montecarlo benchmark peaked 1.6 MB higher.
 # The windows of a round, filled across its traces, are refitted in stacks
-# of at most _REFIT_BUDGET gathered window values, 512 kB: 81 windows of 50
-# samples at d = 16.  On the montecarlo experiment the refits took 15 % less
-# time than in stacks of 20 windows, and stacks of 327 were no faster.
+# of at most _REFIT_BUDGET gathered window values, 256 kB: 40 windows of 50
+# samples at d = 16.  On the montecarlo benchmark, with its replications in
+# chunks of 2^16 stream values, stacks of 81 windows ran at most 4 % faster
+# but peaked 0.7 MB higher, over 1 MB above chunks of 8 replications.
 _FIRST_BLOCK = 8
 _STACK_BUDGET = 1 << 14
-_REFIT_BUDGET = 1 << 16
+_REFIT_BUDGET = 1 << 15
 
 
 def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
@@ -142,6 +143,8 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
             windows = sliding_window_view(padded, max_window, axis=0).transpose(0, 2, 1)
     cap = max(1, _STACK_BUDGET // (dim * (max_window if adaptive else 1)))
     size = _FIRST_BLOCK if stop_at is not None else cap
+    stop = math.inf if stop_at is None else stop_at
+    exp, log1p, clamp = math.exp, math.log1p, LOG_ODDS_CLAMP
     # a trace's last block ends at its first non-finite sample
     last = [x.shape[0] if ok.all() else int(np.argmin(ok)) + 1
             for x, ok in ((x, np.isfinite(x).all(axis=1)) for x in batch)]
@@ -178,10 +181,13 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
             run, level, stopped = values[lo:failed], log_odds[i], False
             for k, value in enumerate(run):
                 # log R_n = log L_n + logaddexp(log R_{n-1}, log rho) - log(1 - rho)
-                high, low = (level, log_rho) if level >= log_rho else (log_rho, level)
-                level = value + (high + math.log1p(math.exp(low - high))) - log_keep
-                level = run[k] = max(-LOG_ODDS_CLAMP, min(LOG_ODDS_CLAMP, level))
-                if stop_at is not None and level >= stop_at:
+                if level >= log_rho:
+                    level = value + (level + log1p(exp(log_rho - level))) - log_keep
+                else:
+                    level = value + (log_rho + log1p(exp(level - log_rho))) - log_keep
+                level = run[k] = (clamp if level > clamp else -clamp if level < -clamp
+                                  else level)
+                if level >= stop:
                     del run[k + 1:]
                     stopped = True
                     break

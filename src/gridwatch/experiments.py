@@ -1,8 +1,9 @@
 """Monte Carlo experiment harness: delay/false-alarm curves over an alpha
 grid, limited-sensor coverage sweeps, and conditional-correlation heatmap
 emission.  Everything is deterministic given the master seed; replications
-are scored in chunks, split over forked processes in contiguous groups that
-are joined in replication order, so the split cannot change the output.
+are split over forked processes in contiguous groups, scored in chunks of
+bounded size and joined in replication order, so the split cannot change
+the output.
 """
 
 from __future__ import annotations
@@ -129,27 +130,26 @@ def _replication_draw(config: ExperimentConfig, rep: int, margin: int) -> tuple[
     return seed, lam, lam + margin
 
 
-# Replications are scored in chunks of this many: one core call per chunk and
-# detector.  A chunk's streams (about 100 rows of 16 values each on loop8)
-# and the core's zero-padded copy of them stay near 250 kB: with 16 the
-# montecarlo experiment peaked 0.35 MB higher than one replication at a time.
-_CHUNK = 8
+# A group scores its replications in contiguous chunks of at most this many
+# stream values (512 kB; about 46 replications on loop8), or of one larger
+# replication: one synthesis call and one core call per detector each.
+_CHUNK_VALUES = 1 << 16
 
 
 def _replication_error(rep: int, seed: int, exc: Exception) -> RuntimeError:
     return RuntimeError(f"replication {rep} (seed {seed}) failed: {exc}")
 
 
-def _score_chunk(config: ExperimentConfig, reps: range, margin: int,
+def _score_chunk(config: ExperimentConfig, reps: range, draws: list,
                  detectors: list) -> list[tuple[int, list[dict]]]:
-    """(outage tick, alarms per detector) of every replication of a chunk.
-    A detector is (stream columns or None for all, g, f or None for
-    adaptive); its alarms map each alpha to the first crossing or None.  The
-    streams come from one simgen._synthesize call; each detector scores them
-    in one core call stopped at the threshold of min(alphas), which every
-    alpha's first crossing comes at or before.  A failure names its
-    replication and seed (the first replication's, in the shared set-up)."""
-    draws = [_replication_draw(config, rep, margin) for rep in reps]
+    """(outage tick, alarms per detector) of every replication of a chunk,
+    from its (seed, outage tick, horizon) draws.  A detector is (stream
+    columns or None for all, g, f or None for adaptive); its alarms map each
+    alpha to the first crossing or None.  The streams come from one
+    simgen._synthesize call; each detector scores them in one core call
+    stopped at the threshold of min(alphas), which every alpha's first
+    crossing comes at or before.  A failure names its replication and seed
+    (the first replication's, in the shared set-up)."""
     made = _synthesize(config.scenario, draws)
     streams = []
     for rep, (seed, _, _) in zip(reps, draws):
@@ -175,22 +175,29 @@ def _replications(config: ExperimentConfig, margin: int,
                   detectors: list) -> list[tuple[int, list[dict]]]:
     """(outage tick, alarms per detector) of every replication, by index.
 
-    When forking.may_fork and there are two or more chunks, the chunks are
-    cut into min(cpus, chunks) contiguous groups whose sizes differ by at
-    most one chunk: the first group is scored here, each other one in a
-    forked child.  The groups come back in order and are joined, so the
-    result does not depend on the split, and a failure raises the error of
-    the lowest failing chunk, as in one process."""
-    chunks = [range(lo, min(lo + _CHUNK, config.replications))
-              for lo in range(0, config.replications, _CHUNK)]
+    The replications are cut into min(cpus, replications) contiguous groups
+    whose sizes differ by at most one (one group unless forking.may_fork):
+    the first group is scored here, each other one in a forked child.  A
+    group draws its replications and scores them in contiguous chunks of at
+    most _CHUNK_VALUES stream values, horizon x dim each.  The groups come
+    back in order and are joined, so the result does not depend on the
+    split, and a failure raises the error of the lowest failing chunk, as in
+    one process."""
+    dim = config.scenario.schedule.layout().dim
 
-    def group(part: list[range]):
-        return lambda: [row for reps in part
-                        for row in _score_chunk(config, reps, margin, detectors)]
+    def score(reps: range) -> list:
+        draws = [_replication_draw(config, rep, margin) for rep in reps]
+        rows, lo, total = [], 0, 0
+        for k, (_, _, horizon) in enumerate(draws):
+            if k > lo and total + horizon * dim > _CHUNK_VALUES:
+                rows += _score_chunk(config, reps[lo:k], draws[lo:k], detectors)
+                lo, total = k, 0
+            total += horizon * dim
+        return rows + _score_chunk(config, reps[lo:], draws[lo:], detectors)
 
-    n = min(forking.cpus(), len(chunks)) if forking.may_fork() else 1
-    cuts = [len(chunks) * k // n for k in range(n + 1)]
-    jobs = [group(chunks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    n = min(forking.cpus(), config.replications) if forking.may_fork() else 1
+    cuts = [config.replications * k // n for k in range(n + 1)]
+    jobs = [lambda reps=range(lo, hi): score(reps) for lo, hi in zip(cuts, cuts[1:])]
     scored = forking.forked(*jobs) if n > 1 else [jobs[0]()]
     return [row for rows in scored for row in rows]
 

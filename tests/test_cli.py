@@ -11,7 +11,7 @@ import pytest
 
 from gridwatch import cli, experiments, simgen
 from gridwatch.cli import main
-from gridwatch.grid import SingularBlockError
+from gridwatch.grid import SingularBlockError, load_feeder
 from gridwatch.simgen import parse_stream
 from oracles import forks_under
 
@@ -129,8 +129,8 @@ def test_experiment_and_sweep_cli(tmp_path, config_path, capsys):
     assert [r.split(",")[0] for r in rows[1:]] == ["8", "4", "2"]
 
 
-# 25 replications make chunks of 8, 8, 8 and 1: at two CPUs the groups are
-# replications 0-15 and 16-24, at three 0-7, 8-15 and 16-24
+# 25 replications: at two CPUs the groups are replications 0-11 and 12-24,
+# at three 0-7, 8-15 and 16-24
 @pytest.mark.parametrize("bad", [(17, 23), (10, 17)])
 def test_failing_replication_is_reported_as_in_one_process(tmp_path, config_path, capsys,
                                                             monkeypatch, bad):
@@ -165,6 +165,17 @@ def test_heatmap_cli(tmp_path, config_path, capsys):
         assert lines[0] == "bus,1,2,3,4,5,6,7,8"
         diag = [float(lines[k].split(",")[k]) for k in range(1, 9)]
         assert diag == [1.0] * 8
+    # 6 post-outage ticks are too few to estimate at dim 16: the file is left
+    # out, and stdout says so
+    conf.write_text(CONFIG.replace("horizon = 60", "horizon = 400")
+                    .replace("lambda = 21", "lambda = 395"))
+    short_dir = tmp_path / "short"
+    assert main(["heatmap", "--config", str(conf), "--out", str(short_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "heatmap_post_estimated.csv left out: 6 post-outage ticks, fewer than "
+        f"dim + 2 = 18\nheatmaps -> {short_dir}\n")
+    assert sorted(p.name for p in short_dir.iterdir()) == ["heatmap_post.csv",
+                                                          "heatmap_pre.csv"]
 
 
 def _heatmap_error(tmp_path, capsys, monkeypatch, cpus: int, config: str) -> tuple[dict, int]:
@@ -410,6 +421,14 @@ def test_localize_all_pairs_and_explicit_thresholds(tmp_path, config_path, capsy
     assert [r["flagged"] for r in rows] == [
         not r["degenerate"] and r["rho_pre"] > 0.4 and r["rho_post"] < 0.05 for r in rows]
     assert not any(r["flagged"] for r in localize("none", "zero = 1e-6\nactive = 2.0"))
+    # admittances are estimated for the flagged pairs that are branches only
+    flagged = {r["pair"] for r in localize("admittance", "pairs = all\nestimate_admittance = true")
+               if r["flagged"]}
+    branches = {br.pair for br in load_feeder("loop8").branches}
+    assert flagged - branches and {(3, 4), (2, 6)} <= flagged & branches
+    lines = _read(tmp_path, "admittance", "admittance.csv").splitlines()[1:]
+    assert [ln.split(",")[0] for ln in lines] == [f"{i}-{j}" for i, j in
+                                                  sorted(flagged & branches)]
 
 
 def test_localize_rejects_n_boot_below_one(tmp_path, capsys):

@@ -3,6 +3,7 @@ comparison, coverage sweep, heatmap emission and metrics round-trips."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ def test_single_replication_reproducible(loop8):
 
 
 def test_parallel_matches_serial(loop8, monkeypatch):
-    # three chunks over one, two and three CPUs, and beside another thread,
-    # where nothing forks
+    # one, two and three groups of replications over as many CPUs, and
+    # beside another thread, where nothing forks
     cfg = ExperimentConfig(scenario=delay_scenario(loop8), alphas=(1e-2, 1e-8),
                            replications=24, master_seed=3)
     texts, forks = [], []
@@ -56,6 +57,47 @@ def test_parallel_matches_serial(loop8, monkeypatch):
         forks.append([len(jobs) for jobs in forked])
     assert texts[1:] == texts[:1] * 3
     assert forks == [[], [2], [3], []]
+
+
+@pytest.mark.parametrize("budget", [1, 16 * 100, 1 << 62], ids=["one", "some", "group"])
+@pytest.mark.parametrize("cpus, other_thread", [(1, False), (2, False), (3, False),
+                                                (2, True)])
+def test_groups_then_chunks_cover_every_replication_once(loop8, monkeypatch, budget,
+                                                         cpus, other_thread):
+    # each replication's row says which chunk scored it, the horizon x dim
+    # values of that chunk's replications and the process of its group
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", budget)
+    monkeypatch.setattr(experiments, "_score_chunk", lambda config, reps, draws, _: [
+        (reps, [horizon * 16 for _, _, horizon in draws], os.getpid()) for _ in reps])
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8), replications=25, master_seed=3)
+    with forks_under(monkeypatch, cpus, other_thread):
+        rows = experiments._replications(cfg, 8, [])
+    assert len(rows) == 25
+    chunks = [rows[0][:2]] + [row[:2] for prev, row in zip(rows, rows[1:])
+                              if row[0] != prev[0]]
+    # contiguous chunks that hold every replication once, in order
+    assert [rep for reps, _ in chunks for rep in reps] == list(range(25))
+    assert all(rows[rep][0] == reps for reps, _ in chunks for rep in reps)
+    # one group per process, contiguous, min(cpus, replications) of them
+    # where a fork may be taken, with sizes within one of each other
+    pids = [row[2] for row in rows]
+    groups = [pids.count(pid) for pid in dict.fromkeys(pids)]
+    assert pids == sorted(pids, key=pids.index)
+    assert len(groups) == (1 if other_thread else cpus)
+    assert max(groups) - min(groups) <= 1
+    assert all(len({pids[rep] for rep in reps}) == 1 for reps, _ in chunks)
+    # a chunk within the budget unless alone; it ends where the next
+    # replication of its group would take it past the budget
+    for (reps, sizes), (after, more) in zip(chunks, chunks[1:] + [(range(0), [])]):
+        assert sum(sizes) <= budget or len(reps) == 1
+        if after and pids[after[0]] == pids[reps[0]]:
+            assert sum(sizes) + more[0] > budget
+    if budget == 1:
+        assert all(len(reps) == 1 for reps, _ in chunks)
+    elif budget == 1 << 62:
+        assert len(chunks) == len(groups)
+    else:
+        assert 1 < len(chunks) < 25
 
 
 def test_adaptive_close_to_known(loop8):
@@ -141,7 +183,7 @@ def test_experiment_fixed_outage_time(loop8):
 
 
 def test_replication_failure_names_replication_and_seed():
-    from gridwatch.experiments import _score_chunk
+    from gridwatch.experiments import _replication_draw, _score_chunk
     from gridwatch.grid import Branch, GridTopology
 
     # removing (2,4) and (3,4) leaves the grounded 2/3 block exactly singular
@@ -155,7 +197,8 @@ def test_replication_failure_names_replication_and_seed():
                            rho=0.1, master_seed=1, margin=8)
     g = scen.pre_model()
     with pytest.raises(RuntimeError, match=r"replication 0 \(seed \d+\) failed"):
-        _score_chunk(cfg, range(2), 8, [(None, g, g)])
+        _score_chunk(cfg, range(2), [_replication_draw(cfg, r, 8) for r in range(2)],
+                     [(None, g, g)])
 
 
 def test_chunk_setup_failure_names_first_replication_and_its_seed():
@@ -175,11 +218,12 @@ def test_chunk_setup_failure_names_first_replication_and_its_seed():
     seed = _replication_draw(cfg, 5, 8)[0]
     assert seed != _replication_draw(cfg, 6, 8)[0]
     with pytest.raises(RuntimeError, match=rf"^replication 5 \(seed {seed}\) failed") as info:
-        _score_chunk(cfg, range(5, 8), 8, [(None, g, g)])
+        _score_chunk(cfg, range(5, 8), [_replication_draw(cfg, r, 8) for r in range(5, 8)],
+                     [(None, g, g)])
     assert isinstance(info.value.__cause__, SingularBlockError)
 
 
-def test_later_draw_failure_names_its_own_replication_and_seed(loop8, monkeypatch):
+def test_later_draw_failure_names_its_own_replication_and_seed(loop8):
     from gridwatch import experiments
 
     cfg = ExperimentConfig(scenario=Scenario(topology=loop8, out_branches=((3, 4),),
@@ -194,11 +238,11 @@ def test_later_draw_failure_names_its_own_replication_and_seed(loop8, monkeypatc
         seed, lam, horizon = draw(config, rep, margin)
         return (seed, lam, -1) if rep == 6 else (seed, lam, horizon)
 
-    monkeypatch.setattr(experiments, "_replication_draw", bad_at_six)
     seed = draw(cfg, 6, 8)[0]
     g = cfg.scenario.pre_model()
     with pytest.raises(RuntimeError, match=rf"^replication 6 \(seed {seed}\) failed") as info:
-        experiments._score_chunk(cfg, range(4, 8), 8, [(None, g, None)])
+        experiments._score_chunk(cfg, range(4, 8), [bad_at_six(cfg, r, 8) for r in range(4, 8)],
+                                 [(None, g, None)])
     assert isinstance(info.value.__cause__, ValueError)
 
 
