@@ -74,9 +74,10 @@ def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
 
 # A trace is scored in blocks: with stop_at of _FIRST_BLOCK steps, then
 # twice as many each time (a trace cut short computes at most one block past
-# its end), else as large as the budget allows.  A trace's block of samples,
-# or its block of adaptive windows, holds at most _STACK_BUDGET float64
-# values, 128 kB: with 1 MB the montecarlo benchmark peaked 1.6 MB higher.
+# its end), else as large as the budget allows.  A block of samples, and a
+# stopped adaptive trace's block of windows (a larger cap runs further past
+# the stop), holds at most _STACK_BUDGET float64 values, 128 kB: with 1 MB
+# the montecarlo benchmark peaked 1.6 MB higher.
 # The windows of a round, filled across its traces, are refitted in stacks
 # of at most _REFIT_BUDGET gathered window values, 256 kB: 40 windows of 50
 # samples at d = 16.  On the montecarlo benchmark, with its replications in
@@ -141,7 +142,7 @@ def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None
             for b, x in zip(base.tolist(), batch):
                 padded[b + max_window:b + max_window + x.shape[0]] = x
             windows = sliding_window_view(padded, max_window, axis=0).transpose(0, 2, 1)
-    cap = max(1, _STACK_BUDGET // (dim * (max_window if adaptive else 1)))
+    cap = max(1, _STACK_BUDGET // (dim * (max_window if adaptive and stop_at is not None else 1)))
     size = _FIRST_BLOCK if stop_at is not None else cap
     stop = math.inf if stop_at is None else stop_at
     exp, log1p, clamp = math.exp, math.log1p, LOG_ODDS_CLAMP
@@ -237,7 +238,8 @@ def _fit_log_f(log_f: np.ndarray, fit: np.ndarray, windows: np.ndarray, at, leng
         means, covs = estimate_windows(dev, last, weights[0][n], weights[1][n])
         w = fallback.dim / (fallback.dim + n)
         means = (1.0 - w)[:, None] * means + w[:, None] * fallback.mean
-        covs = (1.0 - w)[:, None, None] * covs + w[:, None, None] * fallback.cov
+        covs *= (1.0 - w)[:, None, None]
+        covs += w[:, None, None] * fallback.cov
         return log_density_stack(means, covs, x[sel])
 
     stack = max(1, _REFIT_BUDGET // (windows.shape[1] * windows.shape[2]))
@@ -422,11 +424,21 @@ def first_crossing(log_odds: np.ndarray, alpha: float) -> int | None:
 
 def first_crossings(log_odds: np.ndarray, thresholds) -> list[int | None]:
     """1-based index of the first step at/above each threshold, None where
-    none is reached: one running maximum of the trace (NaN steps count as
-    -inf, since they reach no threshold), searched for every threshold."""
-    peak = np.maximum.accumulate(np.where(np.isnan(log_odds), -np.inf, log_odds))
-    hits = np.searchsorted(peak, thresholds).tolist()
-    return [k + 1 if k < peak.size else None for k in hits]
+    none is reached: the one-trace case of _batch_crossings."""
+    return _batch_crossings([log_odds], thresholds)[0]
+
+
+def _batch_crossings(traces, thresholds) -> list[list[int | None]]:
+    """first_crossings of a batch of traces in one pass: the running maximum
+    of the traces padded with -inf (NaN steps count as -inf, reaching no
+    threshold), and for each the count of its steps below each threshold."""
+    peak = np.full((len(traces), max(map(len, traces), default=0)), -np.inf)
+    for row, trace in zip(peak, traces):
+        row[:len(trace)] = trace
+    peak[np.isnan(peak)] = -np.inf
+    np.maximum.accumulate(peak, axis=1, out=peak)
+    below = np.count_nonzero(peak[:, :, None] < np.asarray(thresholds), axis=1).tolist()
+    return [[k + 1 if k < len(t) else None for k in hits] for t, hits in zip(traces, below)]
 
 
 def _lcm_all(values) -> int:

@@ -148,8 +148,8 @@ def _score_chunk(config: ExperimentConfig, reps: range, draws: list,
     alpha to the first crossing or None.  The streams come from one
     simgen._synthesize call; each detector scores them in one core call
     stopped at the threshold of min(alphas), which every alpha's first
-    crossing comes at or before.  A failure names its replication and seed
-    (the first replication's, in the shared set-up)."""
+    crossing comes at or before, then finds them all in one pass.  A failure
+    names its replication and seed (the first one's, in the shared set-up)."""
     made = _synthesize(config.scenario, draws)
     streams = []
     for rep, (seed, _, _) in zip(reps, draws):
@@ -157,17 +157,17 @@ def _score_chunk(config: ExperimentConfig, reps: range, draws: list,
             streams.append(next(made).values)
         except Exception as exc:
             raise _replication_error(rep, seed, exc) from exc
-    rho = config.detector_rho
     thresholds = [det.DetectionRule(alpha).log_odds_threshold for alpha in config.alphas]
     alarms: list[list[dict]] = [[] for _ in reps]
     for cols, g, f in detectors:
         batch = streams if cols is None else [values[:, cols] for values in streams]
-        traces = det._log_odds_trace(batch, g, rho, f, max_window=config.window,
+        traces = det._log_odds_trace(batch, g, config.detector_rho, f, max_window=config.window,
                                      nmin=config.nmin, stop_at=max(thresholds))
-        for rep, (seed, _, _), out, (trace, _, error) in zip(reps, draws, alarms, traces):
+        for rep, (seed, _, _), (_, _, error) in zip(reps, draws, traces):
             if error is not None:
                 raise _replication_error(rep, seed, error) from error
-            out.append(dict(zip(config.alphas, det.first_crossings(trace, thresholds))))
+        for out, hits in zip(alarms, det._batch_crossings([t for t, _, _ in traces], thresholds)):
+            out.append(dict(zip(config.alphas, hits)))
     return [(lam, out) for (_, lam, _), out in zip(draws, alarms)]
 
 

@@ -492,14 +492,15 @@ def estimate_windows(dev: np.ndarray, last: np.ndarray, weights: np.ndarray,
     and the ridge.  Deviations from the last sample give a constant window
     exactly zero covariance, hence the same ridge, whatever its padding.
     """
-    stack, _, dim = dev.shape
     offset = (weights[:, None, :] @ dev) / denom[:, None, None]
     mu = last + offset[:, 0]
     dev -= offset
-    sigma = (dev.transpose(0, 2, 1) * weights[:, None, :]) @ dev / denom[:, None, None]
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
-    eps = ridge_epsilon(sigma) if ridge is None else np.full(stack, ridge)
-    return mu, sigma + eps[:, None, None] * np.eye(dim)
+    sigma = (dev.transpose(0, 2, 1) * weights[:, None, :]) @ dev
+    sigma /= denom[:, None, None]
+    sigma += sigma.transpose(0, 2, 1)
+    sigma *= 0.5
+    np.einsum("sii->si", sigma)[...] += ridge_epsilon(sigma)[:, None] if ridge is None else ridge
+    return mu, sigma
 
 
 def estimate_post_outage(window, prior: GeometricPrior,

@@ -433,4 +433,16 @@ def philox_key(seed: int, *labels) -> int:
 
 def substream(seed: int, *labels) -> np.random.Generator:
     """The Philox generator of a named substream of a master seed."""
-    return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
+    return np.random.Generator(np.random.Philox(_keyed_seed()(philox_key(seed, *labels))))
+
+
+@functools.cache
+def _keyed_seed() -> type:
+    """Seed sequence handing Philox a key as Philox(key=...) does, without its
+    OS entropy draw; made on first use, so gridwatch's import skips numpy.random."""
+    class KeyedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: int):
+            self.words = np.array([key & (2 ** 64 - 1), key >> 64], dtype=np.uint64)
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # Philox asks for its key: two uint64 words, low first
+    return KeyedSeed

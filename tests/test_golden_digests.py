@@ -15,6 +15,9 @@ The digests of the heatmap command's output files were captured while its
 exact and estimated matrices were still made one after the other in one
 process, and every cell was formatted on its own.
 
+The digests of the localize trees were captured before the window
+estimator worked in place.
+
 The digests of the adaptive detect trees were captured after each
 adaptive step's covariance was factored with its deviation as one bordered
 Cholesky factor, in place of an LU solve on the factor (a labelled change
@@ -359,3 +362,45 @@ def test_adaptive_detect_tree_is_pinned(case, budget, tmp_path, monkeypatch, cap
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())} == ADAPTIVE_TREES[case]
+
+
+# localize on loop12 from a stream of 4000 ticks, outage 8-10 at tick 2001:
+# estimated covariances with bootstrap thresholds (which flag no branch from
+# windows this short), and exact ones (which flag 8-10)
+LOCALIZE_CONFIG = """\
+[scenario]
+feeder = loop12
+outage = 8-10
+lambda = 2001
+horizon = 4000
+seed = 13
+
+[localize]
+{options}
+"""
+LOCALIZE_CASES = {"estimated": "exact = false\nn_boot = 40", "exact": "exact = true"}
+LOCALIZE_TREES = {
+    "estimated": {
+        "localization.csv": "0e48bdf7f00a464ded661eb6b54d798feb989f4600fed97dd518030a8598b3a8",
+        "rho_post.csv": "9bdf621ba8e035bdb5de635127d3f5af1f7883bce482a8b103d4ebdb0ffd64f0",
+        "rho_pre.csv": "5874ff16999ff8460e622ecf0193145ca5fffaecceff20a5b161a53b3e13bcb2",
+    },
+    "exact": {
+        "localization.csv": "d164c254a20aab212616850fd85aea3e671ba071ab20cc63bc4b60c74a76d4a2",
+        "rho_post.csv": "e7ca15b8fc1ea3f61ef0da659d25f4b03aa8bf2403dd1bf6bf3f5feab156b00c",
+        "rho_pre.csv": "90709d1f2ded73150982a8d5a3fd6027e1bd50ba2878ebc14b2b70b2f18f6f2d",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCALIZE_TREES))
+def test_localize_tree_is_pinned(case, tmp_path, capsys):
+    conf = tmp_path / "localize.conf"
+    conf.write_text(LOCALIZE_CONFIG.format(options=LOCALIZE_CASES[case]))
+    stream, out = tmp_path / "stream", tmp_path / "localize"
+    assert main(["simulate", "--config", str(conf), "--out", str(stream)]) == 0
+    assert main(["localize", "--config", str(conf), "--stream", str(stream),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())} == LOCALIZE_TREES[case]

@@ -5,6 +5,8 @@ import importlib.resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_path
 from oracles import in_service_pairs
@@ -22,7 +24,9 @@ from gridwatch.grid import (
     kron_reduce,
     load_feeder,
     parse_feeder,
+    philox_key,
     random_feeder,
+    substream,
     transfer,
 )
 from gridwatch.textconf import ConfigError
@@ -318,3 +322,18 @@ def test_load_feeder_parses_only_the_feeder_it_loads(tmp_path, monkeypatch):
         assert load_feeder(name) == topology
         assert parsed == [name]
     assert bundled_feeders() == [expected[name] for name in ("path3", "loop8", "loop12")]
+
+
+def _draws(rng: np.random.Generator) -> bytes:
+    return b"".join(a.tobytes() for a in (rng.normal(size=5), rng.integers(2 ** 62, size=3),
+                                         rng.geometric(0.04, size=3), rng.normal(size=2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2 ** 63, 2 ** 63),
+       st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.text(max_size=8)), max_size=3))
+@example(0, ["noise"])  # its key's upper word is above 2**63
+@example(4, ["noise"])  # and this one's below
+def test_substream_draws_equal_philox_keyed_directly(seed, labels):
+    expected = np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
+    assert _draws(substream(seed, *labels)) == _draws(expected)

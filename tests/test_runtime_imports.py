@@ -92,6 +92,16 @@ def test_cli_import_loads_no_scipy_or_process_pool(tmp_path):
     assert json.loads(done.stdout) == []
 
 
+def test_cli_import_loads_no_numpy_random(tmp_path):
+    # substream builds its seed-sequence class on first use; numpy.random
+    # costs about 5 ms of import
+    done = _python("import sys\n"
+                   "import gridwatch.cli\n"
+                   "print('numpy.random' in sys.modules)", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_cli_commands_run_with_scipy_blocked(tmp_path):
     (tmp_path / "run.conf").write_text(CONFIG)
     done = _python("import sys\n"
