@@ -48,7 +48,7 @@ from .simgen import (
 
 def _placements(raw: str) -> list[list[int]]:
     """Sensed-bus sets like ``1 2 3 | 2 5`` into [[1, 2, 3], [2, 5]]."""
-    return [sorted(map(int, part.split())) for part in raw.split("|")]
+    return [sorted(textconf.buses(part)) for part in raw.split("|")]
 
 
 # Per section a command reads: its kinds table, and the keys where -1 means auto.
@@ -118,54 +118,34 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-# --- artifact CSV formats (emit + parse, so outputs stay machine-checkable) ----
+# --- artifact CSV formats (one Table each, so outputs stay machine-checkable) --
 
-TRACE_HEADER = "n,posterior,log_odds,mode,f_refreshed"
-LOCALIZATION_HEADER = "pair,rho_pre,rho_post,delta,flagged,degenerate"
+TRACE = textconf.Table("n,posterior,log_odds,mode,f_refreshed", "%d,%r,%r,%s,%d",
+                       (int, float, float, str, textconf.boolean))
+LOCALIZATION = textconf.Table("pair,rho_pre,rho_post,delta,flagged,degenerate",
+                              "%d-%d,%r,%r,%r,%d,%d",
+                              (textconf.pair, float, float, float, textconf.boolean,
+                               textconf.boolean))
+ADMITTANCE = textconf.Table("branch,pre_re,pre_im,post_re,post_im,magnitude_ratio,likely_out",
+                            "%d-%d,%r,%r,%r,%r,%r,%d",
+                            (textconf.pair, float, float, float, float, float,
+                             textconf.boolean))
 
 
 def trace_csv(report) -> str:
-    rows = zip(report.step_ticks.tolist(), report.posterior_trace.tolist(),
-               report.log_odds_trace.tolist(), itertools.repeat(report.mode),
-               report.f_refreshed.tolist())
-    return "\n".join([TRACE_HEADER, *map("%d,%r,%r,%s,%d".__mod__, rows)]) + "\n"
-
-
-def parse_trace_csv(text: str) -> dict:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != TRACE_HEADER:
-        raise textconf.ConfigError(f"unexpected trace header {lines[0]!r}")
-    out = {"n": [], "posterior": [], "log_odds": [], "mode": [], "f_refreshed": []}
-    for ln in lines[1:]:
-        n, post, lo, mode, refreshed = ln.split(",")
-        out["n"].append(int(n))
-        out["posterior"].append(float(post))
-        out["log_odds"].append(float(lo))
-        out["mode"].append(mode)
-        out["f_refreshed"].append(refreshed == "1")
-    return out
+    return TRACE.text(zip(report.step_ticks.tolist(), report.posterior_trace.tolist(),
+                          report.log_odds_trace.tolist(), itertools.repeat(report.mode),
+                          report.f_refreshed.tolist()))
 
 
 def localization_csv(report) -> str:
-    lines = [LOCALIZATION_HEADER]
-    for s in report.scores:
-        lines.append(f"{s.i}-{s.j},{s.rho_pre!r},{s.rho_post!r},{s.delta!r},"
-                     f"{int(s.pair in report.flagged)},{int(s.degenerate)}")
-    return "\n".join(lines) + "\n"
+    return LOCALIZATION.text((s.i, s.j, s.rho_pre, s.rho_post, s.delta,
+                              s.pair in report.flagged, s.degenerate) for s in report.scores)
 
 
 def parse_localization_csv(text: str) -> list[dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != LOCALIZATION_HEADER:
-        raise textconf.ConfigError(f"unexpected localization header {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        pair, pre, post, delta, flagged, degen = ln.split(",")
-        i, j = pair.split("-")
-        rows.append({"pair": (int(i), int(j)), "rho_pre": float(pre),
-                     "rho_post": float(post), "delta": float(delta),
-                     "flagged": flagged == "1", "degenerate": degen == "1"})
-    return rows
+    names = LOCALIZATION.header.split(",")
+    return [dict(zip(names, row)) for row in LOCALIZATION.rows(text)]
 
 
 # --- subcommands --------------------------------------------------------------
@@ -285,12 +265,10 @@ def cmd_localize(args) -> None:
         estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates,
                                         **_given(options, "candidate_cut"))
         report = dataclasses.replace(report, admittance_estimates=estimates)
-        lines = ["branch,pre_re,pre_im,post_re,post_im,magnitude_ratio,likely_out"]
-        for (i, j), est in sorted(estimates.items()):
-            lines.append(f"{i}-{j},{float(est.pre.real)!r},{float(est.pre.imag)!r},"
-                         f"{float(est.post.real)!r},{float(est.post.imag)!r},"
-                         f"{float(est.magnitude_ratio)!r},{int(est.likely_out)}")
-        _write(os.path.join(out, "admittance.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(out, "admittance.csv"), ADMITTANCE.text(
+            (i, j, *map(float, (est.pre.real, est.pre.imag, est.post.real, est.post.imag,
+                                est.magnitude_ratio)), est.likely_out)
+            for (i, j), est in sorted(estimates.items())))
 
     flagged = ", ".join(f"{i}-{j}" for i, j in sorted(report.flagged)) or "(none)"
     print(f"flagged branches: {flagged}")

@@ -9,12 +9,12 @@ the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import detector as det
-from . import forking
+from . import forking, textconf
 from .gaussmodel import (
     CoordinateLayout,
     GaussianModel,
@@ -45,6 +45,9 @@ class ExperimentConfig:
     margin: int | None = None      # extra ticks simulated past the outage
 
     def __post_init__(self):
+        for key in ("alphas", "modes"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must name at least one value")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for a in self.alphas:
@@ -81,35 +84,26 @@ class MetricsRow:
     censored: int
 
 
+# metrics.csv: one MetricsRow a line, its fields in order
+METRICS = textconf.Table("alpha,mode,replications,avg_delay,delay_over_logalpha,"
+                         "empirical_false_alarm,bound,false_alarms,censored",
+                         "%r,%s,%d,%r,%r,%r,%r,%d,%d",
+                         (float, str, int, float, float, float, float, int, int))
+
+
 @dataclass(frozen=True)
 class MetricsTable:
     rows: tuple[MetricsRow, ...]
     kl: float
     rho: float
 
-    HEADER = ("alpha,mode,replications,avg_delay,delay_over_logalpha,"
-              "empirical_false_alarm,bound,false_alarms,censored")
-
     def to_csv(self) -> str:
-        lines = [self.HEADER]
-        for r in self.rows:
-            lines.append(f"{r.alpha!r},{r.mode},{r.replications},{r.avg_delay!r},"
-                         f"{r.delay_over_logalpha!r},{r.empirical_false_alarm!r},"
-                         f"{r.bound!r},{r.false_alarms},{r.censored}")
-        return "\n".join(lines) + "\n"
+        return METRICS.text(map(astuple, self.rows))
 
     @classmethod
     def from_csv(cls, text: str, kl: float = float("nan"),
                  rho: float = float("nan")) -> "MetricsTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != cls.HEADER:
-            raise ValueError(f"unexpected metrics header {lines[0]!r}")
-        rows = []
-        for ln in lines[1:]:
-            a, mode, n, d, doa, fa, b, nfa, cens = ln.split(",")
-            rows.append(MetricsRow(float(a), mode, int(n), float(d), float(doa),
-                                   float(fa), float(b), int(nfa), int(cens)))
-        return cls(tuple(rows), kl, rho)
+        return cls(tuple(MetricsRow(*row) for row in METRICS.rows(text)), kl, rho)
 
 
 def _default_margin(config: ExperimentConfig, kl: float) -> int:
@@ -262,44 +256,36 @@ class PmuSweepRow:
     frac_delay_ge_prev: float  # fraction of seeds with delay >= previous (larger) placement
 
 
+# pmu_sweep.csv: one PmuSweepRow a line, its buses space-separated
+PMU_SWEEP = textconf.Table("n_sensors,buses,kl,avg_delay,frac_delay_ge_prev", "%d,%s,%r,%r,%r",
+                           (int, textconf.buses, float, float, float))
+
+
 @dataclass(frozen=True)
 class PmuSweepTable:
     rows: tuple[PmuSweepRow, ...]
 
-    HEADER = "n_sensors,buses,kl,avg_delay,frac_delay_ge_prev"
-
     def to_csv(self) -> str:
-        lines = [self.HEADER]
-        for r in self.rows:
-            buses = " ".join(map(str, r.buses))
-            lines.append(f"{r.n_sensors},{buses},{r.kl!r},{r.avg_delay!r},"
-                         f"{r.frac_delay_ge_prev!r}")
-        return "\n".join(lines) + "\n"
+        return PMU_SWEEP.text((r.n_sensors, " ".join(map(str, r.buses)), r.kl, r.avg_delay,
+                               r.frac_delay_ge_prev) for r in self.rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "PmuSweepTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != cls.HEADER:
-            raise ValueError(f"unexpected sweep header {lines[0]!r}")
-        rows = []
-        for ln in lines[1:]:
-            n, buses, kl, delay, frac = ln.split(",")
-            rows.append(PmuSweepRow(int(n), tuple(int(b) for b in buses.split()),
-                                    float(kl), float(delay), float(frac)))
-        return cls(tuple(rows))
+        return cls(tuple(PmuSweepRow(*row) for row in PMU_SWEEP.rows(text)))
 
 
 def parse_heatmap_csv(text: str) -> tuple[tuple[int, ...], np.ndarray]:
-    """(bus ids, |rho| matrix) from a heatmap CSV."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header[0] != "bus":
-        raise ValueError(f"unexpected heatmap header {lines[0]!r}")
-    buses = tuple(int(b) for b in header[1:])
-    matrix = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
-    if matrix.shape != (len(buses), len(buses)):
-        raise ValueError("heatmap matrix is not square")
-    return buses, matrix
+    """(bus ids, |rho| matrix) from a heatmap CSV: a header of ``bus`` and
+    the bus ids, then per bus its id and one cell per bus.  ConfigError
+    names the line of a bad row, or a header that does not name the rows'
+    buses in order."""
+    header = next(filter(str.strip, text.splitlines()), "")
+    rows = textconf.Table(header, "", (int,) + (float,) * header.count(",")).rows(text)
+    buses = tuple(row[0] for row in rows)
+    if header != ",".join(["bus", *map(str, buses)]):
+        raise textconf.ConfigError(f"heatmap header {header!r} does not name the buses "
+                                   f"of its rows, {list(buses)}")
+    return buses, np.array([row[1:] for row in rows]).reshape(len(buses), len(buses))
 
 
 def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None = None,
@@ -324,6 +310,9 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     if placements is None:
         if not counts:
             raise ValueError("need placements or counts")
+        for c in counts:
+            if not 1 <= c < m:
+                raise ValueError(f"sensor count {c} is outside 1..{m - 1}, the non-slack buses")
         rng = substream(config.master_seed, "replication", -1)
         order = [b for b in range(2, m + 1)]
         rng.shuffle(order)
@@ -333,6 +322,11 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     for p in placements:
         if not p:
             raise ValueError("a placement must keep at least one bus")
+        for bus in p:
+            if not 1 <= bus <= m:
+                raise ValueError(f"placement bus {bus} is outside the feeder's buses 1..{m}")
+        if len(set(p)) < len(p):
+            raise ValueError(f"placement {sorted(p)} names a bus twice")
 
     g_full = scenario.pre_model()
     f_full = scenario.post_model()

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from gridwatch import cli, experiments, simgen
+from gridwatch import cli, experiments, simgen, textconf
 from gridwatch.cli import main
 from gridwatch.grid import SingularBlockError, load_feeder
 from gridwatch.simgen import parse_stream
@@ -299,6 +299,17 @@ BAD_INPUTS = {
                           "ConfigError", "section [scenario] is repeated"),
     "repeated_detector": ("simulate", "[experiment]", "[detector]\nbogus = 3\n\n[experiment]",
                           "ConfigError", "section [detector] is repeated"),
+    "sweep_count_past_the_non_slack_buses": (
+        "pmu-sweep", "placements = 1 2 3 4 5 6 7 8 | 2 4 5 8 | 2 5", "counts = 20, 4",
+        "ValueError", "sensor count 20 is outside 1..7"),
+    "sweep_placement_bus_outside_feeder": ("pmu-sweep", "| 2 5", "| 1 2 3 99", "ValueError",
+                                           "placement bus 99 is outside the feeder's buses"),
+    "sweep_placement_bus_twice": ("pmu-sweep", "| 2 5", "| 2 5 2", "ValueError",
+                                  "placement [2, 2, 5] names a bus twice"),
+    "experiment_empty_alphas": ("experiment", "alphas = 1e-2, 1e-4, 1e-6", "alphas =",
+                                "ValueError", "alphas must name at least one value"),
+    "experiment_empty_modes": ("experiment", "replications = 25", "replications = 25\nmodes =",
+                               "ValueError", "modes must name at least one value"),
     "injection_variance_and_injection_block": (
         "simulate", "horizon = 60", "horizon = 60\ninjection_variance = 2.0", "ConfigError",
         "[scenario].injection_variance and an [injection] block"),
@@ -536,7 +547,6 @@ def test_missing_feeder_file_error(tmp_path, capsys):
 
 
 def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):
-    from gridwatch.cli import parse_localization_csv, parse_trace_csv
     from gridwatch.experiments import MetricsTable, PmuSweepTable, parse_heatmap_csv
 
     stream_dir = str(tmp_path / "stream")
@@ -547,17 +557,77 @@ def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):
         out_dir = str(tmp_path / cmd)
         run_ok([cmd, "--config", config_path, "--out", out_dir] + extra, capsys)
 
-    trace = parse_trace_csv(_read(tmp_path, "detect", "trace.csv"))
-    assert trace["n"][0] == 1 and len(trace["posterior"]) == 60
-    rows = parse_localization_csv(_read(tmp_path, "localize", "localization.csv"))
+    text = _read(tmp_path, "detect", "trace.csv")
+    trace = cli.TRACE.rows(text)
+    assert trace[0][0] == 1 and len(trace) == 60
+    assert cli.TRACE.text(trace) == text
+    text = _read(tmp_path, "localize", "localization.csv")
+    rows = cli.parse_localization_csv(text)
     assert {r["pair"] for r in rows if r["flagged"]} == {(3, 4), (2, 6)}
-    metrics = MetricsTable.from_csv(_read(tmp_path, "experiment", "metrics.csv"))
-    assert len(metrics.rows) == 3
-    sweep = PmuSweepTable.from_csv(_read(tmp_path, "pmu-sweep", "pmu_sweep.csv"))
-    assert [r.n_sensors for r in sweep.rows] == [8, 4, 2]
+    assert cli.LOCALIZATION.text((*r[0], *r[1:]) for r in cli.LOCALIZATION.rows(text)) == text
+    text = _read(tmp_path, "localize", "admittance.csv")
+    rows = cli.ADMITTANCE.rows(text)
+    assert {pair for pair, *_, likely_out in rows if likely_out} == {(3, 4), (2, 6)}
+    assert cli.ADMITTANCE.text((*r[0], *r[1:]) for r in rows) == text
+    text = _read(tmp_path, "experiment", "metrics.csv")
+    metrics = MetricsTable.from_csv(text)
+    assert len(metrics.rows) == 3 and metrics.to_csv() == text
+    text = _read(tmp_path, "pmu-sweep", "pmu_sweep.csv")
+    sweep = PmuSweepTable.from_csv(text)
+    assert [r.n_sensors for r in sweep.rows] == [8, 4, 2] and sweep.to_csv() == text
+    assert [r.buses for r in sweep.rows] == [tuple(range(1, 9)), (2, 4, 5, 8), (2, 5)]
     for name in ("heatmap_pre.csv", "heatmap_post.csv"):
         buses, matrix = parse_heatmap_csv(_read(tmp_path, "heatmap", name))
         assert buses == tuple(range(1, 9))
         np.testing.assert_array_equal(np.diag(matrix), np.ones(8))
     buses, rho_pre = parse_heatmap_csv(_read(tmp_path, "localize", "rho_pre.csv"))
     assert buses == tuple(range(1, 9))
+
+
+# every artifact table, and one valid row of its text
+TABLES = {
+    "trace": (cli.TRACE, "1,0.5,-2.0,known_f,0"),
+    "localization": (cli.LOCALIZATION, "3-4,0.9,0.01,0.89,1,0"),
+    "admittance": (cli.ADMITTANCE, "3-4,1.0,-2.0,0.0,0.0,0.0,1"),
+    "metrics": (experiments.METRICS, "0.01,known_f,25,3.5,0.76,0.0,2.1,0,0"),
+    "pmu_sweep": (experiments.PMU_SWEEP, "4,2 4 5 8,0.3,7.5,1.0"),
+}
+
+
+def _malformed(table, row: str, case: str) -> tuple[str, str]:
+    """(text, the message it must raise) of a malformed case of a table; the
+    row sits on line 3, after a blank line."""
+    cells = row.split(",")
+    names = table.header.split(",")
+    if case == "empty":
+        return "", f"line 1: expected the header {table.header!r}, got ''"
+    if case == "wrong_header":
+        header = table.header.replace(",", ";", 1)
+        return f"{header}\n\n{row}\n", f"line 1: expected the header {table.header!r}"
+    if case in ("short_row", "long_row"):
+        cells = cells[:-1] if case == "short_row" else cells + ["0"]
+        return (f"{table.header}\n\n{','.join(cells)}\n",
+                f"line 3: {len(cells)} fields, expected {len(table.kinds)}")
+    kind, bad, message = ((float, "1.2.3", "not a number") if case == "bad_number"
+                          else (textconf.boolean, "2", "not a boolean"))
+    k = table.kinds.index(kind)
+    cells[k] = bad
+    return (f"{table.header}\n\n{','.join(cells)}\n",
+            f"line 3: {names[k]}: {message}: {bad!r}")
+
+
+# each table with each malformed case; a flag of 2 where the table has a flag
+MALFORMED = [pytest.param(name, case, id=f"{name}-{case}") for name in sorted(TABLES)
+             for case in ("empty", "wrong_header", "short_row", "long_row", "bad_number",
+                          "flag_of_two")
+             if case != "flag_of_two" or textconf.boolean in TABLES[name][0].kinds]
+
+
+@pytest.mark.parametrize("name, case", MALFORMED)
+def test_malformed_artifact_text_is_a_config_error_naming_the_line(name, case):
+    table, row = TABLES[name]
+    assert table.rows(f"{table.header}\n\n{row}\n")  # the row itself is valid
+    text, message = _malformed(table, row, case)
+    with pytest.raises(textconf.ConfigError) as info:
+        table.rows(text)
+    assert str(info.value).startswith(message), info.value

@@ -4,21 +4,27 @@ comparison, coverage sweep, heatmap emission and metrics round-trips."""
 import dataclasses
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwatch import experiments
 from gridwatch.experiments import (
     ExperimentConfig,
+    MetricsRow,
     MetricsTable,
     correlation_matrix,
     emit_heatmap,
     heatmap_csv,
+    parse_heatmap_csv,
     run_experiment,
     run_pmu_sweep,
 )
 from gridwatch.simgen import Scenario
+from gridwatch.textconf import ConfigError
 from oracles import forks_under
 
 
@@ -147,11 +153,34 @@ def test_metrics_csv_round_trip(loop8):
     assert back.rows == table.rows
 
 
+# any float but a NaN other than the one float("nan") reads back: repr
+# writes every NaN as "nan"; the rest includes -0.0, infinities and subnormals
+METRIC_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308])
+
+
+@settings(max_examples=100)
+@given(rows=st.lists(st.builds(MetricsRow, METRIC_FLOATS, st.sampled_from(experiments.MODES),
+                               st.integers(0, 10 ** 6), METRIC_FLOATS, METRIC_FLOATS,
+                               METRIC_FLOATS, METRIC_FLOATS, st.integers(0, 10 ** 6),
+                               st.integers(0, 10 ** 6)), max_size=4))
+def test_metrics_csv_round_trip_is_bit_exact(rows):
+    def bits(row):
+        return [struct.pack("<d", v) if isinstance(v, float) else v
+                for v in dataclasses.astuple(row)]
+
+    back = MetricsTable.from_csv(MetricsTable(tuple(rows), 0.0, 0.0).to_csv())
+    assert list(map(bits, back.rows)) == list(map(bits, rows))
+
+
 def test_experiment_validation(loop8):
     with pytest.raises(ValueError, match="alpha"):
         ExperimentConfig(scenario=delay_scenario(loop8), alphas=(2.0,))
     with pytest.raises(ValueError, match="replications"):
         ExperimentConfig(scenario=delay_scenario(loop8), replications=0)
+    for key in ("alphas", "modes"):
+        with pytest.raises(ValueError, match=f"^{key} must name at least one value$"):
+            ExperimentConfig(scenario=delay_scenario(loop8), **{key: ()})
     with pytest.raises(ValueError, match="out_branches"):
         ExperimentConfig(scenario=Scenario(topology=delay_scenario(loop8).topology,
                                            out_branches=(), horizon=10))
@@ -399,3 +428,27 @@ def test_heatmap_csv_matches_per_cell_repr(loop8):
     assert text[1].split(",")[1:5] == ["1.0", "0.0", "0.0", "0.0"]
     assert [row.split(",")[1] for row in text[2:5]] == ["-0.0"] * 3
     assert text[3].split(",")[7] == "nan"
+
+
+# a heatmap text with a fault, and the start of its ConfigError's message
+MALFORMED_HEATMAPS = {
+    "empty": ("", "heatmap header '' does not name the buses"),
+    "missing_row": ("bus,1,2\n1,1.0,0.5\n", "heatmap header 'bus,1,2' does not name"),
+    "extra_row": ("bus,1,2\n1,1.0,0.5\n2,0.5,1.0\n3,0.5,1.0\n",
+                  "heatmap header 'bus,1,2' does not name"),
+    "row_of_another_bus": ("bus,1,2\n1,1.0,0.5\n3,0.5,1.0\n",
+                           "heatmap header 'bus,1,2' does not name"),
+    "bad_header": ("bus,1,x\n1,1.0,0.5\n2,0.5,1.0\n", "heatmap header 'bus,1,x'"),
+    "short_row": ("bus,1,2\n\n1,1.0,0.5\n2,0.5\n", "line 4: 2 fields, expected 3"),
+    "bad_cell": ("bus,1,2\n1,1.0,0.5\n2,0.5,one\n", "line 3: 2: not a number: 'one'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEATMAPS))
+def test_malformed_heatmap_text_is_a_config_error(case):
+    text, message = MALFORMED_HEATMAPS[case]
+    with pytest.raises(ConfigError) as info:
+        parse_heatmap_csv(text)
+    assert str(info.value).startswith(message), info.value
+    good = parse_heatmap_csv("bus,1,2\n1,1.0,0.5\n2,0.5,1.0\n")
+    assert good[0] == (1, 2) and good[1].tolist() == [[1.0, 0.5], [0.5, 1.0]]

@@ -404,3 +404,49 @@ def test_localize_tree_is_pinned(case, tmp_path, capsys):
     capsys.readouterr()
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())} == LOCALIZE_TREES[case]
+
+
+# localize with admittance estimation on the loop8 scenario of test_cli.py:
+# recorded injections, outage 3-4 and 2-6 at tick 21, exact thresholds
+ADMITTANCE_CONFIG = """\
+[scenario]
+feeder = loop8
+outage = 3-4, 2-6
+lambda = 21
+noise_variance = 1e-8
+horizon = 60
+seed = 3
+record_injections = true
+
+[injection]
+bus1 = 1.0
+bus2 = 1.0
+bus3 = 1.0
+bus4 = 4.0
+bus5 = 4.0
+bus6 = 6.0
+bus7 = 1.0
+bus8 = 1.0
+
+[localize]
+exact = true
+estimate_admittance = true
+"""
+ADMITTANCE_TREE = {
+    "admittance.csv": "917296877261800b6520f0afbf63d1b0ac4dcd25667e526ae6151c1d4a2d8642",
+    "localization.csv": "a37434010022bc715b330a62305c069b7acdd87edf33100021c64c26d94dc0d7",
+    "rho_post.csv": "d35f59273387802d465b2d9c8831760a9f02cd93612598837427041e8e0cf832",
+    "rho_pre.csv": "47e256965a004e3b58c11951316658d15d6526cd34983c4e85e721a49fcbc66c",
+}
+
+
+def test_admittance_tree_is_pinned(tmp_path, capsys):
+    conf = tmp_path / "admittance.conf"
+    conf.write_text(ADMITTANCE_CONFIG)
+    stream, out = tmp_path / "stream", tmp_path / "localize"
+    assert main(["simulate", "--config", str(conf), "--out", str(stream)]) == 0
+    assert main(["localize", "--config", str(conf), "--stream", str(stream),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())} == ADMITTANCE_TREE
