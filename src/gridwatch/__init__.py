@@ -18,7 +18,6 @@ from .grid import (
     build_admittance,
     bundled_feeders,
     islands,
-    kron_reduce,
     load_feeder,
     parse_feeder,
     random_feeder,
@@ -50,7 +49,7 @@ from .localizer import (
     estimate_admittance,
     rank_changes,
     scan_pairs,
-    thresholds_from_bootstrap,
+    zero_test_floors,
 )
 from .simgen import (
     MeasurementStream,

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -30,12 +31,15 @@ from .experiments import (
 from .gaussmodel import GeometricPrior, estimate_post_outage
 from .localizer import (
     EXACT_THRESHOLDS,
+    FLOOR_DELTA,
+    FLOOR_LEVEL,
     PhasorWindow,
     Thresholds,
     all_bus_pairs,
     estimate_admittance,
+    least_post_size,
     scan_pairs,
-    thresholds_from_bootstrap,
+    zero_test_floors,
 )
 from .simgen import (
     Scenario,
@@ -95,6 +99,14 @@ def _estimation_prior(blocks) -> GeometricPrior:
     # localize and heatmap read [detector] rho as the estimation prior, with
     # a default of 0.04 where detect's is 1e-4
     return GeometricPrior(_read(blocks, "detector").get("rho", 0.04))
+
+
+def _least_ticks(prior: GeometricPrior, size: float) -> int:
+    """The fewest post-window ticks whose Kish size exceeds size."""
+    n = math.ceil(size)
+    while (sizes := prior.kish_sizes(n))[-1] <= size:
+        n *= 2
+    return int(np.argmax(sizes > size)) + 1
 
 
 def build_scenario(blocks, config_dir: str, seed: int | None) -> Scenario:
@@ -192,9 +204,8 @@ def cmd_localize(args) -> None:
     options = _read(blocks, "localize")
     if ("zero" in options) != ("active" in options):
         raise textconf.ConfigError("[localize]: zero and active are set together or not at all")
-    if options.get("n_boot", 1) < 1:
-        raise textconf.ConfigError(
-            f"[localize].n_boot must be at least 1, got {options['n_boot']}")
+    # retired with the bootstrap floors; still read so old configs parse
+    options.pop("n_boot", None)
     stream = _load_stream(args)
     scenario = scenario_from_blocks(stream.meta)
     lam = stream.truth.lam
@@ -216,35 +227,40 @@ def cmd_localize(args) -> None:
             raise textconf.ConfigError(
                 f"windows too short to estimate a {layout.dim}-dim covariance "
                 f"(pre {pre.shape[0]}, post {post.shape[0]})")
+        prior = _estimation_prior(blocks)
         sigma0 = np.cov(pre.T, ddof=0)
-        sigma1 = estimate_post_outage(post, _estimation_prior(blocks)).cov
+        sigma1 = estimate_post_outage(post, prior).cov
 
-    def sensed_branches() -> list[tuple[int, int]]:
+    pair_mode = options.get("pairs", "branches")
+    if pair_mode == "all":
+        pairs = all_bus_pairs(layout)
+    elif pair_mode == "branches":
         # a branch can be scored only when both of its buses are sensed
         pairs = [br.pair for br in scenario.topology.branches
                  if set(br.pair) <= layout.bus_coords.keys()]
         if not pairs:
             raise textconf.ConfigError("no branch has both of its buses sensed")
-        return pairs
+    else:
+        raise textconf.ConfigError(f"[localize].pairs must be branches|all, got {pair_mode!r}")
 
     if "zero" in options:
         thresholds = Thresholds(options["zero"], options["active"])
     elif exact:
         thresholds = EXACT_THRESHOLDS
     else:
-        thresholds = thresholds_from_bootstrap(pre, sensed_branches(), layout,
-                                               seed=scenario.seed, **_given(options, "n_boot"))
-
-    pair_mode = options.get("pairs", "branches")
-    if pair_mode == "all":
-        pairs = all_bus_pairs(layout)
-    elif pair_mode == "branches":
-        pairs = sensed_branches()
-    else:
-        raise textconf.ConfigError(f"[localize].pairs must be branches|all, got {pair_mode!r}")
-
-    report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds,
+        try:
+            thresholds = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], pairs,
+                                          layout)
+        except ValueError as exc:
+            raise textconf.ConfigError(f"[localize]: {exc}") from None
+    report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
                         noise_floor=None if exact else scenario.noise_variance)
+    if thresholds is None:
+        # the window cannot show any score below delta: scores, but no flags
+        report = dataclasses.replace(report, flagged=frozenset())
+        print(f"zero test left out: a post window of {len(post)} ticks is too short to show "
+              f"a score below {FLOOR_DELTA} at level {FLOOR_LEVEL}; it needs at least "
+              f"{_least_ticks(prior, least_post_size(pairs, layout))} ticks")
     out = _outdir(args)
     _write(os.path.join(out, "localization.csv"), localization_csv(report))
     _write(os.path.join(out, "rho_pre.csv"),

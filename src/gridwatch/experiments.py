@@ -292,14 +292,16 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
                   counts: list[int] | None = None) -> PmuSweepTable:
     """Detection delay as sensor coverage shrinks.
 
-    Placements are sensed-bus sets, largest first; when only counts are
-    given, a seeded nested placement is drawn (dropping random non-slack
-    buses).  The same streams are reused across placements (projected onto
-    the observed channels), so delays are seed-wise comparable.  Censored
-    replications count with the horizon-floored delay.  Every channel must
-    report at period 1: the placements are scored tick by tick with per-tick
-    models, which held values between fresh ticks do not follow (ValueError
-    naming the first bus with a longer period).
+    Placements are nested sensed-bus sets, largest first (ValueError
+    naming the first that is no subset of the one before it); when only
+    counts are given, a seeded nested placement is drawn (dropping random
+    non-slack buses).  The same streams are reused across placements
+    (projected onto the observed channels), so delays are seed-wise
+    comparable.  Censored replications count with the horizon-floored
+    delay.  Every channel must report at period 1: the placements are
+    scored tick by tick with per-tick models, which held values between
+    fresh ticks do not follow (ValueError naming the first bus with a
+    longer period).
     """
     scenario = config.scenario
     for bus, _, period in scenario.schedule.entries:
@@ -319,7 +321,7 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
         placements = [sorted(order[:c]) for c in sorted(counts, reverse=True)]
     if not placements:
         raise ValueError("empty placement list")
-    for p in placements:
+    for k, p in enumerate(placements):
         if not p:
             raise ValueError("a placement must keep at least one bus")
         for bus in p:
@@ -327,6 +329,10 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
                 raise ValueError(f"placement bus {bus} is outside the feeder's buses 1..{m}")
         if len(set(p)) < len(p):
             raise ValueError(f"placement {sorted(p)} names a bus twice")
+        if k and not set(p) <= set(placements[k - 1]):
+            raise ValueError(f"placement {sorted(p)} is not a subset of the one before it, "
+                             f"{sorted(placements[k - 1])}: placements are nested, "
+                             "largest first")
 
     g_full = scenario.pre_model()
     f_full = scenario.post_model()

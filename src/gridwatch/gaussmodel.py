@@ -477,6 +477,13 @@ class GeometricPrior:
         rows = np.where(at >= 0, cumulative[np.maximum(at, 0)], 0.0)
         return rows, np.cumsum(cumulative)[lengths - 1]
 
+    def kish_sizes(self, n: int) -> np.ndarray:
+        """Kish effective sizes (sum w)^2 / sum w^2 of estimate_post_outage's
+        weights over windows of 1..n samples; the k-th sample of a window
+        weighs 1 - (1 - rho)^k."""
+        w = np.cumsum(self.weights(n))
+        return np.cumsum(w) ** 2 / np.cumsum(w * w)
+
 
 def estimate_windows(dev: np.ndarray, last: np.ndarray, weights: np.ndarray,
                      denom: np.ndarray, ridge: float | None = None

@@ -255,37 +255,6 @@ def transfer(topology: GridTopology) -> tuple[tuple[tuple[int, ...], np.ndarray]
     return tuple(blocks)
 
 
-def kron_reduce(Y: AdmittanceMatrix, keep: set[int]) -> AdmittanceMatrix:
-    """Eliminate buses outside `keep` by the Schur complement.
-
-    The result satisfies I_A = Y_red V_A for any voltage/current solution of
-    the full network with zero injections at the eliminated buses.
-    """
-    keep_list = [b for b in Y.buses if b in keep]
-    if len(keep_list) != len(keep):
-        missing = set(keep) - set(Y.buses)
-        raise TopologyError(f"keep set references unknown buses {sorted(missing)}")
-    drop_list = [b for b in Y.buses if b not in keep]
-    if not drop_list:
-        return AdmittanceMatrix(tuple(keep_list), Y.matrix.copy())
-    a = [Y.index_of(b) for b in keep_list]
-    b = [Y.index_of(x) for x in drop_list]
-    Yaa = Y.matrix[np.ix_(a, a)]
-    Yab = Y.matrix[np.ix_(a, b)]
-    Yba = Y.matrix[np.ix_(b, a)]
-    Ybb = Y.matrix[np.ix_(b, b)]
-    try:
-        X = np.linalg.solve(Ybb, Yba)
-    except np.linalg.LinAlgError:
-        raise SingularBlockError(
-            "Y[eliminated, eliminated]",
-            f"buses {drop_list} cannot be eliminated; ground one or shrink the set",
-        ) from None
-    if not np.all(np.isfinite(X)):
-        raise SingularBlockError("Y[eliminated, eliminated]", f"buses {drop_list}")
-    return AdmittanceMatrix(tuple(keep_list), Yaa - Yab @ X)
-
-
 # --- bundled feeders -------------------------------------------------------
 
 _BUS = {"id": int, "slack": textconf.boolean, "der": textconf.boolean}

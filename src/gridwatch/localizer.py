@@ -10,12 +10,13 @@ phasor data to confirm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmodel import CoordinateLayout, kept_coordinates, score_pairs
-from .grid import GridTopology, SingularBlockError, substream
+from .gaussmodel import CoordinateLayout, score_pairs
+from .grid import GridTopology
 
 
 @dataclass(frozen=True)
@@ -34,123 +35,68 @@ class Thresholds:
             raise ValueError(f"need 0 < zero < active, got {self.zero}, {self.active}")
 
 
-# Defaults for exact model covariances, where the only "noise" is float
-# arithmetic; data-driven runs should use thresholds_from_bootstrap.
+# Floors for exact model covariances, where the only "noise" is float
+# arithmetic; estimated covariances take zero_test_floors.
 EXACT_THRESHOLDS = Thresholds(zero=1e-6, active=1e-2)
-# thresholds_from_bootstrap's floors, in multiples of the bootstrap deviation
-ZERO_MULT, ACTIVE_MULT = 3.0, 10.0
+# zero_test_floors' effect size delta (the |partial correlation| that
+# separates a live coupling from a dead one) and family level (the chance
+# of any false flag among the scored pairs); the README gives the reasons.
+FLOOR_DELTA, FLOOR_LEVEL = 0.1, 1e-3
 
 
-# A row block's moment columns (rows x (d + d(d+1)/2)) hold at most this many
-# float64 values, 2 MB, and resamples are scored in groups of this many over
-# the window length (26 for 9 999 rows); never fewer than one row or resample.
-_BOOT_BUDGET = 1 << 18
-
-
-def thresholds_from_bootstrap(samples: np.ndarray, pairs, layout: CoordinateLayout,
-                              n_boot: int = 200, seed: int = 0) -> Thresholds:
-    """Data-driven floors: zero = ZERO_MULT (3) * the 99th percentile of the
-    bootstrap deviation of the pair scores, active = ACTIVE_MULT (10) * zero.
-
-    Resample b draws n rows with replacement, rng.integers(0, n, n) from
-    substream(seed, "bootstrap"), and is kept as its count vector, in the
-    smallest unsigned type that holds every count.  One pass over blocks of
-    rows builds each block's centred moment columns once and multiplies them
-    by all count vectors; the covariances, np.cov(ddof=0) of the resampled
-    rows up to summation order, are scored a group at a time by score_pairs
-    (one by one when the group's stack raises).  Pairs degenerate in a
-    resample add no deviation.  The README's bootstrap paragraph gives the
-    arithmetic.
-
-    ValueError when n_boot < 1, when the window is shorter than dim + 2, or
-    when no deviation remains.  SingularBlockError, naming the window or the
-    resample, when some pair is scored and it holds no more distinct rows
-    (told apart by value) than the window has coordinates of nonzero
-    variance, or score_pairs finds it singular: a window below about
-    1.6 (dim + 1) rows fails.  The window should be at least as long as the
-    post-event one, or the floor undershoots the post-side sampling noise.
-    """
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be at least 1, got {n_boot}")
-    samples = np.asarray(samples, dtype=float)
-    n, dim = samples.shape
-    if n < layout.dim + 2:
-        raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
+def _fisher_terms(pairs, layout: CoordinateLayout, level: float) -> tuple[int, float]:
+    """(k, c): the most coordinates any scored pair's score is conditioned
+    on, and the one-sided normal quantile at level / (4 P), 4 cross entries
+    for each of the P pairs."""
     pairs = list(pairs)
-    rng = substream(seed, "bootstrap")
-    window_cov = np.cov(samples.T, ddof=0)
-    base, base_degenerate = score_pairs(window_cov, pairs, layout)
-    kept = int(kept_coordinates(window_cov)[0].sum())
-    # row_id[k]: which distinct row sample k is (+ 0.0 makes -0.0 equal 0.0)
-    rows_as_bytes = np.ascontiguousarray(samples + 0.0).view(
-        np.dtype((np.void, samples.itemsize * dim))).ravel()
-    _, row_id = np.unique(rows_as_bytes, return_inverse=True)
-    n_distinct = int(row_id.max()) + 1
-    if n_distinct <= kept and not base_degenerate.all():
-        raise SingularBlockError("Sigma[kept, kept]", (
-            f"bootstrap window of {n} samples in dim {dim}: {n_distinct} distinct "
-            f"samples for {kept} coordinates of nonzero variance"))
-    # a block holds one row per centred coordinate, then the products of
-    # coordinate i with coordinates i.. in rows offset[i]:offset[i + 1]
-    centre = samples.mean(axis=0)[:, None]
-    upper = np.triu_indices(dim)
-    offset = dim + np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
-    width = offset[-1]
-    counts = np.empty((n_boot, n), dtype=np.uint8)
-    distinct = []
-    for b in range(n_boot):
-        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        if drawn.max() > np.iinfo(counts.dtype).max:
-            counts = counts.astype(np.min_scalar_type(drawn.max()))
-        counts[b] = drawn
-        # its distinct rows: its nonzero counts once those of equal rows are merged
-        distinct.append(np.count_nonzero(np.bincount(row_id, weights=drawn,
-                                                     minlength=n_distinct)))
-    rows = max(1, _BOOT_BUDGET // width)
-    columns = np.empty((width, min(rows, n)))
-    moments = np.zeros((n_boot, width))
-    for start in range(0, n, rows):
-        x = samples[start:start + rows]
-        block = columns[:, :x.shape[0]]
-        np.subtract(x.T, centre, out=block[:dim])
-        for i in range(dim):
-            np.multiply(block[i], block[i:dim], out=block[offset[i]:offset[i + 1]])
-        moments += counts[:, start:start + rows] @ block.T
-    moments /= n
-    mean, second = moments[:, :dim], moments[:, dim:]
-    second -= mean[:, upper[0]] * mean[:, upper[1]]
-    group = max(1, _BOOT_BUDGET // n)
-    deviations = []
-    for first in range(0, n_boot, group):
-        size = min(group, n_boot - first)
-        covs = np.empty((size, dim, dim))
-        covs[:, upper[0], upper[1]] = second[first:first + size]
-        covs[:, upper[1], upper[0]] = second[first:first + size]
-        try:
-            stacked = score_pairs(covs, pairs, layout)
-        except SingularBlockError:
-            stacked = None  # scored one by one below, so the error names the resample
-        for b, cov in enumerate(covs):
-            try:
-                scores, degenerate = (score_pairs(cov, pairs, layout) if stacked is None
-                                      else (stacked[0][b], stacked[1][b]))
-                if distinct[first + b] <= kept and not degenerate.all():
-                    raise SingularBlockError("Sigma[kept, kept]", f"{distinct[first + b]} "
-                                             f"distinct samples for {kept} coordinates of "
-                                             "nonzero variance")
-            except SingularBlockError as exc:
-                raise SingularBlockError(
-                    exc.block, f"bootstrap resample {first + b} of {n_boot} from a window "
-                    f"of {n} samples in dim {dim} ({exc.detail}); a resample holds about "
-                    f"63 % distinct samples, so the window needs about 1.6 x (dim + 1)"
-                ) from exc
-            deviations.append(np.abs(scores - base)[~degenerate])
-    deviations = np.concatenate(deviations)
-    if deviations.size == 0:
-        raise ValueError(f"no bootstrap deviation: every scored pair is degenerate "
-                         f"in all {n_boot} resamples")
-    zero = ZERO_MULT * float(np.percentile(deviations, 99.0))
-    return Thresholds(zero=zero, active=ACTIVE_MULT * zero)
+    if not pairs:
+        raise ValueError("no pair to score")
+    # imported here: statistics loads fractions and decimal, about 3 ms that
+    # only the floors need and every command would pay at start-up
+    from statistics import NormalDist
+
+    widths = layout.pair_table[0]
+    k = layout.dim - min(int(widths[i] + widths[j]) for i, j in pairs)
+    return k, NormalDist().inv_cdf(1.0 - level / (4 * len(pairs)))
+
+
+def least_post_size(pairs, layout: CoordinateLayout, level: float = FLOOR_LEVEL,
+                    delta: float = FLOOR_DELTA) -> float:
+    """The effective size a post-event window must exceed before
+    zero_test_floors can conclude |rho_post| < delta: k + 3 + (c / z(delta))^2."""
+    k, c = _fisher_terms(pairs, layout, level)
+    return k + 3 + (c / math.atanh(delta)) ** 2
+
+
+def zero_test_floors(n_pre: int, n_post: float, pairs, layout: CoordinateLayout,
+                     level: float = FLOOR_LEVEL, delta: float = FLOOR_DELTA
+                     ) -> Thresholds | None:
+    """Closed-form floors of the zero test as an equivalence test on the
+    Fisher z scale, z = atanh: a pair is flagged when
+
+        z(rho_pre) - c / sqrt(n_pre - k - 3) > z(delta)   (it was live)
+        z(rho_post) + c / sqrt(n_post - k - 3) < z(delta)  (it is below delta)
+
+    with k and c as _fisher_terms gives them: on a stream where no pair's
+    coupling crosses delta, the chance that any pair is flagged is at most
+    level.  n_pre and n_post are the windows' effective sizes: the sample
+    count of an unweighted window, GeometricPrior.kish_sizes of
+    estimate_post_outage's.
+    None when n_post is at most least_post_size (up to rounding): no pair
+    can then be shown to sit below delta, and none may be flagged.  ValueError when a window
+    holds no more than k + 3 samples.
+    """
+    k, c = _fisher_terms(pairs, layout, level)
+    for name, n in (("pre", n_pre), ("post", n_post)):
+        if n <= k + 3:
+            raise ValueError(f"{name}-event window of effective size {n:.6g} is too short "
+                             f"for a Fisher z test given {k} coordinates: need more than "
+                             f"{k + 3}")
+    z = math.atanh(delta)
+    zero = z - c / math.sqrt(n_post - k - 3)
+    if zero <= 0:
+        return None
+    return Thresholds(zero=math.tanh(zero), active=math.tanh(z + c / math.sqrt(n_pre - k - 3)))
 
 
 @dataclass(frozen=True)

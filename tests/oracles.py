@@ -3,11 +3,11 @@
 Only tests use these: the one-step log-odds recursion and the direct
 posterior sum over change positions (the oracles of the detector's
 recursion), the Schur conditional covariance and the per-pair scorer of one
-covariance (the oracles of score_pairs) and the per-resample bootstrap (the
-oracle of thresholds_from_bootstrap).  Then small helpers that only tests
-call: the score of one bus pair, a PSD check of a model's covariance, a
-topology's in-service pairs, an all-magnitude sensor schedule and a forced
-fork setting that counts the forked calls.
+covariance (the oracles of score_pairs) and the Kron reduction of an
+admittance matrix (the oracle of grid.transfer).  Then small helpers that
+only tests call: the score of one bus pair, a PSD check of a model's
+covariance, a topology's in-service pairs, an all-magnitude sensor schedule
+and a forced fork setting that counts the forked calls.
 They lean on scipy, which the package itself does not import.
 """
 
@@ -29,9 +29,8 @@ from gridwatch.gaussmodel import (
     log_density,
     score_pairs,
 )
-from gridwatch.grid import GridTopology, SingularBlockError
-from gridwatch.localizer import Thresholds
-from gridwatch.simgen import SensorSchedule, substream
+from gridwatch.grid import AdmittanceMatrix, GridTopology, SingularBlockError, TopologyError
+from gridwatch.simgen import SensorSchedule
 
 
 def advance_log_odds(log_odds: float, log_lr: float, rho: float) -> float:
@@ -154,32 +153,35 @@ def score_pairs_per_pair(sigma: np.ndarray, pairs,
     return scores, degenerate
 
 
-def bootstrap_thresholds_direct(samples: np.ndarray, pairs, layout: CoordinateLayout,
-                                n_boot: int = 200, seed: int = 0,
-                                zero_mult: float = 3.0,
-                                active_mult: float = 10.0) -> Thresholds:
-    """thresholds_from_bootstrap by gathering every resample and taking its
-    np.cov: the same draws, one gather and one covariance per resample.
+def kron_reduce(Y: AdmittanceMatrix, keep: set[int]) -> AdmittanceMatrix:
+    """Eliminate buses outside `keep` by the Schur complement.
 
-    Each resampled covariance is scored in one score_pairs call; pairs that
-    are degenerate in a resample do not contribute a deviation, and a
-    resample whose covariance is singular (too few distinct samples) raises
-    SingularBlockError.
+    The result satisfies I_A = Y_red V_A for any voltage/current solution of
+    the full network with zero injections at the eliminated buses.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    if n < layout.dim + 2:
-        raise ValueError(f"bootstrap window too short: {n} samples for dim {layout.dim}")
-    pairs = list(pairs)
-    rng = substream(seed, "bootstrap")
-    base, _ = score_pairs(np.cov(samples.T, ddof=0), pairs, layout)
-    deviations = []
-    for _ in range(n_boot):
-        pick = rng.integers(0, n, size=n)
-        scores, degenerate = score_pairs(np.cov(samples[pick].T, ddof=0), pairs, layout)
-        deviations.append(np.abs(scores - base)[~degenerate])
-    zero = zero_mult * float(np.percentile(np.concatenate(deviations), 99.0))
-    return Thresholds(zero=zero, active=active_mult * zero)
+    keep_list = [b for b in Y.buses if b in keep]
+    if len(keep_list) != len(keep):
+        missing = set(keep) - set(Y.buses)
+        raise TopologyError(f"keep set references unknown buses {sorted(missing)}")
+    drop_list = [b for b in Y.buses if b not in keep]
+    if not drop_list:
+        return AdmittanceMatrix(tuple(keep_list), Y.matrix.copy())
+    a = [Y.index_of(b) for b in keep_list]
+    b = [Y.index_of(x) for x in drop_list]
+    Yaa = Y.matrix[np.ix_(a, a)]
+    Yab = Y.matrix[np.ix_(a, b)]
+    Yba = Y.matrix[np.ix_(b, a)]
+    Ybb = Y.matrix[np.ix_(b, b)]
+    try:
+        X = np.linalg.solve(Ybb, Yba)
+    except np.linalg.LinAlgError:
+        raise SingularBlockError(
+            "Y[eliminated, eliminated]",
+            f"buses {drop_list} cannot be eliminated; ground one or shrink the set",
+        ) from None
+    if not np.all(np.isfinite(X)):
+        raise SingularBlockError("Y[eliminated, eliminated]", f"buses {drop_list}")
+    return AdmittanceMatrix(tuple(keep_list), Yaa - Yab @ X)
 
 
 def conditional_corr(sigma: np.ndarray, i: int, j: int,

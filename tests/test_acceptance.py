@@ -54,12 +54,11 @@ from gridwatch.grid import (
     build_admittance,
     bundled_feeders,
     islands,
-    kron_reduce,
     random_feeder,
 )
 from gridwatch.localizer import EXACT_THRESHOLDS, scan_pairs
 from gridwatch.simgen import Scenario, generate, substream
-from oracles import conditional_cov, in_service_pairs, posterior_direct
+from oracles import conditional_cov, in_service_pairs, kron_reduce, posterior_direct
 
 
 @contextlib.contextmanager

@@ -306,6 +306,13 @@ BAD_INPUTS = {
                                            "placement bus 99 is outside the feeder's buses"),
     "sweep_placement_bus_twice": ("pmu-sweep", "| 2 5", "| 2 5 2", "ValueError",
                                   "placement [2, 2, 5] names a bus twice"),
+    "sweep_placement_growing": (
+        "pmu-sweep", "placements = 1 2 3 4 5 6 7 8 | 2 4 5 8 | 2 5",
+        "placements = 2 5 | 1 2 3 4 5 6 7 8", "ValueError",
+        "placement [1, 2, 3, 4, 5, 6, 7, 8] is not a subset of the one before it, [2, 5]"),
+    "sweep_placement_disjoint": (
+        "pmu-sweep", "placements = 1 2 3 4 5 6 7 8 | 2 4 5 8 | 2 5", "placements = 2 5 | 3 4",
+        "ValueError", "placement [3, 4] is not a subset of the one before it, [2, 5]"),
     "experiment_empty_alphas": ("experiment", "alphas = 1e-2, 1e-4, 1e-6", "alphas =",
                                 "ValueError", "alphas must name at least one value"),
     "experiment_empty_modes": ("experiment", "replications = 25", "replications = 25\nmodes =",
@@ -442,20 +449,59 @@ def test_localize_all_pairs_and_explicit_thresholds(tmp_path, config_path, capsy
                                                   sorted(flagged & branches)]
 
 
-def test_localize_rejects_n_boot_below_one(tmp_path, capsys):
+def test_localize_ignores_the_retired_n_boot(tmp_path, config_path, capsys):
+    # n_boot set the bootstrap floors' resample count; 0 was an error
+    stream_dir = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", config_path, "--out", stream_dir], capsys)
+    trees = []
+    for name, keys in (("none", ""), ("zero", "n_boot = 0"), ("many", "n_boot = 200")):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(CONFIG.replace("exact = true", f"exact = false\n{keys}"))
+        out = tmp_path / name
+        run_ok(["localize", "--config", str(conf), "--stream", stream_dir, "--out", str(out)],
+               capsys)
+        trees.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert trees[0] == trees[1] == trees[2]
+
+
+def test_localize_short_window_flags_nothing_and_names_the_minimum(tmp_path, capsys):
+    # 380 post-outage ticks cannot show a score below delta at the level:
+    # every branch is scored, none is flagged, and stdout names the fewest
+    # ticks that could, from the Kish size of the post window's weights
+    from scipy.stats import norm
+
+    conf = tmp_path / "short.conf"
+    conf.write_text(CONFIG.replace("exact = true", "exact = false")
+                    .replace("horizon = 60", "horizon = 400"))
+    stream_dir, out = str(tmp_path / "stream"), tmp_path / "localize"
+    run_ok(["simulate", "--config", str(conf), "--out", stream_dir], capsys)
+    said = run_ok(["localize", "--config", str(conf), "--stream", stream_dir,
+                   "--out", str(out)], capsys)
+    rows = cli.parse_localization_csv(_read(out, "localization.csv"))
+    branches = load_feeder("loop8").branches
+    assert sorted(r["pair"] for r in rows) == sorted(br.pair for br in branches)
+    assert not any(r["flagged"] for r in rows)
+    # d = 16, k = 12, 4 cross entries for each branch; [detector] rho = 1e-4
+    need = 15 + (norm.isf(1e-3 / (4 * len(branches))) / np.arctanh(0.1)) ** 2
+    ticks = int(need)
+    while True:
+        w = 1.0 - (1.0 - 1e-4) ** np.arange(1, ticks + 1)
+        if w.sum() ** 2 / (w @ w) > need:
+            break
+        ticks += 1
+    assert (f"zero test left out: a post window of 380 ticks is too short to show a score "
+            f"below 0.1 at level 0.001; it needs at least {ticks} ticks") in said
+    assert "flagged branches: (none)" in said
+
+
+def test_localize_post_window_too_short_for_fisher_z(tmp_path, capsys):
+    # 18 post ticks weighted 1 - (1 - 1e-4)^k have a Kish size of 13.9, not
+    # above k + 3 = 15 for the 12 coordinates each branch is conditioned on
     err = _localize_error(tmp_path, capsys,
-                          CONFIG.replace("exact = true", "exact = false\nn_boot = 0"))
-    assert err == {"error": "ConfigError",
-                   "message": "[localize].n_boot must be at least 1, got 0"}
-
-
-def test_localize_short_window_names_the_bootstrap(tmp_path, capsys):
-    # 20 pre-outage samples for dim 16: the window itself has full rank,
-    # but a resample holds about 13 distinct samples
-    err = _localize_error(tmp_path, capsys, CONFIG.replace(
-        "exact = true", "exact = false").replace("horizon = 60", "horizon = 400"))
-    assert err["error"] == "SingularBlockError"
-    assert "bootstrap resample 0 of 200 from a window of 20 samples in dim 16" in err["message"]
+                          CONFIG.replace("exact = true", "exact = false\npost_ticks = 18"))
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("[localize]: post-event window of effective size 13.")
+    assert err["message"].endswith("given 12 coordinates: need more than 15")
 
 
 PARTIAL_CONFIG = """\

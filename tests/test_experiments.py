@@ -315,7 +315,7 @@ def test_censored_and_false_alarm_rules_match_a_hand_reduction(loop8, monkeypatc
 
     # the sweep: censored as margin, false alarms left out of both columns
     sweep = run_pmu_sweep(dataclasses.replace(cfg, alphas=(0.5,)),
-                          placements=[list(range(1, 9)), [7, 8], [2]])
+                          placements=[list(range(1, 9)), [7, 8], [8]])
     delays = [[1 if tau is None else None if tau < lam else tau - lam
                for lam, tau in ((lam, alarms[p][0.5]) for lam, alarms in seen[1])]
               for p in range(3)]

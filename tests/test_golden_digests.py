@@ -365,8 +365,9 @@ def test_adaptive_detect_tree_is_pinned(case, budget, tmp_path, monkeypatch, cap
 
 
 # localize on loop12 from a stream of 4000 ticks, outage 8-10 at tick 2001:
-# estimated covariances with bootstrap thresholds (which flag no branch from
-# windows this short), and exact ones (which flag 8-10)
+# estimated covariances with the closed-form floors (which flag no branch
+# from windows this short; the retired n_boot is ignored), with explicit
+# floors, and exact ones (which flag 8-10)
 LOCALIZE_CONFIG = """\
 [scenario]
 feeder = loop12
@@ -378,7 +379,8 @@ seed = 13
 [localize]
 {options}
 """
-LOCALIZE_CASES = {"estimated": "exact = false\nn_boot = 40", "exact": "exact = true"}
+LOCALIZE_CASES = {"estimated": "exact = false\nn_boot = 40", "exact": "exact = true",
+                  "explicit": "exact = false\nzero = 0.05\nactive = 0.3"}
 LOCALIZE_TREES = {
     "estimated": {
         "localization.csv": "0e48bdf7f00a464ded661eb6b54d798feb989f4600fed97dd518030a8598b3a8",
@@ -389,6 +391,11 @@ LOCALIZE_TREES = {
         "localization.csv": "d164c254a20aab212616850fd85aea3e671ba071ab20cc63bc4b60c74a76d4a2",
         "rho_post.csv": "e7ca15b8fc1ea3f61ef0da659d25f4b03aa8bf2403dd1bf6bf3f5feab156b00c",
         "rho_pre.csv": "90709d1f2ded73150982a8d5a3fd6027e1bd50ba2878ebc14b2b70b2f18f6f2d",
+    },
+    "explicit": {
+        "localization.csv": "d1248ad3cb0a55712d937c1252441dc77b644246642c6cbd2c7c5c02e3540380",
+        "rho_post.csv": "9bdf621ba8e035bdb5de635127d3f5af1f7883bce482a8b103d4ebdb0ffd64f0",
+        "rho_pre.csv": "5874ff16999ff8460e622ecf0193145ca5fffaecceff20a5b161a53b3e13bcb2",
     },
 }
 

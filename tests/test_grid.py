@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_path
-from oracles import in_service_pairs
+from oracles import in_service_pairs, kron_reduce
 from gridwatch import grid
 from gridwatch.grid import (
     Branch,
@@ -21,7 +21,6 @@ from gridwatch.grid import (
     bundled_feeders,
     format_feeder,
     islands,
-    kron_reduce,
     load_feeder,
     parse_feeder,
     philox_key,

@@ -18,7 +18,7 @@ from gridwatch.localizer import (
     estimate_admittance,
     rank_changes,
     scan_pairs,
-    thresholds_from_bootstrap,
+    zero_test_floors,
 )
 from gridwatch.simgen import Scenario, generate
 
@@ -86,16 +86,15 @@ def test_estimated_covariance_flags_same_set(loop8):
     assert report.flagged == {(3, 4), (2, 6)}
 
 
-def test_bootstrap_thresholds_flag_single_outage(path3):
-    # The 10x active multiplier over the bootstrap floor needs a long
-    # baseline window before it drops below the live-branch correlations.
-    scen = Scenario(topology=path3, out_branches=((2, 3),), lam=50_001,
-                    horizon=60_000, noise_variance=1e-4, seed=9)
+def test_zero_test_floors_flag_single_outage(path3):
+    # two pairs at level 1e-3 and delta 0.1 need a post window above about
+    # 1 340 samples; the live branch scores 0.92, the out one 0.03
+    scen = Scenario(topology=path3, out_branches=((2, 3),), lam=3001,
+                    horizon=6000, noise_variance=1e-4, seed=9)
     stream = generate(scen)
-    pre, post = stream.values[:50_000], stream.values[50_000:]
-    thresholds = thresholds_from_bootstrap(pre, branch_pairs(path3), stream.layout,
-                                           n_boot=100, seed=1)
-    assert 0.0 < thresholds.zero < thresholds.active < 0.6
+    pre, post = stream.values[:3000], stream.values[3000:]
+    thresholds = zero_test_floors(len(pre), len(post), branch_pairs(path3), stream.layout)
+    assert 0.0 < thresholds.zero < 0.1 < thresholds.active < 0.2
     report = scan_pairs(np.cov(pre.T, ddof=0), np.cov(post.T, ddof=0),
                         branch_pairs(path3), stream.layout, thresholds,
                         noise_floor=scen.noise_variance)

@@ -2,7 +2,10 @@
 complements (conditional_cov) on bundled and random feeders, exact and noisy
 covariances, dead and DER islands, and phasor, magnitude and mixed layouts;
 and the array scorer over covariance stacks checked bit for bit against the
-per-pair scorer of one covariance (score_pairs_per_pair)."""
+per-pair scorer of one covariance (score_pairs_per_pair); a singular pair
+block is a named error."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,3 +251,21 @@ def test_random90_stack_matches_per_pair_oracle_bit_for_bit():
     for cov, got, flags in zip(covs, scores, degenerate):
         want, want_flags = score_pairs_per_pair(cov, pairs, layout)
         assert got.tobytes() == want.tobytes() and flags.tolist() == want_flags.tolist()
+
+
+def test_singular_pair_block_is_named():
+    # a pair block of the precision that np.linalg.inv finds singular is a
+    # SingularBlockError, not a raw LinAlgError; the pair blocks are the one
+    # 4-D input (covariances x pairs x block) score_pairs inverts
+    layout = CoordinateLayout.full_phasor(3)
+    sigma = np.cov(np.random.default_rng(7).normal(size=(40, 6)).T)
+    inv = np.linalg.inv
+
+    def pair_blocks_fail(a):
+        if np.ndim(a) == 4:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    with mock.patch.object(np.linalg, "inv", pair_blocks_fail):
+        with pytest.raises(SingularBlockError, match="Lambda"):
+            score_pairs(sigma, [(1, 2)], layout)

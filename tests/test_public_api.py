@@ -18,12 +18,12 @@ EXPORTS = {
     "SensorSchedule", "SingularBlockError", "Thresholds", "TopologyError", "apply_outage",
     "build_admittance", "bundled_feeders", "emit_heatmap", "estimate_admittance",
     "estimate_post_outage", "expected_delay_bound", "generate", "islands", "kl_divergence",
-    "kron_reduce", "load_feeder", "log_density", "model_from_topology", "parse_feeder",
+    "load_feeder", "log_density", "model_from_topology", "parse_feeder",
     "parse_stream", "random_feeder", "rank_changes", "run_detector", "run_experiment",
     "run_pmu_sweep", "sample_outage_time", "scan_pairs", "score_pairs",
-    "thresholds_from_bootstrap", "transfer", "write_stream",
+    "transfer", "write_stream", "zero_test_floors",
 }
 
 
 def test_exported_names_are_unchanged():
-    assert set(gridwatch.__all__) == EXPORTS and len(EXPORTS) == 49
+    assert set(gridwatch.__all__) == EXPORTS and len(EXPORTS) == 48
