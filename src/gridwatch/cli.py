@@ -58,8 +58,7 @@ def _placements(raw: str) -> list[list[int]]:
 # Per section a command reads: its kinds table, and the keys where -1 means auto.
 _SECTIONS = {
     "detector": ({"alpha": float, "rho": float, "mode": str, "window": int, "nmin": int,
-                  "estimation_rho": float, "inflate": float,
-                  "hold_last_value": textconf.boolean}, ("nmin", "estimation_rho")),
+                  "estimation_rho": float, "inflate": float}, ("nmin", "estimation_rho")),
     "experiment": ({"alphas": textconf.floats, "replications": int,
                     "modes": lambda raw: tuple(raw.split()), "parallelism": int, "margin": int,
                     "window": int, "nmin": int}, ("margin", "nmin")),
@@ -213,6 +212,8 @@ def cmd_localize(args) -> None:
         raise textconf.ConfigError("stream has no outage to localize")
     layout = stream.layout
     exact = options.get("exact", False)
+    if not exact or options.get("estimate_admittance"):
+        stream.schedule.require_period_one("stream estimates")
     post_ticks = options.get("post_ticks", stream.horizon - lam + 1)
     pre = stream.values[: lam - 1]
     post = stream.values[lam - 1: lam - 1 + post_ticks]
@@ -346,23 +347,26 @@ def cmd_heatmap(args) -> None:
                      os.path.join(out, "heatmap_pre.csv"),
                      os.path.join(out, "heatmap_post.csv"))
 
-    def estimated() -> str | int:
-        # the matrix's CSV, or the post-outage tick count when too short
+    def estimated() -> tuple[str | None, str]:
+        # the matrix's CSV, or None and the reason it is left out
+        try:
+            scenario.schedule.require_period_one("stream estimates")
+        except ValueError as exc:
+            return None, str(exc)
         stream = generate(scenario)
         lam = stream.truth.lam
         ticks = 0 if lam is None else stream.horizon - lam + 1
         if ticks < layout.dim + 2:
-            return ticks
+            return None, f"{ticks} post-outage ticks, fewer than dim + 2 = {layout.dim + 2}"
         est = estimate_post_outage(stream.values[lam - 1:], _estimation_prior(blocks))
-        return heatmap_csv(correlation_matrix(est.cov, layout), layout)
+        return heatmap_csv(correlation_matrix(est.cov, layout), layout), ""
 
-    _, text = (forking.forked(exact, estimated) if forking.may_fork()
-               else (exact(), estimated()))
-    if isinstance(text, str):
+    _, (text, reason) = (forking.forked(exact, estimated) if forking.may_fork()
+                         else (exact(), estimated()))
+    if text is not None:
         _write(os.path.join(args.out, "heatmap_post_estimated.csv"), text)
     else:
-        print(f"heatmap_post_estimated.csv left out: {text} post-outage ticks, "
-              f"fewer than dim + 2 = {layout.dim + 2}")
+        print(f"heatmap_post_estimated.csv left out: {reason}")
     print(f"heatmaps -> {args.out}")
 
 

@@ -68,7 +68,10 @@ class NonFiniteLikelihoodError(ValueError):
 
 def inflated_fallback(g: GaussianModel, inflate: float = 4.0) -> GaussianModel:
     """Stand-in post-change model used before the window can support an
-    estimate: g with the covariance inflated."""
+    estimate: g with the covariance inflated (ValueError naming inflate
+    unless it is a finite number above 0)."""
+    if not (math.isfinite(inflate) and inflate > 0.0):
+        raise ValueError(f"inflate must be a finite number above 0, got {inflate!r}")
     return GaussianModel(g.mean, g.cov * inflate, g.layout)
 
 
@@ -288,7 +291,6 @@ class DetectorConfig:
     window: int = 50
     nmin: int | None = None
     inflate: float = 4.0
-    hold_last_value: bool = False
 
     def __post_init__(self):
         if self.mode not in (KNOWN_F, ADAPTIVE):
@@ -314,19 +316,16 @@ class DetectionReport:
 def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     """Drive the detector over a measurement stream.
 
-    By default the detector steps only when every configured channel is
-    fresh (once per least-common-multiple of the channel periods); channel
-    values accumulated between steps form the increment over the step
-    period, and the base models are scaled accordingly.  With
-    hold_last_value the detector instead steps every tick, carrying stale
-    channels forward against the unscaled per-tick model.
+    The detector steps only when every configured channel is fresh (once
+    per least common multiple of the channel periods); channel values
+    accumulated between steps form the increment over the step period, and
+    the base models are scaled accordingly.  Held values are never scored.
     """
     layout = stream.layout
     g = config.g.project(layout) if config.g.layout is not None else config.g
     if g.dim != layout.dim:
         raise ValueError("base model does not cover the stream channels")
-    periods = stream.schedule.channel_periods(layout)
-    step_period = 1 if config.hold_last_value else _lcm_all(periods)
+    step_period = math.lcm(*stream.schedule.channel_periods(layout))
     g_step = g.scaled_cov(float(step_period)) if step_period > 1 else g
     f_step = None
     if config.f is not None:
@@ -339,7 +338,7 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     if stream.values.shape[1] != layout.dim:
         raise ValueError(f"dimension drift: stream has {stream.values.shape[1]} "
                          f"channels, layout has {layout.dim}")
-    ticks, x = _step_increments(stream, step_period, config.hold_last_value)
+    ticks, x = _step_increments(stream, step_period)
     est_prior = (GeometricPrior(config.estimation_rho)
                  if config.estimation_rho is not None else None)
     try:
@@ -366,19 +365,15 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     )
 
 
-def _step_increments(stream, step_period: int,
-                     hold_last_value: bool) -> tuple[np.ndarray, np.ndarray]:
+def _step_increments(stream, step_period: int) -> tuple[np.ndarray, np.ndarray]:
     """(ticks, x): the tick and the sample of every detector step.
 
-    With hold_last_value every tick is a step and its sample is the held
-    values.  Otherwise a step ends every step_period ticks (a tail of fewer
-    ticks is dropped) and its sample is the sum of the fresh values of its
-    ticks, added in tick order to a zero row: bit for bit what a running
-    per-tick accumulator gives (ndarray.sum over the tick axis adds
-    pairwise for some shapes, one channel with a long period among them).
+    A step ends every step_period ticks (a tail of fewer ticks is dropped)
+    and its sample is the sum of the fresh values of its ticks, added in
+    tick order to a zero row: bit for bit what a running per-tick
+    accumulator gives (ndarray.sum over the tick axis adds pairwise for some
+    shapes, one channel with a long period among them).
     """
-    if hold_last_value:
-        return np.arange(1, stream.horizon + 1), stream.values
     steps = stream.horizon // step_period
     fresh = np.where(stream.fresh, stream.values, 0.0)[: steps * step_period]
     fresh = fresh.reshape(steps, step_period, stream.values.shape[1])
@@ -439,10 +434,3 @@ def _batch_crossings(traces, thresholds) -> list[list[int | None]]:
     np.maximum.accumulate(peak, axis=1, out=peak)
     below = np.count_nonzero(peak[:, :, None] < np.asarray(thresholds), axis=1).tolist()
     return [[k + 1 if k < len(t) else None for k in hits] for t, hits in zip(traces, below)]
-
-
-def _lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, int(v))
-    return out

@@ -204,10 +204,12 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
     alarm time for every alpha.  Delays are averaged over replications that
     alarmed at or after the outage; alarms strictly before it count as false
     alarms; replications without an alarm inside the horizon are censored at
-    the horizon.
+    the horizon.  The scenario must observe full phasors, every channel at
+    period 1 (ValueError otherwise).
     """
+    config.scenario.schedule.require_period_one("experiments")
     if config.scenario.schedule.layout().dim != 2 * config.scenario.topology.bus_count:
-        raise ValueError("experiment scenarios must observe full phasors at period 1")
+        raise ValueError("experiment scenarios must observe full phasors")
     g = config.scenario.pre_model()
     f = config.scenario.post_model()
     kl = kl_divergence(f, g)
@@ -298,16 +300,11 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     non-slack buses).  The same streams are reused across placements
     (projected onto the observed channels), so delays are seed-wise
     comparable.  Censored replications count with the horizon-floored
-    delay.  Every channel must report at period 1: the placements are
-    scored tick by tick with per-tick models, which held values between
-    fresh ticks do not follow (ValueError naming the first bus with a
-    longer period).
+    delay.  Every channel must report at period 1
+    (SensorSchedule.require_period_one).
     """
     scenario = config.scenario
-    for bus, _, period in scenario.schedule.entries:
-        if period != 1:
-            raise ValueError(f"coverage sweeps need every channel at period 1: "
-                             f"bus {bus} has period {period}")
+    scenario.schedule.require_period_one("coverage sweeps")
     m = scenario.topology.bus_count
     if placements is None:
         if not counts:

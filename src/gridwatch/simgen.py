@@ -89,6 +89,15 @@ class SensorSchedule:
         except KeyError as exc:
             raise KeyError(f"bus {exc.args[0]} not in schedule") from None
 
+    def require_period_one(self, users: str) -> None:
+        """ValueError naming the first bus whose period is not 1.  users
+        (say, "experiments") read the values as per-tick samples, which the
+        held values between a slower channel's fresh ticks are not."""
+        for bus, _, period in self.entries:
+            if period != 1:
+                raise ValueError(f"{users} need every channel at period 1: "
+                                 f"bus {bus} has period {period}")
+
 
 @dataclass(frozen=True)
 class Scenario:

@@ -1,6 +1,7 @@
 """End-to-end CLI: simulate -> detect -> localize pipeline, heatmaps,
 experiment/sweep emitters, determinism and the machine-readable error path."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -11,6 +12,7 @@ import pytest
 
 from gridwatch import cli, experiments, simgen, textconf
 from gridwatch.cli import main
+from gridwatch.detector import DetectorConfig
 from gridwatch.grid import SingularBlockError, load_feeder
 from gridwatch.simgen import parse_stream
 from oracles import forks_under
@@ -154,6 +156,13 @@ def test_failing_replication_is_reported_as_in_one_process(tmp_path, config_path
         f"replication {bad[0]} (seed {seeds[bad[0]][0]}) failed: ")
 
 
+def _sensors(bus_count: int, periods: dict) -> str:
+    """[sensor] blocks of a phasor at every bus, at period 1 unless periods
+    names another."""
+    return "".join(f"\n[sensor]\nbus = {b}\nkind = phasor\nperiod = {periods.get(b, 1)}\n"
+                   for b in range(1, bus_count + 1))
+
+
 def test_heatmap_cli(tmp_path, config_path, capsys):
     # heatmap wants enough post-outage ticks to estimate a covariance
     conf = tmp_path / "heat.conf"
@@ -176,6 +185,16 @@ def test_heatmap_cli(tmp_path, config_path, capsys):
         f"dim + 2 = 18\nheatmaps -> {short_dir}\n")
     assert sorted(p.name for p in short_dir.iterdir()) == ["heatmap_post.csv",
                                                           "heatmap_pre.csv"]
+    # a slow channel holds values between its fresh ticks, which an
+    # estimate from per-tick samples would count as samples: left out too
+    conf.write_text(CONFIG.replace("horizon = 60", "horizon = 400") + _sensors(8, {8: 3}))
+    slow_dir = tmp_path / "slow"
+    assert main(["heatmap", "--config", str(conf), "--out", str(slow_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "heatmap_post_estimated.csv left out: stream estimates need every channel at "
+        f"period 1: bus 8 has period 3\nheatmaps -> {slow_dir}\n")
+    assert sorted(p.name for p in slow_dir.iterdir()) == ["heatmap_post.csv",
+                                                         "heatmap_pre.csv"]
 
 
 def _heatmap_error(tmp_path, capsys, monkeypatch, cpus: int, config: str) -> tuple[dict, int]:
@@ -313,6 +332,20 @@ BAD_INPUTS = {
     "sweep_placement_disjoint": (
         "pmu-sweep", "placements = 1 2 3 4 5 6 7 8 | 2 4 5 8 | 2 5", "placements = 2 5 | 3 4",
         "ValueError", "placement [3, 4] is not a subset of the one before it, [2, 5]"),
+    "detector_hold_last_value": ("experiment", "mode = known_f",
+                                 "mode = known_f\nhold_last_value = false", "ConfigError",
+                                 "[detector]: unknown keys ['hold_last_value']"),
+    # each replication would score held values with per-tick models
+    "experiment_period_three": ("experiment", "[localize]",
+                                _sensors(8, {8: 3}) + "\n[localize]", "ValueError",
+                                "experiments need every channel at period 1: bus 8 has "
+                                "period 3"),
+    "inflate_nan": ("detect", "mode = known_f", "mode = adaptive\ninflate = nan",
+                    "ValueError", "inflate must be a finite number above 0, got nan"),
+    "inflate_minus_one": ("detect", "mode = known_f", "mode = adaptive\ninflate = -1",
+                          "ValueError", "inflate must be a finite number above 0, got -1.0"),
+    "inflate_zero": ("detect", "mode = known_f", "mode = adaptive\ninflate = 0",
+                     "ValueError", "inflate must be a finite number above 0, got 0.0"),
     "experiment_empty_alphas": ("experiment", "alphas = 1e-2, 1e-4, 1e-6", "alphas =",
                                 "ValueError", "alphas must name at least one value"),
     "experiment_empty_modes": ("experiment", "replications = 25", "replications = 25\nmodes =",
@@ -330,7 +363,7 @@ def test_bad_config_input_is_a_named_error(tmp_path, config_path, capsys, case):
     conf = tmp_path / "bad.conf"
     conf.write_text(CONFIG.replace(old, new))
     extra = []
-    if command == "localize":
+    if command in ("detect", "localize"):
         extra = ["--stream", str(tmp_path / "stream")]
         run_ok(["simulate", "--config", config_path, "--out", extra[1]], capsys)
     code = main([command, "--config", str(conf), "--out", str(tmp_path / "out")] + extra)
@@ -389,6 +422,13 @@ def test_readme_config_documents_every_key(tmp_path):
     tables = {"scenario": simgen._SCENARIO, "sensor": simgen._SENSOR,
               **{name: kinds for name, (kinds, _) in cli._SECTIONS.items()}}
     assert documented == {name: set(kinds) for name, kinds in tables.items()}
+
+
+def test_detector_keys_are_the_config_fields():
+    # a DetectorConfig field and its [detector] key come and go together;
+    # the models come from the scenario
+    fields = {field.name for field in dataclasses.fields(DetectorConfig)}
+    assert set(cli._SECTIONS["detector"][0]) == fields - {"g", "f"}
 
 
 def test_detect_rejects_stream_with_nan_sample(tmp_path, config_path, capsys):
@@ -560,6 +600,27 @@ def test_pmu_sweep_rejects_periods_above_one(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {"error": "ValueError", "message": "coverage sweeps need every channel "
                    "at period 1: bus 2 has period 2"}
+
+
+def test_localize_estimates_reject_periods_above_one(tmp_path, capsys):
+    # estimated covariances and admittances read held values as samples;
+    # the exact model covariances do not read the stream
+    conf, sensors = tmp_path / "slow.conf", _sensors(12, {9: 3})
+    conf.write_text(PARTIAL_CONFIG + sensors)
+    stream_dir = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", str(conf), "--out", stream_dir], capsys)
+    message = "stream estimates need every channel at period 1: bus 9 has period 3"
+    for keys, code in (("", 2), ("exact = true", 0),
+                       ("exact = true\nestimate_admittance = true", 2)):
+        conf.write_text(PARTIAL_CONFIG.replace("[localize]", f"[localize]\n{keys}") + sensors)
+        assert main(["localize", "--config", str(conf), "--stream", stream_dir,
+                     "--out", str(tmp_path / "localize")]) == code
+        captured = capsys.readouterr()
+        if code:
+            err = json.loads(captured.err.splitlines()[-1])
+            assert err == {"error": "ValueError", "message": message}
+        else:
+            assert "flagged branches: 8-10" in captured.out
 
 
 @pytest.mark.parametrize("alpha", ["1e-305", "1e-300"])

@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
+from scipy.stats import binom
 
 from gridwatch.detector import (
     ADAPTIVE,
+    KNOWN_F,
     DetectionRule,
     DetectorConfig,
     GeometricPrior,
@@ -24,7 +28,7 @@ from gridwatch.detector import (
 )
 from gridwatch.gaussmodel import GaussianModel, sample
 from gridwatch.grid import load_feeder
-from gridwatch.simgen import Scenario, SensorSchedule, generate
+from gridwatch.simgen import Scenario, SensorSchedule, generate, sample_outage_time
 from oracles import advance_log_odds, all_magnitude, posterior_direct
 
 
@@ -242,14 +246,37 @@ def test_run_detector_aggregated_magnitude_stream(loop8):
     assert report.tau >= 22
 
 
-def test_run_detector_hold_last_value_steps_every_tick(loop8):
-    scen = _double_outage_scenario(loop8, schedule=all_magnitude(8, 3),
-                          lam=22, horizon=45)
-    stream = generate(scen)
-    report = run_detector(stream,
-                          DetectorConfig(g=scen.pre_model(), f=scen.post_model(),
-                                         alpha=1e-6, rho=1e-4, hold_last_value=True))
-    assert report.step_ticks.size == 45
+MIXED_RUNS = 50
+
+
+@settings(max_examples=8)
+@given(st.dictionaries(st.integers(1, 8),
+                       st.tuples(st.sampled_from(["phasor", "magnitude"]),
+                                 st.sampled_from([1, 2, 3, 5])),
+                       min_size=1, max_size=8),
+       st.integers(0, 2 ** 16))
+def test_mixed_period_false_alarm_rate_within_two_alpha(loop8, kinds, seed):
+    # C5 through run_detector on streams with slow channels: each run draws
+    # its change step k from the detector's geometric prior, the 7-8 outage
+    # starts step k and the stream ends with it, so an alarm is false
+    # exactly when it comes before the outage.  Were the false-alarm rate
+    # 2 alpha, a count above the limit would have probability below 1e-6.
+    schedule = SensorSchedule.from_kinds(kinds)
+    period = math.lcm(*(p for _, p in kinds.values()))
+    base = Scenario(loop8, ((7, 8),), lam=1, noise_variance=1e-4, schedule=schedule)
+    g, f = base.pre_model(), base.post_model()
+    alpha, rho = 1e-2, 0.02
+    false = {KNOWN_F: 0, ADAPTIVE: 0}
+    for run in range(seed * MIXED_RUNS, (seed + 1) * MIXED_RUNS):
+        k = sample_outage_time(rho, run)
+        stream = generate(dataclasses.replace(base, lam=(k - 1) * period + 1,
+                                              horizon=k * period, seed=run))
+        for mode in false:
+            report = run_detector(stream, DetectorConfig(g=g, f=f, mode=mode, alpha=alpha,
+                                                         rho=rho))
+            false[mode] += report.tau is not None and report.tau < report.lambda_true
+    limit = binom.isf(1e-6, MIXED_RUNS, 2 * alpha)
+    assert max(false.values()) <= limit, (false, limit)
 
 
 def test_run_detector_dimension_drift_rejected(loop8):

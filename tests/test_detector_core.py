@@ -355,17 +355,14 @@ def test_stack_factor_falls_back_to_ridge():
 
 # --- run_detector period aggregation ---------------------------------------------
 
-def per_tick_increments(stream, step_period, hold_last_value):
+def per_tick_increments(stream, step_period):
     ticks, rows = [], []
     acc = np.zeros(stream.layout.dim)
     for t in range(stream.horizon):
-        if hold_last_value:
-            x = stream.values[t]
-        else:
-            acc = acc + np.where(stream.fresh[t], stream.values[t], 0.0)
-            if (t + 1) % step_period != 0:
-                continue
-            x, acc = acc, np.zeros(stream.layout.dim)
+        acc = acc + np.where(stream.fresh[t], stream.values[t], 0.0)
+        if (t + 1) % step_period != 0:
+            continue
+        x, acc = acc, np.zeros(stream.layout.dim)
         ticks.append(t + 1)
         rows.append(x)
     return np.array(ticks, dtype=int), np.array(rows).reshape(len(rows), stream.layout.dim)
@@ -379,15 +376,15 @@ LOOP8 = load_feeder("loop8")
                        st.tuples(st.sampled_from(["phasor", "magnitude"]),
                                  st.sampled_from([1, 2, 3, 4, 6, 9, 12])),
                        min_size=1, max_size=4),
-       st.integers(1, 80), st.integers(0, 1000), st.booleans())
-def test_step_increments_match_per_tick_accumulator(kinds, horizon, seed, hold):
+       st.integers(1, 80), st.integers(0, 1000))
+def test_step_increments_match_per_tick_accumulator(kinds, horizon, seed):
     schedule = SensorSchedule.from_kinds(kinds)
     stream = generate(Scenario(topology=LOOP8, out_branches=((3, 4),), lam=1,
                                noise_variance=1e-2, schedule=schedule,
                                horizon=horizon, seed=seed))
-    period = 1 if hold else math.lcm(*(p for _, p in kinds.values()))
-    ticks, x = _step_increments(stream, period, hold)
-    want_ticks, want = per_tick_increments(stream, period, hold)
+    period = math.lcm(*(p for _, p in kinds.values()))
+    ticks, x = _step_increments(stream, period)
+    want_ticks, want = per_tick_increments(stream, period)
     assert np.array_equal(ticks, want_ticks)
     assert x.shape == want.shape and x.tobytes() == want.tobytes()
 
@@ -401,7 +398,7 @@ def test_run_detector_steps_on_aggregated_ticks():
     g = scen.pre_model().project(layout)
     f = scen.post_model().project(layout)
     report = run_detector(stream, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
-    ticks, x = per_tick_increments(stream, 9, False)
+    ticks, x = per_tick_increments(stream, 9)
     trace = _one_trace(x, g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))[0]
     assert np.array_equal(report.step_ticks, ticks)
     assert np.array_equal(report.log_odds_trace, trace)
