@@ -8,7 +8,6 @@ out-of-service branches through conditional-correlation tests.
 import types as _types
 
 from .grid import (
-    AdmittanceMatrix,
     Branch,
     GridTopology,
     Island,
@@ -47,7 +46,6 @@ from .localizer import (
     PhasorWindow,
     Thresholds,
     estimate_admittance,
-    rank_changes,
     scan_pairs,
     zero_test_floors,
 )
@@ -63,7 +61,6 @@ from .simgen import (
 from .experiments import (
     ExperimentConfig,
     MetricsTable,
-    emit_heatmap,
     run_experiment,
     run_pmu_sweep,
 )

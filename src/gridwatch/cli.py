@@ -23,7 +23,6 @@ from . import forking, textconf
 from .experiments import (
     ExperimentConfig,
     correlation_matrix,
-    emit_heatmap,
     heatmap_csv,
     run_experiment,
     run_pmu_sweep,
@@ -129,6 +128,11 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _matrix_csv(sigma, layout) -> str:
+    """The |conditional correlation| matrix of a covariance, as heatmap CSV."""
+    return heatmap_csv(correlation_matrix(sigma, layout), layout)
+
+
 # --- artifact CSV formats (one Table each, so outputs stay machine-checkable) --
 
 TRACE = textconf.Table("n,posterior,log_odds,mode,f_refreshed", "%d,%r,%r,%s,%d",
@@ -205,6 +209,9 @@ def cmd_localize(args) -> None:
         raise textconf.ConfigError("[localize]: zero and active are set together or not at all")
     # retired with the bootstrap floors; still read so old configs parse
     options.pop("n_boot", None)
+    if options.get("post_ticks", 1) < 1:
+        raise textconf.ConfigError(f"[localize].post_ticks must be at least 1, got "
+                                   f"{options['post_ticks']}")
     stream = _load_stream(args)
     scenario = scenario_from_blocks(stream.meta)
     lam = stream.truth.lam
@@ -264,10 +271,8 @@ def cmd_localize(args) -> None:
               f"{_least_ticks(prior, least_post_size(pairs, layout))} ticks")
     out = _outdir(args)
     _write(os.path.join(out, "localization.csv"), localization_csv(report))
-    _write(os.path.join(out, "rho_pre.csv"),
-           heatmap_csv(correlation_matrix(sigma0, layout), layout))
-    _write(os.path.join(out, "rho_post.csv"),
-           heatmap_csv(correlation_matrix(sigma1, layout), layout))
+    _write(os.path.join(out, "rho_pre.csv"), _matrix_csv(sigma0, layout))
+    _write(os.path.join(out, "rho_post.csv"), _matrix_csv(sigma1, layout))
 
     if options.get("estimate_admittance"):
         if stream.injections is None:
@@ -281,7 +286,6 @@ def cmd_localize(args) -> None:
         candidates = sorted(report.flagged.intersection(branches)) or branches
         estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates,
                                         **_given(options, "candidate_cut"))
-        report = dataclasses.replace(report, admittance_estimates=estimates)
         _write(os.path.join(out, "admittance.csv"), ADMITTANCE.text(
             (i, j, *map(float, (est.pre.real, est.pre.imag, est.post.real, est.post.imag,
                                 est.magnitude_ratio)), est.likely_out)
@@ -343,9 +347,9 @@ def cmd_heatmap(args) -> None:
         g = scenario.pre_model().project(layout)
         f = scenario.post_model().project(layout)
         out = _outdir(args)
-        emit_heatmap(g.cov, f.cov, layout,
-                     os.path.join(out, "heatmap_pre.csv"),
-                     os.path.join(out, "heatmap_post.csv"))
+        pre, post = _matrix_csv(g.cov, layout), _matrix_csv(f.cov, layout)
+        _write(os.path.join(out, "heatmap_pre.csv"), pre)
+        _write(os.path.join(out, "heatmap_post.csv"), post)
 
     def estimated() -> tuple[str | None, str]:
         # the matrix's CSV, or None and the reason it is left out
@@ -359,7 +363,7 @@ def cmd_heatmap(args) -> None:
         if ticks < layout.dim + 2:
             return None, f"{ticks} post-outage ticks, fewer than dim + 2 = {layout.dim + 2}"
         est = estimate_post_outage(stream.values[lam - 1:], _estimation_prior(blocks))
-        return heatmap_csv(correlation_matrix(est.cov, layout), layout), ""
+        return _matrix_csv(est.cov, layout), ""
 
     _, (text, reason) = (forking.forked(exact, estimated) if forking.may_fork()
                          else (exact(), estimated()))

@@ -91,7 +91,7 @@ _STACK_BUDGET = 1 << 14
 _REFIT_BUDGET = 1 << 15
 
 
-def _log_odds_trace(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
+def log_odds_traces(batch, g: GaussianModel, rho: float, f: GaussianModel | None = None,
                     est_prior: GeometricPrior | None = None, *, max_window: int = 50,
                     nmin: int | None = None, inflate: float = 4.0,
                     stop_at: float | None = None
@@ -341,14 +341,15 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     ticks, x = _step_increments(stream, step_period)
     est_prior = (GeometricPrior(config.estimation_rho)
                  if config.estimation_rho is not None else None)
-    try:
-        log_odds, refreshed = _one_trace(
-            x, g_step, config.rho, f_step if config.mode == KNOWN_F else None, est_prior,
-            max_window=config.window, nmin=config.nmin, inflate=config.inflate)
-    except NonFiniteLikelihoodError as exc:
-        raise NonFiniteLikelihoodError(f"tick {ticks[exc.step]}: {exc}", exc.step) from None
+    [(log_odds, refreshed, error)] = log_odds_traces(
+        [x], g_step, config.rho, f_step if config.mode == KNOWN_F else None, est_prior,
+        max_window=config.window, nmin=config.nmin, inflate=config.inflate)
+    if isinstance(error, NonFiniteLikelihoodError):
+        error = NonFiniteLikelihoodError(f"tick {ticks[error.step]}: {error}", error.step)
+    if error is not None:
+        raise error
 
-    hit = first_crossing(log_odds, rule.alpha)
+    [[hit]] = first_crossings([log_odds], [rule.log_odds_threshold])
     tau = int(ticks[hit - 1]) if hit is not None else None
     lam = stream.truth.lam
     delay = tau - lam if (tau is not None and lam is not None and tau >= lam) else None
@@ -383,50 +384,12 @@ def _step_increments(stream, step_period: int) -> tuple[np.ndarray, np.ndarray]:
     return step_period * np.arange(1, steps + 1), x
 
 
-def _one_trace(samples, *args, **kwargs) -> tuple[np.ndarray, np.ndarray]:
-    """(log-odds trace, refreshed mask) of one sample matrix: a one-trace
-    batch of _log_odds_trace, whose error is raised."""
-    (trace, refreshed, error), = _log_odds_trace([samples], *args, **kwargs)
-    if error is not None:
-        raise error
-    return trace, refreshed
-
-
-def known_f_log_odds(samples: np.ndarray, g: GaussianModel, f: GaussianModel,
-                     rho: float) -> np.ndarray:
-    """Log-odds trace over a sample matrix with fixed models."""
-    return _one_trace(samples, g, rho, f)[0]
-
-
-def adaptive_log_odds(samples: np.ndarray, g: GaussianModel, rho: float,
-                      est_prior: GeometricPrior | None = None, *,
-                      max_window: int = 50, nmin: int | None = None,
-                      inflate: float = 4.0,
-                      stop_at: float | None = None) -> np.ndarray:
-    """Adaptive-mode log-odds trace over a sample matrix (see _log_odds_trace).
-
-    stop_at truncates the trace once the log-odds reach the given level
-    (alarm already decided; saves the estimator refreshes).
-    """
-    return _one_trace(samples, g, rho, None, est_prior, max_window=max_window,
-                      nmin=nmin, inflate=inflate, stop_at=stop_at)[0]
-
-
-def first_crossing(log_odds: np.ndarray, alpha: float) -> int | None:
-    """1-based index of the first step at/above the alarm threshold."""
-    return first_crossings(log_odds, [DetectionRule(alpha).log_odds_threshold])[0]
-
-
-def first_crossings(log_odds: np.ndarray, thresholds) -> list[int | None]:
-    """1-based index of the first step at/above each threshold, None where
-    none is reached: the one-trace case of _batch_crossings."""
-    return _batch_crossings([log_odds], thresholds)[0]
-
-
-def _batch_crossings(traces, thresholds) -> list[list[int | None]]:
-    """first_crossings of a batch of traces in one pass: the running maximum
-    of the traces padded with -inf (NaN steps count as -inf, reaching no
-    threshold), and for each the count of its steps below each threshold."""
+def first_crossings(traces, thresholds) -> list[list[int | None]]:
+    """Per trace, the 1-based index of its first step at/above each
+    threshold, None where none is reached, all in one pass: the running
+    maximum of the traces padded with -inf (NaN steps count as -inf,
+    reaching no threshold), and for each the count of its steps below each
+    threshold."""
     peak = np.full((len(traces), max(map(len, traces), default=0)), -np.inf)
     for row, trace in zip(peak, traces):
         row[:len(trace)] = trace

@@ -17,7 +17,6 @@ from . import detector as det
 from . import forking, textconf
 from .gaussmodel import (
     CoordinateLayout,
-    GaussianModel,
     GeometricPrior,
     kl_divergence,
     score_pairs,
@@ -155,12 +154,12 @@ def _score_chunk(config: ExperimentConfig, reps: range, draws: list,
     alarms: list[list[dict]] = [[] for _ in reps]
     for cols, g, f in detectors:
         batch = streams if cols is None else [values[:, cols] for values in streams]
-        traces = det._log_odds_trace(batch, g, config.detector_rho, f, max_window=config.window,
+        traces = det.log_odds_traces(batch, g, config.detector_rho, f, max_window=config.window,
                                      nmin=config.nmin, stop_at=max(thresholds))
         for rep, (seed, _, _), (_, _, error) in zip(reps, draws, traces):
             if error is not None:
                 raise _replication_error(rep, seed, error) from error
-        for out, hits in zip(alarms, det._batch_crossings([t for t, _, _ in traces], thresholds)):
+        for out, hits in zip(alarms, det.first_crossings([t for t, _, _ in traces], thresholds)):
             out.append(dict(zip(config.alphas, hits)))
     return [(lam, out) for (_, lam, _), out in zip(draws, alarms)]
 
@@ -196,6 +195,16 @@ def _replications(config: ExperimentConfig, margin: int,
     return [row for rows in scored for row in rows]
 
 
+def _delays(alarms, margin: int) -> tuple[list, int]:
+    """(delay per replication, censored count) of (outage step, alarm step
+    or None) pairs: tau - lam for an alarm at or after the outage, NaN for
+    a false alarm (before it, left out of the delay statistics), and margin
+    for no alarm, a replication censored at its horizon lam + margin."""
+    delays = [margin if tau is None else math.nan if tau < lam else tau - lam
+              for lam, tau in alarms]
+    return delays, sum(tau is None for _, tau in alarms)
+
+
 def run_experiment(config: ExperimentConfig) -> MetricsTable:
     """Delay and false-alarm statistics per (alpha, mode).
 
@@ -220,19 +229,11 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
     rows = []
     for m, mode in enumerate(config.modes):
         for alpha in config.alphas:
-            delays = []
-            false_alarms = 0
-            censored = 0
-            for lam, alarms in results:
-                tau = alarms[m][alpha]
-                if tau is None:
-                    censored += 1
-                    delays.append(margin)
-                elif tau < lam:
-                    false_alarms += 1
-                else:
-                    delays.append(tau - lam)
-            avg_delay = float(np.mean(delays)) if delays else float("nan")
+            delays, censored = _delays([(lam, alarms[m][alpha]) for lam, alarms in results],
+                                       margin)
+            kept = [delay for delay in delays if not math.isnan(delay)]
+            false_alarms = len(delays) - len(kept)
+            avg_delay = float(np.mean(kept)) if kept else float("nan")
             rows.append(MetricsRow(
                 alpha=alpha,
                 mode=mode,
@@ -346,15 +347,9 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
     margin = config.margin if config.margin is not None else _default_margin(
         config, min(p[3] for p in projected))
     results = _replications(config, margin, [(cols, g, f) for cols, g, f, _ in projected])
-    for rep, (lam, alarms) in enumerate(results):
-        for p_idx, alarm in enumerate(alarms):
-            tau = alarm[config.alphas[0]]
-            if tau is None:
-                delays[p_idx, rep] = margin  # censored at the horizon, lam + margin
-            elif tau < lam:
-                delays[p_idx, rep] = np.nan  # false alarm: excluded from delay stats
-            else:
-                delays[p_idx, rep] = tau - lam
+    for p_idx, row in enumerate(delays):
+        row[:] = _delays([(lam, alarms[p_idx][config.alphas[0]]) for lam, alarms in results],
+                         margin)[0]
 
     rows = []
     for p_idx, buses in enumerate(placements):
@@ -412,14 +407,3 @@ def heatmap_csv(matrix: np.ndarray, layout: CoordinateLayout) -> str:
     lines += [f"{bus}," + ",".join(row) for bus, row in zip(buses, text.tolist())]
     return "\n".join(lines) + "\n"
 
-
-def emit_heatmap(sigma0: np.ndarray, sigma1: np.ndarray, layout: CoordinateLayout,
-                 pre_path: str, post_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Write |rho| matrices before/after to CSV; returns the matrices."""
-    pre = correlation_matrix(sigma0, layout)
-    post = correlation_matrix(sigma1, layout)
-    with open(pre_path, "w", encoding="utf-8") as fh:
-        fh.write(heatmap_csv(pre, layout))
-    with open(post_path, "w", encoding="utf-8") as fh:
-        fh.write(heatmap_csv(post, layout))
-    return pre, post

@@ -77,12 +77,6 @@ class CoordinateLayout:
             coords[bus] = (c * 2)[:2]
         return widths, coords
 
-    def coords_of(self, bus: int) -> tuple[int, ...]:
-        try:
-            return self.bus_coords[bus]
-        except KeyError:
-            raise KeyError(f"bus {bus} has no coordinates in this layout") from None
-
     def indices_in(self, parent: "CoordinateLayout") -> np.ndarray:
         """Positions of this layout's channels inside a parent layout."""
         lookup = {entry: k for k, entry in enumerate(parent.entries)}

@@ -112,32 +112,9 @@ class GridTopology:
         return adj
 
 
-@dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Complex nodal admittance over an explicit, ordered bus tuple."""
-
-    buses: tuple[int, ...]
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.buses), len(self.buses)):
-            raise TopologyError(f"matrix shape {m.shape} does not match {len(self.buses)} buses")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.buses)
-
-    def index_of(self, bus: int) -> int:
-        try:
-            return self.buses.index(bus)
-        except ValueError:
-            raise TopologyError(f"bus {bus} not in matrix") from None
-
-
-def build_admittance(topology: GridTopology) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix by KCL stamping.
+def build_admittance(topology: GridTopology) -> np.ndarray:
+    """Assemble the (M, M) complex nodal admittance matrix by KCL stamping,
+    bus b at index b - 1.
 
     Out-of-service branches contribute nothing; in-service branches must
     have nonzero admittance.
@@ -159,7 +136,7 @@ def build_admittance(topology: GridTopology) -> AdmittanceMatrix:
         matrix[j, i] -= y
         matrix[i, i] += y
         matrix[j, j] += y
-    return AdmittanceMatrix(tuple(range(1, m + 1)), matrix)
+    return matrix
 
 
 def apply_outage(topology: GridTopology, out: set[tuple[int, int]]) -> GridTopology:
@@ -233,7 +210,7 @@ def transfer(topology: GridTopology) -> tuple[tuple[tuple[int, ...], np.ndarray]
     Memoised per topology (the model and the simulator both ask for it), so
     the Z arrays are read-only: every caller shares them.
     """
-    Y = build_admittance(topology).matrix
+    Y = build_admittance(topology)
     blocks = []
     for island in islands(topology):
         if island.kind == "dead":

@@ -2,10 +2,10 @@
 
 Full observability: a branch pair whose conditional correlation was clearly
 nonzero before the event and collapses to (numerically) zero after it is
-flagged as out of service.  Limited observability: pairs are ranked by the
-magnitude of their conditional-correlation change to narrow the outage
-region, and candidate branch admittances are re-estimated from windows of
-phasor data to confirm.
+flagged as out of service.  Limited observability: the scores come ranked by
+the magnitude of their conditional-correlation change, which narrows the
+outage region, and candidate branch admittances are re-estimated from
+windows of phasor data to confirm.
 """
 
 from __future__ import annotations
@@ -120,8 +120,6 @@ class PairScore:
 class LocalizationReport:
     flagged: frozenset[tuple[int, int]]
     scores: tuple[PairScore, ...]
-    method: str
-    admittance_estimates: dict | None = None
 
     def skipped(self) -> tuple[PairScore, ...]:
         return tuple(s for s in self.scores if s.degenerate)
@@ -181,20 +179,7 @@ def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: Coordinate
               in zip(pairs, pre.tolist(), post.tolist(), degenerate.tolist())]
     flagged = frozenset(s.pair for s in scores if not s.degenerate
                         and s.rho_pre > thresholds.active and s.rho_post < thresholds.zero)
-    return LocalizationReport(flagged, _sorted_scores(scores), "zero_test")
-
-
-def rank_changes(sigma0: np.ndarray, sigma1: np.ndarray, observed_pairs,
-                 layout: CoordinateLayout, top_k: int | None = None) -> tuple[PairScore, ...]:
-    """Pairs sorted by |rho_post - rho_pre| descending (ties by bus pair);
-    the first stage of limited-sensor localization.  Both covariances are
-    scored as one stack in one score_pairs call (SingularBlockError as there);
-    degenerate pairs score 0 and are not marked."""
-    pairs = list(observed_pairs)
-    (pre, post), _ = score_pairs(np.stack([sigma0, sigma1]), pairs, layout)
-    ranked = _sorted_scores([PairScore(i, j, a, b) for (i, j), a, b
-                             in zip(pairs, pre.tolist(), post.tolist())])
-    return ranked[:top_k] if top_k is not None else ranked
+    return LocalizationReport(flagged, _sorted_scores(scores))
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,8 @@ class SensorSchedule:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
 
     @classmethod
-    def all_phasor(cls, bus_count: int, period: int = 1) -> "SensorSchedule":
-        return cls(tuple((b, PHASOR, period) for b in range(1, bus_count + 1)))
+    def all_phasor(cls, bus_count: int) -> "SensorSchedule":
+        return cls(tuple((b, PHASOR, 1) for b in range(1, bus_count + 1)))
 
     @classmethod
     def from_kinds(cls, kinds: dict[int, tuple[str, int]]) -> "SensorSchedule":
@@ -124,7 +124,8 @@ class Scenario:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        object.__setattr__(self, "out_branches", self.normalized_outage())
+        object.__setattr__(self, "out_branches", tuple(sorted(
+            (min(i, j), max(i, j)) for i, j in self.out_branches)))
         if self.out_branches:
             known = {br.pair for br in self.topology.branches}
             for pair in self.out_branches:
@@ -140,9 +141,6 @@ class Scenario:
             object.__setattr__(
                 self, "schedule", SensorSchedule.all_phasor(self.topology.bus_count))
 
-    def normalized_outage(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((min(i, j), max(i, j)) for i, j in self.out_branches))
-
     def pre_model(self) -> GaussianModel:
         return model_from_topology(self.topology, self.injection_variance,
                                    self.noise_variance)
@@ -154,7 +152,7 @@ class Scenario:
     def post_topology(self) -> GridTopology:
         if not self.out_branches:
             return self.topology
-        return apply_outage(self.topology, set(self.normalized_outage()))
+        return apply_outage(self.topology, set(self.out_branches))
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
     periods = np.array(scenario.schedule.channel_periods(layout))
     every_tick = periods == 1
     slow = [(c, int(periods[c])) for c in np.flatnonzero(~every_tick)]
-    truth = scenario.normalized_outage()
+    truth = scenario.out_branches
 
     for (seed, lam, horizon), split in zip(draws, splits):
         inj_rng = substream(seed, "injection")
@@ -619,7 +617,7 @@ def scenario_blocks(scenario: Scenario) -> list[tuple[str, dict[str, str]]]:
     """Scenario echo as config blocks, feeder embedded inline."""
     fields: dict[str, str] = {}
     if scenario.out_branches:
-        fields["outage"] = ", ".join(f"{i}-{j}" for i, j in scenario.normalized_outage())
+        fields["outage"] = ", ".join(f"{i}-{j}" for i, j in scenario.out_branches)
         if scenario.lam is not None:
             fields["lambda"] = str(scenario.lam)
         else:

@@ -18,6 +18,15 @@ settings.load_profile("tier1")
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "gridwatch-hypothesis"))
 
 
+def pytest_configure(config):
+    # hypothesis's pytest plugin imports libcst to suggest an @example for a
+    # failing property test, and that import warns through mypy_extensions;
+    # as an error it would stop the run before the falsifying example is
+    # shown.  No gridwatch code uses mypy_extensions.
+    config.addinivalue_line("filterwarnings",
+                            "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fails a test that leaves a child process behind, running or unreaped."""

@@ -29,7 +29,7 @@ from gridwatch.gaussmodel import (
     log_density,
     score_pairs,
 )
-from gridwatch.grid import AdmittanceMatrix, GridTopology, SingularBlockError, TopologyError
+from gridwatch.grid import GridTopology, SingularBlockError, TopologyError
 from gridwatch.simgen import SensorSchedule
 
 
@@ -153,35 +153,34 @@ def score_pairs_per_pair(sigma: np.ndarray, pairs,
     return scores, degenerate
 
 
-def kron_reduce(Y: AdmittanceMatrix, keep: set[int]) -> AdmittanceMatrix:
-    """Eliminate buses outside `keep` by the Schur complement.
+def kron_reduce(Y: np.ndarray, keep) -> np.ndarray:
+    """Eliminate the rows and columns of the admittance array Y outside the
+    indices keep by the Schur complement; the result is over sorted(keep).
 
     The result satisfies I_A = Y_red V_A for any voltage/current solution of
-    the full network with zero injections at the eliminated buses.
+    the full network with zero injections at the eliminated indices.
     """
-    keep_list = [b for b in Y.buses if b in keep]
-    if len(keep_list) != len(keep):
-        missing = set(keep) - set(Y.buses)
-        raise TopologyError(f"keep set references unknown buses {sorted(missing)}")
-    drop_list = [b for b in Y.buses if b not in keep]
-    if not drop_list:
-        return AdmittanceMatrix(tuple(keep_list), Y.matrix.copy())
-    a = [Y.index_of(b) for b in keep_list]
-    b = [Y.index_of(x) for x in drop_list]
-    Yaa = Y.matrix[np.ix_(a, a)]
-    Yab = Y.matrix[np.ix_(a, b)]
-    Yba = Y.matrix[np.ix_(b, a)]
-    Ybb = Y.matrix[np.ix_(b, b)]
+    a = sorted(keep)
+    if not set(a) <= set(range(Y.shape[0])):
+        raise TopologyError(f"keep set references unknown indices "
+                            f"{sorted(set(a) - set(range(Y.shape[0])))}")
+    b = [k for k in range(Y.shape[0]) if k not in keep]
+    Yaa = Y[np.ix_(a, a)]
+    if not b:
+        return Yaa
+    Yab = Y[np.ix_(a, b)]
+    Yba = Y[np.ix_(b, a)]
+    Ybb = Y[np.ix_(b, b)]
     try:
         X = np.linalg.solve(Ybb, Yba)
     except np.linalg.LinAlgError:
         raise SingularBlockError(
             "Y[eliminated, eliminated]",
-            f"buses {drop_list} cannot be eliminated; ground one or shrink the set",
+            f"indices {b} cannot be eliminated; ground one or shrink the set",
         ) from None
     if not np.all(np.isfinite(X)):
-        raise SingularBlockError("Y[eliminated, eliminated]", f"buses {drop_list}")
-    return AdmittanceMatrix(tuple(keep_list), Yaa - Yab @ X)
+        raise SingularBlockError("Y[eliminated, eliminated]", f"indices {b}")
+    return Yaa - Yab @ X
 
 
 def conditional_corr(sigma: np.ndarray, i: int, j: int,

@@ -236,11 +236,13 @@ def test_heatmap_child_error_is_reported_as_in_one_process(tmp_path, capsys, mon
 
 
 def test_heatmap_exact_job_error_wins(tmp_path, capsys, monkeypatch):
-    # both jobs fail: the exact matrices' error is the one serial order meets first
-    def failing_emit(*_args):
+    # both jobs fail: the exact matrices' error is the one serial order meets
+    # first.  The estimated job fails on its prior, before it formats a matrix,
+    # so only the exact job meets the failing formatter.
+    def failing_matrix_csv(*_args):
         raise SingularBlockError("Sigma[kept, kept]", "the exact job")
 
-    monkeypatch.setattr(cli, "emit_heatmap", failing_emit)
+    monkeypatch.setattr(cli, "_matrix_csv", failing_matrix_csv)
     config = HEAT_CONFIG.replace("rho = 1e-4", "rho = often")
     for cpus, forks in ((2, 1), (1, 0)):
         err, forked = _heatmap_error(tmp_path, capsys, monkeypatch, cpus, config)
@@ -312,6 +314,12 @@ BAD_INPUTS = {
                              "[scenario].outage_rho = -1"),
     "unknown_section": ("experiment", "[experiment]", "[experimnet]", "ConfigError",
                         "unknown section [experimnet]"),
+    "localize_exact_post_ticks_minus_five": (
+        "localize", "exact = true", "exact = true\npost_ticks = -5", "ConfigError",
+        "[localize].post_ticks must be at least 1, got -5"),
+    "localize_estimated_post_ticks_zero": (
+        "localize", "exact = true", "exact = false\npost_ticks = 0", "ConfigError",
+        "[localize].post_ticks must be at least 1, got 0"),
     "bad_pairs_value": ("localize", "exact = true", "exact = true\npairs = some",
                         "ConfigError", "[localize].pairs must be branches|all, got 'some'"),
     "repeated_scenario": ("simulate", "[detector]", "[scenario]\nfeeder = path3\n\n[detector]",

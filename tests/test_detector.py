@@ -18,12 +18,9 @@ from gridwatch.detector import (
     DetectorConfig,
     GeometricPrior,
     NonFiniteLikelihoodError,
-    _log_odds_trace,
-    _one_trace,
-    adaptive_log_odds,
     expected_delay_bound,
-    first_crossing,
-    known_f_log_odds,
+    first_crossings,
+    log_odds_traces,
     run_detector,
 )
 from gridwatch.gaussmodel import GaussianModel, sample
@@ -58,8 +55,9 @@ def test_alarm_threshold_boundary():
     at = np.full(9, -1.0)
     at[8] = rule.log_odds_threshold
     below = np.full(9, rule.log_odds_threshold - 1e-9)
-    assert first_crossing(at, 1e-6) == 9, "posterior exactly at 1-alpha must alarm"
-    assert first_crossing(below, 1e-6) is None, "posterior just below 1-alpha must continue"
+    [[hit_at], [hit_below]] = first_crossings([at, below], [rule.log_odds_threshold])
+    assert hit_at == 9, "posterior exactly at 1-alpha must alarm"
+    assert hit_below is None, "posterior just below 1-alpha must continue"
 
 
 # --- posterior: recursion vs direct -----------------------------------------------
@@ -68,7 +66,8 @@ def test_identical_models_recover_prior_cdf():
     g, _ = scalar_models()
     prior = GeometricPrior(0.07)
     rng = np.random.default_rng(3)
-    posterior = expit(known_f_log_odds(rng.normal(size=(200, 1)), g, g, prior.rho))
+    [(trace, _, _)] = log_odds_traces([rng.normal(size=(200, 1))], g, prior.rho, g)
+    posterior = expit(trace)
     for n in range(1, 201):
         expected = 1.0 - (1.0 - prior.rho) ** n
         assert posterior[n - 1] == pytest.approx(expected, abs=1e-12), f"step {n}"
@@ -89,7 +88,8 @@ def test_recursion_matches_direct_sum(rng):
         f = GaussianModel(rng.normal(size=d), b @ b.T + np.eye(d))
         prior = GeometricPrior(float(rng.uniform(0.01, 0.5)))
         data = rng.normal(size=(50, d), scale=1.5)
-        posterior = expit(known_f_log_odds(data, g, f, prior.rho))
+        [(trace, _, _)] = log_odds_traces([data], g, prior.rho, f)
+        posterior = expit(trace)
         for n in range(1, 51):
             direct = posterior_direct(g, f, prior, data[:n])
             assert abs(posterior[n - 1] - direct) <= 1e-10, f"trial {trial} step {n}"
@@ -155,8 +155,8 @@ def test_delay_bound_validation():
 
 def test_adaptive_identical_window_hits_ridge_path():
     g, _ = scalar_models()
-    trace, refreshed = _one_trace(np.full((12, 1), 2.0), g, 0.1, nmin=4)
-    assert np.isfinite(trace).all()
+    [(trace, refreshed, error)] = log_odds_traces([np.full((12, 1), 2.0)], g, 0.1, nmin=4)
+    assert error is None and trace.size == 12 and np.isfinite(trace).all()
     assert refreshed[-1]
 
 
@@ -166,10 +166,9 @@ def test_adaptive_no_change_posterior_stays_low():
     top = load_feeder("path3")
     g = Scenario(topology=top, out_branches=(), horizon=1, noise_variance=1e-4,
                  seed=0).pre_model()
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        x = sample(g, 10_000, rng)
-        trace = adaptive_log_odds(x, g, rho=1e-4, stop_at=0.0)
+    batch = [sample(g, 10_000, np.random.default_rng(seed)) for seed in range(8)]
+    for seed, (trace, _, error) in enumerate(log_odds_traces(batch, g, rho=1e-4, stop_at=0.0)):
+        assert error is None
         assert trace.size == 10_000, f"seed {seed}: log-odds reached 0.5 posterior"
         assert trace.max() < 0.0
 
@@ -180,11 +179,13 @@ def test_adaptive_alarm_within_one_step_of_known(loop8):
     scen = Scenario(topology=loop8, out_branches=((3, 4), (2, 6)), lam=21,
                     horizon=30, noise_variance=1e-8, injection_variance=iv, seed=0)
     g, f = scen.pre_model(), scen.post_model()
+    batch = [generate(dataclasses.replace(scen, seed=seed)).values for seed in range(30)]
+    threshold = DetectionRule(1e-6).log_odds_threshold
+    known, adaptive = (first_crossings([t for t, _, _ in traces], [threshold])
+                       for traces in (log_odds_traces(batch, g, 1e-4, f),
+                                      log_odds_traces(batch, g, 1e-4)))
     gaps = []
-    for seed in range(30):
-        st = generate(dataclasses.replace(scen, seed=seed))
-        tk = first_crossing(known_f_log_odds(st.values, g, f, 1e-4), 1e-6)
-        ta = first_crossing(adaptive_log_odds(st.values, g, 1e-4), 1e-6)
+    for [tk], [ta] in zip(known, adaptive):
         assert tk is not None and ta is not None and ta >= 21
         gaps.append(ta - tk)
     assert np.mean(gaps) <= 1.0, f"mean extra steps {np.mean(gaps)}"
@@ -227,10 +228,11 @@ def test_run_detector_no_change_stream_never_alarms(loop8):
                     noise_variance=1e-8, seed=5)
     g = scen.pre_model()
     f = _double_outage_scenario(loop8).post_model()
-    for seed in range(6):
-        st = generate(dataclasses.replace(scen, seed=seed))
-        trace = known_f_log_odds(st.values, g, f, 1e-4)
-        assert first_crossing(trace, 1e-6) is None, f"seed {seed}"
+    batch = [generate(dataclasses.replace(scen, seed=seed)).values for seed in range(6)]
+    traces = log_odds_traces(batch, g, 1e-4, f)
+    assert all(error is None for _, _, error in traces)
+    hits = first_crossings([t for t, _, _ in traces], [DetectionRule(1e-6).log_odds_threshold])
+    assert hits == [[None]] * 6, hits
 
 
 def test_run_detector_aggregated_magnitude_stream(loop8):
@@ -308,13 +310,14 @@ def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
     f = scen_p.post_model()
     lay_m = scen_m.schedule.layout()
     g_m, f_m = g.project(lay_m), f.project(lay_m)
-    wins = 0
-    for seed in range(40):
-        sp = generate(dataclasses.replace(scen_p, seed=seed))
-        sm = generate(dataclasses.replace(scen_m, seed=seed))
-        tp = first_crossing(known_f_log_odds(sp.values, g, f, 1e-4), 1e-6) or 999
-        tm = first_crossing(known_f_log_odds(sm.values, g_m, f_m, 1e-4), 1e-6) or 999
-        wins += tm >= tp
+    threshold = DetectionRule(1e-6).log_odds_threshold
+    hits = []
+    for scen, g_s, f_s in ((scen_p, g, f), (scen_m, g_m, f_m)):
+        batch = [generate(dataclasses.replace(scen, seed=seed)).values for seed in range(40)]
+        traces = log_odds_traces(batch, g_s, 1e-4, f_s)
+        assert all(error is None for _, _, error in traces)
+        hits.append(first_crossings([t for t, _, _ in traces], [threshold]))
+    wins = sum((tm or 999) >= (tp or 999) for [tp], [tm] in zip(*hits))
     assert wins >= 36, f"magnitude stream beat phasor in {40 - wins}/40 seeds"
 
 
@@ -327,11 +330,11 @@ def test_non_finite_log_lr_raises_instead_of_alarming(bad):
     g, f = scalar_models(mu_f=1.0)
     x = np.zeros((6, 1))
     x[3, 0] = bad
-    [(trace, refreshed, error)] = _log_odds_trace([x], g, 1e-4, f, stop_at=0.0)
+    [(trace, refreshed, error)] = log_odds_traces([x], g, 1e-4, f, stop_at=0.0)
     assert isinstance(error, NonFiniteLikelihoodError) and error.step == 3
     assert trace.size == refreshed.size == 3 and trace.max() < 0.0
-    with pytest.raises(NonFiniteLikelihoodError, match="step 4"):
-        known_f_log_odds(x, g, f, 1e-4)
+    [(_, _, error)] = log_odds_traces([x], g, 1e-4, f)
+    assert isinstance(error, NonFiniteLikelihoodError) and "step 4" in str(error)
 
 
 def test_nan_sample_in_loop8_stream_raises(loop8):
@@ -343,7 +346,6 @@ def test_nan_sample_in_loop8_stream_raises(loop8):
         run_detector(stream, DetectorConfig(g=g, f=f, alpha=1e-6, rho=1e-4))
     with pytest.raises(NonFiniteLikelihoodError, match="tick 10"):
         run_detector(stream, DetectorConfig(g=g, mode=ADAPTIVE, alpha=1e-6, rho=1e-4))
-    with pytest.raises(NonFiniteLikelihoodError):
-        known_f_log_odds(stream.values, g, f, 1e-4)
-    with pytest.raises(NonFiniteLikelihoodError):
-        adaptive_log_odds(stream.values, g, 1e-4)
+    for post in (f, None):
+        [(_, _, error)] = log_odds_traces([stream.values], g, 1e-4, post)
+        assert isinstance(error, NonFiniteLikelihoodError)

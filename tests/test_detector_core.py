@@ -21,12 +21,10 @@ from gridwatch.detector import (
     DetectorConfig,
     NonFiniteLikelihoodError,
     _check_window,
-    _log_odds_trace,
-    _one_trace,
     _step_increments,
-    first_crossing,
     first_crossings,
     inflated_fallback,
+    log_odds_traces,
     run_detector,
 )
 from gridwatch.gaussmodel import (
@@ -76,11 +74,8 @@ def per_step_trace(x, g, rho, f=None, est_prior=None, window=50, nmin=None,
 
 
 def core_error(x, **kwargs):
-    try:
-        _one_trace(x, **kwargs)
-    except ValueError as exc:
-        return type(exc)
-    return None
+    [(_, _, error)] = log_odds_traces([x], **kwargs)
+    return None if error is None else type(error)
 
 
 @st.composite
@@ -117,7 +112,8 @@ def test_core_matches_per_step_path(case):
         x, kwargs["g"], kwargs["rho"], f=kwargs.get("f"), window=kwargs["max_window"],
         nmin=kwargs["nmin"], stop_at=kwargs["stop_at"])
     reached = x if error is None else x[:error[1]]
-    got, got_refreshed = _one_trace(reached, **kwargs)
+    [(got, got_refreshed, got_error)] = log_odds_traces([reached], **kwargs)
+    assert got_error is None
     assert got.shape == trace.shape
     assert np.all(np.abs(got - trace) <= REL * np.maximum(1.0, np.abs(trace)))
     assert np.array_equal(got_refreshed, refreshed)
@@ -131,10 +127,12 @@ def test_estimation_prior_apart_from_the_change_time_prior():
     rng = np.random.default_rng(5)
     g = GaussianModel(np.zeros(3), 2.0 * np.eye(3))
     x = rng.normal(size=(60, 3)) * 1.5
-    default = _one_trace(x, g, 0.05, max_window=20)[0]
+    [(default, _, _)] = log_odds_traces([x], g, 0.05, max_window=20)
     for est_prior in (GeometricPrior(0.3), GeometricPrior(0.9)):
         trace, refreshed, _ = per_step_trace(x, g, 0.05, est_prior=est_prior, window=20)
-        got, got_refreshed = _one_trace(x, g, 0.05, None, est_prior, max_window=20)
+        [(got, got_refreshed, error)] = log_odds_traces([x], g, 0.05, None, est_prior,
+                                                        max_window=20)
+        assert error is None
         assert np.all(np.abs(got - trace) <= REL * np.maximum(1.0, np.abs(trace)))
         assert np.array_equal(got_refreshed, refreshed) and refreshed.any()
         assert not np.array_equal(got, default)
@@ -181,10 +179,10 @@ def same_result(got, want):
 @given(batch_cases())
 def test_batch_matches_one_call_per_trace(case):
     batch, kwargs = case
-    got = _log_odds_trace(batch, **kwargs)
+    got = log_odds_traces(batch, **kwargs)
     assert len(got) == len(batch)
     for x, result in zip(batch, got):
-        same_result(result, _log_odds_trace([x], **kwargs)[0])
+        same_result(result, log_odds_traces([x], **kwargs)[0])
 
 
 def test_one_row_keeps_its_bits_in_a_batch():
@@ -195,9 +193,9 @@ def test_one_row_keeps_its_bits_in_a_batch():
     a = rng.normal(size=(6, 6))
     g = GaussianModel(rng.normal(size=6), a @ a.T + 0.5 * np.eye(6))
     batch = [rng.normal(size=(1, 6)), np.full((1, 6), math.nan)]
-    got = _log_odds_trace(batch, g, 0.5, max_window=2)
+    got = log_odds_traces(batch, g, 0.5, max_window=2)
     for x, result in zip(batch, got):
-        same_result(result, _log_odds_trace([x], g, 0.5, max_window=2)[0])
+        same_result(result, log_odds_traces([x], g, 0.5, max_window=2)[0])
     assert isinstance(got[1][2], NonFiniteLikelihoodError)
     for d in range(1, 32):  # a row alone and in a two-row batch, either place
         rng = np.random.default_rng(d)
@@ -216,10 +214,10 @@ def test_refit_stack_size_does_not_move_a_bit(case):
     # stacks of one window, and one stack per round, give the bits of the
     # default refit budget: a window's fit does not depend on its stack
     batch, kwargs = case
-    want = _log_odds_trace(batch, **kwargs)
+    want = log_odds_traces(batch, **kwargs)
     for budget in (1, 1 << 62):
         with mock.patch.object(detector, "_REFIT_BUDGET", budget):
-            got = _log_odds_trace(batch, **kwargs)
+            got = log_odds_traces(batch, **kwargs)
         for result, expected in zip(got, want):
             same_result(result, expected)
 
@@ -232,7 +230,7 @@ def test_failing_refit_row_stops_only_its_trace():
     g = GaussianModel(np.zeros(3), a @ a.T + 0.5 * np.eye(3))
     batch = [rng.normal(size=(n, 3)) for n in (40, 30, 50)]
     kwargs = dict(g=g, rho=0.05, max_window=10)
-    clean = _log_odds_trace(batch, **kwargs)
+    clean = log_odds_traces(batch, **kwargs)
     chosen, error = batch[1][17], SingularBlockError("covariance", "the chosen row")
     real = detector.log_density_stack
 
@@ -242,7 +240,7 @@ def test_failing_refit_row_stops_only_its_trace():
         return real(means, covs, x)
 
     with mock.patch.object(detector, "log_density_stack", failing):
-        got = _log_odds_trace(batch, **kwargs)
+        got = log_odds_traces(batch, **kwargs)
     same_result(got[0], clean[0])
     same_result(got[2], clean[2])
     trace, refreshed, raised = got[1]
@@ -261,10 +259,10 @@ def test_nan_row_fails_only_its_trace(case, data):
     assume(long)
     bad = data.draw(st.sampled_from(long))
     row = data.draw(st.integers(0, batch[bad].shape[0] - 1))
-    clean = _log_odds_trace(batch, **kwargs)
+    clean = log_odds_traces(batch, **kwargs)
     poisoned = [x.copy() for x in batch]
     poisoned[bad][row, 0] = math.nan
-    got = _log_odds_trace(poisoned, **kwargs)
+    got = log_odds_traces(poisoned, **kwargs)
     for i, (result, want) in enumerate(zip(got, clean)):
         if i != bad:
             same_result(result, want)
@@ -289,15 +287,15 @@ def test_stop_at_smallest_alpha_keeps_every_crossing(d, n, seed, rho):
     lam = int(rng.integers(0, n))
     x = np.vstack([sample(g, lam, rng), sample(f, n - lam, rng)])
     stop_at = DetectionRule(min(ALPHAS)).log_odds_threshold
-    full = _one_trace(x, g, rho, f)[0]
-    stopped = _one_trace(x, g, rho, f, stop_at=stop_at)[0]
-    for alpha in ALPHAS:
-        assert first_crossing(stopped, alpha) == first_crossing(full, alpha)
+    [(full, _, _)] = log_odds_traces([x], g, rho, f)
+    [(stopped, _, _)] = log_odds_traces([x], g, rho, f, stop_at=stop_at)
+    thresholds = [DetectionRule(alpha).log_odds_threshold for alpha in ALPHAS]
+    [at_stop, at_end] = first_crossings([stopped, full], thresholds)
+    assert at_stop == at_end
 
 
 def _scan_crossing(log_odds, threshold):
-    """First crossing by a scan of the whole trace (first_crossing before it
-    became the one-alpha case of first_crossings)."""
+    """First crossing by a scan of the whole trace."""
     hits = np.nonzero(log_odds >= threshold)[0]
     return int(hits[0]) + 1 if hits.size else None
 
@@ -315,28 +313,28 @@ def test_first_crossings_match_per_alpha_scans(trace, alphas, count):
     # empty traces and traces that never cross; alphas in any order
     alphas = alphas[:count]
     thresholds = [DetectionRule(a).log_odds_threshold for a in alphas]
-    got = first_crossings(trace, thresholds)
+    [got] = first_crossings([trace], thresholds)
     assert got == [_scan_crossing(trace, t) for t in thresholds]
-    assert [first_crossing(trace, a) for a in alphas] == got
+    assert [first_crossings([trace], [t])[0][0] for t in thresholds] == got
 
 
 def test_first_crossings_edge_traces():
     low, high = _ON_THRESHOLD[0], _ON_THRESHOLD[-1]
-    assert first_crossings(np.array([]), [low, high]) == [None, None]
-    assert first_crossings(np.full(5, low - 1.0), [high, low]) == [None, None]
-    assert first_crossings(np.array([0.0, low, -700.0, high]), [high, low]) == [4, 2]
-    assert first_crossings(np.array([math.nan, 700.0]), [low]) == [2]
+    assert first_crossings([np.array([])], [low, high]) == [[None, None]]
+    assert first_crossings([np.full(5, low - 1.0)], [high, low]) == [[None, None]]
+    assert first_crossings([np.array([0.0, low, -700.0, high])], [high, low]) == [[4, 2]]
+    assert first_crossings([np.array([math.nan, 700.0])], [low]) == [[2]]
+    assert first_crossings([], [low]) == []
 
 
 def test_nan_past_stop_at_does_not_raise():
     g = GaussianModel([0.0], [[1.0]])
     x = np.full((40, 1), 6.0)
     x[30, 0] = math.nan
-    trace = _one_trace(x, g, 0.1, stop_at=5.0)[0]
-    assert trace.size < 30 and trace[-1] >= 5.0
-    with pytest.raises(NonFiniteLikelihoodError) as info:
-        _one_trace(x, g, 0.1)
-    assert info.value.step == 30
+    [(trace, _, error)] = log_odds_traces([x], g, 0.1, stop_at=5.0)
+    assert error is None and trace.size < 30 and trace[-1] >= 5.0
+    [(_, _, error)] = log_odds_traces([x], g, 0.1)
+    assert isinstance(error, NonFiniteLikelihoodError) and error.step == 30
 
 
 def test_stack_factor_falls_back_to_ridge():
@@ -399,7 +397,7 @@ def test_run_detector_steps_on_aggregated_ticks():
     f = scen.post_model().project(layout)
     report = run_detector(stream, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))
     ticks, x = per_tick_increments(stream, 9)
-    trace = _one_trace(x, g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))[0]
+    [(trace, _, _)] = log_odds_traces([x], g.scaled_cov(9.0), 1e-4, f.scaled_cov(9.0))
     assert np.array_equal(report.step_ticks, ticks)
     assert np.array_equal(report.log_odds_trace, trace)
     bad = dataclasses.replace(stream, values=stream.values.copy())
@@ -421,6 +419,6 @@ def test_every_window_check_window_accepts_refreshes_a_step(dim, nmin, window, s
         assume(False)
     g = GaussianModel(np.zeros(dim), np.eye(dim))
     samples = np.random.default_rng(seed).normal(size=(window + 1, dim))
-    refreshed = _one_trace(samples, g, 0.01, max_window=window, nmin=nmin)[1]
+    [(_, refreshed, _)] = log_odds_traces([samples], g, 0.01, max_window=window, nmin=nmin)
     assert refreshed.any()
 

@@ -17,7 +17,6 @@ from gridwatch.experiments import (
     MetricsRow,
     MetricsTable,
     correlation_matrix,
-    emit_heatmap,
     heatmap_csv,
     parse_heatmap_csv,
     run_experiment,
@@ -363,21 +362,17 @@ def test_pmu_sweep_rejects_empty_placement(loop8):
 
 # --- heatmaps ------------------------------------------------------------------------
 
-def test_heatmap_matrices(tmp_path, loop8):
+def test_heatmap_matrices(loop8):
     scen = delay_scenario(loop8, out_branches=((3, 4), (2, 6)), noise_variance=1e-8)
     g, f = scen.pre_model(), scen.post_model()
-    pre_path = str(tmp_path / "pre.csv")
-    post_path = str(tmp_path / "post.csv")
-    pre, post = emit_heatmap(g.cov, f.cov, g.layout, pre_path, post_path)
+    pre, post = correlation_matrix(g.cov, g.layout), correlation_matrix(f.cov, g.layout)
     assert np.array_equal(np.diag(pre), np.ones(8))
     assert np.array_equal(np.diag(post), np.ones(8))
     buses = g.layout.buses
     for i, j in ((3, 4), (2, 6)):
         assert post[buses.index(i), buses.index(j)] < 1e-6
         assert pre[buses.index(i), buses.index(j)] > 0.3
-    with open(pre_path, encoding="utf-8") as fh:
-        text = fh.read()
-    assert text.startswith("bus,1,2,3,4,5,6,7,8")
+    assert heatmap_csv(pre, g.layout).startswith("bus,1,2,3,4,5,6,7,8")
 
 
 def test_heatmap_estimated_covariance_flags_same_entries(loop8):

@@ -56,8 +56,8 @@ def random_model(rng, d, mean_scale=1.0):
 def test_layout_order_re_then_im():
     lay = CoordinateLayout.from_kinds({1: "phasor", 2: "magnitude", 3: "phasor"})
     assert lay.entries == ((1, "re"), (2, "re"), (3, "re"), (1, "im"), (3, "im"))
-    assert lay.coords_of(2) == (1,)
-    assert lay.coords_of(3) == (2, 4)
+    assert lay.bus_coords[2] == (1,)
+    assert lay.bus_coords[3] == (2, 4)
 
 
 def test_layout_indices_in_parent():
@@ -87,10 +87,10 @@ def test_two_bus_unit_variance():
     top = GridTopology(2, (Branch(1, 2, 1 + 0j),))
     m = model_from_topology(top, 1.0, 0.0)
     # complex variance of bus 2 is 1: re and im carry half each
-    c2 = m.layout.coords_of(2)
+    c2 = m.layout.bus_coords[2]
     assert sum(m.cov[c, c] for c in c2) == pytest.approx(1.0, abs=1e-14)
     assert all(m.cov[c, c] == pytest.approx(0.5) for c in c2)
-    for c in m.layout.coords_of(1):
+    for c in m.layout.bus_coords[1]:
         assert m.cov[c, c] == 0.0
 
 
@@ -105,7 +105,7 @@ def test_dead_island_coordinates_noise_only(path3):
     post = apply_outage(path3, {(1, 2)})  # buses 2 and 3 go dead
     m = model_from_topology(post, 1.0, noise)
     for bus in (2, 3):
-        for c in m.layout.coords_of(bus):
+        for c in m.layout.bus_coords[bus]:
             assert m.cov[c, c] == pytest.approx(noise)
             row = np.delete(m.cov[c], c)
             assert np.abs(row).max() == 0.0
@@ -114,17 +114,17 @@ def test_dead_island_coordinates_noise_only(path3):
 def test_partial_island_keeps_energized_bus(path3):
     noise = 1e-6
     m = model_from_topology(apply_outage(path3, {(2, 3)}), 1.0, noise)
-    for c in m.layout.coords_of(3):
+    for c in m.layout.bus_coords[3]:
         assert m.cov[c, c] == pytest.approx(noise)
-    assert max(m.cov[c, c] for c in m.layout.coords_of(2)) > 100 * noise
+    assert max(m.cov[c, c] for c in m.layout.bus_coords[2]) > 100 * noise
 
 
 def test_der_island_keeps_local_model(path3):
     top = GridTopology(3, path3.branches, der_buses=frozenset({3}))
     m = model_from_topology(apply_outage(top, {(1, 2)}), 1.0, 1e-9)
     # island {2, 3} grounded at DER bus 3: bus 2 stays driven, bus 3 pinned
-    assert max(m.cov[c, c] for c in m.layout.coords_of(2)) > 1e-3
-    assert max(m.cov[c, c] for c in m.layout.coords_of(3)) == pytest.approx(1e-9)
+    assert max(m.cov[c, c] for c in m.layout.bus_coords[2]) > 1e-3
+    assert max(m.cov[c, c] for c in m.layout.bus_coords[3]) == pytest.approx(1e-9)
 
 
 def test_singular_component_raises():

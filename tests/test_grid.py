@@ -5,7 +5,7 @@ import importlib.resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_path
@@ -36,12 +36,12 @@ from gridwatch.textconf import ConfigError
 def test_path3_unit_admittance_matrix():
     Y = build_admittance(unit_path(3))
     expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=complex)
-    assert np.array_equal(Y.matrix, expected)
+    assert np.array_equal(Y, expected)
 
 
 def test_empty_branch_list_gives_zero_matrix():
     Y = build_admittance(GridTopology(2, ()))
-    assert np.array_equal(Y.matrix, np.zeros((2, 2), dtype=complex))
+    assert np.array_equal(Y, np.zeros((2, 2), dtype=complex))
 
 
 def test_loop8_diagonal_is_degree_times_admittance(loop8):
@@ -51,12 +51,12 @@ def test_loop8_diagonal_is_degree_times_admittance(loop8):
     equal = GridTopology(8, tuple(Branch(b.from_bus, b.to_bus, y) for b in loop8.branches))
     Y = build_admittance(equal)
     for bus, deg in degrees.items():
-        assert Y.matrix[bus - 1, bus - 1] == pytest.approx(deg * y)
+        assert Y[bus - 1, bus - 1] == pytest.approx(deg * y)
 
 
 def test_admittance_symmetric_zero_row_sums_all_feeders():
     for top in bundled_feeders():
-        Y = build_admittance(top).matrix
+        Y = build_admittance(top)
         assert np.abs(Y - Y.T).max() == 0.0, top.name
         assert np.abs(Y.sum(axis=1)).max() < 1e-12, top.name
 
@@ -108,8 +108,8 @@ def test_outage_then_build_equals_build_then_stamp_removal(loop8):
     # Zero the removed branch's off-diagonals and recompute the two affected
     # diagonals as incident sums (same stamping order as the builder), which
     # must reproduce the rebuilt matrix exactly.
-    Y_post = build_admittance(apply_outage(loop8, {(3, 4)})).matrix
-    Y_pre = build_admittance(loop8).matrix.copy()
+    Y_post = build_admittance(apply_outage(loop8, {(3, 4)}))
+    Y_pre = build_admittance(loop8)
     Y_pre[2, 3] = Y_pre[3, 2] = 0.0
     for bus in (3, 4):
         total = 0.0 + 0.0j
@@ -153,7 +153,7 @@ def test_transfer_grounds_slack_and_lowest_der_bus(loop12):
     # and grounds at 6
     top = GridTopology(12, loop12.branches, der_buses=frozenset({11, 6}))
     post = apply_outage(top, {(4, 5), (10, 12)})
-    Y = build_admittance(post).matrix
+    Y = build_admittance(post)
     blocks = transfer(post)
     assert [buses for buses, _ in blocks] == [(2, 3, 4, 7, 8, 9, 10), (5, 11, 12)]
     for buses, z in blocks:
@@ -179,22 +179,21 @@ def test_transfer_is_shared_and_read_only(loop8):
 
 def test_kron_unit_path_keep_ends():
     Y = build_admittance(unit_path(3))
-    red = kron_reduce(Y, {1, 3})
-    assert red.buses == (1, 3)
-    assert np.allclose(red.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    red = kron_reduce(Y, {0, 2})
+    assert np.allclose(red, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_kron_keep_all_is_identity(loop8):
     Y = build_admittance(loop8)
-    red = kron_reduce(Y, set(range(1, 9)))
-    assert np.array_equal(red.matrix, Y.matrix)
+    red = kron_reduce(Y, set(range(8)))
+    assert np.array_equal(red, Y)
 
 
 def test_kron_isolated_bus_is_singular():
     top = GridTopology(3, (Branch(1, 2, 1 + 0j),))  # bus 3 is isolated
     Y = build_admittance(top)
     with pytest.raises(SingularBlockError, match="eliminated"):
-        kron_reduce(Y, {1, 2})
+        kron_reduce(Y, {0, 1})
 
 
 def test_kron_series_admittance_chain(rng):
@@ -202,9 +201,9 @@ def test_kron_series_admittance_chain(rng):
         n = int(rng.integers(3, 8))
         ys = rng.uniform(1, 5, size=n - 1) + 1j * rng.uniform(-5, -1, size=n - 1)
         top = GridTopology(n, tuple(Branch(i, i + 1, ys[i - 1]) for i in range(1, n)))
-        red = kron_reduce(build_admittance(top), {1, n})
+        red = kron_reduce(build_admittance(top), {0, n - 1})
         series = 1.0 / np.sum(1.0 / ys)
-        assert np.allclose(red.matrix, [[series, -series], [-series, series]], rtol=1e-12)
+        assert np.allclose(red, [[series, -series], [-series, series]], rtol=1e-12)
 
 
 def test_kron_consistency_against_full_solve(rng):
@@ -212,16 +211,55 @@ def test_kron_consistency_against_full_solve(rng):
         m = int(rng.integers(5, 25))
         top = random_feeder(m, loops=int(rng.integers(0, 3)) if m >= 8 else 0, seed=seed)
         Y = build_admittance(top)
-        keep = {1} | set(rng.choice(np.arange(2, m + 1), size=m // 2, replace=False).tolist())
+        keep = {0} | set(rng.choice(np.arange(1, m), size=m // 2, replace=False).tolist())
         red = kron_reduce(Y, keep)
-        va = rng.normal(size=red.dim) + 1j * rng.normal(size=red.dim)
-        drop = [b for b in Y.buses if b not in keep]
-        a = [Y.index_of(b) for b in red.buses]
-        b = [Y.index_of(x) for x in drop]
-        vb = np.linalg.solve(Y.matrix[np.ix_(b, b)], -Y.matrix[np.ix_(b, a)] @ va)
-        ia = Y.matrix[np.ix_(a, a)] @ va + Y.matrix[np.ix_(a, b)] @ vb
-        res = np.linalg.norm(ia - red.matrix @ va) / np.linalg.norm(ia)
+        va = rng.normal(size=len(keep)) + 1j * rng.normal(size=len(keep))
+        a = sorted(keep)
+        b = [k for k in range(m) if k not in keep]
+        vb = np.linalg.solve(Y[np.ix_(b, b)], -Y[np.ix_(b, a)] @ va)
+        ia = Y[np.ix_(a, a)] @ va + Y[np.ix_(a, b)] @ vb
+        res = np.linalg.norm(ia - red @ va) / np.linalg.norm(ia)
         assert res < 1e-9, f"seed {seed}: residual {res:.2e}"
+
+
+@st.composite
+def islanded_feeders(draw):
+    """Three random feeders side by side, the first with the slack, the
+    second with at least one DER bus and the third with none (a dead
+    island), with up to two branches out anywhere."""
+    branches, der, offset = [], set(), 0
+    for part in range(3):
+        m = draw(st.integers(2, 12))
+        try:
+            feeder = random_feeder(m, loops=draw(st.integers(0, 2)), seed=draw(
+                st.integers(0, 2 ** 16)))
+        except TopologyError:  # no room for a loop
+            assume(False)
+        branches += [Branch(b.from_bus + offset, b.to_bus + offset, b.admittance)
+                     for b in feeder.branches]
+        if part < 2:
+            der |= {offset + b for b in draw(st.sets(st.integers(1, m), min_size=part,
+                                                     max_size=2))}
+        offset += m
+    top = GridTopology(offset, tuple(branches), der_buses=frozenset(der))
+    out = draw(st.sets(st.sampled_from([b.pair for b in top.branches]), max_size=2))
+    return apply_outage(top, out)
+
+
+@settings(max_examples=60)
+@given(islanded_feeders(), st.data())
+def test_transfer_block_inverts_kron_reduction(top, data):
+    # Kron reduction onto K and inversion commute with restriction: the
+    # inverse of the reduced Y[buses, buses] is Z[K, K] (Dorfler & Bullo,
+    # "Kron reduction of graphs", IEEE TCAS-I, 2013)
+    assert {"der", "dead"} <= {island.kind for island in islands(top)}
+    Y = build_admittance(top)
+    for buses, z in transfer(top):
+        idx = [b - 1 for b in buses]
+        keep = sorted(data.draw(st.sets(st.integers(0, len(buses) - 1), min_size=1)))
+        got = np.linalg.inv(kron_reduce(Y[np.ix_(idx, idx)], keep))
+        want = z[np.ix_(keep, keep)]
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 # --- bundled and random feeders -------------------------------------------------

@@ -37,7 +37,7 @@ def schur_pair(sigma, i, j, layout):
     """(score, degenerate) of one pair from its Schur complement given the rest."""
     if i == j:
         return 1.0, False
-    ci, cj = layout.coords_of(i), layout.coords_of(j)
+    ci, cj = layout.bus_coords[i], layout.bus_coords[j]
     pair = list(ci) + list(cj)
     block = conditional_cov(sigma, pair, [k for k in range(layout.dim) if k not in pair])
     var = np.diag(block)
@@ -61,7 +61,7 @@ def schur_scan_skips(sigma0, sigma1, pairs, layout, noise_floor):
     for i, j in pairs:
         if schur_pair(sigma0, i, j, layout)[1] or schur_pair(sigma1, i, j, layout)[1]:
             skipped.add((i, j))
-        elif all(max(sigma1[c, c] for c in layout.coords_of(b)) <= 4.0 * noise_floor
+        elif all(max(sigma1[c, c] for c in layout.bus_coords[b]) <= 4.0 * noise_floor
                  for b in (i, j)):
             skipped.add((i, j))
     return skipped

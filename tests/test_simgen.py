@@ -69,9 +69,9 @@ def test_dead_island_emits_noise_only(path3):
                          noise_variance=noise)
     stream = generate(scen)
     post = stream.values[29:]
-    for c in stream.layout.coords_of(3):
+    for c in stream.layout.bus_coords[3]:
         assert post[:, c].var() == pytest.approx(noise, rel=0.2)
-    live = max(post[:, c].var() for c in stream.layout.coords_of(2))
+    live = max(post[:, c].var() for c in stream.layout.bus_coords[2])
     assert live > 50 * noise
 
 

@@ -6,7 +6,7 @@ full (phasor at every bus, d = 2m), with its first loop branch out at tick
 
     build     model_from_topology, with the transfer cache cleared first
     generate  generate of the 2 000-tick stream
-    known_f   known_f_log_odds over the 2 000 ticks
+    known_f   log_odds_traces of the 2 000 ticks with the post-outage model
     estimate  estimate_post_outage over the 2 000 ticks
     pairs     score_pairs of every bus pair of one covariance
     floors    the zero-test floors over the branch pairs, as localize takes
@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np
 
 from gridwatch import grid
-from gridwatch.detector import known_f_log_odds
+from gridwatch.detector import log_odds_traces
 from gridwatch.gaussmodel import (
     GeometricPrior,
     estimate_post_outage,
@@ -81,7 +81,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float]:
         median_seconds(lambda: model_from_topology(topology, 1.0, 1e-8), repeats,
                        before=grid.transfer.cache_clear),
         median_seconds(lambda: generate(scenario), repeats),
-        median_seconds(lambda: known_f_log_odds(stream.values, g, f, 1e-4), repeats),
+        median_seconds(lambda: log_odds_traces([stream.values], g, 1e-4, f), repeats),
         median_seconds(lambda: estimate_post_outage(stream.values, prior), repeats),
         median_seconds(lambda: score_pairs(cov, pairs, layout), repeats),
         median_seconds(floors, repeats),
