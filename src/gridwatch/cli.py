@@ -4,6 +4,8 @@ Subcommands: simulate, detect, localize, experiment, pmu-sweep, heatmap.
 All take a config file (see README for the schema) and an output directory;
 given a fixed master seed the output files are byte-identical across runs.
 Errors are reported as JSON lines on stderr with a nonzero exit code.
+The detector, localizer and experiments modules are imported inside the
+commands that run them, so a command loads only the modules it uses.
 """
 
 from __future__ import annotations
@@ -18,28 +20,8 @@ import sys
 
 import numpy as np
 
-from . import detector as det
 from . import forking, textconf
-from .experiments import (
-    ExperimentConfig,
-    correlation_matrix,
-    heatmap_csv,
-    run_experiment,
-    run_pmu_sweep,
-)
 from .gaussmodel import GeometricPrior, estimate_post_outage
-from .localizer import (
-    EXACT_THRESHOLDS,
-    FLOOR_DELTA,
-    FLOOR_LEVEL,
-    PhasorWindow,
-    Thresholds,
-    all_bus_pairs,
-    estimate_admittance,
-    least_post_size,
-    scan_pairs,
-    zero_test_floors,
-)
 from .simgen import (
     Scenario,
     generate,
@@ -112,10 +94,11 @@ def build_scenario(blocks, config_dir: str, seed: int | None) -> Scenario:
     return scenario if seed is None else dataclasses.replace(scenario, seed=seed)
 
 
-def detector_config(blocks, g, f) -> det.DetectorConfig:
+def detector_config(blocks, g, f):
+    from .detector import ADAPTIVE, DetectorConfig
+
     options = _read(blocks, "detector")
-    return det.DetectorConfig(g=g, f=None if options.get("mode") == det.ADAPTIVE else f,
-                              **options)
+    return DetectorConfig(g=g, f=None if options.get("mode") == ADAPTIVE else f, **options)
 
 
 def _outdir(args) -> str:
@@ -130,6 +113,8 @@ def _write(path: str, text: str) -> None:
 
 def _matrix_csv(sigma, layout) -> str:
     """The |conditional correlation| matrix of a covariance, as heatmap CSV."""
+    from .experiments import correlation_matrix, heatmap_csv
+
     return heatmap_csv(correlation_matrix(sigma, layout), layout)
 
 
@@ -185,11 +170,13 @@ def _load_stream(args):
 
 
 def cmd_detect(args) -> None:
+    from .detector import run_detector
+
     blocks = load_config(args.config)
     stream = _load_stream(args)
     scenario = scenario_from_blocks(stream.meta)
     config = detector_config(blocks, scenario.pre_model(), scenario.post_model())
-    report = det.run_detector(stream, config)
+    report = run_detector(stream, config)
     out = _outdir(args)
     _write(os.path.join(out, "trace.csv"), trace_csv(report))
     summary = {"tau": str(report.tau if report.tau is not None else -1)}
@@ -203,6 +190,19 @@ def cmd_detect(args) -> None:
 
 
 def cmd_localize(args) -> None:
+    from .localizer import (
+        EXACT_THRESHOLDS,
+        FLOOR_DELTA,
+        FLOOR_LEVEL,
+        PhasorWindow,
+        Thresholds,
+        all_bus_pairs,
+        estimate_admittance,
+        least_post_size,
+        scan_pairs,
+        zero_test_floors,
+    )
+
     blocks = load_config(args.config)
     options = _read(blocks, "localize")
     if ("zero" in options) != ("active" in options):
@@ -295,7 +295,9 @@ def cmd_localize(args) -> None:
     print(f"flagged branches: {flagged}")
 
 
-def _monte_carlo(blocks, args, **options) -> ExperimentConfig:
+def _monte_carlo(blocks, args, **options):
+    from .experiments import ExperimentConfig
+
     scenario = build_scenario(blocks, os.path.dirname(args.config), None)
     return ExperimentConfig(scenario=scenario, rho=_read(blocks, "detector").get("rho"),
                             master_seed=args.seed if args.seed is not None else scenario.seed,
@@ -303,6 +305,8 @@ def _monte_carlo(blocks, args, **options) -> ExperimentConfig:
 
 
 def cmd_experiment(args) -> None:
+    from .experiments import run_experiment
+
     blocks = load_config(args.config)
     options = _read(blocks, "experiment")
     # retired: chunks split over forking.cpus(); still read so old configs parse
@@ -321,6 +325,8 @@ def cmd_experiment(args) -> None:
 
 
 def cmd_pmu_sweep(args) -> None:
+    from .experiments import run_pmu_sweep
+
     blocks = load_config(args.config)
     options = _read(blocks, "pmu_sweep")
     if ("placements" in options) == ("counts" in options):

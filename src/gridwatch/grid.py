@@ -10,7 +10,6 @@ sums are exactly zero.  Shunt terms are out of scope.
 from __future__ import annotations
 
 import functools
-import hashlib
 import importlib.resources
 from dataclasses import dataclass, field, replace
 
@@ -373,6 +372,8 @@ def _random_admittance(rng: np.random.Generator) -> complex:
 
 def philox_key(seed: int, *labels) -> int:
     """Stable 128-bit Philox key for a named substream of a master seed."""
+    import hashlib  # on first use: commands that synthesize no stream skip its 3 ms
+
     text = "/".join([str(seed), *map(str, labels)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import math
 import os
 import shutil
 import tempfile
@@ -126,6 +127,20 @@ class Scenario:
             raise ValueError("horizon must be >= 1")
         object.__setattr__(self, "out_branches", tuple(sorted(
             (min(i, j), max(i, j)) for i, j in self.out_branches)))
+        for (i, j), after in zip(self.out_branches, self.out_branches[1:]):
+            if (i, j) == after:
+                raise ValueError(f"[scenario].outage names branch {i}-{j} twice")
+        variances = ([(f"[injection].bus{bus}", var)
+                      for bus, var in self.injection_variance.items()]
+                     if isinstance(self.injection_variance, dict)
+                     else [("[scenario].injection_variance", self.injection_variance)])
+        # zero is a variance too: exact localize strips the noise with it
+        for key, var in [*variances, ("[scenario].noise_variance", self.noise_variance)]:
+            if not (math.isfinite(var) and var >= 0.0):
+                raise ValueError(f"{key} must be a finite number >= 0, got {var!r}")
+        if not math.isfinite(self.mean_shift):
+            raise ValueError(f"[scenario].mean_shift must be a finite number, got "
+                             f"{self.mean_shift!r}")
         if self.out_branches:
             known = {br.pair for br in self.topology.branches}
             for pair in self.out_branches:

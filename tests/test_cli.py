@@ -285,6 +285,9 @@ def test_error_reported_as_json(tmp_path, capsys):
     assert "bogus_key" in err["message"]
 
 
+# the config's per-bus injection variances, which a scalar injection_variance replaces
+_INJECTION_BLOCK = CONFIG[CONFIG.index("\n[injection]"):CONFIG.index("\n[detector]")]
+
 # (command, replaced text, replacement, error, text the message must hold)
 BAD_INPUTS = {
     "experiment_unknown_detector_key": ("experiment", "rho = 1e-4", "rh0 = 0.5",
@@ -358,6 +361,31 @@ BAD_INPUTS = {
                                 "ValueError", "alphas must name at least one value"),
     "experiment_empty_modes": ("experiment", "replications = 25", "replications = 25\nmodes =",
                                "ValueError", "modes must name at least one value"),
+    # a non-finite or negative variance or shift made a stream no reader accepts
+    "noise_variance_nan": ("simulate", "noise_variance = 1e-8", "noise_variance = nan",
+                           "ValueError",
+                           "[scenario].noise_variance must be a finite number >= 0, got nan"),
+    "noise_variance_inf": ("simulate", "noise_variance = 1e-8", "noise_variance = inf",
+                           "ValueError",
+                           "[scenario].noise_variance must be a finite number >= 0, got inf"),
+    "noise_variance_minus_one": (
+        "simulate", "noise_variance = 1e-8", "noise_variance = -1", "ValueError",
+        "[scenario].noise_variance must be a finite number >= 0, got -1.0"),
+    "injection_variance_nan": (
+        "simulate", _INJECTION_BLOCK, "injection_variance = nan\n", "ValueError",
+        "[scenario].injection_variance must be a finite number >= 0, got nan"),
+    "injection_variance_inf": (
+        "simulate", _INJECTION_BLOCK, "injection_variance = inf\n", "ValueError",
+        "[scenario].injection_variance must be a finite number >= 0, got inf"),
+    "mean_shift_nan": ("simulate", "horizon = 60", "horizon = 60\nmean_shift = nan",
+                       "ValueError", "[scenario].mean_shift must be a finite number, got nan"),
+    "mean_shift_inf": ("simulate", "horizon = 60", "horizon = 60\nmean_shift = inf",
+                       "ValueError", "[scenario].mean_shift must be a finite number, got inf"),
+    **{f"injection_bus_{name}": ("simulate", "bus4 = 4.0", f"bus4 = {value}", "ValueError",
+                                 f"[injection].bus4 must be a finite number >= 0, got {value}")
+       for name, value in (("nan", "nan"), ("inf", "inf"), ("minus_one", "-1.0"))},
+    "outage_branch_twice": ("simulate", "outage = 3-4, 2-6", "outage = 3-4, 2-6, 4-3",
+                            "ValueError", "[scenario].outage names branch 3-4 twice"),
     "injection_variance_and_injection_block": (
         "simulate", "horizon = 60", "horizon = 60\ninjection_variance = 2.0", "ConfigError",
         "[scenario].injection_variance and an [injection] block"),

@@ -1,7 +1,9 @@
 """The runtime needs numpy only: importing the CLI loads no scipy and no
 process pool, and every CLI path used here runs with scipy blocked.  The
 modules keep their layering: gaussmodel below detector and simgen, and
-simgen beside detector."""
+simgen beside detector.  Start-up loads only the modules every command
+needs; a command loads the detector, localizer and experiments modules it
+runs, and the package's names from them load on first use."""
 
 import ast
 import glob
@@ -9,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import gridwatch
 
@@ -124,3 +128,75 @@ def test_cli_commands_run_with_scipy_blocked(tmp_path):
     for name in ("stream/stream.csv", "detect/trace.csv", "localize/localization.csv",
                  "heat/heatmap_post_estimated.csv", "exp/metrics.csv", "sweep/pmu_sweep.csv"):
         assert (tmp_path / name).exists(), name
+
+
+START_UP = ["gridwatch", "gridwatch.cli", "gridwatch.forking", "gridwatch.gaussmodel",
+            "gridwatch.grid", "gridwatch.simgen", "gridwatch.textconf"]
+DEFERRED = {"gridwatch.detector", "gridwatch.experiments", "gridwatch.localizer"}
+
+# the deferred modules each command loads: localize formats its rho_pre and
+# rho_post matrices with experiments.correlation_matrix, which imports the
+# detector with the rest of its module
+COMMAND_MODULES = {
+    "simulate": set(),
+    "detect": {"gridwatch.detector"},
+    "localize": DEFERRED,
+    "experiment": {"gridwatch.experiments", "gridwatch.detector"},
+    "pmu-sweep": {"gridwatch.experiments", "gridwatch.detector"},
+    "heatmap": {"gridwatch.experiments", "gridwatch.detector"},
+}
+
+# code that prints the gridwatch modules loaded, as a line of its own
+_LOADED = ("'loaded ' + json.dumps(sorted(m for m in sys.modules\n"
+           "    if m == 'gridwatch' or m.startswith('gridwatch.')))")
+
+
+def _loaded(stdout: str) -> list[list[str]]:
+    return [json.loads(line[7:]) for line in stdout.splitlines() if line.startswith("loaded ")]
+
+
+def test_cli_import_loads_only_the_start_up_modules(tmp_path):
+    done = _python(f"import json, sys\nimport gridwatch.cli\nprint({_LOADED})", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert _loaded(done.stdout) == [START_UP]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(tmp_path, command):
+    (tmp_path / "run.conf").write_text(CONFIG)
+    extra = ["--stream", "stream"] if command in ("detect", "localize") else []
+    done = _python("import json, sys\n"
+                   "from gridwatch.cli import main\n"
+                   "if main(['simulate', '--config', 'run.conf', '--out', 'stream']):\n"
+                   "    sys.exit('simulate failed')\n"
+                   f"print({_LOADED})\n"
+                   f"code = main({[command, '--config', 'run.conf', '--out', 'out', *extra]})\n"
+                   "if code:\n"
+                   "    sys.exit(f'exited {code}')\n"
+                   f"print({_LOADED})\n", tmp_path)
+    assert done.returncode == 0, done.stderr
+    before, after = map(set, _loaded(done.stdout))
+    assert before == set(START_UP)
+    assert after - before == COMMAND_MODULES[command]
+
+
+def test_package_names_load_on_first_use(tmp_path):
+    # import gridwatch loads none of the deferred modules; a star import
+    # binds every public name, each the object its defining module holds
+    done = _python("import json, sys\n"
+                   "import gridwatch\n"
+                   f"before = {_LOADED}\n"
+                   "names = {}\n"
+                   "exec('from gridwatch import *', names)\n"
+                   "names.pop('__builtins__')\n"
+                   "print(before)\n"
+                   "print(json.dumps(sorted(names)))\n"
+                   "print(json.dumps(sorted(name for name, value in names.items()\n"
+                   "    if getattr(sys.modules[value.__module__], name) is not value)))\n",
+                   tmp_path)
+    assert done.returncode == 0, done.stderr
+    [before] = _loaded(done.stdout)
+    names, unlike = map(json.loads, done.stdout.splitlines()[1:])
+    assert set(before).isdisjoint(DEFERRED)
+    assert names == sorted(gridwatch.__all__) and len(names) == 45
+    assert unlike == []

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from gridwatch import forking, simgen
 from gridwatch.gaussmodel import MAGNITUDE, PHASOR
-from gridwatch.grid import Branch, GridTopology, islands, load_feeder, random_feeder
+from gridwatch.grid import (
+    Branch,
+    GridTopology,
+    apply_outage,
+    islands,
+    load_feeder,
+    random_feeder,
+)
 from gridwatch.simgen import (
     Scenario,
     SensorSchedule,
@@ -680,3 +687,43 @@ def test_synthesized_draw_does_not_depend_on_its_batch(case):
 def test_islands_example_has_dead_and_der_islands():
     kinds = sorted(island.kind for island in islands(_ISLANDS.post_topology()))
     assert kinds == ["dead", "der", "slack"]
+
+
+# --- synthesis matches the model ------------------------------------------
+
+COV_TICKS = 20_000
+
+
+@st.composite
+def split_feeders(draw):
+    """A no-outage scenario on a random feeder with DER buses, already cut
+    at one or two branches so that dead and DER-backed islands are part of
+    its network, every bus sensed at period 1 by a phasor or a magnitude
+    channel."""
+    n = draw(st.integers(8, 12))
+    der = draw(st.sets(st.integers(2, n), max_size=2))
+    top = random_feeder(n, loops=draw(st.integers(0, 1)), seed=draw(st.integers(0, 999)),
+                        der_buses=der or None)
+    # the slack's one branch stays: cut, it would leave the whole feeder dead
+    cut = draw(st.lists(st.sampled_from([br.pair for br in top.branches if 1 not in br.pair]),
+                        min_size=1, max_size=2, unique=True))
+    kinds = {b: (draw(st.sampled_from([PHASOR, MAGNITUDE])), 1) for b in range(1, n + 1)}
+    return Scenario(topology=apply_outage(top, set(cut)), horizon=COV_TICKS,
+                    injection_variance=draw(st.sampled_from([1.0, 2.5])),
+                    noise_variance=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+                    schedule=SensorSchedule.from_kinds(kinds), seed=draw(st.integers(0, 999)))
+
+
+@settings(max_examples=25)
+@example(scen=Scenario(topology=_ISLANDS.post_topology(), horizon=COV_TICKS,
+                       noise_variance=1e-4))
+@given(scen=split_feeders())
+def test_sample_covariance_converges_to_the_model(scen):
+    # each entry of the sample covariance of n zero-mean Gaussian rows has
+    # standard error sqrt((S_ii S_jj + S_ij^2) / n) about the model's S_ij:
+    # six of them bound every entry, a bound that shrinks like 1/sqrt(n)
+    stream = generate(scen)
+    cov = scen.pre_model().project(stream.layout).cov
+    sample = np.cov(stream.values.T, ddof=0).reshape(cov.shape)
+    sd = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / stream.horizon)
+    assert np.all(np.abs(sample - cov) <= 6.0 * sd), np.max(np.abs(sample - cov) / sd)

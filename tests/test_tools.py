@@ -20,10 +20,22 @@ def run_tool(script: str, *args: str) -> list[list[str]]:
 def test_scaling_prints_a_row_per_size():
     lines = run_tool("scaling.py", "--repeats", "1")
     assert lines[0] == ["m", "d", "build", "generate", "known_f", "estimate", "pairs",
-                        "floors"]
+                        "floors", "adapt100", "adapt800"]
     assert [row[:2] for row in lines[1:]] == [[str(m), str(2 * m)] for m in (10, 30, 60, 90)]
     for row in lines[1:]:
-        assert len(row) == len(lines[0]) and all(float(cell) >= 0.0 for cell in row[2:])
+        assert len(row) == len(lines[0]) and all(float(cell) >= 0.0 for cell in row[2:-2])
+        # an adaptive window below nmin = d + 2 has no refreshed step to time
+        for window, cell in zip((100, 800), row[-2:]):
+            assert cell == "-" if window < int(row[1]) + 2 else float(cell) > 0.0
+
+
+def test_startup_prints_a_row_per_job():
+    lines = run_tool("startup.py", "--repeats", "1")
+    assert lines[0] == ["job", "no_cache", "warm_cache"]
+    assert [row[0] for row in lines[1:]] == ["pass", "numpy", "cli", "probe_path3",
+                                             "probe_loop8", "probe_loop12"]
+    assert all(len(row) == 3 and float(row[1]) > 0.0 and float(row[2]) > 0.0
+               for row in lines[1:])
 
 
 def test_src_lines_prints_every_module_and_the_total():

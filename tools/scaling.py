@@ -12,6 +12,11 @@ full (phasor at every bus, d = 2m), with its first loop branch out at tick
     floors    the zero-test floors over the branch pairs, as localize takes
               them for 1 000 pre rows and 1 000 post rows: the Kish size of
               the post window, then zero_test_floors
+    adaptW    seconds per refreshed step of adaptive log_odds_traces with
+              window W = 100 and 800: one trace of the stream's first
+              nmin + 100 rows (nmin = d + 2), over its last 100 steps, the
+              ones that refit; a dash where W < nmin, since no step would
+              refresh (the detect command rejects such a window)
 
 BLAS runs at one thread, set through the environment before numpy loads.
 Only the standard library and numpy are needed.  Run from the repository
@@ -47,7 +52,10 @@ from gridwatch.simgen import Scenario, generate
 
 SIZES = (10, 30, 60, 90)
 TICKS = 2000
-COLUMNS = ("build", "generate", "known_f", "estimate", "pairs", "floors")
+WINDOWS = (100, 800)
+REFITS = 100
+COLUMNS = ("build", "generate", "known_f", "estimate", "pairs", "floors",
+           *(f"adapt{w}" for w in WINDOWS))
 
 
 def median_seconds(job, repeats: int, before=None) -> float:
@@ -61,7 +69,7 @@ def median_seconds(job, repeats: int, before=None) -> float:
     return statistics.median(times)
 
 
-def sweep_row(m: int, seed: int, repeats: int) -> list[float]:
+def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
     topology = grid.random_feeder(m, 5, seed)
     scenario = Scenario(topology, (topology.branches[m - 1].pair,), lam=TICKS // 2 + 1,
                         horizon=TICKS, seed=seed)
@@ -77,6 +85,15 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float]:
     def floors():
         zero_test_floors(TICKS // 2, prior.kish_sizes(TICKS // 2)[-1], branches, layout)
 
+    nmin = layout.dim + 2
+    refit = [stream.values[:nmin + REFITS]]
+
+    def adaptive(window: int) -> float | None:
+        if window < nmin:
+            return None
+        return median_seconds(lambda: log_odds_traces(refit, g, 1e-4, max_window=window),
+                              repeats) / REFITS
+
     return [
         median_seconds(lambda: model_from_topology(topology, 1.0, 1e-8), repeats,
                        before=grid.transfer.cache_clear),
@@ -85,6 +102,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float]:
         median_seconds(lambda: estimate_post_outage(stream.values, prior), repeats),
         median_seconds(lambda: score_pairs(cov, pairs, layout), repeats),
         median_seconds(floors, repeats),
+        *map(adaptive, WINDOWS),
     ]
 
 
@@ -96,7 +114,8 @@ def main(argv=None) -> int:
     print(f"{'m':>4} {'d':>4} " + " ".join(f"{name:>10}" for name in COLUMNS))
     for m in SIZES:
         row = sweep_row(m, args.seed, args.repeats)
-        print(f"{m:>4} {2 * m:>4} " + " ".join(f"{value:>10.6f}" for value in row))
+        print(f"{m:>4} {2 * m:>4} " + " ".join("-".rjust(10) if value is None
+                                               else f"{value:>10.6f}" for value in row))
     return 0
 
 
