@@ -24,6 +24,7 @@ from . import forking, textconf
 from .gaussmodel import GeometricPrior, estimate_post_outage
 from .simgen import (
     Scenario,
+    _synthesize,
     generate,
     parse_stream,
     scenario_from_blocks,
@@ -363,12 +364,14 @@ def cmd_heatmap(args) -> None:
             scenario.schedule.require_period_one("stream estimates")
         except ValueError as exc:
             return None, str(exc)
-        stream = generate(scenario)
-        lam = stream.truth.lam
-        ticks = 0 if lam is None else stream.horizon - lam + 1
+        lam = scenario.outage_tick()
+        if lam is not None and lam > scenario.horizon:
+            return None, f"the outage tick {lam} is past the horizon {scenario.horizon}"
+        ticks = 0 if lam is None else scenario.horizon - lam + 1
         if ticks < layout.dim + 2:
             return None, f"{ticks} post-outage ticks, fewer than dim + 2 = {layout.dim + 2}"
-        est = estimate_post_outage(stream.values[lam - 1:], _estimation_prior(blocks))
+        stream = next(_synthesize(scenario, [(scenario.seed, lam, scenario.horizon)], lam - 1))
+        est = estimate_post_outage(stream.values, _estimation_prior(blocks))
         return _matrix_csv(est.cov, layout), ""
 
     _, (text, reason) = (forking.forked(exact, estimated) if forking.may_fork()

@@ -169,6 +169,12 @@ class Scenario:
             return self.topology
         return apply_outage(self.topology, set(self.out_branches))
 
+    def outage_tick(self) -> int | None:
+        """lam, or drawn at rate outage_rho from the seed; None without an outage."""
+        if self.out_branches and self.lam is None:
+            return sample_outage_time(self.outage_rho, self.seed)
+        return self.lam if self.out_branches else None
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -215,27 +221,27 @@ def sample_outage_time(rho: float, seed: int) -> int:
 def generate(scenario: Scenario) -> MeasurementStream:
     """Synthesize the measurement stream for a scenario: the one-draw case of
     _synthesize, with the scenario's seed, outage tick and horizon."""
-    lam: int | None = None
-    if scenario.out_branches:
-        lam = scenario.lam if scenario.lam is not None else sample_outage_time(
-            scenario.outage_rho, scenario.seed)
-    return next(_synthesize(scenario, [(scenario.seed, lam, scenario.horizon)]))
+    return next(_synthesize(scenario, [(scenario.seed, scenario.outage_tick(), scenario.horizon)]))
 
 
-def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
+def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[MeasurementStream]:
     """Yields the stream of every draw (seed, outage tick or None, horizon)
     of a scenario, whose own seed, outage and horizon are not read.  What
     depends only on the scenario is set up once, on the first next(), so
     its failures come from there; each draw's transfer products use its own
     rows alone (stacking draws would change the last bits), so its stream
     equals, bit for bit, the one it gives on its own.
+
+    A stream keeps its rows from index first on (period-1 schedules only),
+    bit for bit the tail of the full one, whose normals it draws in sequence.
+    values is column-major, and estimates from it follow that layout.
     """
     m = scenario.topology.bus_count
     std = np.sqrt(_injection_vector(scenario.injection_variance, m) / 2.0)
     # a draw's rows before split run on the pre-outage network, the rest after
     splits = [lam - 1 if lam is not None and lam <= horizon else horizon
               for _, lam, horizon in draws]
-    pre = _transfer_blocks(scenario.topology) if any(splits) else []
+    pre = _transfer_blocks(scenario.topology) if any(s > first for s in splits) else []
     post: list[tuple[np.ndarray, np.ndarray]] = []
     shift = None
     if any(split < horizon for split, (_, _, horizon) in zip(splits, draws)):
@@ -248,6 +254,7 @@ def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
     noise_std = np.sqrt(scenario.noise_variance) if scenario.noise_variance else None
     layout = scenario.schedule.layout()
     cols = layout.indices_in(CoordinateLayout.full_phasor(m))
+    every_column = np.array_equal(cols, np.arange(2 * m))
     periods = np.array(scenario.schedule.channel_periods(layout))
     every_tick = periods == 1
     slow = [(c, int(periods[c])) for c in np.flatnonzero(~every_tick)]
@@ -255,17 +262,22 @@ def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
 
     for (seed, lam, horizon), split in zip(draws, splits):
         inj_rng = substream(seed, "injection")
-        injections = (inj_rng.normal(size=(horizon, m)) +
-                      1j * inj_rng.normal(size=(horizon, m))) * std
-        stacked = np.zeros((horizon, 2 * m))  # re 1..M then im 1..M
+        injections = np.empty((horizon - first, m), dtype=complex)
+        injections.real = inj_rng.standard_normal((horizon, m))[first:]
+        injections.imag = inj_rng.standard_normal((horizon, m))[first:]
+        injections *= std
+        split = max(split - first, 0)
+        stacked = np.zeros((horizon - first, 2 * m), order="F")  # re 1..M then im 1..M
         _apply_transfer(stacked[:split], injections[:split], pre)
         _apply_transfer(stacked[split:], injections[split:], post)
         if shift is not None:
             stacked[split:] += shift
+        if not scenario.record_injections:
+            injections = None
         if noise_std is not None:
-            stacked += noise_std * substream(seed, "noise").normal(size=(horizon, 2 * m))
+            stacked += substream(seed, "noise").normal(0.0, noise_std, (horizon, 2 * m))[first:]
 
-        values = stacked[:, cols]
+        values = stacked if every_column else stacked[:, cols]
         fresh = np.zeros(values.shape, dtype=bool)
         fresh[:, every_tick] = True
         for c, period in slow:
@@ -281,7 +293,7 @@ def _synthesize(scenario: Scenario, draws) -> Iterator[MeasurementStream]:
             values=values,
             fresh=fresh,
             truth=GroundTruth(lam, truth),
-            injections=injections if scenario.record_injections else None,
+            injections=injections,
         )
 
 

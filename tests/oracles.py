@@ -3,8 +3,9 @@
 Only tests use these: the one-step log-odds recursion and the direct
 posterior sum over change positions (the oracles of the detector's
 recursion), the Schur conditional covariance and the per-pair scorer of one
-covariance (the oracles of score_pairs) and the Kron reduction of an
-admittance matrix (the oracle of grid.transfer).  Then small helpers that
+covariance (the oracles of score_pairs), the Kron reduction of an
+admittance matrix (the oracle of grid.transfer) and the per-draw stream
+formula (the oracle of simgen's synthesis).  Then small helpers that
 only tests call: the score of one bus pair, a PSD check of a model's
 covariance, a topology's in-service pairs, an all-magnitude sensor schedule
 and a forced fork setting that counts the forked calls.
@@ -25,11 +26,12 @@ from gridwatch.gaussmodel import (
     MAGNITUDE,
     CoordinateLayout,
     GaussianModel,
+    _injection_vector,
     _tril_inverse,
     log_density,
     score_pairs,
 )
-from gridwatch.grid import GridTopology, SingularBlockError, TopologyError
+from gridwatch.grid import GridTopology, SingularBlockError, TopologyError, substream, transfer
 from gridwatch.simgen import SensorSchedule
 
 
@@ -181,6 +183,52 @@ def kron_reduce(Y: np.ndarray, keep) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise SingularBlockError("Y[eliminated, eliminated]", f"indices {b}")
     return Yaa - Yab @ X
+
+
+def synthesize_draw(scenario, seed: int, lam: int | None,
+                    horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(values, fresh, injections or None) of one draw (seed, outage tick,
+    horizon) of a scenario, whose own seed, outage and horizon are not read,
+    by the direct formula: complex injections as the sum of a real and an
+    imaginary normal draw times the per-bus standard deviation, a row-major
+    stacked array of the transfer products per island and regime, the
+    post-outage mean shift, noise as its standard deviation times standard
+    normals, the sensed columns copied out, and each slower channel's sums
+    over its periods held between its fresh ticks."""
+    m = scenario.topology.bus_count
+    std = np.sqrt(_injection_vector(scenario.injection_variance, m) / 2.0)
+    split = lam - 1 if lam is not None and lam <= horizon else horizon
+    inj_rng = substream(seed, "injection")
+    injections = (inj_rng.normal(size=(horizon, m)) +
+                  1j * inj_rng.normal(size=(horizon, m))) * std
+    stacked = np.zeros((horizon, 2 * m))
+    for rows, topology in ((slice(0, split), scenario.topology),
+                           (slice(split, horizon), scenario.post_topology())):
+        if rows.start == rows.stop:
+            continue
+        for buses, z in transfer(topology):
+            idx = np.array(buses) - 1
+            volts = injections[rows][:, idx] @ z.T
+            stacked[rows, idx] = volts.real
+            stacked[rows, m + idx] = volts.imag
+            if rows.start == split and scenario.mean_shift:
+                stacked[rows, idx] += scenario.mean_shift
+                stacked[rows, m + idx] += scenario.mean_shift
+    if scenario.noise_variance:
+        noise = substream(seed, "noise").normal(size=(horizon, 2 * m))
+        stacked += np.sqrt(scenario.noise_variance) * noise
+    layout = scenario.schedule.layout()
+    values = stacked[:, layout.indices_in(CoordinateLayout.full_phasor(m))]
+    fresh = np.ones(values.shape, dtype=bool)
+    for c, period in enumerate(scenario.schedule.channel_periods(layout)):
+        if period == 1:
+            continue
+        csum = np.concatenate([[0.0], np.cumsum(values[:, c])])
+        for t in range(1, horizon + 1):
+            end = t // period * period  # the last fresh tick at or before t
+            fresh[t - 1, c] = t == end
+            values[t - 1, c] = csum[end] - csum[end - period] if end else 0.0
+    return values, fresh, injections if scenario.record_injections else None
 
 
 def conditional_corr(sigma: np.ndarray, i: int, j: int,

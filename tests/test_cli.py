@@ -195,6 +195,17 @@ def test_heatmap_cli(tmp_path, config_path, capsys):
         f"period 1: bus 8 has period 3\nheatmaps -> {slow_dir}\n")
     assert sorted(p.name for p in slow_dir.iterdir()) == ["heatmap_post.csv",
                                                          "heatmap_pre.csv"]
+    # an outage drawn past the horizon leaves no post-outage tick: the
+    # message names the tick and the horizon
+    conf.write_text(CONFIG.replace("lambda = 21", "outage_rho = 0.001")
+                    .replace("horizon = 60", "horizon = 50"))
+    past_dir = tmp_path / "past"
+    assert main(["heatmap", "--config", str(conf), "--out", str(past_dir)]) == 0
+    assert capsys.readouterr().out == (
+        "heatmap_post_estimated.csv left out: the outage tick 792 is past the horizon 50"
+        f"\nheatmaps -> {past_dir}\n")
+    assert sorted(p.name for p in past_dir.iterdir()) == ["heatmap_post.csv",
+                                                         "heatmap_pre.csv"]
 
 
 def _heatmap_error(tmp_path, capsys, monkeypatch, cpus: int, config: str) -> tuple[dict, int]:

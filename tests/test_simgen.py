@@ -1,12 +1,14 @@
 """Stream synthesis: determinism, model agreement, islands, schedules,
-noise substreams, outage-time sampling, draws of the synthesis core against
-the same draws alone, and stream file round-trips, by one process or two."""
+noise substreams, outage-time sampling, the peak memory of a long stream,
+draws of the synthesis core against the same draws alone and against the
+per-draw formula, and stream file round-trips, by one process or two."""
 
 import dataclasses
 import os
 import pathlib
 import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from gridwatch.simgen import (
     write_stream,
 )
 from gridwatch.textconf import ConfigError, format_blocks
-from oracles import all_magnitude
+from oracles import all_magnitude, synthesize_draw
 
 
 def base_scenario(top, **overrides):
@@ -150,6 +152,23 @@ def test_mean_shift_stress_option(loop8):
     live_cols = [k for k, (bus, _) in enumerate(stream.layout.entries) if bus != 1]
     means = post[:, live_cols].mean(axis=0)
     assert np.all(np.abs(means - 0.25) < 0.05)
+
+
+def test_generate_peak_memory_on_a_long_stream(loop12):
+    # the monitor benchmark's stream: 20 000 ticks of 24 channels hold
+    # 3.84 MB of values and as much of complex injections.  A short stream
+    # first fills the transfer cache of both networks, so that the traced
+    # peak is the synthesis alone.
+    scen = Scenario(topology=loop12, out_branches=((8, 10),), lam=10_000, horizon=20_000,
+                    seed=43)
+    generate(dataclasses.replace(scen, lam=2, horizon=2))
+    tracemalloc.start()
+    try:
+        generate(scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 def test_sample_outage_time_degenerate_and_mean():
@@ -687,6 +706,50 @@ def test_synthesized_draw_does_not_depend_on_its_batch(case):
 def test_islands_example_has_dead_and_der_islands():
     kinds = sorted(island.kind for island in islands(_ISLANDS.post_topology()))
     assert kinds == ["dead", "der", "slack"]
+
+
+# --- the synthesis core against the per-draw formula ------------------------
+
+@st.composite
+def oracle_cases(draw):
+    """synthesis_cases, half of them with a phasor channel at period 1 at
+    every bus: the schedule whose values are the stacked array itself."""
+    scen, draws = draw(synthesis_cases())
+    if draw(st.booleans()):
+        scen = dataclasses.replace(scen,
+                                   schedule=SensorSchedule.all_phasor(scen.topology.bus_count))
+    return scen, draws
+
+
+def _same_as_oracle(stream, expected) -> bool:
+    values, fresh, injections = expected
+    return (stream.values.flags.f_contiguous and stream.values.tobytes() == values.tobytes()
+            and np.array_equal(stream.fresh, fresh)
+            and (stream.injections is None) == (injections is None)
+            and (injections is None or stream.injections.tobytes() == injections.tobytes()))
+
+
+@settings(max_examples=40)
+@example(case=(_ISLANDS, [(5, 1, 9), (6, 12, 12), (7, 15, 10), (8, 4, 7)]))
+@given(case=oracle_cases())
+def test_synthesis_matches_the_per_draw_formula(case):
+    scen, draws = case
+    for (seed, lam, horizon), stream in zip(draws, simgen._synthesize(scen, draws)):
+        assert _same_as_oracle(stream, synthesize_draw(scen, seed, lam, horizon))
+        if lam <= horizon:
+            alone = dataclasses.replace(scen, seed=seed, lam=lam, outage_rho=None,
+                                        horizon=horizon)
+            assert _same_as_oracle(generate(alone), synthesize_draw(scen, seed, lam, horizon))
+    # a period-1 stream kept from its outage on is the tail of the full one
+    flat = dataclasses.replace(scen, schedule=SensorSchedule(
+        tuple((bus, kind, 1) for bus, kind, _ in scen.schedule.entries)))
+    for seed, lam, horizon in draws:
+        if lam <= horizon:
+            values, fresh, injections = synthesize_draw(flat, seed, lam, horizon)
+            tail = next(simgen._synthesize(flat, [(seed, lam, horizon)], lam - 1))
+            assert tail.horizon == horizon - lam + 1 and tail.truth.lam == lam
+            assert _same_as_oracle(tail, (values[lam - 1:], fresh[lam - 1:], None
+                                          if injections is None else injections[lam - 1:]))
 
 
 # --- synthesis matches the model ------------------------------------------

@@ -19,11 +19,13 @@ def run_tool(script: str, *args: str) -> list[list[str]]:
 
 def test_scaling_prints_a_row_per_size():
     lines = run_tool("scaling.py", "--repeats", "1")
-    assert lines[0] == ["m", "d", "build", "generate", "known_f", "estimate", "pairs",
-                        "floors", "adapt100", "adapt800"]
+    assert lines[0] == ["m", "d", "build", "generate", "generate_mb", "known_f", "estimate",
+                        "pairs", "floors", "adapt100", "adapt800"]
     assert [row[:2] for row in lines[1:]] == [[str(m), str(2 * m)] for m in (10, 30, 60, 90)]
     for row in lines[1:]:
         assert len(row) == len(lines[0]) and all(float(cell) >= 0.0 for cell in row[2:-2])
+        # the peak holds at least the 2 000 x d float values that generate returns
+        assert float(row[4]) >= 2000 * int(row[1]) * 8 / 1e6
         # an adaptive window below nmin = d + 2 has no refreshed step to time
         for window, cell in zip((100, 800), row[-2:]):
             assert cell == "-" if window < int(row[1]) + 2 else float(cell) > 0.0

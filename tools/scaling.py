@@ -6,6 +6,9 @@ full (phasor at every bus, d = 2m), with its first loop branch out at tick
 
     build     model_from_topology, with the transfer cache cleared first
     generate  generate of the 2 000-tick stream
+    generate_mb
+              the tracemalloc peak of one such generate call, in MB (10^6
+              bytes), once the feeder's transfer blocks are cached
     known_f   log_odds_traces of the 2 000 ticks with the post-outage model
     estimate  estimate_post_outage over the 2 000 ticks
     pairs     score_pairs of every bus pair of one covariance
@@ -34,6 +37,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -54,7 +58,7 @@ SIZES = (10, 30, 60, 90)
 TICKS = 2000
 WINDOWS = (100, 800)
 REFITS = 100
-COLUMNS = ("build", "generate", "known_f", "estimate", "pairs", "floors",
+COLUMNS = ("build", "generate", "generate_mb", "known_f", "estimate", "pairs", "floors",
            *(f"adapt{w}" for w in WINDOWS))
 
 
@@ -67,6 +71,15 @@ def median_seconds(job, repeats: int, before=None) -> float:
         job()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def peak_mb(job) -> float:
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
@@ -98,6 +111,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
         median_seconds(lambda: model_from_topology(topology, 1.0, 1e-8), repeats,
                        before=grid.transfer.cache_clear),
         median_seconds(lambda: generate(scenario), repeats),
+        peak_mb(lambda: generate(scenario)),
         median_seconds(lambda: log_odds_traces([stream.values], g, 1e-4, f), repeats),
         median_seconds(lambda: estimate_post_outage(stream.values, prior), repeats),
         median_seconds(lambda: score_pairs(cov, pairs, layout), repeats),
