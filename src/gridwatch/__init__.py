@@ -43,7 +43,6 @@ from .simgen import (
     SensorSchedule,
     generate,
     parse_stream,
-    sample_outage_time,
     write_stream,
 )
 

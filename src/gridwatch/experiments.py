@@ -23,7 +23,7 @@ from .gaussmodel import (
 )
 from .detector import expected_delay_bound
 from .grid import substream
-from .simgen import Scenario, _synthesize, sample_outage_time
+from .simgen import Scenario, _synthesize
 
 MODES = (det.KNOWN_F, det.ADAPTIVE)
 
@@ -113,13 +113,9 @@ def _default_margin(config: ExperimentConfig, kl: float) -> int:
 
 def _replication_draw(config: ExperimentConfig, rep: int, margin: int) -> tuple[int, int, int]:
     """(seed, outage tick, horizon) of a replication: a fresh seed, the
-    outage tick drawn from the geometric prior (or kept as configured when
-    fixed), and margin ticks past it."""
+    scenario's outage tick for that seed, and margin ticks past it."""
     seed = int(substream(config.master_seed, "replication", rep).integers(2 ** 62))
-    if config.scenario.outage_rho is not None:
-        lam = sample_outage_time(config.scenario.outage_rho, seed)
-    else:
-        lam = config.scenario.lam
+    lam = config.scenario.outage_tick(seed)
     return seed, lam, lam + margin
 
 

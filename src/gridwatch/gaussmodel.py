@@ -205,12 +205,6 @@ def ridge_epsilon(cov: np.ndarray) -> np.ndarray:
     return 1e-8 * np.where(tr > 0, tr / cov.shape[-1], 1.0)
 
 
-def sample(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n vectors from the model via its cached Cholesky factor."""
-    chol, _ = model._factor()
-    return model.mean + rng.normal(size=(n, model.dim)) @ chol.T
-
-
 def log_density(model: GaussianModel, x) -> float | np.ndarray:
     """Multivariate normal log-density via the model's cached whitener, the
     inverse of its Cholesky factor: one matrix product per call.

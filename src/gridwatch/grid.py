@@ -333,24 +333,12 @@ def random_feeder(bus_count: int, loops: int = 0, seed: int = 0,
         adj[br.from_bus].add(br.to_bus)
         adj[br.to_bus].add(br.from_bus)
 
-    def distance(u: int, v: int) -> int:
-        seen = {u: 0}
-        queue = [u]
-        while queue:
-            nxt = []
-            for node in queue:
-                for w in adj[node]:
-                    if w not in seen:
-                        seen[w] = seen[node] + 1
-                        if w == v:
-                            return seen[w]
-                        nxt.append(w)
-            queue = nxt
-        return 10 ** 9
-
     for _ in range(loops):
-        candidates = [(u, v) for u in range(2, bus_count + 1)
-                      for v in range(u + 1, bus_count + 1) if distance(u, v) >= 3]
+        # v is at distance >= 3 from u exactly when it is not within two hops
+        candidates = []
+        for u in range(2, bus_count + 1):
+            near = adj[u].union(*(adj[w] for w in adj[u]))
+            candidates += [(u, v) for v in range(u + 1, bus_count + 1) if v not in near]
         if not candidates:
             raise TopologyError(
                 f"no room for another loop in a {bus_count}-bus feeder "

@@ -152,6 +152,9 @@ class Scenario:
                 raise ValueError(f"[scenario].lambda = {self.lam} is outside 1..{self.horizon}")
             if self.outage_rho is not None and not 0.0 < self.outage_rho <= 1.0:
                 raise ValueError(f"[scenario].outage_rho = {self.outage_rho} is outside (0, 1]")
+            if self.lam is not None and self.outage_rho is not None:
+                raise ValueError("[scenario].lambda and [scenario].outage_rho are given "
+                                 "together: set one of them")
         if self.schedule is None:
             object.__setattr__(
                 self, "schedule", SensorSchedule.all_phasor(self.topology.bus_count))
@@ -169,11 +172,14 @@ class Scenario:
             return self.topology
         return apply_outage(self.topology, set(self.out_branches))
 
-    def outage_tick(self) -> int | None:
-        """lam, or drawn at rate outage_rho from the seed; None without an outage."""
-        if self.out_branches and self.lam is None:
-            return sample_outage_time(self.outage_rho, self.seed)
-        return self.lam if self.out_branches else None
+    def outage_tick(self, seed: int | None = None) -> int | None:
+        """The outage's first tick, the one rule of every command and Monte
+        Carlo draw: lam when fixed, else geometric at rate outage_rho, drawn
+        from seed (the scenario's own when None); None without an outage."""
+        if not self.out_branches or self.lam is not None:
+            return self.lam if self.out_branches else None
+        seed = self.seed if seed is None else seed
+        return int(substream(seed, "outage-time").geometric(self.outage_rho))
 
 
 @dataclass(frozen=True)
@@ -207,15 +213,6 @@ class MeasurementStream:
         re_idx = [self.layout.entries.index((b, "re")) for b in buses]
         im_idx = [self.layout.entries.index((b, "im")) for b in buses]
         return self.values[:, re_idx] + 1j * self.values[:, im_idx]
-
-
-def sample_outage_time(rho: float, seed: int) -> int:
-    """Geometric outage tick of rate rho in (0, 1], deterministic per seed."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
-    if rho == 1.0:
-        return 1
-    return int(substream(seed, "outage-time").geometric(rho))
 
 
 def generate(scenario: Scenario) -> MeasurementStream:
@@ -630,14 +627,15 @@ def _sensor_blocks(schedule: SensorSchedule) -> list[tuple[str, dict[str, str]]]
 
 
 def _read_schedule(blocks) -> SensorSchedule | None:
-    """The schedule of the [sensor] blocks, None without one; a bus's later
-    block wins, as a stream sidecar holds each twice (in the scenario echo)."""
-    kinds: dict[int, tuple[str, int]] = {}
+    """The schedule of the [sensor] blocks, None without one.  A repeated
+    block is read once, as a stream sidecar holds each twice (in the
+    scenario echo); two that disagree about a bus are a duplicate entry."""
+    entries = {}
     for section, fields in blocks:
         if section == "sensor":
             sensor = textconf.read("sensor", fields, _SENSOR, required=_SENSOR)
-            kinds[sensor["bus"]] = (sensor["kind"], sensor["period"])
-    return SensorSchedule.from_kinds(kinds) if kinds else None
+            entries[sensor["bus"], sensor["kind"], sensor["period"]] = None
+    return SensorSchedule(tuple(entries)) if entries else None
 
 
 def scenario_blocks(scenario: Scenario) -> list[tuple[str, dict[str, str]]]:

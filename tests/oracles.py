@@ -7,7 +7,7 @@ covariance (the oracles of score_pairs), the Kron reduction of an
 admittance matrix (the oracle of grid.transfer) and the per-draw stream
 formula (the oracle of simgen's synthesis).  Then small helpers that
 only tests call: the score of one bus pair, a PSD check of a model's
-covariance, a topology's in-service pairs, an all-magnitude sensor schedule
+covariance, draws from a model, a topology's in-service pairs, an all-magnitude sensor schedule
 and a forced fork setting that counts the forked calls.
 They lean on scipy, which the package itself does not import.
 """
@@ -244,6 +244,12 @@ def validate_psd(model: GaussianModel, floor: float = -1e-10) -> None:
     scale = max(1.0, float(np.abs(model.cov).max()))
     if lo < floor * scale:
         raise ValueError(f"covariance has eigenvalue {lo:.3e} below the PSD floor")
+
+
+def sample(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n vectors from the model via its cached Cholesky factor."""
+    chol, _ = model._factor()
+    return model.mean + rng.normal(size=(n, model.dim)) @ chol.T
 
 
 def in_service_pairs(topology: GridTopology) -> list[tuple[int, int]]:

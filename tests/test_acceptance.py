@@ -44,7 +44,6 @@ from gridwatch.gaussmodel import (
     GaussianModel,
     estimate_post_outage,
     estimate_windows,
-    sample,
 )
 from gridwatch.grid import (
     apply_outage,
@@ -55,7 +54,13 @@ from gridwatch.grid import (
 )
 from gridwatch.localizer import EXACT_THRESHOLDS, scan_pairs
 from gridwatch.simgen import Scenario, generate, substream
-from oracles import conditional_cov, in_service_pairs, kron_reduce, posterior_direct
+from oracles import (
+    conditional_cov,
+    in_service_pairs,
+    kron_reduce,
+    posterior_direct,
+    sample,
+)
 
 
 @contextlib.contextmanager

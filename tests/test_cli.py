@@ -13,7 +13,7 @@ import pytest
 from gridwatch import cli, experiments, simgen, textconf
 from gridwatch.cli import main
 from gridwatch.detector import DetectorConfig
-from gridwatch.grid import SingularBlockError, load_feeder
+from gridwatch.grid import SingularBlockError, format_feeder, load_feeder, random_feeder, transfer
 from gridwatch.simgen import parse_stream
 from oracles import forks_under
 
@@ -154,6 +154,29 @@ def test_failing_replication_is_reported_as_in_one_process(tmp_path, config_path
     assert errors[1]["error"] == "RuntimeError"
     assert errors[1]["message"].startswith(
         f"replication {bad[0]} (seed {seeds[bad[0]][0]}) failed: ")
+
+
+def test_simulate_der_feeder_echo_keeps_der_buses(tmp_path, capsys):
+    # a DER-backed feeder read from a file; outage 4-5 cuts off the island
+    # 5, 13, 14, 20, grounded at its DER bus 20.  The sidecar's scenario echo
+    # keeps the DER buses and with them every transfer block.
+    top = random_feeder(24, 2, 5, der_buses={9, 17, 20})
+    (tmp_path / "der24.feeder").write_text(format_feeder(top))
+    conf = tmp_path / "der.conf"
+    conf.write_text("[scenario]\nfeeder = der24.feeder\noutage = 4-5\nlambda = 10\n"
+                    "horizon = 30\nseed = 3\n")
+    out = tmp_path / "stream"
+    run_ok(["simulate", "--config", str(conf), "--out", str(out)], capsys)
+    stream = parse_stream(str(out / "stream.csv"), str(out / "stream.meta"))
+    rebuilt = simgen.scenario_from_blocks(stream.meta)
+    assert rebuilt.topology.der_buses == {9, 17, 20}
+    scenario = simgen.Scenario(top, ((4, 5),), lam=10)
+    for got, want in ((rebuilt.topology, top),
+                      (rebuilt.post_topology(), scenario.post_topology())):
+        got, want = transfer(got), transfer(want)
+        assert [buses for buses, _ in got] == [buses for buses, _ in want]
+        for (_, z), (_, w) in zip(got, want):
+            np.testing.assert_array_equal(z, w)
 
 
 def _sensors(bus_count: int, periods: dict) -> str:
@@ -324,6 +347,10 @@ BAD_INPUTS = {
                             "ConfigError", "[localize]: zero and active"),
     "lambda_minus_one": ("simulate", "lambda = 21", "lambda = -1\noutage_rho = 0.04",
                          "ValueError", "[scenario].lambda = -1"),
+    # simulate took the fixed tick and experiment drew its own: one config, two readings
+    "lambda_and_outage_rho": ("experiment", "lambda = 21", "lambda = 21\noutage_rho = 0.04",
+                              "ValueError", "[scenario].lambda and [scenario].outage_rho are "
+                                            "given together: set one of them"),
     "outage_rho_minus_one": ("experiment", "lambda = 21", "outage_rho = -1", "ValueError",
                              "[scenario].outage_rho = -1"),
     "unknown_section": ("experiment", "[experiment]", "[experimnet]", "ConfigError",
@@ -362,6 +389,10 @@ BAD_INPUTS = {
                                 _sensors(8, {8: 3}) + "\n[localize]", "ValueError",
                                 "experiments need every channel at period 1: bus 8 has "
                                 "period 3"),
+    # a later block used to win without a word
+    "sensor_blocks_disagree": ("simulate", "[localize]",
+                               _sensors(8, {}) + _sensors(8, {7: 15}) + "\n[localize]",
+                               "ValueError", "duplicate schedule entry for bus 7"),
     "inflate_nan": ("detect", "mode = known_f", "mode = adaptive\ninflate = nan",
                     "ValueError", "inflate must be a finite number above 0, got nan"),
     "inflate_minus_one": ("detect", "mode = known_f", "mode = adaptive\ninflate = -1",

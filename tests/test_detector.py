@@ -23,10 +23,10 @@ from gridwatch.detector import (
     log_odds_traces,
     run_detector,
 )
-from gridwatch.gaussmodel import GaussianModel, sample
+from gridwatch.gaussmodel import GaussianModel
 from gridwatch.grid import load_feeder
-from gridwatch.simgen import Scenario, SensorSchedule, generate, sample_outage_time
-from oracles import advance_log_odds, all_magnitude, posterior_direct
+from gridwatch.simgen import Scenario, SensorSchedule, generate
+from oracles import advance_log_odds, all_magnitude, posterior_direct, sample
 
 
 def scalar_models(mu_f=1.0, var_f=1.0):
@@ -268,9 +268,10 @@ def test_mixed_period_false_alarm_rate_within_two_alpha(loop8, kinds, seed):
     base = Scenario(loop8, ((7, 8),), lam=1, noise_variance=1e-4, schedule=schedule)
     g, f = base.pre_model(), base.post_model()
     alpha, rho = 1e-2, 0.02
+    prior = dataclasses.replace(base, lam=None, outage_rho=rho)
     false = {KNOWN_F: 0, ADAPTIVE: 0}
     for run in range(seed * MIXED_RUNS, (seed + 1) * MIXED_RUNS):
-        k = sample_outage_time(rho, run)
+        k = prior.outage_tick(run)
         stream = generate(dataclasses.replace(base, lam=(k - 1) * period + 1,
                                               horizon=k * period, seed=run))
         for mode in false:

@@ -33,11 +33,10 @@ from gridwatch.gaussmodel import (
     estimate_post_outage,
     log_density,
     log_density_stack,
-    sample,
 )
 from gridwatch.grid import SingularBlockError, load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
-from oracles import advance_log_odds
+from oracles import advance_log_odds, sample
 
 REL = 1e-9
 

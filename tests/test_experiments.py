@@ -210,6 +210,16 @@ def test_experiment_fixed_outage_time(loop8):
     assert table.rows[0].censored == 0
 
 
+@pytest.mark.parametrize("outage", [{}, dict(outage_rho=None, lam=7)])
+def test_replication_draw_takes_the_scenarios_outage_tick(loop8, outage):
+    # one rule for the outage tick: a replication's is the scenario's at its seed
+    cfg = ExperimentConfig(scenario=delay_scenario(loop8, **outage), rho=1e-3,
+                           replications=20, master_seed=2)
+    for rep in range(20):
+        seed, lam, horizon = experiments._replication_draw(cfg, rep, 8)
+        assert lam == cfg.scenario.outage_tick(seed) and horizon == lam + 8
+
+
 def test_replication_failure_names_replication_and_seed():
     from gridwatch.experiments import _replication_draw, _score_chunk
     from gridwatch.grid import Branch, GridTopology

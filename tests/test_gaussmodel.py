@@ -31,7 +31,6 @@ from gridwatch.gaussmodel import (
     log_density_stack,
     model_from_topology,
     ridge_epsilon,
-    sample,
     score_pairs,
 )
 from gridwatch.grid import (
@@ -43,7 +42,7 @@ from gridwatch.grid import (
     load_feeder,
 )
 from gridwatch.simgen import Scenario, generate
-from oracles import conditional_corr, conditional_cov, validate_psd
+from oracles import conditional_corr, conditional_cov, sample, validate_psd
 
 
 def random_model(rng, d, mean_scale=1.0):

@@ -322,6 +322,14 @@ def test_feeder_round_trip(loop8):
         loop8.bus_count, loop8.branches, loop8.slack, loop8.der_buses, "")
 
 
+def test_der_feeder_round_trip():
+    # a DER bus is written as der = true and read back as one
+    top = random_feeder(24, 2, 5, der_buses={9, 17, 20})
+    back = parse_feeder(format_feeder(top))
+    assert back == GridTopology(top.bus_count, top.branches, top.slack, top.der_buses, "")
+    assert back.der_buses == {9, 17, 20}
+
+
 def test_feeder_rejects_unknown_keys():
     text = "[bus]\nid = 1\nvoltage = 11\n"
     with pytest.raises(ConfigError, match="unknown keys"):

@@ -20,10 +20,10 @@ EXPORTS = {
     "estimate_post_outage", "expected_delay_bound", "generate", "islands", "kl_divergence",
     "load_feeder", "log_density", "model_from_topology", "parse_feeder",
     "parse_stream", "random_feeder", "run_detector", "run_experiment",
-    "run_pmu_sweep", "sample_outage_time", "scan_pairs", "score_pairs",
+    "run_pmu_sweep", "scan_pairs", "score_pairs",
     "transfer", "write_stream", "zero_test_floors",
 }
 
 
 def test_exported_names_are_unchanged():
-    assert set(gridwatch.__all__) == EXPORTS and len(EXPORTS) == 45
+    assert set(gridwatch.__all__) == EXPORTS and len(EXPORTS) == 44

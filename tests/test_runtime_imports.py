@@ -198,5 +198,5 @@ def test_package_names_load_on_first_use(tmp_path):
     [before] = _loaded(done.stdout)
     names, unlike = map(json.loads, done.stdout.splitlines()[1:])
     assert set(before).isdisjoint(DEFERRED)
-    assert names == sorted(gridwatch.__all__) and len(names) == 45
+    assert names == sorted(gridwatch.__all__) and len(names) == 44
     assert unlike == []

@@ -30,7 +30,6 @@ from gridwatch.simgen import (
     SensorSchedule,
     generate,
     parse_stream,
-    sample_outage_time,
     scenario_blocks,
     scenario_from_blocks,
     write_stream,
@@ -171,11 +170,28 @@ def test_generate_peak_memory_on_a_long_stream(loop12):
     assert peak <= 12e6, peak
 
 
-def test_sample_outage_time_degenerate_and_mean():
-    assert all(sample_outage_time(1.0, seed) == 1 for seed in range(5))
-    rng_draws = [sample_outage_time(0.04, seed) for seed in range(100_000)]
+def test_outage_tick_degenerate_and_mean(loop8):
+    certain = base_scenario(loop8, out_branches=((3, 4),), outage_rho=1.0)
+    assert all(certain.outage_tick(seed) == 1 for seed in range(5))
+    geometric = base_scenario(loop8, out_branches=((3, 4),), outage_rho=0.04)
+    rng_draws = [geometric.outage_tick(seed) for seed in range(100_000)]
     assert np.mean(rng_draws) == pytest.approx(25.0, rel=0.02)
-    assert sample_outage_time(0.04, 7) == sample_outage_time(0.04, 7)
+    assert geometric.outage_tick(7) == geometric.outage_tick(7)
+
+
+def test_generate_puts_the_outage_at_outage_tick(loop8):
+    # without a seed the draw is the scenario's own
+    scen = base_scenario(loop8, out_branches=((7, 8),), outage_rho=0.04, seed=3, horizon=100)
+    assert generate(scen).truth.lam == scen.outage_tick() == scen.outage_tick(3)
+    assert scen.outage_tick() != scen.outage_tick(4)
+
+
+def test_repeated_sensor_blocks_read_once_and_conflicts_rejected():
+    phasor7 = ("sensor", {"bus": "7", "kind": "phasor", "period": "1"})
+    assert simgen._read_schedule([phasor7, phasor7]).entries == ((7, "phasor", 1),)
+    magnitude7 = ("sensor", {"bus": "7", "kind": "magnitude", "period": "15"})
+    with pytest.raises(ValueError, match="^duplicate schedule entry for bus 7$"):
+        simgen._read_schedule([phasor7, magnitude7])
 
 
 def test_fixed_outage_time_bypasses_sampling(loop8):
@@ -190,6 +206,9 @@ def test_scenario_validation(loop8):
         base_scenario(loop8, out_branches=((3, 4),), lam=99, horizon=50)
     with pytest.raises(ValueError, match="fixed time"):
         base_scenario(loop8, out_branches=((3, 4),))
+    with pytest.raises(ValueError, match=r"^\[scenario\]\.lambda and \[scenario\]\.outage_rho "
+                                         r"are given together"):
+        base_scenario(loop8, out_branches=((3, 4),), lam=21, outage_rho=0.04)
     with pytest.raises(ValueError, match="at least one bus"):
         SensorSchedule(())
 
