@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import forking, textconf
-from .gaussmodel import GeometricPrior, estimate_post_outage
+from .gaussmodel import GeometricPrior, _injection_vector, estimate_post_outage
+from .grid import SingularBlockError, transfer
 from .simgen import (
     Scenario,
     _synthesize,
@@ -262,8 +263,17 @@ def cmd_localize(args) -> None:
                                           layout)
         except ValueError as exc:
             raise textconf.ConfigError(f"[localize]: {exc}") from None
-    report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
-                        noise_floor=None if exact else scenario.noise_variance)
+    try:
+        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
+                            noise_floor=None if exact else scenario.noise_variance)
+    except SingularBlockError:
+        silent = _silent_driven_buses(scenario) if exact else []
+        if not silent:
+            raise
+        raise textconf.ConfigError(
+            f"[localize] exact = true scores the noise-free covariance, which is singular: "
+            f"[injection] leaves driven buses {', '.join(map(str, silent))} at variance 0"
+        ) from None
     if thresholds is None:
         # the window cannot show any score below delta: scores, but no flags
         report = dataclasses.replace(report, flagged=frozenset())
@@ -294,6 +304,17 @@ def cmd_localize(args) -> None:
 
     flagged = ", ".join(f"{i}-{j}" for i, j in sorted(report.flagged)) or "(none)"
     print(f"flagged branches: {flagged}")
+
+
+def _silent_driven_buses(scenario: Scenario) -> list[int]:
+    """The buses that grid.transfer drives in the pre- or post-outage
+    network but that draw no injection (variance 0).  Each still moves with
+    its neighbours, so its coordinates keep their variance but add no rank:
+    with one of them the noise-free covariance of all coordinates is
+    singular."""
+    var = _injection_vector(scenario.injection_variance, scenario.topology.bus_count)
+    return sorted({bus for topology in (scenario.topology, scenario.post_topology())
+                   for buses, _ in transfer(topology) for bus in buses if var[bus - 1] == 0.0})
 
 
 def _monte_carlo(blocks, args, **options):

@@ -373,14 +373,17 @@ def _step_increments(stream, step_period: int) -> tuple[np.ndarray, np.ndarray]:
     and its sample is the sum of the fresh values of its ticks, added in
     tick order to a zero row: bit for bit what a running per-tick
     accumulator gives (ndarray.sum over the tick axis adds pairwise for some
-    shapes, one channel with a long period among them).
+    shapes, one channel with a long period among them).  x is built in
+    place, with no copy of the whole stream: the fresh values of each step's
+    first tick plus 0.0 (0.0 + v, which turns a -0.0 sample into 0.0 as the
+    zero row does), then those of its later ticks added in order.
     """
     steps = stream.horizon // step_period
-    fresh = np.where(stream.fresh, stream.values, 0.0)[: steps * step_period]
-    fresh = fresh.reshape(steps, step_period, stream.values.shape[1])
-    x = np.zeros((steps, stream.values.shape[1]))
-    for k in range(step_period):
-        x += fresh[:, k]
+    ticks = [slice(k, steps * step_period, step_period) for k in range(step_period)]
+    x = np.where(stream.fresh[ticks[0]], stream.values[ticks[0]], 0.0)
+    x += 0.0
+    for rows in ticks[1:]:
+        x += np.where(stream.fresh[rows], stream.values[rows], 0.0)
     return step_period * np.arange(1, steps + 1), x
 
 

@@ -76,10 +76,6 @@ class SensorSchedule:
     def all_phasor(cls, bus_count: int) -> "SensorSchedule":
         return cls(tuple((b, PHASOR, 1) for b in range(1, bus_count + 1)))
 
-    @classmethod
-    def from_kinds(cls, kinds: dict[int, tuple[str, int]]) -> "SensorSchedule":
-        return cls(tuple((b, k, p) for b, (k, p) in sorted(kinds.items())))
-
     def layout(self) -> CoordinateLayout:
         return CoordinateLayout.from_kinds({b: k for b, k, _ in self.entries})
 
@@ -239,15 +235,14 @@ def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[Measureme
     splits = [lam - 1 if lam is not None and lam <= horizon else horizon
               for _, lam, horizon in draws]
     pre = _transfer_blocks(scenario.topology) if any(s > first for s in splits) else []
-    post: list[tuple[np.ndarray, np.ndarray]] = []
+    post: list[tuple[slice | np.ndarray, np.ndarray]] = []
     shift = None
     if any(split < horizon for split, (_, _, horizon) in zip(splits, draws)):
         post = _transfer_blocks(scenario.post_topology())
         if scenario.mean_shift:
             shift = np.zeros(2 * m)
-            for idx, _ in post:
-                shift[idx] = scenario.mean_shift
-                shift[m + idx] = scenario.mean_shift
+            for cols, _ in post:
+                shift[cols] = shift[_imag_columns(cols, m)] = scenario.mean_shift
     noise_std = np.sqrt(scenario.noise_variance) if scenario.noise_variance else None
     layout = scenario.schedule.layout()
     cols = layout.indices_in(CoordinateLayout.full_phasor(m))
@@ -294,21 +289,32 @@ def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[Measureme
         )
 
 
-def _transfer_blocks(topology: GridTopology) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(0-based bus indices, Z^T) per energised island of grid.transfer."""
-    return [(np.array(buses) - 1, z.T) for buses, z in transfer(topology)]
+def _transfer_blocks(topology: GridTopology) -> list[tuple[slice | np.ndarray, np.ndarray]]:
+    """(columns, Z^T) per energised island of grid.transfer: the 0-based
+    indices of its driven buses, as a slice when they form one run of ids
+    (so that reading them takes no copy) and as an index array otherwise."""
+    # sorted, distinct buses form a run when they span no more ids than their count
+    return [(slice(buses[0] - 1, buses[-1]) if buses[-1] - buses[0] < len(buses)
+             else np.array(buses) - 1, z.T) for buses, z in transfer(topology)]
 
 
 def _apply_transfer(stacked: np.ndarray, injections: np.ndarray,
-                    blocks: list[tuple[np.ndarray, np.ndarray]]) -> None:
+                    blocks: list[tuple[slice | np.ndarray, np.ndarray]]) -> None:
     """Writes the real and imaginary parts of Z @ injections, rows of one
     regime, into the two halves of stacked, per island block of that
-    regime; grounding buses and dead islands stay zero."""
+    regime; grounding buses and dead islands stay zero.  An island read
+    through a slice multiplies a view of the injections' columns, the
+    product BLAS gives for their copy bit for bit."""
     m = injections.shape[1]
-    for idx, zt in blocks:
-        volts = injections[:, idx] @ zt
-        stacked[:, idx] = volts.real
-        stacked[:, m + idx] = volts.imag
+    for cols, zt in blocks:
+        volts = injections[:, cols] @ zt
+        stacked[:, cols] = volts.real
+        stacked[:, _imag_columns(cols, m)] = volts.imag
+
+
+def _imag_columns(cols: slice | np.ndarray, m: int) -> slice | np.ndarray:
+    """The stacked columns of the imaginary parts of the buses at cols."""
+    return slice(m + cols.start, m + cols.stop) if isinstance(cols, slice) else m + cols
 
 
 # --- stream files ------------------------------------------------------------

@@ -4,11 +4,15 @@ Only tests use these: the one-step log-odds recursion and the direct
 posterior sum over change positions (the oracles of the detector's
 recursion), the Schur conditional covariance and the per-pair scorer of one
 covariance (the oracles of score_pairs), the Kron reduction of an
-admittance matrix (the oracle of grid.transfer) and the per-draw stream
-formula (the oracle of simgen's synthesis).  Then small helpers that
-only tests call: the score of one bus pair, a PSD check of a model's
-covariance, draws from a model, a topology's in-service pairs, an all-magnitude sensor schedule
-and a forced fork setting that counts the forked calls.
+admittance matrix (the oracle of grid.transfer), the per-draw stream
+formula (the oracle of simgen's synthesis), an island's transfer products
+through a copy of its injection columns and the detector's step samples
+added to a zero row (the earlier forms of simgen._apply_transfer and
+detector._step_increments).  Then small helpers that only tests call: the
+score of one bus pair, a PSD check of a model's covariance, draws from a
+model, a topology's in-service pairs, sensor schedules from a {bus: (kind,
+period)} table or all magnitude, and a forced fork setting that counts the
+forked calls.
 They lean on scipy, which the package itself does not import.
 """
 
@@ -231,6 +235,31 @@ def synthesize_draw(scenario, seed: int, lam: int | None,
     return values, fresh, injections if scenario.record_injections else None
 
 
+def transfer_through_copy(stacked: np.ndarray, injections: np.ndarray,
+                          topology: GridTopology) -> None:
+    """simgen._apply_transfer by copying each island's injection columns out
+    with an index array: the real and imaginary parts of Z @ injections per
+    energised island of the topology, into the two halves of stacked."""
+    m = injections.shape[1]
+    for buses, z in transfer(topology):
+        idx = np.array(buses) - 1
+        volts = injections[:, idx] @ z.T
+        stacked[:, idx] = volts.real
+        stacked[:, m + idx] = volts.imag
+
+
+def step_increments_from_zeros(stream, step_period: int) -> tuple[np.ndarray, np.ndarray]:
+    """detector._step_increments by adding the fresh values of every tick of
+    a step, in tick order, to a zero row."""
+    steps = stream.horizon // step_period
+    fresh = np.where(stream.fresh, stream.values, 0.0)[: steps * step_period]
+    fresh = fresh.reshape(steps, step_period, stream.values.shape[1])
+    x = np.zeros((steps, stream.values.shape[1]))
+    for k in range(step_period):
+        x += fresh[:, k]
+    return step_period * np.arange(1, steps + 1), x
+
+
 def conditional_corr(sigma: np.ndarray, i: int, j: int,
                      layout: CoordinateLayout) -> float:
     """Conditional-correlation score of one bus pair; see score_pairs."""
@@ -254,6 +283,11 @@ def sample(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray
 
 def in_service_pairs(topology: GridTopology) -> list[tuple[int, int]]:
     return [br.pair for br in topology.branches if br.in_service]
+
+
+def schedule_from_kinds(kinds: dict[int, tuple[str, int]]) -> SensorSchedule:
+    """The schedule of a {bus: (kind, period)} table."""
+    return SensorSchedule(tuple((b, k, p) for b, (k, p) in sorted(kinds.items())))
 
 
 def all_magnitude(bus_count: int, period: int = 1) -> SensorSchedule:

@@ -537,6 +537,23 @@ def _localize_error(tmp_path, capsys, config):
     return json.loads(capsys.readouterr().err.splitlines()[-1])
 
 
+def test_exact_localize_names_the_driven_buses_without_injection(tmp_path, capsys):
+    # the README's [injection] block: buses 2, 3, 7 and 8 of loop8 drive
+    # voltages but draw no injection, so the noise-free covariance is singular
+    conf = tmp_path / "silent.conf"
+    conf.write_text(CONFIG.replace(_INJECTION_BLOCK, "\n[injection]\nbus4 = 4.0\n"
+                                                     "bus5 = 4.0\nbus6 = 6.0\n"))
+    stream = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", str(conf), "--out", stream], capsys)
+    code = main(["localize", "--config", str(conf), "--stream", stream,
+                 "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert code == 2
+    assert err == {"error": "ConfigError", "message": (
+        "[localize] exact = true scores the noise-free covariance, which is singular: "
+        "[injection] leaves driven buses 2, 3, 7, 8 at variance 0")}
+
+
 def test_localize_all_pairs_and_explicit_thresholds(tmp_path, config_path, capsys):
     stream_dir = str(tmp_path / "stream")
     run_ok(["simulate", "--config", config_path, "--out", stream_dir], capsys)

@@ -26,7 +26,13 @@ from gridwatch.detector import (
 from gridwatch.gaussmodel import GaussianModel
 from gridwatch.grid import load_feeder
 from gridwatch.simgen import Scenario, SensorSchedule, generate
-from oracles import advance_log_odds, all_magnitude, posterior_direct, sample
+from oracles import (
+    advance_log_odds,
+    all_magnitude,
+    posterior_direct,
+    sample,
+    schedule_from_kinds,
+)
 
 
 def scalar_models(mu_f=1.0, var_f=1.0):
@@ -263,7 +269,7 @@ def test_mixed_period_false_alarm_rate_within_two_alpha(loop8, kinds, seed):
     # starts step k and the stream ends with it, so an alarm is false
     # exactly when it comes before the outage.  Were the false-alarm rate
     # 2 alpha, a count above the limit would have probability below 1e-6.
-    schedule = SensorSchedule.from_kinds(kinds)
+    schedule = schedule_from_kinds(kinds)
     period = math.lcm(*(p for _, p in kinds.values()))
     base = Scenario(loop8, ((7, 8),), lam=1, noise_variance=1e-4, schedule=schedule)
     g, f = base.pre_model(), base.post_model()

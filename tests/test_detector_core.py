@@ -4,10 +4,12 @@ a time with log_density and advances the recursion step by step.  A batch
 of traces against one core call per trace, the stop at the smallest
 alpha's threshold against the full trace, and the alarm steps of every
 alpha from one running maximum against a per-alpha scan.  Also the period aggregation of
-run_detector against a per-tick accumulator."""
+run_detector against a per-tick accumulator and against its sum onto a zero
+row, and the memory it takes."""
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,9 +36,9 @@ from gridwatch.gaussmodel import (
     log_density,
     log_density_stack,
 )
-from gridwatch.grid import SingularBlockError, load_feeder
-from gridwatch.simgen import Scenario, SensorSchedule, generate
-from oracles import advance_log_odds, sample
+from gridwatch.grid import SingularBlockError, load_feeder, random_feeder
+from gridwatch.simgen import Scenario, generate
+from oracles import advance_log_odds, sample, schedule_from_kinds, step_increments_from_zeros
 
 REL = 1e-9
 
@@ -375,7 +377,7 @@ LOOP8 = load_feeder("loop8")
                        min_size=1, max_size=4),
        st.integers(1, 80), st.integers(0, 1000))
 def test_step_increments_match_per_tick_accumulator(kinds, horizon, seed):
-    schedule = SensorSchedule.from_kinds(kinds)
+    schedule = schedule_from_kinds(kinds)
     stream = generate(Scenario(topology=LOOP8, out_branches=((3, 4),), lam=1,
                                noise_variance=1e-2, schedule=schedule,
                                horizon=horizon, seed=seed))
@@ -386,8 +388,59 @@ def test_step_increments_match_per_tick_accumulator(kinds, horizon, seed):
     assert x.shape == want.shape and x.tobytes() == want.tobytes()
 
 
+@st.composite
+def marked_streams(draw):
+    """(stream, step period): a stream on a random feeder, each bus a phasor
+    or magnitude channel of period 1 to 3, with some samples set to -0.0
+    and some to NaN, and some fresh flags flipped."""
+    n = draw(st.integers(3, 10))
+    top = random_feeder(n, seed=draw(st.integers(0, 999)))
+    kinds = draw(st.dictionaries(st.integers(1, n),
+                                 st.tuples(st.sampled_from(["phasor", "magnitude"]),
+                                           st.integers(1, 3)), min_size=1))
+    stream = generate(Scenario(topology=top, noise_variance=1e-2, horizon=draw(st.integers(1, 40)),
+                               schedule=schedule_from_kinds(kinds),
+                               seed=draw(st.integers(0, 999))))
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random((2, *stream.values.shape))
+    values = stream.values.copy()
+    values[pick[0] < 0.2] = -0.0
+    values[pick[0] > 0.9] = np.nan
+    stream = dataclasses.replace(stream, values=values, fresh=stream.fresh ^ (pick[1] < 0.1))
+    return stream, math.lcm(*(p for _, p in kinds.values()))
+
+
+@settings(max_examples=60)
+@given(case=marked_streams())
+def test_step_increments_in_one_array_match_the_zero_row_sum(case):
+    stream, period = case
+    ticks, x = _step_increments(stream, period)
+    want_ticks, want = step_increments_from_zeros(stream, period)
+    assert np.array_equal(ticks, want_ticks)
+    assert x.shape == want.shape and x.tobytes() == want.tobytes()
+
+
+def test_run_detector_peak_memory_holds_one_array_of_step_samples():
+    # a period-1 stream of 20 000 ticks of 24 channels: the step samples
+    # are the one array of the stream's size that run_detector makes, so
+    # its peak stays below 1.5 such arrays (the fresh values and their sum
+    # onto a zero row held 2.0)
+    loop12 = load_feeder("loop12")
+    scen = Scenario(topology=loop12, out_branches=((8, 10),), lam=10_000, horizon=20_000,
+                    seed=43)
+    stream = generate(scen)
+    config = DetectorConfig(g=scen.pre_model(), f=scen.post_model())
+    run_detector(stream, config)
+    tracemalloc.start()
+    try:
+        run_detector(stream, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * stream.values.nbytes, peak
+
+
 def test_run_detector_steps_on_aggregated_ticks():
-    schedule = SensorSchedule.from_kinds({2: ("magnitude", 9)})
+    schedule = schedule_from_kinds({2: ("magnitude", 9)})
     scen = Scenario(topology=LOOP8, out_branches=((2, 6),), lam=40, horizon=100,
                     noise_variance=1e-2, schedule=schedule, seed=3)
     stream = generate(scen)

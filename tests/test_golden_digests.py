@@ -45,8 +45,8 @@ from gridwatch import detector, experiments, forking, simgen
 from gridwatch.cli import main
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
-from gridwatch.simgen import Scenario, SensorSchedule, generate, write_stream
-from oracles import forks_under
+from gridwatch.simgen import Scenario, generate, write_stream
+from oracles import forks_under, schedule_from_kinds
 
 DER_FEEDER = dict(bus_count=24, loops=2, seed=5, der_buses={9, 17, 20})
 # the thread-count symbols of numpy's and scipy's OpenBLAS builds and of a
@@ -89,7 +89,7 @@ def _scenario(case: str) -> Scenario:
                                                    5: 4.0, 6: 6.0, 7: 1.0, 8: 1.0},
                         mean_shift=0.5, record_injections=True)
     if case == "loop12":
-        schedule = SensorSchedule.from_kinds(
+        schedule = schedule_from_kinds(
             {b: ("magnitude", 3) if b % 3 == 0 else ("phasor", 1) for b in range(1, 13)})
         return Scenario(load_feeder("loop12"), ((8, 10),), lam=40, horizon=80, seed=2,
                         injection_variance=2.5, noise_variance=1e-6, schedule=schedule)

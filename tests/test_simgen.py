@@ -35,7 +35,12 @@ from gridwatch.simgen import (
     write_stream,
 )
 from gridwatch.textconf import ConfigError, format_blocks
-from oracles import all_magnitude, synthesize_draw
+from oracles import (
+    all_magnitude,
+    schedule_from_kinds,
+    synthesize_draw,
+    transfer_through_copy,
+)
 
 
 def base_scenario(top, **overrides):
@@ -111,8 +116,8 @@ def test_magnitude_freshness_and_aggregation(loop8):
 
 @pytest.mark.parametrize("horizon", [1, 4, 23, 60])
 def test_period_aggregation_matches_per_tick_loop(loop8, horizon):
-    sched = SensorSchedule.from_kinds({b: (MAGNITUDE if b % 2 else PHASOR, 1 + b % 5)
-                                       for b in range(1, 9)})
+    sched = schedule_from_kinds({b: (MAGNITUDE if b % 2 else PHASOR, 1 + b % 5)
+                                 for b in range(1, 9)})
     scen = base_scenario(loop8, schedule=sched, horizon=horizon, noise_variance=1e-4)
     stream = generate(scen)
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
@@ -132,8 +137,8 @@ def test_period_aggregation_matches_per_tick_loop(loop8, horizon):
 
 
 def test_magnitude_channel_is_real_part(loop8):
-    sched = SensorSchedule.from_kinds({b: (MAGNITUDE if b == 4 else PHASOR, 1)
-                                       for b in range(1, 9)})
+    sched = schedule_from_kinds({b: (MAGNITUDE if b == 4 else PHASOR, 1)
+                                 for b in range(1, 9)})
     scen = base_scenario(loop8, schedule=sched)
     stream = generate(scen)
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
@@ -155,7 +160,11 @@ def test_mean_shift_stress_option(loop8):
 
 def test_generate_peak_memory_on_a_long_stream(loop12):
     # the monitor benchmark's stream: 20 000 ticks of 24 channels hold
-    # 3.84 MB of values and as much of complex injections.  A short stream
+    # 3.84 MB of values and as much of complex injections.  The driven buses
+    # of both networks form one run of ids, so each regime's products read
+    # the injections through a view: the peak holds the injections, the
+    # values and one regime's products, below 2.75 arrays of the stream's
+    # size (a copy of the injection columns made it 2.9).  A short stream
     # first fills the transfer cache of both networks, so that the traced
     # peak is the synthesis alone.
     scen = Scenario(topology=loop12, out_branches=((8, 10),), lam=10_000, horizon=20_000,
@@ -167,7 +176,7 @@ def test_generate_peak_memory_on_a_long_stream(loop12):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6, peak
+    assert peak < 2.75 * 20_000 * 24 * 8, peak
 
 
 def test_outage_tick_degenerate_and_mean(loop8):
@@ -214,7 +223,7 @@ def test_scenario_validation(loop8):
 
 
 def test_stream_file_round_trip(tmp_path, loop8):
-    sched = SensorSchedule.from_kinds(
+    sched = schedule_from_kinds(
         {b: ((MAGNITUDE, 3) if b >= 7 else (PHASOR, 1)) for b in range(1, 9)})
     scen = base_scenario(loop8, out_branches=((3, 4),), lam=9, horizon=20,
                          schedule=sched, record_injections=True)
@@ -249,7 +258,7 @@ def test_sidecar_outage_tick_below_one_is_rejected(tmp_path, loop8, lam):
 
 def test_injections_round_trip_when_last_bus_unsensed(tmp_path, loop8):
     # injections cover every bus; the schedule stops at bus 7
-    sched = SensorSchedule.from_kinds({b: (PHASOR, 1) for b in range(1, 8)})
+    sched = schedule_from_kinds({b: (PHASOR, 1) for b in range(1, 8)})
     stream = generate(base_scenario(loop8, horizon=5, schedule=sched,
                                     record_injections=True))
     data, meta, inj = (str(tmp_path / n) for n in
@@ -269,7 +278,7 @@ def recorded_scenarios(draw):
     top = load_feeder(draw(st.sampled_from(["path3", "loop8", "loop12"])))
     m = top.bus_count
     sensed = draw(st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True))
-    sched = SensorSchedule.from_kinds({
+    sched = schedule_from_kinds({
         b: (draw(st.sampled_from([PHASOR, MAGNITUDE])), draw(st.integers(1, 5)))
         for b in sensed})
     horizon = draw(st.integers(1, 40))
@@ -307,7 +316,7 @@ def test_stream_file_round_trip_is_bit_exact(scen, block_rows):
 
 
 def test_shuffled_stream_rows_parse_to_same_arrays(tmp_path, loop8):
-    sched = SensorSchedule.from_kinds(
+    sched = schedule_from_kinds(
         {b: ((MAGNITUDE, 2) if b >= 6 else (PHASOR, 1)) for b in range(1, 9)})
     stream = generate(base_scenario(loop8, horizon=30, schedule=sched,
                                     record_injections=True))
@@ -681,7 +690,7 @@ def synthesis_cases(draw):
     scen = Scenario(topology=top, out_branches=tuple(out), outage_rho=0.1,
                     injection_variance=draw(st.sampled_from([1.0, 2.5])),
                     noise_variance=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
-                    schedule=SensorSchedule.from_kinds(kinds),
+                    schedule=schedule_from_kinds(kinds),
                     mean_shift=draw(st.sampled_from([0.0, 0.5])),
                     record_injections=draw(st.booleans()))
     return scen, _draws(draw, draw(st.integers(0, 2 ** 40)))
@@ -694,8 +703,8 @@ _ISLANDS = Scenario(
     topology=GridTopology(6, tuple(Branch(i, i + 1, complex(1.0 + i, -0.5)) for i in range(1, 6)),
                           der_buses=frozenset({5})),
     out_branches=((2, 3), (3, 4)), outage_rho=0.1, noise_variance=1e-4,
-    schedule=SensorSchedule.from_kinds({b: (MAGNITUDE, 2) if b % 2 else (PHASOR, 1)
-                                        for b in range(1, 7)}),
+    schedule=schedule_from_kinds({b: (MAGNITUDE, 2) if b % 2 else (PHASOR, 1)
+                                  for b in range(1, 7)}),
     mean_shift=0.25, record_injections=True)
 
 
@@ -771,6 +780,61 @@ def test_synthesis_matches_the_per_draw_formula(case):
                                           if injections is None else injections[lam - 1:]))
 
 
+# --- island transfers through column views ---------------------------------
+
+def _column_forms(topology) -> list[bool]:
+    """Per island block of simgen's transfer, whether it reads a slice."""
+    return [isinstance(cols, slice) for cols, _ in simgen._transfer_blocks(topology)]
+
+
+def test_islands_of_one_id_run_are_read_through_a_slice(loop8, loop12):
+    for name in ("path3", "loop8", "loop12"):
+        assert _column_forms(load_feeder(name)) == [True]
+    # the post-outage networks of the monitor and Monte Carlo benchmarks
+    assert _column_forms(apply_outage(loop12, {(8, 10)})) == [True]
+    assert _column_forms(apply_outage(loop8, {(7, 8)})) == [True]
+    # the slack island {2} and the DER island {4, 6}, grounded at bus 5
+    assert _column_forms(_ISLANDS.post_topology()) == [True, False]
+
+
+@st.composite
+def transfer_cases(draw):
+    """(topology, injections, first row) on a random feeder with DER buses:
+    the feeder itself, whose driven buses form one run of ids, or with a
+    tree branch out, whose islands need not; some injection parts are -0.0
+    or NaN, and the products go to the rows from first on of a column-major
+    array, as a regime's do."""
+    n = draw(st.integers(4, 14))
+    der = draw(st.sets(st.integers(2, n), max_size=2))
+    top = random_feeder(n, loops=draw(st.integers(0, 1)) if n >= 8 else 0,
+                        seed=draw(st.integers(0, 999)), der_buses=der or None)
+    if draw(st.booleans()):
+        tree = [br.pair for br in top.branches
+                if len(islands(apply_outage(top, {br.pair}))) > 1]
+        top = apply_outage(top, {draw(st.sampled_from(tree))})
+    rows = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    injections = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    pick = rng.random((2, rows, n))
+    injections.real[pick[0] < 0.1] = -0.0
+    injections.imag[pick[1] < 0.1] = -0.0
+    injections.real[pick[0] > 0.95] = np.nan
+    return top, injections, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60)
+@example(case=(_ISLANDS.post_topology(),
+               np.array([[np.nan, -0.0 - 0.0j, 1.5 - 0.0j, -0.0 + 2.0j, 0.5j, -1.0]]), 2))
+@given(case=transfer_cases())
+def test_transfer_through_column_views_matches_the_copy(case):
+    top, injections, first = case
+    rows, m = injections.shape
+    got, want = (np.zeros((first + rows, 2 * m), order="F") for _ in range(2))
+    simgen._apply_transfer(got[first:], injections, simgen._transfer_blocks(top))
+    transfer_through_copy(want[first:], injections, top)
+    assert got.tobytes() == want.tobytes()
+
+
 # --- synthesis matches the model ------------------------------------------
 
 COV_TICKS = 20_000
@@ -793,7 +857,7 @@ def split_feeders(draw):
     return Scenario(topology=apply_outage(top, set(cut)), horizon=COV_TICKS,
                     injection_variance=draw(st.sampled_from([1.0, 2.5])),
                     noise_variance=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
-                    schedule=SensorSchedule.from_kinds(kinds), seed=draw(st.integers(0, 999)))
+                    schedule=schedule_from_kinds(kinds), seed=draw(st.integers(0, 999)))
 
 
 @settings(max_examples=25)

@@ -19,13 +19,15 @@ def run_tool(script: str, *args: str) -> list[list[str]]:
 
 def test_scaling_prints_a_row_per_size():
     lines = run_tool("scaling.py", "--repeats", "1")
-    assert lines[0] == ["m", "d", "build", "generate", "generate_mb", "known_f", "estimate",
-                        "pairs", "floors", "adapt100", "adapt800"]
+    assert lines[0] == ["m", "d", "build", "generate", "generate_mb", "known_f", "detect_mb",
+                        "estimate", "pairs", "floors", "adapt100", "adapt800"]
     assert [row[:2] for row in lines[1:]] == [[str(m), str(2 * m)] for m in (10, 30, 60, 90)]
     for row in lines[1:]:
         assert len(row) == len(lines[0]) and all(float(cell) >= 0.0 for cell in row[2:-2])
-        # the peak holds at least the 2 000 x d float values that generate returns
+        # each peak holds at least one array of 2 000 x d float values: the
+        # values generate returns, the step samples run_detector scores
         assert float(row[4]) >= 2000 * int(row[1]) * 8 / 1e6
+        assert float(row[6]) >= 2000 * int(row[1]) * 8 / 1e6
         # an adaptive window below nmin = d + 2 has no refreshed step to time
         for window, cell in zip((100, 800), row[-2:]):
             assert cell == "-" if window < int(row[1]) + 2 else float(cell) > 0.0

@@ -1,8 +1,9 @@
 """Scaling sweep of the monitor path's layers over random feeder sizes.
 
 For random_feeder(m, 5, seed) at m = 10, 30, 60 and 90 buses, sensed in
-full (phasor at every bus, d = 2m), with its first loop branch out at tick
-1 001 of a 2 000-tick stream, it prints the median seconds over repeats of:
+full (phasor at every bus, d = 2m), with its first loop branch (the first
+branch whose removal leaves one island) out at tick 1 001 of a 2 000-tick
+stream, it prints the median seconds over repeats of:
 
     build     model_from_topology, with the transfer cache cleared first
     generate  generate of the 2 000-tick stream
@@ -10,6 +11,8 @@ full (phasor at every bus, d = 2m), with its first loop branch out at tick
               the tracemalloc peak of one such generate call, in MB (10^6
               bytes), once the feeder's transfer blocks are cached
     known_f   log_odds_traces of the 2 000 ticks with the post-outage model
+    detect_mb the tracemalloc peak of one known_f run_detector call on the
+              stream, in MB
     estimate  estimate_post_outage over the 2 000 ticks
     pairs     score_pairs of every bus pair of one covariance
     floors    the zero-test floors over the branch pairs, as localize takes
@@ -44,7 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import numpy as np
 
 from gridwatch import grid
-from gridwatch.detector import log_odds_traces
+from gridwatch.detector import DetectorConfig, log_odds_traces, run_detector
 from gridwatch.gaussmodel import (
     GeometricPrior,
     estimate_post_outage,
@@ -58,8 +61,8 @@ SIZES = (10, 30, 60, 90)
 TICKS = 2000
 WINDOWS = (100, 800)
 REFITS = 100
-COLUMNS = ("build", "generate", "generate_mb", "known_f", "estimate", "pairs", "floors",
-           *(f"adapt{w}" for w in WINDOWS))
+COLUMNS = ("build", "generate", "generate_mb", "known_f", "detect_mb", "estimate", "pairs",
+           "floors", *(f"adapt{w}" for w in WINDOWS))
 
 
 def median_seconds(job, repeats: int, before=None) -> float:
@@ -84,9 +87,11 @@ def peak_mb(job) -> float:
 
 def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
     topology = grid.random_feeder(m, 5, seed)
-    scenario = Scenario(topology, (topology.branches[m - 1].pair,), lam=TICKS // 2 + 1,
-                        horizon=TICKS, seed=seed)
+    loop = next(br.pair for br in topology.branches
+                if len(grid.islands(grid.apply_outage(topology, {br.pair}))) == 1)
+    scenario = Scenario(topology, (loop,), lam=TICKS // 2 + 1, horizon=TICKS, seed=seed)
     stream = generate(scenario)
+    detect = DetectorConfig(g=scenario.pre_model(), f=scenario.post_model())
     layout = stream.layout
     g = scenario.pre_model().project(layout)
     f = scenario.post_model().project(layout)
@@ -113,6 +118,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
         median_seconds(lambda: generate(scenario), repeats),
         peak_mb(lambda: generate(scenario)),
         median_seconds(lambda: log_odds_traces([stream.values], g, 1e-4, f), repeats),
+        peak_mb(lambda: run_detector(stream, detect)),
         median_seconds(lambda: estimate_post_outage(stream.values, prior), repeats),
         median_seconds(lambda: score_pairs(cov, pairs, layout), repeats),
         median_seconds(floors, repeats),
