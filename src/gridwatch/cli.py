@@ -21,11 +21,11 @@ import sys
 import numpy as np
 
 from . import forking, textconf
-from .gaussmodel import GeometricPrior, _injection_vector, estimate_post_outage
-from .grid import SingularBlockError, transfer
+from .gaussmodel import GeometricPrior, estimate_post_outage
 from .simgen import (
     Scenario,
     _synthesize,
+    exact_covariances,
     generate,
     parse_stream,
     scenario_from_blocks,
@@ -161,7 +161,7 @@ def cmd_simulate(args) -> None:
                  os.path.join(out, "stream.meta"), scenario,
                  injections_path=os.path.join(out, "injections.csv")
                  if stream.injections is not None else None)
-    print(f"wrote {stream.horizon} ticks x {stream.layout.dim} channels to {out}")
+    print(f"wrote {stream.horizon} ticks x {stream.schedule.layout.dim} channels to {out}")
 
 
 def _load_stream(args):
@@ -219,7 +219,7 @@ def cmd_localize(args) -> None:
     lam = stream.truth.lam
     if lam is None:
         raise textconf.ConfigError("stream has no outage to localize")
-    layout = stream.layout
+    layout = stream.schedule.layout
     exact = options.get("exact", False)
     if not exact or options.get("estimate_admittance"):
         stream.schedule.require_period_one("stream estimates")
@@ -227,11 +227,7 @@ def cmd_localize(args) -> None:
     pre = stream.values[: lam - 1]
     post = stream.values[lam - 1: lam - 1 + post_ticks]
     if exact:
-        # structural test on the noise-free model: conditional correlations
-        # of removed branches are exact zeros there
-        ideal = dataclasses.replace(scenario, noise_variance=0.0)
-        sigma0 = ideal.pre_model().project(layout).cov
-        sigma1 = ideal.post_model().project(layout).cov
+        sigma0, sigma1 = exact_covariances(scenario, layout, "[localize] exact = true")
     else:
         if pre.shape[0] < layout.dim + 2 or post.shape[0] < layout.dim + 2:
             raise textconf.ConfigError(
@@ -263,17 +259,8 @@ def cmd_localize(args) -> None:
                                           layout)
         except ValueError as exc:
             raise textconf.ConfigError(f"[localize]: {exc}") from None
-    try:
-        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
-                            noise_floor=None if exact else scenario.noise_variance)
-    except SingularBlockError:
-        silent = _silent_driven_buses(scenario) if exact else []
-        if not silent:
-            raise
-        raise textconf.ConfigError(
-            f"[localize] exact = true scores the noise-free covariance, which is singular: "
-            f"[injection] leaves driven buses {', '.join(map(str, silent))} at variance 0"
-        ) from None
+    report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
+                        noise_floor=None if exact else scenario.noise_variance)
     if thresholds is None:
         # the window cannot show any score below delta: scores, but no flags
         report = dataclasses.replace(report, flagged=frozenset())
@@ -304,17 +291,6 @@ def cmd_localize(args) -> None:
 
     flagged = ", ".join(f"{i}-{j}" for i, j in sorted(report.flagged)) or "(none)"
     print(f"flagged branches: {flagged}")
-
-
-def _silent_driven_buses(scenario: Scenario) -> list[int]:
-    """The buses that grid.transfer drives in the pre- or post-outage
-    network but that draw no injection (variance 0).  Each still moves with
-    its neighbours, so its coordinates keep their variance but add no rank:
-    with one of them the noise-free covariance of all coordinates is
-    singular."""
-    var = _injection_vector(scenario.injection_variance, scenario.topology.bus_count)
-    return sorted({bus for topology in (scenario.topology, scenario.post_topology())
-                   for buses, _ in transfer(topology) for bus in buses if var[bus - 1] == 0.0})
 
 
 def _monte_carlo(blocks, args, **options):
@@ -364,18 +340,18 @@ def cmd_pmu_sweep(args) -> None:
 
 
 def cmd_heatmap(args) -> None:
-    """The exact pre- and post-outage matrices, and beside them (in a forked
-    child when forking.may_fork) the post-outage matrix estimated from the
-    synthesized stream.  The exact job's error wins, as in serial order."""
+    """The exact pre- and post-outage matrices (of exact_covariances, as
+    exact localize scores), and beside them (in a forked child when
+    forking.may_fork) the post-outage matrix estimated from the synthesized
+    stream.  The exact job's error wins, as in serial order."""
     blocks = load_config(args.config)
     scenario = build_scenario(blocks, os.path.dirname(args.config), args.seed)
-    layout = scenario.schedule.layout()
+    layout = scenario.schedule.layout
 
     def exact() -> None:
-        g = scenario.pre_model().project(layout)
-        f = scenario.post_model().project(layout)
+        sigma0, sigma1 = exact_covariances(scenario, layout, "heatmap")
         out = _outdir(args)
-        pre, post = _matrix_csv(g.cov, layout), _matrix_csv(f.cov, layout)
+        pre, post = _matrix_csv(sigma0, layout), _matrix_csv(sigma1, layout)
         _write(os.path.join(out, "heatmap_pre.csv"), pre)
         _write(os.path.join(out, "heatmap_post.csv"), post)
 
@@ -395,8 +371,7 @@ def cmd_heatmap(args) -> None:
         est = estimate_post_outage(stream.values, _estimation_prior(blocks))
         return _matrix_csv(est.cov, layout), ""
 
-    _, (text, reason) = (forking.forked(exact, estimated) if forking.may_fork()
-                         else (exact(), estimated()))
+    _, (text, reason) = forking.forked(exact, estimated)
     if text is not None:
         _write(os.path.join(args.out, "heatmap_post_estimated.csv"), text)
     else:
@@ -409,33 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridwatch",
         description="Line-outage detection experiments on synthesized phasor streams")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, stream=False):
+    # (name, help, handler, whether it reads a --stream directory); the
+    # handlers are looked up per call, so a patched one is the one run
+    for name, text, func, stream in (
+            ("simulate", "synthesize a measurement stream", cmd_simulate, False),
+            ("detect", "run the change detector on a stream", cmd_detect, True),
+            ("localize", "flag out-of-service branches from a stream", cmd_localize, True),
+            ("experiment", "Monte Carlo delay/false-alarm curves", cmd_experiment, False),
+            ("pmu-sweep", "delay versus sensor coverage", cmd_pmu_sweep, False),
+            ("heatmap", "conditional-correlation matrices", cmd_heatmap, False)):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         if stream:
             p.add_argument("--stream", required=True,
                            help="directory holding stream.csv/stream.meta")
-
-    p = sub.add_parser("simulate", help="synthesize a measurement stream")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-    p = sub.add_parser("detect", help="run the change detector on a stream")
-    common(p, stream=True)
-    p.set_defaults(func=cmd_detect)
-    p = sub.add_parser("localize", help="flag out-of-service branches from a stream")
-    common(p, stream=True)
-    p.set_defaults(func=cmd_localize)
-    p = sub.add_parser("experiment", help="Monte Carlo delay/false-alarm curves")
-    common(p)
-    p.set_defaults(func=cmd_experiment)
-    p = sub.add_parser("pmu-sweep", help="delay versus sensor coverage")
-    common(p)
-    p.set_defaults(func=cmd_pmu_sweep)
-    p = sub.add_parser("heatmap", help="conditional-correlation matrices")
-    common(p)
-    p.set_defaults(func=cmd_heatmap)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -321,7 +321,7 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     accumulated between steps form the increment over the step period, and
     the base models are scaled accordingly.  Held values are never scored.
     """
-    layout = stream.layout
+    layout = stream.schedule.layout
     g = config.g.project(layout) if config.g.layout is not None else config.g
     if g.dim != layout.dim:
         raise ValueError("base model does not cover the stream channels")

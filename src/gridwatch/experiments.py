@@ -172,7 +172,7 @@ def _replications(config: ExperimentConfig, margin: int,
     back in order and are joined, so the result does not depend on the
     split, and a failure raises the error of the lowest failing chunk, as in
     one process."""
-    dim = config.scenario.schedule.layout().dim
+    dim = config.scenario.schedule.layout.dim
 
     def score(reps: range) -> list:
         draws = [_replication_draw(config, rep, margin) for rep in reps]
@@ -187,7 +187,7 @@ def _replications(config: ExperimentConfig, margin: int,
     n = min(forking.cpus(), config.replications) if forking.may_fork() else 1
     cuts = [config.replications * k // n for k in range(n + 1)]
     jobs = [lambda reps=range(lo, hi): score(reps) for lo, hi in zip(cuts, cuts[1:])]
-    scored = forking.forked(*jobs) if n > 1 else [jobs[0]()]
+    scored = forking.forked(*jobs)
     return [row for rows in scored for row in rows]
 
 
@@ -213,7 +213,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
     period 1 (ValueError otherwise).
     """
     config.scenario.schedule.require_period_one("experiments")
-    if config.scenario.schedule.layout().dim != 2 * config.scenario.topology.bus_count:
+    if config.scenario.schedule.layout.dim != 2 * config.scenario.topology.bus_count:
         raise ValueError("experiment scenarios must observe full phasors")
     g = config.scenario.pre_model()
     f = config.scenario.post_model()
@@ -267,10 +267,6 @@ class PmuSweepTable:
     def to_csv(self) -> str:
         return PMU_SWEEP.text((r.n_sensors, " ".join(map(str, r.buses)), r.kl, r.avg_delay,
                                r.frac_delay_ge_prev) for r in self.rows)
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PmuSweepTable":
-        return cls(tuple(PmuSweepRow(*row) for row in PMU_SWEEP.rows(text)))
 
 
 def parse_heatmap_csv(text: str) -> tuple[tuple[int, ...], np.ndarray]:
@@ -330,7 +326,7 @@ def run_pmu_sweep(config: ExperimentConfig, placements: list[list[int]] | None =
 
     g_full = scenario.pre_model()
     f_full = scenario.post_model()
-    full_layout = scenario.schedule.layout()
+    full_layout = scenario.schedule.layout
 
     delays = np.zeros((len(placements), config.replications))
     projected = []

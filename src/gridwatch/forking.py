@@ -50,10 +50,14 @@ def _spawn(job):
 
 
 def forked(*jobs) -> tuple:
-    """The results of jobs, in job order: the first job runs here, each other
-    one in its own forked child.  Every child is read and reaped, also when
-    the first job raises; the lowest-indexed job's exception is raised, so a
-    failure is the one that running the jobs in order would meet first."""
+    """The results of jobs, in job order.  Where may_fork, the first job runs
+    here and each other one in its own forked child; every child is read and
+    reaped, also when the first job raises, and the lowest-indexed job's
+    exception is raised.  Otherwise every job runs here, in order, and the
+    first exception propagates.  Either way a failure is the one that
+    running the jobs in order would meet first."""
+    if not may_fork():
+        return tuple(job() for job in jobs)
     children = []
     try:
         for job in jobs[1:]:

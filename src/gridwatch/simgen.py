@@ -29,6 +29,7 @@ import shutil
 import tempfile
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .gaussmodel import (
     CoordinateLayout,
     GaussianModel,
     _injection_vector,
+    kept_coordinates,
     model_from_topology,
 )
 from .grid import (
@@ -76,7 +78,10 @@ class SensorSchedule:
     def all_phasor(cls, bus_count: int) -> "SensorSchedule":
         return cls(tuple((b, PHASOR, 1) for b in range(1, bus_count + 1)))
 
+    @cached_property
     def layout(self) -> CoordinateLayout:
+        """The coordinates of the sensed channels, one object per schedule,
+        so the layout's own caches (bus_coords, pair_table) are kept."""
         return CoordinateLayout.from_kinds({b: k for b, k, _ in self.entries})
 
     def channel_periods(self, layout: CoordinateLayout) -> list[int]:
@@ -130,7 +135,7 @@ class Scenario:
                       for bus, var in self.injection_variance.items()]
                      if isinstance(self.injection_variance, dict)
                      else [("[scenario].injection_variance", self.injection_variance)])
-        # zero is a variance too: exact localize strips the noise with it
+        # zero is a variance too: a noise-free stream is a valid scenario
         for key, var in [*variances, ("[scenario].noise_variance", self.noise_variance)]:
             if not (math.isfinite(var) and var >= 0.0):
                 raise ValueError(f"{key} must be a finite number >= 0, got {var!r}")
@@ -178,6 +183,37 @@ class Scenario:
         return int(substream(seed, "outage-time").geometric(self.outage_rho))
 
 
+def exact_covariances(scenario: Scenario, layout: CoordinateLayout,
+                      scorer: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pre- and post-outage covariances of the scenario's noise-free
+    models, projected onto layout: the exact matrices of exact localize and
+    of the heatmap, in which the conditional correlation of an out branch
+    is an exact zero.
+
+    A bus that grid.transfer drives but that draws no injection (variance
+    0) moves with its neighbours, so its coordinates keep their variance
+    but add no rank.  When such buses leave a matrix singular on its
+    coordinates of nonzero variance, the block score_pairs factors, a
+    ConfigError names them, with scorer (say, "heatmap") as its subject.
+    """
+    topologies = (scenario.topology, scenario.post_topology())
+    covs = tuple(model_from_topology(topology, scenario.injection_variance, 0.0)
+                 .project(layout).cov for topology in topologies)
+    var = _injection_vector(scenario.injection_variance, scenario.topology.bus_count)
+    silent = sorted({bus for topology in topologies for buses, _ in transfer(topology)
+                     for bus in buses if var[bus - 1] == 0.0})
+    if silent:
+        try:
+            for cov in covs:
+                kept, _ = kept_coordinates(cov)
+                np.linalg.cholesky(cov[np.ix_(kept, kept)])
+        except np.linalg.LinAlgError:
+            raise textconf.ConfigError(
+                f"{scorer} scores the noise-free covariance, which is singular: [injection] "
+                f"leaves driven buses {', '.join(map(str, silent))} at variance 0") from None
+    return covs
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     lam: int | None
@@ -188,7 +224,6 @@ class GroundTruth:
 class MeasurementStream:
     """values/fresh are (horizon, dim) arrays with row t holding tick t+1."""
 
-    layout: CoordinateLayout
     schedule: SensorSchedule
     values: np.ndarray = field(repr=False)
     fresh: np.ndarray = field(repr=False)
@@ -202,12 +237,13 @@ class MeasurementStream:
 
     def complex_values(self) -> np.ndarray:
         """(horizon, M) complex increments; full-phasor streams only."""
-        buses = self.layout.buses
-        kinds = {bus for bus, part in self.layout.entries if part == "im"}
+        layout = self.schedule.layout
+        buses = layout.buses
+        kinds = {bus for bus, part in layout.entries if part == "im"}
         if set(buses) != kinds:
             raise ValueError("complex reconstruction needs phasor channels everywhere")
-        re_idx = [self.layout.entries.index((b, "re")) for b in buses]
-        im_idx = [self.layout.entries.index((b, "im")) for b in buses]
+        re_idx = [layout.entries.index((b, "re")) for b in buses]
+        im_idx = [layout.entries.index((b, "im")) for b in buses]
         return self.values[:, re_idx] + 1j * self.values[:, im_idx]
 
 
@@ -244,7 +280,7 @@ def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[Measureme
             for cols, _ in post:
                 shift[cols] = shift[_imag_columns(cols, m)] = scenario.mean_shift
     noise_std = np.sqrt(scenario.noise_variance) if scenario.noise_variance else None
-    layout = scenario.schedule.layout()
+    layout = scenario.schedule.layout
     cols = layout.indices_in(CoordinateLayout.full_phasor(m))
     every_column = np.array_equal(cols, np.arange(2 * m))
     periods = np.array(scenario.schedule.channel_periods(layout))
@@ -280,7 +316,6 @@ def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[Measureme
             sums = np.concatenate([[0.0], csum[ends] - csum[ends - period]])
             values[:, c] = sums[np.arange(1, horizon + 1) // period]
         yield MeasurementStream(
-            layout=layout,
             schedule=scenario.schedule,
             values=values,
             fresh=fresh,
@@ -345,7 +380,7 @@ def write_stream(stream: MeasurementStream, data_path: str, meta_path: str,
         _write_table(injections_path, INJECTIONS_HEADER, range(1, m + 1),
                      [stream.injections.real, stream.injections.imag])
     _write_table(data_path, STREAM_HEADER,
-                 [channel_id(bus, part) for bus, part in stream.layout.entries],
+                 [channel_id(bus, part) for bus, part in stream.schedule.layout.entries],
                  [stream.values, stream.fresh])
     truth_fields = {"out_branches": ", ".join(f"{i}-{j}" for i, j in stream.truth.out_branches)}
     if stream.truth.lam is not None:
@@ -379,7 +414,7 @@ def parse_stream(data_path: str, meta_path: str,
     if truth.get("lambda", 1) < 1:
         raise textconf.ConfigError(f"[truth].lambda must be at least 1, got {truth['lambda']}")
     horizon = sidecar["horizon"]
-    layout = schedule.layout()
+    layout = schedule.layout
     ids = [channel_id(bus, part) for bus, part in layout.entries]
     # coordinates are read as bytes in whole 64-bit words, at least one wider
     # than any channel id, so a longer one cannot be cut down to a known id
@@ -403,8 +438,7 @@ def parse_stream(data_path: str, meta_path: str,
                     {b: f"bus {b + 1}" for b in range(buses)})
     scenario_meta = [(section, dict(fields)) for section, fields in meta_blocks
                      if section not in ("stream", "truth")]
-    return MeasurementStream(layout=layout, schedule=schedule, values=values,
-                             fresh=fresh,
+    return MeasurementStream(schedule=schedule, values=values, fresh=fresh,
                              truth=GroundTruth(truth.get("lambda"), truth.get("out_branches", ())),
                              injections=injections, meta=scenario_meta)
 

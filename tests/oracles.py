@@ -11,8 +11,8 @@ added to a zero row (the earlier forms of simgen._apply_transfer and
 detector._step_increments).  Then small helpers that only tests call: the
 score of one bus pair, a PSD check of a model's covariance, draws from a
 model, a topology's in-service pairs, sensor schedules from a {bus: (kind,
-period)} table or all magnitude, and a forced fork setting that counts the
-forked calls.
+period)} table or all magnitude, the coverage-sweep table read back from
+its CSV, and a forced fork setting that counts the calls that fork.
 They lean on scipy, which the package itself does not import.
 """
 
@@ -26,6 +26,7 @@ from scipy.special import logsumexp
 
 from gridwatch import forking
 from gridwatch.detector import LOG_ODDS_CLAMP, GeometricPrior, NonFiniteLikelihoodError
+from gridwatch.experiments import PMU_SWEEP, PmuSweepRow, PmuSweepTable
 from gridwatch.gaussmodel import (
     MAGNITUDE,
     CoordinateLayout,
@@ -221,7 +222,7 @@ def synthesize_draw(scenario, seed: int, lam: int | None,
     if scenario.noise_variance:
         noise = substream(seed, "noise").normal(size=(horizon, 2 * m))
         stacked += np.sqrt(scenario.noise_variance) * noise
-    layout = scenario.schedule.layout()
+    layout = scenario.schedule.layout
     values = stacked[:, layout.indices_in(CoordinateLayout.full_phasor(m))]
     fresh = np.ones(values.shape, dtype=bool)
     for c, period in enumerate(scenario.schedule.channel_periods(layout)):
@@ -295,6 +296,11 @@ def all_magnitude(bus_count: int, period: int = 1) -> SensorSchedule:
     return SensorSchedule(tuple((b, MAGNITUDE, period) for b in range(1, bus_count + 1)))
 
 
+def pmu_sweep_from_csv(text: str) -> PmuSweepTable:
+    """The table of a pmu_sweep.csv that PmuSweepTable.to_csv wrote."""
+    return PmuSweepTable(tuple(PmuSweepRow(*row) for row in PMU_SWEEP.rows(text)))
+
+
 _FORKED = forking.forked
 
 
@@ -302,10 +308,18 @@ _FORKED = forking.forked
 def forks_under(monkeypatch, cpus: int, other_thread: bool = False):
     """Runs the block with forking.cpus() forced to cpus and, when
     other_thread, another thread alive; yields the list that gathers the
-    jobs of each forking.forked call made meanwhile."""
+    jobs of each forking.forked call made meanwhile that forks a child: two
+    or more jobs, where forking.may_fork (a call that does not runs its
+    jobs in this process)."""
     monkeypatch.setattr(forking, "cpus", lambda: cpus)
     calls = []
-    monkeypatch.setattr(forking, "forked", lambda *jobs: calls.append(jobs) or _FORKED(*jobs))
+
+    def forked(*jobs):
+        if len(jobs) > 1 and forking.may_fork():
+            calls.append(jobs)
+        return _FORKED(*jobs)
+
+    monkeypatch.setattr(forking, "forked", forked)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     if other_thread:

@@ -15,7 +15,7 @@ from gridwatch.cli import main
 from gridwatch.detector import DetectorConfig
 from gridwatch.grid import SingularBlockError, format_feeder, load_feeder, random_feeder, transfer
 from gridwatch.simgen import parse_stream
-from oracles import forks_under
+from oracles import forks_under, pmu_sweep_from_csv
 
 CONFIG = """\
 [scenario]
@@ -554,6 +554,70 @@ def test_exact_localize_names_the_driven_buses_without_injection(tmp_path, capsy
         "[injection] leaves driven buses 2, 3, 7, 8 at variance 0")}
 
 
+def test_heatmap_names_the_driven_buses_without_injection(tmp_path, capsys):
+    # the same [injection] block: the heatmap's exact matrices are the same
+    # noise-free covariances, so the heatmap meets the same singular block
+    conf = tmp_path / "silent.conf"
+    conf.write_text(CONFIG.replace(_INJECTION_BLOCK, "\n[injection]\nbus4 = 4.0\n"
+                                                     "bus5 = 4.0\nbus6 = 6.0\n"))
+    out = tmp_path / "heat"
+    assert main(["heatmap", "--config", str(conf), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "ConfigError", "message": (
+        "heatmap scores the noise-free covariance, which is singular: "
+        "[injection] leaves driven buses 2, 3, 7, 8 at variance 0")}
+    assert not (out / "heatmap_pre.csv").exists()
+
+
+LOOP12_NOISY = """\
+[scenario]
+feeder = loop12
+outage = 8-10
+lambda = 31
+noise_variance = 1e-4
+horizon = 80
+seed = 4
+
+[localize]
+exact = true
+"""
+
+
+def test_exact_localize_and_heatmap_write_the_same_exact_matrices(tmp_path, capsys):
+    # with noise well above 0 the two commands still score one pair of
+    # noise-free matrices, byte for byte
+    conf = tmp_path / "loop12.conf"
+    conf.write_text(LOOP12_NOISY)
+    stream = str(tmp_path / "stream")
+    run_ok(["simulate", "--config", str(conf), "--out", stream], capsys)
+    out = run_ok(["localize", "--config", str(conf), "--stream", stream,
+                  "--out", str(tmp_path / "loc")], capsys)
+    assert out == "flagged branches: 8-10\n"
+    run_ok(["heatmap", "--config", str(conf), "--out", str(tmp_path / "heat")], capsys)
+    for rho, heat in (("rho_pre.csv", "heatmap_pre.csv"), ("rho_post.csv", "heatmap_post.csv")):
+        assert _read(tmp_path, "loc", rho) == _read(tmp_path, "heat", heat)
+
+
+def test_heatmap_exact_score_of_an_out_loop_branch_collapses(tmp_path, capsys):
+    # the benchmark's 90-bus feeder at seed 270, where the 1e-8 measurement
+    # noise alone would lift the out branch's post score to 1.06e-6, above
+    # the exact zero: the exact matrices leave the noise out
+    from gridwatch.experiments import parse_heatmap_csv
+    from gridwatch.localizer import EXACT_THRESHOLDS
+
+    feeder = tmp_path / "random.feeder"
+    feeder.write_text(format_feeder(random_feeder(90, loops=5, seed=270)))
+    conf = tmp_path / "heat.conf"
+    conf.write_text("[scenario]\nfeeder = random.feeder\noutage = 67-71\nlambda = 1001\n"
+                    "horizon = 3000\nseed = 270\n")
+    run_ok(["heatmap", "--config", str(conf), "--out", str(tmp_path / "heat")], capsys)
+    (buses, pre), (_, post) = (parse_heatmap_csv(_read(tmp_path, "heat", name))
+                               for name in ("heatmap_pre.csv", "heatmap_post.csv"))
+    i, j = buses.index(67), buses.index(71)
+    assert pre[i, j] > EXACT_THRESHOLDS.active
+    assert post[i, j] < EXACT_THRESHOLDS.zero
+
+
 def test_localize_all_pairs_and_explicit_thresholds(tmp_path, config_path, capsys):
     stream_dir = str(tmp_path / "stream")
     run_ok(["simulate", "--config", config_path, "--out", stream_dir], capsys)
@@ -749,7 +813,7 @@ def test_missing_feeder_file_error(tmp_path, capsys):
 
 
 def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):
-    from gridwatch.experiments import MetricsTable, PmuSweepTable, parse_heatmap_csv
+    from gridwatch.experiments import MetricsTable, parse_heatmap_csv
 
     stream_dir = str(tmp_path / "stream")
     run_ok(["simulate", "--config", config_path, "--out", stream_dir], capsys)
@@ -775,7 +839,7 @@ def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):
     metrics = MetricsTable.from_csv(text)
     assert len(metrics.rows) == 3 and metrics.to_csv() == text
     text = _read(tmp_path, "pmu-sweep", "pmu_sweep.csv")
-    sweep = PmuSweepTable.from_csv(text)
+    sweep = pmu_sweep_from_csv(text)
     assert [r.n_sensors for r in sweep.rows] == [8, 4, 2] and sweep.to_csv() == text
     assert [r.buses for r in sweep.rows] == [tuple(range(1, 9)), (2, 4, 5, 8), (2, 5)]
     for name in ("heatmap_pre.csv", "heatmap_post.csv"):

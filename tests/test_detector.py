@@ -315,7 +315,7 @@ def test_magnitude_stream_detects_no_earlier_than_phasor(loop8):
     scen_m = dataclasses.replace(scen_p, schedule=all_magnitude(8))
     g = scen_p.pre_model()
     f = scen_p.post_model()
-    lay_m = scen_m.schedule.layout()
+    lay_m = scen_m.schedule.layout
     g_m, f_m = g.project(lay_m), f.project(lay_m)
     threshold = DetectionRule(1e-6).log_odds_threshold
     hits = []

@@ -356,15 +356,15 @@ def test_stack_factor_falls_back_to_ridge():
 
 def per_tick_increments(stream, step_period):
     ticks, rows = [], []
-    acc = np.zeros(stream.layout.dim)
+    acc = np.zeros(stream.schedule.layout.dim)
     for t in range(stream.horizon):
         acc = acc + np.where(stream.fresh[t], stream.values[t], 0.0)
         if (t + 1) % step_period != 0:
             continue
-        x, acc = acc, np.zeros(stream.layout.dim)
+        x, acc = acc, np.zeros(stream.schedule.layout.dim)
         ticks.append(t + 1)
         rows.append(x)
-    return np.array(ticks, dtype=int), np.array(rows).reshape(len(rows), stream.layout.dim)
+    return np.array(ticks, dtype=int), np.array(rows).reshape(len(rows), stream.schedule.layout.dim)
 
 
 LOOP8 = load_feeder("loop8")
@@ -444,7 +444,7 @@ def test_run_detector_steps_on_aggregated_ticks():
     scen = Scenario(topology=LOOP8, out_branches=((2, 6),), lam=40, horizon=100,
                     noise_variance=1e-2, schedule=schedule, seed=3)
     stream = generate(scen)
-    layout = stream.layout
+    layout = stream.schedule.layout
     g = scen.pre_model().project(layout)
     f = scen.post_model().project(layout)
     report = run_detector(stream, DetectorConfig(g=scen.pre_model(), f=scen.post_model()))

@@ -147,7 +147,8 @@ def test_monitor_config_flags_exactly_its_out_branch(seed):
     pre, post = stream.values[:9_999], stream.values[9_999:]
     prior = GeometricPrior(0.04)
     pairs = loop12_branches()
-    floors = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], pairs, stream.layout)
+    layout = stream.schedule.layout
+    floors = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], pairs, layout)
     report = scan_pairs(np.cov(pre.T, ddof=0), estimate_post_outage(post, prior).cov, pairs,
-                        stream.layout, floors, noise_floor=scenario.noise_variance)
+                        layout, floors, noise_floor=scenario.noise_variance)
     assert report.flagged == {(8, 10)}

@@ -1,10 +1,12 @@
 """The fork helper: results in job order, the lowest-indexed job's exception,
-and every child read and reaped whichever job fails."""
+every child read and reaped whichever job fails, and every job run here, in
+order, where no child may fork."""
 
 import os
 
 import pytest
 
+from gridwatch import forking
 from gridwatch.forking import forked
 
 
@@ -51,4 +53,19 @@ def test_parent_error_wins_and_every_child_is_reaped():
 def test_child_that_sends_nothing_is_named():
     with pytest.raises(ChildProcessError, match=r"^process \d+ sent nothing$"):
         forked(lambda: "here", lambda: "there", lambda: os._exit(0))
+    assert _no_child_left()
+
+
+def test_without_a_fork_every_job_runs_here_in_order(monkeypatch):
+    monkeypatch.setattr(forking, "cpus", lambda: 1)
+    ran = []
+
+    def job(index: int):
+        return lambda: ran.append(index) or (index, os.getpid())
+
+    assert forked(job(0), job(1), job(2)) == tuple((k, os.getpid()) for k in range(3))
+    ran.clear()
+    with pytest.raises(JobError, match=rf"^job 1 in {os.getpid()}$"):
+        forked(job(0), _fail(1), _fail(2), job(3))
+    assert ran == [0]
     assert _no_child_left()

@@ -2,13 +2,17 @@
 estimated covariances, change ranking under partial observability, and branch
 admittance re-estimation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridwatch.experiments import correlation_matrix
 from gridwatch.gaussmodel import GeometricPrior, estimate_post_outage
-from gridwatch.grid import Branch, GridTopology, apply_outage
+from gridwatch.grid import Branch, GridTopology, apply_outage, islands, random_feeder
 from gridwatch.localizer import (
     DELTA_TIE,
     EXACT_THRESHOLDS,
@@ -19,7 +23,7 @@ from gridwatch.localizer import (
     scan_pairs,
     zero_test_floors,
 )
-from gridwatch.simgen import Scenario, generate
+from gridwatch.simgen import Scenario, exact_covariances, generate
 
 
 def exact_pair(top, out, noise=0.0, injection=1.0):
@@ -33,6 +37,33 @@ def branch_pairs(top):
 
 
 # --- zero test with exact covariances ---------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(buses=st.integers(10, 30), loops=st.integers(1, 3), seed=st.integers(0, 10_000),
+       pick=st.integers(0, 10_000), noise=st.sampled_from([1e-8, 1e-4, 1e-2]))
+def test_heatmap_exact_post_collapses_wherever_exact_localize_flags(buses, loops, seed, pick,
+                                                                   noise):
+    # both commands score the matrices of exact_covariances, which the
+    # measurement noise does not reach: a branch that exact localize flags
+    # reads below the exact zero in the heatmap's post matrix.  The out
+    # branch is one whose removal leaves every bus energised, away from the
+    # slack (whose pinned voltage carries no signal)
+    top = random_feeder(buses, loops=loops, seed=seed)
+    spare = [br.pair for br in top.branches if 1 not in br.pair
+             and all(part.kind == "slack" for part in islands(apply_outage(top, {br.pair})))]
+    out = spare[pick % len(spare)]
+    scen = Scenario(topology=top, out_branches=(out,), lam=1, horizon=2, noise_variance=noise)
+    layout = scen.schedule.layout
+    sigma0, sigma1 = exact_covariances(scen, layout, "heatmap")
+    quiet = exact_covariances(dataclasses.replace(scen, noise_variance=0.0), layout, "heatmap")
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((sigma0, sigma1), quiet))
+    report = scan_pairs(sigma0, sigma1, branch_pairs(top), layout, EXACT_THRESHOLDS)
+    post = correlation_matrix(sigma1, layout)
+    pos = {bus: k for k, bus in enumerate(layout.buses)}
+    assert out in report.flagged
+    for i, j in report.flagged:
+        assert post[pos[i], pos[j]] < EXACT_THRESHOLDS.zero
+
 
 def test_exact_sigma_flags_double_outage(loop8):
     g, f = exact_pair(loop8, [(3, 4), (2, 6)])
@@ -79,7 +110,7 @@ def test_estimated_covariance_flags_same_set(loop8):
     post = stream.values[4000:]
     sigma0 = np.cov(pre.T, ddof=0)
     sigma1 = estimate_post_outage(post, GeometricPrior(0.04)).cov
-    report = scan_pairs(sigma0, sigma1, branch_pairs(loop8), stream.layout,
+    report = scan_pairs(sigma0, sigma1, branch_pairs(loop8), stream.schedule.layout,
                         Thresholds(zero=0.05, active=0.3))
     assert report.flagged == {(3, 4), (2, 6)}
 
@@ -91,10 +122,10 @@ def test_zero_test_floors_flag_single_outage(path3):
                     horizon=6000, noise_variance=1e-4, seed=9)
     stream = generate(scen)
     pre, post = stream.values[:3000], stream.values[3000:]
-    thresholds = zero_test_floors(len(pre), len(post), branch_pairs(path3), stream.layout)
+    thresholds = zero_test_floors(len(pre), len(post), branch_pairs(path3), stream.schedule.layout)
     assert 0.0 < thresholds.zero < 0.1 < thresholds.active < 0.2
     report = scan_pairs(np.cov(pre.T, ddof=0), np.cov(post.T, ddof=0),
-                        branch_pairs(path3), stream.layout, thresholds,
+                        branch_pairs(path3), stream.schedule.layout, thresholds,
                         noise_floor=scen.noise_variance)
     assert report.flagged == {(2, 3)}
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch import forking, simgen
-from gridwatch.gaussmodel import MAGNITUDE, PHASOR
+from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout
 from gridwatch.grid import (
     Branch,
     GridTopology,
@@ -82,9 +82,9 @@ def test_dead_island_emits_noise_only(path3):
                          noise_variance=noise)
     stream = generate(scen)
     post = stream.values[29:]
-    for c in stream.layout.bus_coords[3]:
+    for c in stream.schedule.layout.bus_coords[3]:
         assert post[:, c].var() == pytest.approx(noise, rel=0.2)
-    live = max(post[:, c].var() for c in stream.layout.bus_coords[2])
+    live = max(post[:, c].var() for c in stream.schedule.layout.bus_coords[2])
     assert live > 50 * noise
 
 
@@ -104,11 +104,11 @@ def test_magnitude_freshness_and_aggregation(loop8):
                          horizon=23, noise_variance=0.0)
     stream = generate(scen)
     ticks = np.arange(1, 24)
-    for c in range(stream.layout.dim):
+    for c in range(stream.schedule.layout.dim):
         np.testing.assert_array_equal(stream.fresh[:, c], ticks % period == 0)
     # aggregated values equal sums of the per-tick real parts
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
-    re_cols = [full.layout.entries.index((b, "re")) for b in range(1, 9)]
+    re_cols = [full.schedule.layout.entries.index((b, "re")) for b in range(1, 9)]
     for k, t in enumerate(range(period, 24, period)):
         window = full.values[t - period: t, re_cols].sum(axis=0)
         np.testing.assert_allclose(stream.values[t - 1], window, atol=1e-12)
@@ -122,9 +122,9 @@ def test_period_aggregation_matches_per_tick_loop(loop8, horizon):
     stream = generate(scen)
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
     periods = {bus: period for bus, _, period in sched.entries}
-    for c, (bus, part) in enumerate(stream.layout.entries):
+    for c, (bus, part) in enumerate(stream.schedule.layout.entries):
         period = periods[bus]
-        raw = full.values[:, full.layout.entries.index((bus, part))]
+        raw = full.values[:, full.schedule.layout.entries.index((bus, part))]
         csum = np.concatenate([[0.0], np.cumsum(raw)])
         values, fresh, last = np.empty(horizon), np.zeros(horizon, dtype=bool), 0.0
         for t in range(horizon):
@@ -142,10 +142,10 @@ def test_magnitude_channel_is_real_part(loop8):
     scen = base_scenario(loop8, schedule=sched)
     stream = generate(scen)
     full = generate(dataclasses.replace(scen, schedule=SensorSchedule.all_phasor(8)))
-    c_mag = stream.layout.entries.index((4, "re"))
-    c_full = full.layout.entries.index((4, "re"))
+    c_mag = stream.schedule.layout.entries.index((4, "re"))
+    c_full = full.schedule.layout.entries.index((4, "re"))
     np.testing.assert_array_equal(stream.values[:, c_mag], full.values[:, c_full])
-    assert (4, "im") not in stream.layout.entries
+    assert (4, "im") not in stream.schedule.layout.entries
 
 
 def test_mean_shift_stress_option(loop8):
@@ -153,7 +153,7 @@ def test_mean_shift_stress_option(loop8):
                          mean_shift=0.25, noise_variance=1e-6)
     stream = generate(scen)
     post = stream.values[9:]
-    live_cols = [k for k, (bus, _) in enumerate(stream.layout.entries) if bus != 1]
+    live_cols = [k for k, (bus, _) in enumerate(stream.schedule.layout.entries) if bus != 1]
     means = post[:, live_cols].mean(axis=0)
     assert np.all(np.abs(means - 0.25) < 0.05)
 
@@ -177,6 +177,22 @@ def test_generate_peak_memory_on_a_long_stream(loop12):
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * 20_000 * 24 * 8, peak
+
+
+def test_schedule_layout_is_one_object_with_its_caches(loop8, tmp_path):
+    # a stream reads its layout through its schedule: one layout object,
+    # whose bus_coords and pair_table are built once
+    scen = Scenario(topology=loop8, horizon=5, seed=1)
+    stream = generate(scen)
+    layout = stream.schedule.layout
+    assert layout is scen.schedule.layout
+    assert layout.pair_table is stream.schedule.layout.pair_table
+    assert layout == CoordinateLayout.full_phasor(8)
+    data, meta = tmp_path / "stream.csv", tmp_path / "stream.meta"
+    write_stream(stream, str(data), str(meta), scen)
+    parsed = parse_stream(str(data), str(meta))
+    assert parsed.schedule.layout is parsed.schedule.layout
+    assert parsed.schedule.layout == layout
 
 
 def test_outage_tick_degenerate_and_mean(loop8):
@@ -424,8 +440,9 @@ def test_channel_ids_past_one_word_are_matched_whole(tmp_path, bus):
     with open(data, "w", encoding="utf-8") as fh:
         fh.write(simgen.STREAM_HEADER + "\n" + "".join(rows))
     stream = parse_stream(data, meta)
+    columns = [simgen.channel_id(b, part) for b, part in stream.schedule.layout.entries]
     for k, key in enumerate(ids):
-        column = [simgen.channel_id(b, part) for b, part in stream.layout.entries].index(key)
+        column = columns.index(key)
         assert stream.values[:, column].tolist() == [10.0 + k, 20.0 + k]
     # one past the id, proper prefixes of it (its first word alone matches a
     # known word in every column), and past the field it is read into
@@ -710,7 +727,7 @@ _ISLANDS = Scenario(
 
 def _same_stream(a, b) -> bool:
     return (a.values.tobytes() == b.values.tobytes() and np.array_equal(a.fresh, b.fresh)
-            and a.truth == b.truth and a.layout == b.layout
+            and a.truth == b.truth and a.schedule == b.schedule
             and (a.injections is None) == (b.injections is None)
             and (a.injections is None or a.injections.tobytes() == b.injections.tobytes()))
 
@@ -869,7 +886,7 @@ def test_sample_covariance_converges_to_the_model(scen):
     # standard error sqrt((S_ii S_jj + S_ij^2) / n) about the model's S_ij:
     # six of them bound every entry, a bound that shrinks like 1/sqrt(n)
     stream = generate(scen)
-    cov = scen.pre_model().project(stream.layout).cov
+    cov = scen.pre_model().project(stream.schedule.layout).cov
     sample = np.cov(stream.values.T, ddof=0).reshape(cov.shape)
     sd = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / stream.horizon)
     assert np.all(np.abs(sample - cov) <= 6.0 * sd), np.max(np.abs(sample - cov) / sd)

@@ -92,7 +92,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
     scenario = Scenario(topology, (loop,), lam=TICKS // 2 + 1, horizon=TICKS, seed=seed)
     stream = generate(scenario)
     detect = DetectorConfig(g=scenario.pre_model(), f=scenario.post_model())
-    layout = stream.layout
+    layout = stream.schedule.layout
     g = scenario.pre_model().project(layout)
     f = scenario.post_model().project(layout)
     prior = GeometricPrior(0.04)
