@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .simgen import (
     Scenario,
     _synthesize,
     exact_covariances,
+    exact_scoring,
     generate,
     parse_stream,
     scenario_from_blocks,
@@ -227,7 +229,7 @@ def cmd_localize(args) -> None:
     pre = stream.values[: lam - 1]
     post = stream.values[lam - 1: lam - 1 + post_ticks]
     if exact:
-        sigma0, sigma1 = exact_covariances(scenario, layout, "[localize] exact = true")
+        sigma0, sigma1 = exact_covariances(scenario, layout)
     else:
         if pre.shape[0] < layout.dim + 2 or post.shape[0] < layout.dim + 2:
             raise textconf.ConfigError(
@@ -259,8 +261,9 @@ def cmd_localize(args) -> None:
                                           layout)
         except ValueError as exc:
             raise textconf.ConfigError(f"[localize]: {exc}") from None
-    report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
-                        noise_floor=None if exact else scenario.noise_variance)
+    with exact_scoring(scenario, "[localize] exact = true") if exact else nullcontext():
+        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
+                            noise_floor=None if exact else scenario.noise_variance)
     if thresholds is None:
         # the window cannot show any score below delta: scores, but no flags
         report = dataclasses.replace(report, flagged=frozenset())
@@ -340,18 +343,18 @@ def cmd_pmu_sweep(args) -> None:
 
 
 def cmd_heatmap(args) -> None:
-    """The exact pre- and post-outage matrices (of exact_covariances, as
-    exact localize scores), and beside them (in a forked child when
-    forking.may_fork) the post-outage matrix estimated from the synthesized
-    stream.  The exact job's error wins, as in serial order."""
+    """The exact pre- and post-outage matrices, and beside them (in a forked
+    child when forking.may_fork) the post-outage matrix estimated from the
+    synthesized stream.  The exact job's error wins, as in serial order."""
     blocks = load_config(args.config)
     scenario = build_scenario(blocks, os.path.dirname(args.config), args.seed)
     layout = scenario.schedule.layout
 
     def exact() -> None:
-        sigma0, sigma1 = exact_covariances(scenario, layout, "heatmap")
+        sigma0, sigma1 = exact_covariances(scenario, layout)
         out = _outdir(args)
-        pre, post = _matrix_csv(sigma0, layout), _matrix_csv(sigma1, layout)
+        with exact_scoring(scenario, "heatmap"):
+            pre, post = _matrix_csv(sigma0, layout), _matrix_csv(sigma1, layout)
         _write(os.path.join(out, "heatmap_pre.csv"), pre)
         _write(os.path.join(out, "heatmap_post.csv"), post)
 

@@ -184,6 +184,8 @@ def _replications(config: ExperimentConfig, margin: int,
             total += horizon * dim
         return rows + _score_chunk(config, reps[lo:], draws[lo:], detectors)
 
+    # one group unless a child may fork: run here, more groups would only
+    # end this process's chunks short of the budget at each group's end
     n = min(forking.cpus(), config.replications) if forking.may_fork() else 1
     cuts = [config.replications * k // n for k in range(n + 1)]
     jobs = [lambda reps=range(lo, hi): score(reps) for lo, hi in zip(cuts, cuts[1:])]

@@ -50,12 +50,10 @@ def _spawn(job):
 
 
 def forked(*jobs) -> tuple:
-    """The results of jobs, in job order.  Where may_fork, the first job runs
-    here and each other one in its own forked child; every child is read and
-    reaped, also when the first job raises, and the lowest-indexed job's
-    exception is raised.  Otherwise every job runs here, in order, and the
-    first exception propagates.  Either way a failure is the one that
-    running the jobs in order would meet first."""
+    """The results of jobs, in job order; a failure raises the error that
+    running them in order would meet first.  Where may_fork, the first job
+    runs here and each other one in its own forked child, every child read
+    and reaped also when the first job raises; otherwise all run here."""
     if not may_fork():
         return tuple(job() for job in jobs)
     children = []

@@ -40,11 +40,11 @@ from .gaussmodel import (
     CoordinateLayout,
     GaussianModel,
     _injection_vector,
-    kept_coordinates,
     model_from_topology,
 )
 from .grid import (
     GridTopology,
+    SingularBlockError,
     apply_outage,
     format_feeder,
     load_feeder,
@@ -183,35 +183,32 @@ class Scenario:
         return int(substream(seed, "outage-time").geometric(self.outage_rho))
 
 
-def exact_covariances(scenario: Scenario, layout: CoordinateLayout,
-                      scorer: str) -> tuple[np.ndarray, np.ndarray]:
-    """The pre- and post-outage covariances of the scenario's noise-free
-    models, projected onto layout: the exact matrices of exact localize and
-    of the heatmap, in which the conditional correlation of an out branch
-    is an exact zero.
+def exact_covariances(scenario: Scenario, layout: CoordinateLayout) -> tuple:
+    """Pre- and post-outage covariances of the scenario's noise-free models
+    on layout, which exact localize and the heatmap score in exact_scoring:
+    there an out branch's conditional correlation is an exact zero."""
+    return tuple(model_from_topology(t, scenario.injection_variance, 0.0).project(layout).cov
+                 for t in (scenario.topology, scenario.post_topology()))
 
-    A bus that grid.transfer drives but that draws no injection (variance
-    0) moves with its neighbours, so its coordinates keep their variance
-    but add no rank.  When such buses leave a matrix singular on its
-    coordinates of nonzero variance, the block score_pairs factors, a
-    ConfigError names them, with scorer (say, "heatmap") as its subject.
-    """
-    topologies = (scenario.topology, scenario.post_topology())
-    covs = tuple(model_from_topology(topology, scenario.injection_variance, 0.0)
-                 .project(layout).cov for topology in topologies)
-    var = _injection_vector(scenario.injection_variance, scenario.topology.bus_count)
-    silent = sorted({bus for topology in topologies for buses, _ in transfer(topology)
-                     for bus in buses if var[bus - 1] == 0.0})
-    if silent:
-        try:
-            for cov in covs:
-                kept, _ = kept_coordinates(cov)
-                np.linalg.cholesky(cov[np.ix_(kept, kept)])
-        except np.linalg.LinAlgError:
-            raise textconf.ConfigError(
-                f"{scorer} scores the noise-free covariance, which is singular: [injection] "
-                f"leaves driven buses {', '.join(map(str, silent))} at variance 0") from None
-    return covs
+
+@contextlib.contextmanager
+def exact_scoring(scenario: Scenario, scorer: str):
+    """Runs a block that scores the scenario's exact_covariances.  A bus that
+    grid.transfer drives but that draws no injection (variance 0) moves with
+    its neighbours: its coordinates keep their variance but add no rank.
+    When the block raises SingularBlockError and the scenario has such
+    buses, a ConfigError names them, with scorer as its subject."""
+    try:
+        yield
+    except SingularBlockError:
+        var = _injection_vector(scenario.injection_variance, scenario.topology.bus_count)
+        silent = sorted({bus for t in (scenario.topology, scenario.post_topology())
+                         for buses, _ in transfer(t) for bus in buses if var[bus - 1] == 0.0})
+        if not silent:
+            raise
+        raise textconf.ConfigError(
+            f"{scorer} scores the noise-free covariance, which is singular: [injection] "
+            f"leaves driven buses {', '.join(map(str, silent))} at variance 0") from None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ detector._step_increments).  Then small helpers that only tests call: the
 score of one bus pair, a PSD check of a model's covariance, draws from a
 model, a topology's in-service pairs, sensor schedules from a {bus: (kind,
 period)} table or all magnitude, the coverage-sweep table read back from
-its CSV, and a forced fork setting that counts the calls that fork.
+its CSV, and a forced fork setting that counts the calls that fork a child.
 They lean on scipy, which the package itself does not import.
 """
 
@@ -301,24 +301,31 @@ def pmu_sweep_from_csv(text: str) -> PmuSweepTable:
     return PmuSweepTable(tuple(PmuSweepRow(*row) for row in PMU_SWEEP.rows(text)))
 
 
-_FORKED = forking.forked
+_FORKED, _SPAWN = forking.forked, forking._spawn
 
 
 @contextlib.contextmanager
 def forks_under(monkeypatch, cpus: int, other_thread: bool = False):
     """Runs the block with forking.cpus() forced to cpus and, when
     other_thread, another thread alive; yields the list that gathers the
-    jobs of each forking.forked call made meanwhile that forks a child: two
-    or more jobs, where forking.may_fork (a call that does not runs its
-    jobs in this process)."""
+    jobs of each forking.forked call made meanwhile that forked a child (a
+    call that runs every job in this process adds nothing)."""
     monkeypatch.setattr(forking, "cpus", lambda: cpus)
-    calls = []
+    calls, spawned = [], []
+
+    def spawn(job):
+        spawned.append(job)
+        return _SPAWN(job)
 
     def forked(*jobs):
-        if len(jobs) > 1 and forking.may_fork():
-            calls.append(jobs)
-        return _FORKED(*jobs)
+        before = len(spawned)
+        try:
+            return _FORKED(*jobs)
+        finally:
+            if len(spawned) > before:
+                calls.append(jobs)
 
+    monkeypatch.setattr(forking, "_spawn", spawn)
     monkeypatch.setattr(forking, "forked", forked)
     release = threading.Event()
     other = threading.Thread(target=release.wait)

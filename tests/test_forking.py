@@ -8,6 +8,7 @@ import pytest
 
 from gridwatch import forking
 from gridwatch.forking import forked
+from oracles import forks_under
 
 
 class JobError(Exception):
@@ -56,16 +57,19 @@ def test_child_that_sends_nothing_is_named():
     assert _no_child_left()
 
 
-def test_without_a_fork_every_job_runs_here_in_order(monkeypatch):
-    monkeypatch.setattr(forking, "cpus", lambda: 1)
+# one CPU, or two beside another live thread: no child may fork
+@pytest.mark.parametrize("cpus, other_thread", [(1, False), (2, True)], ids=["1", "thread"])
+def test_without_a_fork_every_job_runs_here_in_order(monkeypatch, cpus, other_thread):
     ran = []
 
     def job(index: int):
         return lambda: ran.append(index) or (index, os.getpid())
 
-    assert forked(job(0), job(1), job(2)) == tuple((k, os.getpid()) for k in range(3))
-    ran.clear()
-    with pytest.raises(JobError, match=rf"^job 1 in {os.getpid()}$"):
-        forked(job(0), _fail(1), _fail(2), job(3))
-    assert ran == [0]
+    with forks_under(monkeypatch, cpus, other_thread) as calls:
+        assert forking.forked(job(0), job(1), job(2)) == tuple((k, os.getpid())
+                                                               for k in range(3))
+        ran.clear()
+        with pytest.raises(JobError, match=rf"^job 1 in {os.getpid()}$"):
+            forking.forked(job(0), _fail(1), _fail(2), job(3))
+    assert ran == [0] and calls == []
     assert _no_child_left()

@@ -54,8 +54,8 @@ def test_heatmap_exact_post_collapses_wherever_exact_localize_flags(buses, loops
     out = spare[pick % len(spare)]
     scen = Scenario(topology=top, out_branches=(out,), lam=1, horizon=2, noise_variance=noise)
     layout = scen.schedule.layout
-    sigma0, sigma1 = exact_covariances(scen, layout, "heatmap")
-    quiet = exact_covariances(dataclasses.replace(scen, noise_variance=0.0), layout, "heatmap")
+    sigma0, sigma1 = exact_covariances(scen, layout)
+    quiet = exact_covariances(dataclasses.replace(scen, noise_variance=0.0), layout)
     assert all(a.tobytes() == b.tobytes() for a, b in zip((sigma0, sigma1), quiet))
     report = scan_pairs(sigma0, sigma1, branch_pairs(top), layout, EXACT_THRESHOLDS)
     post = correlation_matrix(sigma1, layout)
