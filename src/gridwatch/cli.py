@@ -262,11 +262,10 @@ def cmd_localize(args) -> None:
         except ValueError as exc:
             raise textconf.ConfigError(f"[localize]: {exc}") from None
     with exact_scoring(scenario, "[localize] exact = true") if exact else nullcontext():
-        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds or EXACT_THRESHOLDS,
+        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds,
                             noise_floor=None if exact else scenario.noise_variance)
     if thresholds is None:
         # the window cannot show any score below delta: scores, but no flags
-        report = dataclasses.replace(report, flagged=frozenset())
         print(f"zero test left out: a post window of {len(post)} ticks is too short to show "
               f"a score below {FLOOR_DELTA} at level {FLOOR_LEVEL}; it needs at least "
               f"{_least_ticks(prior, least_post_size(pairs, layout))} ticks")

@@ -325,7 +325,7 @@ def run_detector(stream, config: DetectorConfig) -> DetectionReport:
     g = config.g.project(layout) if config.g.layout is not None else config.g
     if g.dim != layout.dim:
         raise ValueError("base model does not cover the stream channels")
-    step_period = math.lcm(*stream.schedule.channel_periods(layout))
+    step_period = math.lcm(*stream.schedule.channel_periods())
     g_step = g.scaled_cov(float(step_period)) if step_period > 1 else g
     f_step = None
     if config.f is not None:

@@ -183,8 +183,7 @@ def _tril_inverse(chol: np.ndarray) -> np.ndarray:
     down to diagonal blocks of at most _TRIL_LEAF rows.  A leaf is inverted
     as the transpose of its upper-triangular transpose: LU with partial
     pivoting then swaps no rows and the solve is a back substitution, so the
-    inverse is lower triangular exactly.  A (..., n, n) stack is inverted
-    matrix by matrix in the same calls."""
+    inverse is lower triangular exactly."""
     n = chol.shape[-1]
     if n <= _TRIL_LEAF:
         return np.linalg.inv(chol.swapaxes(-1, -2)).swapaxes(-1, -2)
@@ -303,26 +302,25 @@ def score_pairs(sigma: np.ndarray, pairs,
     """(scores, degenerate) arrays of bus pairs, each conditioned on all
     other coordinates.
 
-    sigma is one (d, d) covariance, scored into (P,) arrays, or a (B, d, d)
-    stack, scored into (B, P) arrays; pairs is a sequence of (i, j) or a
-    (P, 2) integer array.  The score is the largest |correlation| in the
-    cross block of the pair's conditional covariance: zero exactly when the
-    two buses are conditionally independent.  That covariance is the
+    sigma is one (d, d) covariance over the layout's d coordinates (else
+    ValueError), pairs a sequence of (i, j) or a (P, 2) integer array, and
+    both arrays have shape (P,).  The score is the largest |correlation| in
+    the cross block of the pair's conditional covariance: zero exactly when
+    the two buses are conditionally independent.  That covariance is the
     inverse of the pair's block of the precision matrix Lambda = Sigma^-1,
     so coordinates with variance <= 1e-15 * max(largest variance, 1) are
     dropped, the kept block is factored as L L^T, Lambda is formed as W^T W
     with W = L^-1, and the 2x2, 3x3 or 4x4 pair blocks of Lambda are
-    inverted as stacks by np.linalg.inv.  The covariances of a stack that
-    drop the same coordinates go through these steps together, one call
-    each, and give the same bits as one at a time.  A pair that holds a
-    dropped coordinate, or has a conditional variance <= 1e-14 * max(largest
+    inverted as stacks by np.linalg.inv.  A pair that holds a dropped
+    coordinate, or has a conditional variance <= 1e-14 * max(largest
     variance, 1), is degenerate and scores 0; a bus paired with itself
     scores 1.  KeyError names the smallest bus the layout lacks.  Raises
     SingularBlockError when the kept block or a pair block of Lambda is
-    singular; for a stack, without naming which covariance it was.
+    singular.
     """
     sigma = np.asarray(sigma, dtype=float)
-    stack = sigma if sigma.ndim == 3 else sigma[None]
+    if sigma.shape != (layout.dim, layout.dim):
+        raise ValueError(f"covariance {sigma.shape} does not fit layout {(layout.dim,) * 2}")
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     widths, coords = layout.pair_table
     known = (pairs >= 0) & (pairs < len(widths))
@@ -330,72 +328,56 @@ def score_pairs(sigma: np.ndarray, pairs,
     if not known.all():
         raise KeyError(f"bus {pairs[~known].min()} has no coordinates in this layout")
     other = pairs[:, 0] != pairs[:, 1]
-    scores = np.zeros((len(stack), len(pairs)))
-    scores[:, ~other] = 1.0
-    degenerate = np.zeros(scores.shape, dtype=bool)
-    kept, scale = kept_coordinates(stack)
-    groups: dict[bytes, list[int]] = {}  # covariances by kept mask
-    for b, mask in enumerate(kept):
-        groups.setdefault(mask.tobytes(), []).append(b)
-    shapes = list(itertools.product(np.unique(widths[widths > 0]).tolist(), repeat=2))
-    for members in map(np.array, groups.values()):
-        mask = kept[members[0]]
-        scored = other & mask[coords].all(axis=1)[pairs].all(axis=1)
-        degenerate[np.ix_(members, other & ~scored)] = True
-        if not scored.any():
-            continue
-        idx = np.flatnonzero(mask)
-        precision = _kept_precision(stack[np.ix_(members, idx, idx)])
-        position = np.cumsum(mask) - 1  # of each kept coordinate in the kept block
-        floor = 1e-14 * scale[members, None, None]
-        step = max(1, _PAIR_BATCH // len(members))
-        for start in range(0, len(pairs), step):
-            batch = start + np.flatnonzero(scored[start:start + step])
-            width = widths[pairs[batch]]
-            for ni, nj in shapes:
-                cols = batch[(width[:, 0] == ni) & (width[:, 1] == nj)]
-                if not cols.size:
-                    continue
-                at = position[np.concatenate([coords[pairs[cols, 0], :ni],
-                                              coords[pairs[cols, 1], :nj]], axis=1)]
-                try:
-                    cond = np.linalg.inv(precision[:, at[:, :, None], at[:, None, :]])
-                except np.linalg.LinAlgError:
-                    raise SingularBlockError(
-                        "Lambda[pair, pair]",
-                        f"a pair block of the precision of {idx.size} coordinates") from None
-                var = np.diagonal(cond, axis1=2, axis2=3)
-                live = (var > floor).all(axis=2)
-                b, p = np.nonzero(live)
-                cross = np.abs(cond[b, p, :ni, ni:])
-                cross /= np.sqrt(var[b, p, :ni, None] * var[b, p, None, ni:])
-                scores[members[b], cols[p]] = cross.max(axis=(1, 2))
-                b, p = np.nonzero(~live)
-                degenerate[members[b], cols[p]] = True
-    if sigma.ndim == 3:
+    scores = (~other).astype(float)
+    kept, scale = kept_coordinates(sigma)
+    scored = other & kept[coords].all(axis=1)[pairs].all(axis=1)
+    degenerate = other & ~scored
+    if not scored.any():
         return scores, degenerate
-    return scores[0], degenerate[0]
+    idx = np.flatnonzero(kept)
+    precision = _kept_precision(sigma[np.ix_(idx, idx)])
+    position = np.cumsum(kept) - 1  # of each kept coordinate in the kept block
+    shapes = list(itertools.product(np.unique(widths[widths > 0]).tolist(), repeat=2))
+    for start in range(0, len(pairs), _PAIR_BATCH):
+        batch = start + np.flatnonzero(scored[start:start + _PAIR_BATCH])
+        width = widths[pairs[batch]]
+        for ni, nj in shapes:
+            cols = batch[(width[:, 0] == ni) & (width[:, 1] == nj)]
+            if not cols.size:
+                continue
+            at = position[np.concatenate([coords[pairs[cols, 0], :ni],
+                                          coords[pairs[cols, 1], :nj]], axis=1)]
+            try:
+                cond = np.linalg.inv(precision[at[:, :, None], at[:, None, :]])
+            except np.linalg.LinAlgError:
+                raise SingularBlockError("Lambda[pair, pair]", f"a pair block of the "
+                                         f"precision of {idx.size} coordinates") from None
+            var = np.diagonal(cond, axis1=1, axis2=2)
+            live = (var > 1e-14 * scale).all(axis=1)
+            cross = np.abs(cond[live, :ni, ni:])
+            cross /= np.sqrt(var[live, :ni, None] * var[live, None, ni:])
+            scores[cols[live]] = cross.max(axis=(1, 2))
+            degenerate[cols[~live]] = True
+    return scores, degenerate
 
 
-def kept_coordinates(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coordinates of nonzero variance, scale) of a (d, d) covariance or
-    each of a (B, d, d) stack: variance above 1e-15 * scale, scale =
-    max(largest variance, 1)."""
-    var = np.diagonal(sigma, axis1=-2, axis2=-1)
-    scale = np.maximum(var.max(axis=-1, initial=0.0), 1.0)
-    return var > 1e-15 * scale[..., None], scale
+def kept_coordinates(sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """(coordinates of nonzero variance, scale) of a (d, d) covariance:
+    variance above 1e-15 * scale, scale = max(largest variance, 1)."""
+    var = np.diag(sigma)
+    scale = max(float(var.max(initial=0.0)), 1.0)
+    return var > 1e-15 * scale, scale
 
 
 def _kept_precision(block: np.ndarray) -> np.ndarray:
-    """Inverse of each kept block Sigma[kept, kept] of a (B, k, k) stack as
-    W^T W, W the inverse of its Cholesky factor."""
+    """Inverse of the kept block Sigma[kept, kept] as W^T W, W = L^-1."""
     try:
         chol = np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
-        raise SingularBlockError("Sigma[kept, kept]", f"{block.shape[-1]} coordinates "
+        raise SingularBlockError("Sigma[kept, kept]", f"{block.shape[0]} coordinates "
                                  "of nonzero variance") from None
     whiten = _tril_inverse(chol)
-    return whiten.swapaxes(1, 2) @ whiten
+    return whiten.T @ whiten
 
 
 # --- model construction from the grid --------------------------------------

@@ -151,24 +151,25 @@ def all_bus_pairs(layout: CoordinateLayout) -> list[tuple[int, int]]:
 
 
 def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: CoordinateLayout,
-               thresholds: Thresholds = EXACT_THRESHOLDS,
+               thresholds: Thresholds | None = EXACT_THRESHOLDS,
                noise_floor: float | None = None) -> LocalizationReport:
     """Zero test over the given bus pairs (typically the known branch list).
 
-    Both covariances are scored as one stack in one score_pairs call.  A
-    pair is flagged when |rho_pre| > active and |rho_post| < zero.  Pairs
-    that are degenerate under either covariance are kept in the report with
-    the degenerate marker but never flagged; when noise_floor (the measurement
-    noise variance) is given, pairs whose post-event marginals sit at the
-    noise floor on both ends (a de-energised island) are likewise skipped,
-    since everything in such an island looks conditionally independent.
-    Raises SingularBlockError when a covariance is singular after its
-    zero-variance coordinates are dropped.
+    sigma0 (pre-event) and sigma1 (post-event) take a score_pairs call
+    each.  A pair is flagged when |rho_pre| > active and |rho_post| < zero;
+    with thresholds None, none is.  Pairs that are degenerate under either
+    covariance are kept in the report with the degenerate marker but never
+    flagged; when noise_floor (the measurement noise variance) is given,
+    pairs whose post-event marginals sit at the noise floor on both ends (a
+    de-energised island) are likewise skipped, since everything in such an
+    island looks conditionally independent.  Raises SingularBlockError when
+    a covariance is singular after its zero-variance coordinates are
+    dropped.
     """
     sigma1 = np.asarray(sigma1, dtype=float)
     pairs = list(pairs)
-    (pre, post), (degen_pre, degen_post) = score_pairs(np.stack([sigma0, sigma1]),
-                                                       pairs, layout)
+    pre, degen_pre = score_pairs(sigma0, pairs, layout)
+    post, degen_post = score_pairs(sigma1, pairs, layout)
     degenerate = degen_pre | degen_post
     if noise_floor is not None:
         diag = np.diag(sigma1)
@@ -177,7 +178,7 @@ def scan_pairs(sigma0: np.ndarray, sigma1: np.ndarray, pairs, layout: Coordinate
         degenerate |= np.array([i in quiet and j in quiet for i, j in pairs], dtype=bool)
     scores = [PairScore(i, j, a, b, d) for (i, j), a, b, d
               in zip(pairs, pre.tolist(), post.tolist(), degenerate.tolist())]
-    flagged = frozenset(s.pair for s in scores if not s.degenerate
+    flagged = frozenset(s.pair for s in scores if thresholds is not None and not s.degenerate
                         and s.rho_pre > thresholds.active and s.rho_post < thresholds.zero)
     return LocalizationReport(flagged, _sorted_scores(scores))
 

@@ -84,12 +84,10 @@ class SensorSchedule:
         so the layout's own caches (bus_coords, pair_table) are kept."""
         return CoordinateLayout.from_kinds({b: k for b, k, _ in self.entries})
 
-    def channel_periods(self, layout: CoordinateLayout) -> list[int]:
+    def channel_periods(self) -> list[int]:
+        """The period of every coordinate of the layout, in layout order."""
         period = {bus: p for bus, _, p in self.entries}
-        try:
-            return [period[bus] for bus, _ in layout.entries]
-        except KeyError as exc:
-            raise KeyError(f"bus {exc.args[0]} not in schedule") from None
+        return [period[bus] for bus, _ in self.layout.entries]
 
     def require_period_one(self, users: str) -> None:
         """ValueError naming the first bus whose period is not 1.  users
@@ -280,7 +278,7 @@ def _synthesize(scenario: Scenario, draws, first: int = 0) -> Iterator[Measureme
     layout = scenario.schedule.layout
     cols = layout.indices_in(CoordinateLayout.full_phasor(m))
     every_column = np.array_equal(cols, np.arange(2 * m))
-    periods = np.array(scenario.schedule.channel_periods(layout))
+    periods = np.array(scenario.schedule.channel_periods())
     every_tick = periods == 1
     slow = [(c, int(periods[c])) for c in np.flatnonzero(~every_tick)]
     truth = scenario.out_branches

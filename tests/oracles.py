@@ -225,7 +225,7 @@ def synthesize_draw(scenario, seed: int, lam: int | None,
     layout = scenario.schedule.layout
     values = stacked[:, layout.indices_in(CoordinateLayout.full_phasor(m))]
     fresh = np.ones(values.shape, dtype=bool)
-    for c, period in enumerate(scenario.schedule.channel_periods(layout)):
+    for c, period in enumerate(scenario.schedule.channel_periods()):
         if period == 1:
             continue
         csum = np.concatenate([[0.0], np.cumsum(values[:, c])])

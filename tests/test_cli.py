@@ -478,6 +478,66 @@ def test_minus_one_reads_as_a_key_left_out(tmp_path, capsys, command):
     assert trees[0] == trees[1] and trees[0]
 
 
+def test_estimation_rho_reaches_the_adaptive_detector(tmp_path, capsys):
+    # loop8, 7-8 out at tick 100 of 300, noise 2e-2: the window-position
+    # prior moves the adaptive trace, and -1 reads as the key left out
+    from gridwatch.detector import ADAPTIVE, run_detector
+
+    base = (CONFIG.replace("outage = 3-4, 2-6", "outage = 7-8")
+            .replace("lambda = 21", "lambda = 100").replace("horizon = 60", "horizon = 300")
+            .replace("noise_variance = 1e-8", "noise_variance = 2e-2")
+            .replace("seed = 3", "seed = 5").replace("rho = 1e-4", "rho = 0.01")
+            .replace("mode = known_f", "mode = adaptive"))
+    stream_dir = str(tmp_path / "stream")
+    traces = {}
+    for name, key in (("left_out", ""), ("minus_one", "\nestimation_rho = -1"),
+                      ("set", "\nestimation_rho = 0.3")):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(base.replace("mode = adaptive", "mode = adaptive" + key))
+        if not traces:
+            run_ok(["simulate", "--config", str(conf), "--out", stream_dir], capsys)
+        run_ok(["detect", "--config", str(conf), "--stream", stream_dir,
+                "--out", str(tmp_path / name)], capsys)
+        traces[name] = _read(tmp_path, name, "trace.csv")
+    assert traces["minus_one"] == traces["left_out"] != traces["set"]
+    stream = parse_stream(os.path.join(stream_dir, "stream.csv"),
+                          os.path.join(stream_dir, "stream.meta"))
+    g = simgen.scenario_from_blocks(stream.meta).pre_model()
+    report = run_detector(stream, DetectorConfig(g=g, mode=ADAPTIVE, alpha=1e-6, rho=0.01,
+                                                 estimation_rho=0.3))
+    assert cli.trace_csv(report) == traces["set"]
+
+
+def test_candidate_cut_decides_likely_out(tmp_path, capsys):
+    # loop8, 3-4 out at tick 200 of 400, nothing flagged, so every branch is
+    # a candidate: a cut just above branch 1-2's post/pre ratio marks it out
+    # and one just below does not, while every ratio stays as it was
+    base = (CONFIG.replace("outage = 3-4, 2-6", "outage = 3-4")
+            .replace("lambda = 21", "lambda = 200").replace("horizon = 60", "horizon = 400")
+            .replace("exact = true", "exact = true\nzero = 1e-6\nactive = 2.0"))
+    stream_dir = str(tmp_path / "stream")
+
+    def admittances(name, key=""):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(base + key)
+        if name == "default":
+            run_ok(["simulate", "--config", str(conf), "--out", stream_dir], capsys)
+        run_ok(["localize", "--config", str(conf), "--stream", stream_dir,
+                "--out", str(tmp_path / name)], capsys)
+        lines = _read(tmp_path, name, "admittance.csv").splitlines()[1:]
+        return {ln.split(",")[0]: (float(ln.split(",")[5]), ln.split(",")[6]) for ln in lines}
+
+    default = admittances("default")
+    ratio = default["1-2"][0]
+    assert 0.1 < ratio < 1.0 and default["1-2"][1] == "0"
+    for name, cut in (("below", 0.999 * ratio), ("above", 1.001 * ratio)):
+        rows = admittances(name, f"candidate_cut = {cut!r}\n")
+        assert {b: r for b, (r, _) in rows.items()} == {b: r for b, (r, _) in default.items()}
+        assert {b: out for b, (_, out) in rows.items()} == {
+            b: "1" if r < cut else "0" for b, (r, _) in rows.items()}
+    assert rows["1-2"][1] == "1"
+
+
 def test_readme_config_documents_every_key(tmp_path):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     text = readme.split("A complete config:\n\n```ini\n", 1)[1].split("```", 1)[0]

@@ -69,6 +69,9 @@ def test_exact_sigma_flags_double_outage(loop8):
     g, f = exact_pair(loop8, [(3, 4), (2, 6)])
     report = scan_pairs(g.cov, f.cov, branch_pairs(loop8), g.layout, EXACT_THRESHOLDS)
     assert report.flagged == {(3, 4), (2, 6)}
+    # without thresholds the same pairs are scored and none is flagged
+    unjudged = scan_pairs(g.cov, f.cov, branch_pairs(loop8), g.layout, None)
+    assert unjudged.scores == report.scores and unjudged.flagged == frozenset()
 
 
 def test_identical_covariances_flag_nothing(loop8):

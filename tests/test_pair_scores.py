@@ -1,9 +1,9 @@
 """Pair scoring from the precision matrix, checked against per-pair Schur
 complements (conditional_cov) on bundled and random feeders, exact and noisy
 covariances, dead and DER islands, and phasor, magnitude and mixed layouts;
-and the array scorer over covariance stacks checked bit for bit against the
-per-pair scorer of one covariance (score_pairs_per_pair); a singular pair
-block is a named error."""
+and the array scorer checked bit for bit against the per-pair scorer
+(score_pairs_per_pair); a singular pair block is a named error, and so is a
+covariance that does not fit the layout."""
 
 from unittest import mock
 
@@ -149,6 +149,19 @@ def test_singular_kept_block_raises():
         correlation_matrix(sigma, layout)
 
 
+def test_covariance_that_does_not_fit_the_layout_is_named(loop12):
+    model = model_from_topology(loop12, 1.0, 1e-8)
+    # a 24-coordinate covariance with a 16-coordinate layout would score
+    # the pairs conditioned on the wrong coordinates
+    with pytest.raises(ValueError, match=r"\(24, 24\).*\(16, 16\)"):
+        score_pairs(model.cov, [(1, 2), (3, 4)], CoordinateLayout.full_phasor(8))
+    # a smaller covariance than the layout, and a stack of two
+    with pytest.raises(ValueError, match=r"\(10, 10\).*\(24, 24\)"):
+        score_pairs(np.eye(10), [(1, 2)], model.layout)
+    with pytest.raises(ValueError, match=r"\(2, 24, 24\).*\(24, 24\)"):
+        score_pairs(np.stack([model.cov, model.cov]), [(1, 2)], model.layout)
+
+
 def test_correlation_matrix_scatters_symmetric_scores(loop8):
     model = model_from_topology(loop8, 1.0, 1e-8)
     matrix = correlation_matrix(model.cov, model.layout)
@@ -159,7 +172,7 @@ def test_correlation_matrix_scatters_symmetric_scores(loop8):
 
 
 @st.composite
-def stack_cases(draw):
+def covariance_cases(draw):
     # up to 48 coordinates: kept blocks above 32 rows take _tril_inverse's
     # block recursion
     m = draw(st.integers(1, 24))
@@ -182,7 +195,7 @@ def stack_cases(draw):
             x[:, 0] = x[:, 1]
         cov = x.T @ x / (d + 3)
         if kind == "zero_variance":
-            # dropped coordinates in this covariance of the stack only
+            # dropped coordinates in this covariance only
             dead = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=2))
             cov[list(dead)] = 0.0
             cov[:, list(dead)] = 0.0
@@ -198,7 +211,7 @@ def stack_cases(draw):
                                       max_size=2)))
         pairs = ([(unknown[0], 1)] + pairs if draw(st.booleans())
                  else pairs + [(1, bus) for bus in unknown])
-    return np.stack(covs), pairs, layout, draw(st.booleans())
+    return covs, pairs, layout, draw(st.booleans())
 
 
 def _outcome(score, *args):
@@ -219,50 +232,41 @@ def _same_outcome(got, want):
 
 @settings(max_examples=200,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(stack_cases())
-def test_stack_scorer_matches_per_pair_oracle_bit_for_bit(case):
+@given(covariance_cases())
+def test_array_scorer_matches_per_pair_oracle_bit_for_bit(case):
     covs, pairs, layout, as_array = case
     given_pairs = np.array(pairs, dtype=int).reshape(-1, 2) if as_array else pairs
-    want = [_outcome(score_pairs_per_pair, cov, pairs, layout) for cov in covs]
-    for cov, expected in zip(covs, want):
-        _same_outcome(_outcome(score_pairs, cov, given_pairs, layout), expected)
-    got = _outcome(score_pairs, covs, given_pairs, layout)
-    errors = [w for w in want if isinstance(w, Exception)]
-    if any(isinstance(w, KeyError) for w in errors):
-        _same_outcome(got, errors[0])
-    elif errors:
-        # a stack names no covariance: it raises when some member does
-        assert isinstance(got, SingularBlockError), got
-    else:
-        assert got[0].shape == got[1].shape == (len(covs), len(pairs))
-        _same_outcome(got, (np.stack([w[0] for w in want]), np.stack([w[1] for w in want])))
+    for cov in covs:
+        _same_outcome(_outcome(score_pairs, cov, given_pairs, layout),
+                      _outcome(score_pairs_per_pair, cov, pairs, layout))
 
 
-def test_random90_stack_matches_per_pair_oracle_bit_for_bit():
+def test_random90_matches_per_pair_oracle_bit_for_bit():
     # the heatmap benchmark's feeder at d = 180: pre and post covariances,
-    # with and without the slack coordinates dropped, as one stack
+    # with and without the slack coordinates dropped, each scored alone
     top = random_feeder(90, 5, 43)
     layout = CoordinateLayout.full_phasor(90)
     post = apply_outage(top, {top.branches[89].pair})
-    covs = np.stack([model_from_topology(t, 1.0, noise).cov
-                     for t in (top, post) for noise in (1e-8, 0.0)])
     pairs = all_bus_pairs(layout)
-    scores, degenerate = score_pairs(covs, np.array(pairs), layout)
-    for cov, got, flags in zip(covs, scores, degenerate):
-        want, want_flags = score_pairs_per_pair(cov, pairs, layout)
-        assert got.tobytes() == want.tobytes() and flags.tolist() == want_flags.tolist()
+    for t in (top, post):
+        for noise in (1e-8, 0.0):
+            cov = model_from_topology(t, 1.0, noise).cov
+            scores, degenerate = score_pairs(cov, np.array(pairs), layout)
+            want, want_flags = score_pairs_per_pair(cov, pairs, layout)
+            assert scores.tobytes() == want.tobytes()
+            assert degenerate.tolist() == want_flags.tolist()
 
 
 def test_singular_pair_block_is_named():
     # a pair block of the precision that np.linalg.inv finds singular is a
     # SingularBlockError, not a raw LinAlgError; the pair blocks are the one
-    # 4-D input (covariances x pairs x block) score_pairs inverts
+    # 3-D input (pairs x block) score_pairs inverts
     layout = CoordinateLayout.full_phasor(3)
     sigma = np.cov(np.random.default_rng(7).normal(size=(40, 6)).T)
     inv = np.linalg.inv
 
     def pair_blocks_fail(a):
-        if np.ndim(a) == 4:
+        if np.ndim(a) == 3:
             raise np.linalg.LinAlgError("Singular matrix")
         return inv(a)
 

@@ -20,7 +20,7 @@ def run_tool(script: str, *args: str) -> list[list[str]]:
 def test_scaling_prints_a_row_per_size():
     lines = run_tool("scaling.py", "--repeats", "1")
     assert lines[0] == ["m", "d", "build", "generate", "generate_mb", "known_f", "detect_mb",
-                        "estimate", "pairs", "floors", "adapt100", "adapt800"]
+                        "estimate", "pairs", "scan", "floors", "adapt100", "adapt800"]
     assert [row[:2] for row in lines[1:]] == [[str(m), str(2 * m)] for m in (10, 30, 60, 90)]
     for row in lines[1:]:
         assert len(row) == len(lines[0]) and all(float(cell) >= 0.0 for cell in row[2:-2])

@@ -15,6 +15,9 @@ stream, it prints the median seconds over repeats of:
               stream, in MB
     estimate  estimate_post_outage over the 2 000 ticks
     pairs     score_pairs of every bus pair of one covariance
+    scan      scan_pairs over the branch pairs of the pre- and post-outage
+              sample covariances, of the stream's first 1 000 rows and of
+              its last 1 000
     floors    the zero-test floors over the branch pairs, as localize takes
               them for 1 000 pre rows and 1 000 post rows: the Kish size of
               the post window, then zero_test_floors
@@ -54,7 +57,7 @@ from gridwatch.gaussmodel import (
     model_from_topology,
     score_pairs,
 )
-from gridwatch.localizer import all_bus_pairs, zero_test_floors
+from gridwatch.localizer import all_bus_pairs, scan_pairs, zero_test_floors
 from gridwatch.simgen import Scenario, generate
 
 SIZES = (10, 30, 60, 90)
@@ -62,7 +65,7 @@ TICKS = 2000
 WINDOWS = (100, 800)
 REFITS = 100
 COLUMNS = ("build", "generate", "generate_mb", "known_f", "detect_mb", "estimate", "pairs",
-           "floors", *(f"adapt{w}" for w in WINDOWS))
+           "scan", "floors", *(f"adapt{w}" for w in WINDOWS))
 
 
 def median_seconds(job, repeats: int, before=None) -> float:
@@ -99,6 +102,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
     cov = np.cov(stream.values.T, ddof=0)
     pairs = np.array(all_bus_pairs(layout))
     branches = [br.pair for br in topology.branches]
+    pre, post = (np.cov(rows.T, ddof=0) for rows in np.split(stream.values, 2))
 
     def floors():
         zero_test_floors(TICKS // 2, prior.kish_sizes(TICKS // 2)[-1], branches, layout)
@@ -121,6 +125,7 @@ def sweep_row(m: int, seed: int, repeats: int) -> list[float | None]:
         peak_mb(lambda: run_detector(stream, detect)),
         median_seconds(lambda: estimate_post_outage(stream.values, prior), repeats),
         median_seconds(lambda: score_pairs(cov, pairs, layout), repeats),
+        median_seconds(lambda: scan_pairs(pre, post, branches, layout), repeats),
         median_seconds(floors, repeats),
         *map(adaptive, WINDOWS),
     ]
