@@ -12,12 +12,15 @@ detector._step_increments).  Then small helpers that only tests call: the
 score of one bus pair, a PSD check of a model's covariance, draws from a
 model, a topology's in-service pairs, sensor schedules from a {bus: (kind,
 period)} table or all magnitude, the coverage-sweep table read back from
-its CSV, and a forced fork setting that counts the calls that fork a child.
-They lean on scipy, which the package itself does not import.
+its CSV, a forced fork setting that counts the calls that fork a child,
+and a BLAS thread count set for a block.  They lean on scipy, which the
+package itself does not import.
 """
 
 import contextlib
+import ctypes
 import math
+import os
 import threading
 
 import numpy as np
@@ -338,3 +341,35 @@ def forks_under(monkeypatch, cpus: int, other_thread: bool = False):
         if other_thread:
             other.join(timeout=10)
             assert not other.is_alive()
+
+
+# the thread-count symbols of numpy's and scipy's OpenBLAS builds and of a
+# plain one, "get" or "set" in the gap
+OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                    "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Runs the block with every OpenBLAS loaded into this process (found by
+    its path in /proc/self/maps) at count threads, through its own
+    set-threads symbol, then puts each back at its former count."""
+    calls = []
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in OPENBLAS_THREADS:
+                get = getattr(lib, name.format("get"), None)
+                if get is not None:
+                    get.restype = ctypes.c_int
+                    calls.append((getattr(lib, name.format("set")), int(get())))
+                    break
+    for put, _ in calls:
+        put(count)
+    try:
+        yield
+    finally:
+        for put, former in calls:
+            put(former)

@@ -38,9 +38,7 @@ next to a dead one, DER islands (one of them grounding-only) and a dead
 island on a random feeder.
 """
 
-import ctypes
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -50,37 +48,17 @@ from gridwatch.cli import main
 from gridwatch.experiments import ExperimentConfig, run_experiment, run_pmu_sweep
 from gridwatch.grid import format_feeder, islands, load_feeder, random_feeder
 from gridwatch.simgen import Scenario, generate, write_stream
-from oracles import forks_under, schedule_from_kinds
+from oracles import blas_threads, forks_under, schedule_from_kinds
 
 DER_FEEDER = dict(bus_count=24, loops=2, seed=5, der_buses={9, 17, 20})
-# the thread-count symbols of numpy's and scipy's OpenBLAS builds and of a
-# plain one, "get" or "set" in the gap
-OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                    "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
 @pytest.fixture(autouse=True, scope="module")
 def one_blas_thread():
-    """Every OpenBLAS loaded into this process (found by its path in
-    /proc/self/maps) at one thread through its own set-threads symbol while
-    these tests run, then back at its former count."""
-    calls = []
-    if os.path.exists("/proc/self/maps"):
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-        for path in paths:
-            lib = ctypes.CDLL(path)
-            for name in OPENBLAS_THREADS:
-                get = getattr(lib, name.format("get"), None)
-                if get is not None:
-                    get.restype = ctypes.c_int
-                    calls.append((getattr(lib, name.format("set")), int(get())))
-                    break
-    for put, _ in calls:
-        put(1)
-    yield
-    for put, count in calls:
-        put(count)
+    """Every OpenBLAS loaded into this process at one thread while these
+    tests run, then back at its former count."""
+    with blas_threads(1):
+        yield
 
 
 def _scenario(case: str) -> Scenario:

@@ -37,6 +37,7 @@ from gridwatch.simgen import (
 from gridwatch.textconf import ConfigError, format_blocks
 from oracles import (
     all_magnitude,
+    blas_threads,
     schedule_from_kinds,
     synthesize_draw,
     transfer_through_copy,
@@ -160,23 +161,23 @@ def test_mean_shift_stress_option(loop8):
 
 def test_generate_peak_memory_on_a_long_stream(loop12):
     # the monitor benchmark's stream: 20 000 ticks of 24 channels hold
-    # 3.84 MB of values and as much of complex injections.  The driven buses
-    # of both networks form one run of ids, so each regime's products read
-    # the injections through a view: the peak holds the injections, the
-    # values and one regime's products, below 2.75 arrays of the stream's
-    # size (a copy of the injection columns made it 2.9).  A short stream
-    # first fills the transfer cache of both networks, so that the traced
-    # peak is the synthesis alone.
+    # 3.84 MB of values.  The stream is drawn and transformed in row blocks,
+    # so that with or without an outage the peak holds the values and a few
+    # blocks, below 1.4 arrays of the stream's size (whole-stream injections,
+    # transfer products and noise made it 2.46 with the outage at mid-stream
+    # and 2.92 without one).  A short stream first fills the transfer cache
+    # of both networks, so that the traced peak is the synthesis alone.
     scen = Scenario(topology=loop12, out_branches=((8, 10),), lam=10_000, horizon=20_000,
                     seed=43)
     generate(dataclasses.replace(scen, lam=2, horizon=2))
-    tracemalloc.start()
-    try:
-        generate(scen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.75 * 20_000 * 24 * 8, peak
+    for stream in (scen, dataclasses.replace(scen, out_branches=(), lam=None)):
+        tracemalloc.start()
+        try:
+            generate(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * 20_000 * 24 * 8, (stream.out_branches, peak)
 
 
 def test_schedule_layout_is_one_object_with_its_caches(loop8, tmp_path):
@@ -774,27 +775,45 @@ def _same_as_oracle(stream, expected) -> bool:
             and (injections is None or stream.injections.tobytes() == injections.tobytes()))
 
 
-@settings(max_examples=40)
-@example(case=(_ISLANDS, [(5, 1, 9), (6, 12, 12), (7, 15, 10), (8, 4, 7)]))
-@given(case=oracle_cases())
-def test_synthesis_matches_the_per_draw_formula(case):
+# one-row regimes (outage at tick 2, outage at the last tick) and regimes
+# whose last block would keep one row at blocks of 3
+_ONE_ROW_DRAWS = [(5, 2, 11), (6, 11, 11), (7, 9, 15), (8, 20, 7)]
+
+
+@settings(max_examples=60)
+@example(case=(_ISLANDS, [(5, 1, 9), (6, 12, 12), (7, 15, 10), (8, 4, 7)]), step=0, cut=40)
+@example(case=(_ISLANDS, _ONE_ROW_DRAWS), step=3, cut=2)
+@example(case=(dataclasses.replace(_ISLANDS, noise_variance=0.0, record_injections=False),
+               _ONE_ROW_DRAWS), step=3, cut=0)
+@given(case=oracle_cases(), step=st.sampled_from([0, 2, 3, 5]), cut=st.integers(0, 40))
+def test_synthesis_matches_the_per_draw_formula(case, step, cut):
+    # each draw synthesized in blocks of step rows, or at the package's
+    # budget (step 0) as one block: blocks that start at the first row kept
+    # and end at the outage split, regimes of one row, merged one-row tails
     scen, draws = case
-    for (seed, lam, horizon), stream in zip(draws, simgen._synthesize(scen, draws)):
-        assert _same_as_oracle(stream, synthesize_draw(scen, seed, lam, horizon))
-        if lam <= horizon:
-            alone = dataclasses.replace(scen, seed=seed, lam=lam, outage_rho=None,
-                                        horizon=horizon)
-            assert _same_as_oracle(generate(alone), synthesize_draw(scen, seed, lam, horizon))
-    # a period-1 stream kept from its outage on is the tail of the full one
-    flat = dataclasses.replace(scen, schedule=SensorSchedule(
-        tuple((bus, kind, 1) for bus, kind, _ in scen.schedule.entries)))
-    for seed, lam, horizon in draws:
-        if lam <= horizon:
+    with pytest.MonkeyPatch.context() as patch:
+        if step:
+            patch.setattr(simgen, "_SYNTH_BUDGET", 2 * scen.topology.bus_count * step)
+        for (seed, lam, horizon), stream in zip(draws, simgen._synthesize(scen, draws)):
+            assert _same_as_oracle(stream, synthesize_draw(scen, seed, lam, horizon))
+            if lam <= horizon:
+                alone = dataclasses.replace(scen, seed=seed, lam=lam, outage_rho=None,
+                                            horizon=horizon)
+                assert _same_as_oracle(generate(alone), synthesize_draw(scen, seed, lam, horizon))
+        # a period-1 stream kept from row first on is the tail of the full one,
+        # where first keeps none of the pre-outage rows or two or more of them
+        flat = dataclasses.replace(scen, schedule=SensorSchedule(
+            tuple((bus, kind, 1) for bus, kind, _ in scen.schedule.entries)))
+        for seed, lam, horizon in draws:
+            split = min(lam - 1, horizon)
+            first = min(cut, split, horizon - 1)
+            if split - first == 1 and first:
+                first -= 1
             values, fresh, injections = synthesize_draw(flat, seed, lam, horizon)
-            tail = next(simgen._synthesize(flat, [(seed, lam, horizon)], lam - 1))
-            assert tail.horizon == horizon - lam + 1 and tail.truth.lam == lam
-            assert _same_as_oracle(tail, (values[lam - 1:], fresh[lam - 1:], None
-                                          if injections is None else injections[lam - 1:]))
+            tail = next(simgen._synthesize(flat, [(seed, lam, horizon)], first))
+            assert tail.horizon == horizon - first and tail.truth.lam == lam
+            assert _same_as_oracle(tail, (values[first:], fresh[first:], None
+                                          if injections is None else injections[first:]))
 
 
 # --- island transfers through column views ---------------------------------
@@ -850,6 +869,45 @@ def test_transfer_through_column_views_matches_the_copy(case):
     simgen._apply_transfer(got[first:], injections, simgen._transfer_blocks(top))
     transfer_through_copy(want[first:], injections, top)
     assert got.tobytes() == want.tobytes()
+
+
+# --- row blocks of island products -----------------------------------------
+
+def test_row_blocks_never_leave_one_row_of_a_longer_range():
+    for lo in range(4):
+        for hi in range(lo, lo + 30):
+            for step in range(2, 7):
+                blocks = list(simgen._row_blocks(lo, hi, step))
+                assert [b for _, b in blocks[:-1]] == [a for a, _ in blocks[1:]]
+                assert blocks == [] if hi == lo else (blocks[0][0], blocks[-1][1]) == (lo, hi)
+                sizes = [b - a for a, b in blocks]
+                assert all(2 <= size <= step + 1 for size in sizes) or sizes == [1] == [hi - lo]
+
+
+def test_island_products_over_row_blocks_keep_the_bits_of_the_whole():
+    # numpy hands a product of two or more rows to BLAS gemm, which at one
+    # thread gives each row the same bits whatever the rows beside it:
+    # random feeders of 8-120 buses, with DER buses, whole or with a branch
+    # (of the tree or of a loop) out, every block of two or more of 12 rows
+    rng = np.random.default_rng(35)
+    rows = 12
+    with blas_threads(1):
+        for n in rng.integers(8, 121, 12):
+            der = {int(b) for b in rng.integers(2, n + 1, rng.integers(0, 3))}
+            top = random_feeder(int(n), loops=int(rng.integers(0, 4)),
+                                seed=int(rng.integers(1000)), der_buses=der or None)
+            out = top.branches[int(rng.integers(len(top.branches)))].pair
+            for network in (top, apply_outage(top, {out})):
+                blocks = simgen._transfer_blocks(network)
+                injections = (rng.standard_normal((rows, n))
+                              + 1j * rng.standard_normal((rows, n)))
+                whole = np.zeros((rows, 2 * n), order="F")
+                simgen._apply_transfer(whole, injections, blocks)
+                for lo in range(rows - 1):
+                    for hi in range(lo + 2, rows + 1):
+                        part = np.zeros((hi - lo, 2 * n), order="F")
+                        simgen._apply_transfer(part, injections[lo:hi], blocks)
+                        assert part.tobytes() == whole[lo:hi].tobytes(), (n, network, lo, hi)
 
 
 # --- synthesis matches the model ------------------------------------------

@@ -31,6 +31,9 @@ def test_scaling_prints_a_row_per_size():
         # an adaptive window below nmin = d + 2 has no refreshed step to time
         for window, cell in zip((100, 800), row[-2:]):
             assert cell == "-" if window < int(row[1]) + 2 else float(cell) > 0.0
+    # synthesized in row blocks, the 90-bus stream holds its values and a
+    # few blocks beside them
+    assert float(lines[-1][4]) < 1.5 * 2000 * 180 * 8 / 1e6
 
 
 def test_startup_prints_a_row_per_job():
