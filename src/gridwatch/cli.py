@@ -14,12 +14,8 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import os
 import sys
-from contextlib import nullcontext
-
-import numpy as np
 
 from . import forking, textconf
 from .gaussmodel import GeometricPrior, estimate_post_outage
@@ -74,23 +70,10 @@ def _read(blocks, name: str) -> dict:
     return textconf.read(name, fields, kinds, auto=auto)
 
 
-def _given(options: dict, *keys: str) -> dict:
-    """The options among keys that the config sets, as keyword arguments."""
-    return {key: options[key] for key in keys if key in options}
-
-
 def _estimation_prior(blocks) -> GeometricPrior:
     # localize and heatmap read [detector] rho as the estimation prior, with
     # a default of 0.04 where detect's is 1e-4
     return GeometricPrior(_read(blocks, "detector").get("rho", 0.04))
-
-
-def _least_ticks(prior: GeometricPrior, size: float) -> int:
-    """The fewest post-window ticks whose Kish size exceeds size."""
-    n = math.ceil(size)
-    while (sizes := prior.kish_sizes(n))[-1] <= size:
-        n *= 2
-    return int(np.argmax(sizes > size)) + 1
 
 
 def build_scenario(blocks, config_dir: str, seed: int | None) -> Scenario:
@@ -194,18 +177,7 @@ def cmd_detect(args) -> None:
 
 
 def cmd_localize(args) -> None:
-    from .localizer import (
-        EXACT_THRESHOLDS,
-        FLOOR_DELTA,
-        FLOOR_LEVEL,
-        PhasorWindow,
-        Thresholds,
-        all_bus_pairs,
-        estimate_admittance,
-        least_post_size,
-        scan_pairs,
-        zero_test_floors,
-    )
+    from .localizer import FLOOR_DELTA, FLOOR_LEVEL, localize
 
     blocks = load_config(args.config)
     options = _read(blocks, "localize")
@@ -218,78 +190,26 @@ def cmd_localize(args) -> None:
                                    f"{options['post_ticks']}")
     stream = _load_stream(args)
     scenario = scenario_from_blocks(stream.meta)
-    lam = stream.truth.lam
-    if lam is None:
+    if stream.truth.lam is None:
         raise textconf.ConfigError("stream has no outage to localize")
-    layout = stream.schedule.layout
-    exact = options.get("exact", False)
-    if not exact or options.get("estimate_admittance"):
-        stream.schedule.require_period_one("stream estimates")
-    post_ticks = options.get("post_ticks", stream.horizon - lam + 1)
-    pre = stream.values[: lam - 1]
-    post = stream.values[lam - 1: lam - 1 + post_ticks]
-    if exact:
-        sigma0, sigma1 = exact_covariances(scenario, layout)
-    else:
-        if pre.shape[0] < layout.dim + 2 or post.shape[0] < layout.dim + 2:
-            raise textconf.ConfigError(
-                f"windows too short to estimate a {layout.dim}-dim covariance "
-                f"(pre {pre.shape[0]}, post {post.shape[0]})")
-        prior = _estimation_prior(blocks)
-        sigma0 = np.cov(pre.T, ddof=0)
-        sigma1 = estimate_post_outage(post, prior).cov
-
-    pair_mode = options.get("pairs", "branches")
-    if pair_mode == "all":
-        pairs = all_bus_pairs(layout)
-    elif pair_mode == "branches":
-        # a branch can be scored only when both of its buses are sensed
-        pairs = [br.pair for br in scenario.topology.branches
-                 if set(br.pair) <= layout.bus_coords.keys()]
-        if not pairs:
-            raise textconf.ConfigError("no branch has both of its buses sensed")
-    else:
-        raise textconf.ConfigError(f"[localize].pairs must be branches|all, got {pair_mode!r}")
-
-    if "zero" in options:
-        thresholds = Thresholds(options["zero"], options["active"])
-    elif exact:
-        thresholds = EXACT_THRESHOLDS
-    else:
-        try:
-            thresholds = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], pairs,
-                                          layout)
-        except ValueError as exc:
-            raise textconf.ConfigError(f"[localize]: {exc}") from None
-    with exact_scoring(scenario, "[localize] exact = true") if exact else nullcontext():
-        report = scan_pairs(sigma0, sigma1, pairs, layout, thresholds,
-                            noise_floor=None if exact else scenario.noise_variance)
-    if thresholds is None:
+    found = localize(stream, scenario, stream.truth.lam - 1,
+                     admittance=options.pop("estimate_admittance", False),
+                     prior=lambda: _estimation_prior(blocks), **options)
+    report, layout = found.report, stream.schedule.layout
+    if found.thresholds is None:
         # the window cannot show any score below delta: scores, but no flags
-        print(f"zero test left out: a post window of {len(post)} ticks is too short to show "
-              f"a score below {FLOOR_DELTA} at level {FLOOR_LEVEL}; it needs at least "
-              f"{_least_ticks(prior, least_post_size(pairs, layout))} ticks")
+        print(f"zero test left out: a post window of {found.post_ticks} ticks is too short "
+              f"to show a score below {FLOOR_DELTA} at level {FLOOR_LEVEL}; it needs at "
+              f"least {found.least_post_ticks} ticks")
     out = _outdir(args)
     _write(os.path.join(out, "localization.csv"), localization_csv(report))
-    _write(os.path.join(out, "rho_pre.csv"), _matrix_csv(sigma0, layout))
-    _write(os.path.join(out, "rho_post.csv"), _matrix_csv(sigma1, layout))
-
-    if options.get("estimate_admittance"):
-        if stream.injections is None:
-            raise textconf.ConfigError(
-                "admittance estimation needs recorded injections "
-                "(scenario record_injections = true)")
-        dv = stream.complex_values()
-        pre_w = PhasorWindow(dv[: lam - 1], stream.injections[: lam - 1])
-        post_w = PhasorWindow(dv[lam - 1:], stream.injections[lam - 1:])
-        branches = [br.pair for br in scenario.topology.branches]
-        candidates = sorted(report.flagged.intersection(branches)) or branches
-        estimates = estimate_admittance(pre_w, post_w, scenario.topology, candidates,
-                                        **_given(options, "candidate_cut"))
+    _write(os.path.join(out, "rho_pre.csv"), _matrix_csv(found.sigma0, layout))
+    _write(os.path.join(out, "rho_post.csv"), _matrix_csv(found.sigma1, layout))
+    if found.admittance is not None:
         _write(os.path.join(out, "admittance.csv"), ADMITTANCE.text(
             (i, j, *map(float, (est.pre.real, est.pre.imag, est.post.real, est.post.imag,
                                 est.magnitude_ratio)), est.likely_out)
-            for (i, j), est in sorted(estimates.items())))
+            for (i, j), est in sorted(found.admittance.items())))
 
     flagged = ", ".join(f"{i}-{j}" for i, j in sorted(report.flagged)) or "(none)"
     print(f"flagged branches: {flagged}")

@@ -11,12 +11,15 @@ windows of phasor data to confirm.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussmodel import CoordinateLayout, score_pairs
+from .gaussmodel import CoordinateLayout, GeometricPrior, estimate_post_outage, score_pairs
 from .grid import GridTopology
+from .simgen import MeasurementStream, Scenario, exact_covariances, exact_scoring
+from .textconf import ConfigError
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,17 @@ def _fisher_terms(pairs, layout: CoordinateLayout, level: float) -> tuple[int, f
     return k, NormalDist().inv_cdf(1.0 - level / (4 * len(pairs)))
 
 
-def least_post_size(pairs, layout: CoordinateLayout, level: float = FLOOR_LEVEL,
-                    delta: float = FLOOR_DELTA) -> float:
-    """The effective size a post-event window must exceed before
-    zero_test_floors can conclude |rho_post| < delta: k + 3 + (c / z(delta))^2."""
+def least_post_ticks(prior: GeometricPrior, pairs, layout: CoordinateLayout,
+                     level: float = FLOOR_LEVEL, delta: float = FLOOR_DELTA) -> int:
+    """The fewest post-event ticks whose Kish size under prior exceeds
+    k + 3 + (c / z(delta))^2, the least size at which zero_test_floors can
+    conclude |rho_post| < delta."""
     k, c = _fisher_terms(pairs, layout, level)
-    return k + 3 + (c / math.atanh(delta)) ** 2
+    size = k + 3 + (c / math.atanh(delta)) ** 2
+    n = math.ceil(size)
+    while (sizes := prior.kish_sizes(n))[-1] <= size:
+        n *= 2
+    return int(np.argmax(sizes > size)) + 1
 
 
 def zero_test_floors(n_pre: int, n_post: float, pairs, layout: CoordinateLayout,
@@ -82,9 +90,9 @@ def zero_test_floors(n_pre: int, n_post: float, pairs, layout: CoordinateLayout,
     level.  n_pre and n_post are the windows' effective sizes: the sample
     count of an unweighted window, GeometricPrior.kish_sizes of
     estimate_post_outage's.
-    None when n_post is at most least_post_size (up to rounding): no pair
-    can then be shown to sit below delta, and none may be flagged.  ValueError when a window
-    holds no more than k + 3 samples.
+    None when n_post is at most k + 3 + (c / z(delta))^2 (up to rounding): no
+    pair can then be shown to sit below delta, and none may be flagged.
+    ValueError when a window holds no more than k + 3 samples.
     """
     k, c = _fisher_terms(pairs, layout, level)
     for name, n in (("pre", n_pre), ("post", n_post)):
@@ -228,32 +236,100 @@ def estimate_admittance(pre_window: PhasorWindow, post_window: PhasorWindow,
         if j not in adjacency[i]:
             raise ValueError(f"candidate {(i, j)} is not a branch of the topology")
     needed = max(len(adjacency[b]) for pair in candidates for b in pair)
-    for name, win in (("pre", pre_window), ("post", post_window)):
+    windows = {"pre": pre_window, "post": post_window}
+    for name, win in windows.items():
         if win.delta_v.shape[0] < needed:
             raise ValueError(
                 f"{name} window underdetermined: {win.delta_v.shape[0]} samples "
                 f"for {needed} unknowns; need at least {needed}")
+    fits: dict[tuple[str, int], dict[int, complex]] = {}
 
-    def fit(window: PhasorWindow, bus: int) -> dict[int, complex]:
-        neigh = sorted(adjacency[bus])
-        dv = window.delta_v
-        a = dv[:, [bus - 1] * len(neigh)] - dv[:, [e - 1 for e in neigh]]
-        b = window.delta_i[:, bus - 1]
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return dict(zip(neigh, coef))
+    def fit(label: str, bus: int, other: int) -> complex:
+        # bus's admittance to other, from one least-squares fit per window and bus
+        if (label, bus) not in fits:
+            neigh, dv = sorted(adjacency[bus]), windows[label].delta_v
+            a = dv[:, [bus - 1] * len(neigh)] - dv[:, [e - 1 for e in neigh]]
+            coef, *_ = np.linalg.lstsq(a, windows[label].delta_i[:, bus - 1], rcond=None)
+            fits[label, bus] = dict(zip(neigh, coef))
+        return fits[label, bus][other]
 
     out: dict[tuple[int, int], AdmittanceEstimate] = {}
-    cache: dict[tuple[str, int], dict[int, complex]] = {}
     for i, j in candidates:
-        est = {}
-        for label, window in (("pre", pre_window), ("post", post_window)):
-            vals = []
-            for bus, other in ((i, j), (j, i)):
-                if (label, bus) not in cache:
-                    cache[(label, bus)] = fit(window, bus)
-                vals.append(cache[(label, bus)][other])
-            est[label] = 0.5 * (vals[0] + vals[1])
-        ratio = abs(est["post"]) / abs(est["pre"]) if est["pre"] != 0 else float("inf")
-        out[(i, j)] = AdmittanceEstimate(complex(est["pre"]), complex(est["post"]),
-                                         bool(ratio < candidate_cut))
+        pre, post = (0.5 * (fit(label, i, j) + fit(label, j, i)) for label in windows)
+        ratio = abs(post) / abs(pre) if pre != 0 else float("inf")
+        out[(i, j)] = AdmittanceEstimate(complex(pre), complex(post), bool(ratio < candidate_cut))
     return out
+
+
+@dataclass(frozen=True)
+class Localization:
+    """What localize found; thresholds None: the zero test was left out."""
+
+    report: LocalizationReport
+    sigma0: np.ndarray
+    sigma1: np.ndarray
+    thresholds: Thresholds | None
+    post_ticks: int
+    least_post_ticks: int | None = None
+    admittance: dict[tuple[int, int], AdmittanceEstimate] | None = None
+
+
+def localize(stream: MeasurementStream, scenario: Scenario, split: int, *, exact: bool = False,
+             pairs: str = "branches", zero: float | None = None, active: float | None = None,
+             post_ticks: int | None = None, prior=None, level: float = FLOOR_LEVEL,
+             admittance: bool = False, candidate_cut: float = 0.1) -> Localization:
+    """The zero test between the pre window, the rows before split, and the
+    post window, the post_ticks rows from split on (default: all): on
+    exact_covariances when exact, else on the pre window's sample covariance
+    and the post window's estimate_post_outage under prior().  The thresholds
+    are zero and active, else EXACT_THRESHOLDS when exact, else
+    zero_test_floors.  admittance estimates the flagged branches' admittances
+    (all branches' when none is flagged) on the same split."""
+    layout = stream.schedule.layout
+    if not exact or admittance:
+        stream.schedule.require_period_one("stream estimates")
+    if post_ticks is None:
+        post_ticks = stream.horizon - split
+    elif post_ticks > stream.horizon - split:
+        raise ConfigError(f"[localize].post_ticks = {post_ticks} is more than the "
+                          f"{stream.horizon - split} ticks from the outage on")
+    pre, post = stream.values[:split], stream.values[split: split + post_ticks]
+    if exact:
+        sigma0, sigma1 = exact_covariances(scenario, layout)
+    elif len(pre) < layout.dim + 2 or len(post) < layout.dim + 2:
+        raise ConfigError(f"windows too short to estimate a {layout.dim}-dim covariance "
+                          f"(pre {len(pre)}, post {len(post)})")
+    else:
+        prior = prior()
+        sigma0, sigma1 = np.cov(pre.T, ddof=0), estimate_post_outage(post, prior).cov
+    branches = [br.pair for br in scenario.topology.branches]
+    if pairs not in ("branches", "all"):
+        raise ConfigError(f"[localize].pairs must be branches|all, got {pairs!r}")
+    # a branch can be scored only when both of its buses are sensed
+    scored = (all_bus_pairs(layout) if pairs == "all"
+              else [pair for pair in branches if set(pair) <= layout.bus_coords.keys()])
+    if not scored and pairs == "branches":
+        raise ConfigError("no branch has both of its buses sensed")
+    if zero is not None or exact:
+        thresholds = EXACT_THRESHOLDS if zero is None else Thresholds(zero, active)
+    else:
+        try:
+            thresholds = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], scored,
+                                          layout, level)
+        except ValueError as exc:
+            raise ConfigError(f"[localize]: {exc}") from None
+    with exact_scoring(scenario, "[localize] exact = true") if exact else nullcontext():
+        report = scan_pairs(sigma0, sigma1, scored, layout, thresholds,
+                            noise_floor=None if exact else scenario.noise_variance)
+    estimates = None
+    if admittance:
+        if stream.injections is None:
+            raise ConfigError("admittance estimation needs recorded injections "
+                              "(scenario record_injections = true)")
+        dv, di = stream.complex_values(), stream.injections
+        estimates = estimate_admittance(
+            PhasorWindow(dv[:split], di[:split]), PhasorWindow(dv[split:], di[split:]),
+            scenario.topology, sorted(report.flagged.intersection(branches)) or branches,
+            candidate_cut)
+    least = None if thresholds is not None else least_post_ticks(prior, scored, layout, level)
+    return Localization(report, sigma0, sigma1, thresholds, post_ticks, least, estimates)

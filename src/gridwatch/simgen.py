@@ -43,6 +43,7 @@ from .gaussmodel import (
     model_from_topology,
 )
 from .grid import (
+    _BUNDLED,
     GridTopology,
     SingularBlockError,
     apply_outage,
@@ -775,7 +776,10 @@ def scenario_from_blocks(blocks: list[tuple[str, dict[str, str]]],
     feeder = options.pop("feeder", None)
     if feeder is not None:
         path = os.path.join(config_dir, feeder)
-        topology = load_feeder(path if os.path.exists(path) else feeder)
+        if not (os.path.isfile(path) or os.path.isfile(feeder) or feeder in _BUNDLED):
+            raise textconf.ConfigError(f"[scenario].feeder = {feeder!r} is neither a file nor "
+                                       f"a bundled feeder ({', '.join(_BUNDLED)})")
+        topology = load_feeder(path if os.path.isfile(path) else feeder)
     elif feeder_blocks:
         topology = parse_feeder(textconf.format_blocks(feeder_blocks))
     else:

@@ -361,6 +361,10 @@ BAD_INPUTS = {
     "localize_estimated_post_ticks_zero": (
         "localize", "exact = true", "exact = false\npost_ticks = 0", "ConfigError",
         "[localize].post_ticks must be at least 1, got 0"),
+    # 40 ticks from the outage tick 21 of 60 on: more used to be clipped
+    "localize_post_ticks_past_the_stream": (
+        "localize", "exact = true", "exact = false\npost_ticks = 41", "ConfigError",
+        "[localize].post_ticks = 41 is more than the 40 ticks from the outage on"),
     "bad_pairs_value": ("localize", "exact = true", "exact = true\npairs = some",
                         "ConfigError", "[localize].pairs must be branches|all, got 'some'"),
     "repeated_scenario": ("simulate", "[detector]", "[scenario]\nfeeder = path3\n\n[detector]",
@@ -763,6 +767,26 @@ def test_localize_post_window_too_short_for_fisher_z(tmp_path, capsys):
     assert err["message"].endswith("given 12 coordinates: need more than 15")
 
 
+def test_localize_post_ticks_may_reach_the_stream_end(tmp_path, capsys):
+    # the 380 ticks from the outage on are the default post window, and the
+    # most that post_ticks may name
+    config = (CONFIG.replace("exact = true", "exact = false")
+              .replace("horizon = 60", "horizon = 400"))
+    stream_dir = str(tmp_path / "stream")
+    (tmp_path / "sim.conf").write_text(config)
+    run_ok(["simulate", "--config", str(tmp_path / "sim.conf"), "--out", stream_dir], capsys)
+    runs = []
+    for name, keys in (("default", ""), ("all", "\npost_ticks = 380")):
+        conf = tmp_path / f"{name}.conf"
+        conf.write_text(config.replace("exact = false", f"exact = false{keys}"))
+        out = tmp_path / name
+        said = run_ok(["localize", "--config", str(conf), "--stream", stream_dir,
+                       "--out", str(out)], capsys)
+        runs.append((said, {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert "a post window of 380 ticks" in runs[0][0]
+
+
 PARTIAL_CONFIG = """\
 [scenario]
 feeder = loop12
@@ -864,12 +888,17 @@ def test_alpha_past_the_log_odds_clamp_is_rejected(tmp_path, capsys, alpha):
 
 
 def test_missing_feeder_file_error(tmp_path, capsys):
+    # a name that is no file and no bundled feeder, and an empty value (the
+    # config's own directory), are config faults, not OS errors
     conf = tmp_path / "c.conf"
-    conf.write_text("[scenario]\nfeeder = nosuch\nhorizon = 5\n")
-    code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] in (
-        "FileNotFoundError", "ConfigError")
+    for value, shown in (("nosuch", "'nosuch'"), ("", "''")):
+        conf.write_text(f"[scenario]\nfeeder = {value}\nhorizon = 5\n")
+        code = main(["simulate", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "ConfigError",
+            "message": f"[scenario].feeder = {shown} is neither a file nor a bundled feeder "
+                       f"(path3, loop8, loop12)"}
 
 
 def test_emitted_csvs_round_trip_through_parsers(tmp_path, config_path, capsys):

@@ -1,7 +1,8 @@
 """The zero test's closed-form floors: the Fisher z formula against scipy's
 normal quantile, the short-window boundary and its tick count, the named
-errors, the false-flag rate on no-outage streams of random feeders, and the
-monitor benchmark's config, which must flag exactly its out branch."""
+errors, and through the localization pipeline the false-flag rate on
+no-outage streams of random feeders and the monitor benchmark's config,
+which must flag exactly its out branch."""
 
 import math
 
@@ -11,21 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, norm
 
-from gridwatch import cli
-from gridwatch.gaussmodel import (
-    MAGNITUDE,
-    PHASOR,
-    CoordinateLayout,
-    GeometricPrior,
-    estimate_post_outage,
-)
+from gridwatch.gaussmodel import MAGNITUDE, PHASOR, CoordinateLayout, GeometricPrior
 from gridwatch.grid import TopologyError, load_feeder, random_feeder
 from gridwatch.localizer import (
     FLOOR_DELTA,
     FLOOR_LEVEL,
     all_bus_pairs,
-    least_post_size,
-    scan_pairs,
+    least_post_ticks,
+    localize,
     zero_test_floors,
 )
 from gridwatch.simgen import Scenario, generate
@@ -46,7 +40,11 @@ def test_floors_follow_the_fisher_z_formula():
     got = zero_test_floors(9999, 9989.26, pairs, layout)
     assert got.active == pytest.approx(np.tanh(z + c / math.sqrt(9999 - 23)), rel=1e-12)
     assert got.zero == pytest.approx(np.tanh(z - c / math.sqrt(9989.26 - 23)), rel=1e-12)
-    assert least_post_size(pairs, layout) == pytest.approx(23 + (c / z) ** 2, rel=1e-12)
+    # the least post window: the fewest ticks whose Kish size at rho 0.04
+    # exceeds k + 3 + (c / z)^2
+    sizes = GeometricPrior(0.04).kish_sizes(least_post_ticks(GeometricPrior(0.04), pairs,
+                                                             layout))
+    assert sizes[-2] <= 23 + (c / z) ** 2 < sizes[-1]
     # two magnitude buses pair into 2 of the 6 coordinates: k = 4, not 2
     mixed = CoordinateLayout.from_kinds({1: MAGNITUDE, 2: MAGNITUDE, 3: PHASOR, 4: PHASOR})
     got = zero_test_floors(500, 3000, [(1, 2), (3, 4)], mixed, level=0.01, delta=0.2)
@@ -58,13 +56,13 @@ def test_floors_follow_the_fisher_z_formula():
 def test_floors_are_none_up_to_the_least_post_size():
     layout = CoordinateLayout.full_phasor(12)
     pairs = loop12_branches()
-    least = least_post_size(pairs, layout)
+    least = 23 + (norm.isf(FLOOR_LEVEL / (4 * 13)) / np.arctanh(FLOOR_DELTA)) ** 2
     assert zero_test_floors(9999, least - 1e-6, pairs, layout) is None
     assert 0.0 < zero_test_floors(9999, least + 1e-6, pairs, layout).zero < 1e-8
     # the fewest ticks whose weights have a Kish size above it, as localize
     # names them, and the Kish sizes against their direct sums
     prior = GeometricPrior(0.04)
-    ticks = cli._least_ticks(prior, least)
+    ticks = least_post_ticks(prior, pairs, layout)
     sizes = prior.kish_sizes(ticks)
     assert sizes[-2] <= least < sizes[-1]
     for n in (1, 2, 50, ticks):
@@ -120,14 +118,12 @@ def test_floors_keep_false_flags_under_the_level(level):
         layout = CoordinateLayout.full_phasor(topology.bus_count)
         pairs = (all_bus_pairs(layout) if mode == "all"
                  else [br.pair for br in topology.branches])
-        n_post = cli._least_ticks(prior, least_post_size(pairs, layout, level)) + post_extra
+        n_post = least_post_ticks(prior, pairs, layout, level) + post_extra
         scenario = Scenario(topology, horizon=n_pre + n_post, **scenario_draws)
-        stream = generate(scenario)
-        pre, post = stream.values[:n_pre], stream.values[n_pre:]
-        floors = zero_test_floors(n_pre, prior.kish_sizes(n_post)[-1], pairs, layout,
-                                  level=level)
-        report = scan_pairs(np.cov(pre.T, ddof=0), estimate_post_outage(post, prior).cov,
-                            pairs, layout, floors, noise_floor=scenario.noise_variance)
+        found = localize(generate(scenario), scenario, n_pre, pairs=mode,
+                         prior=lambda: prior, level=level)
+        assert found.thresholds is not None
+        report = found.report
         seen["pairs"] += sum(not s.degenerate for s in report.scores)
         seen["flags"] += len(report.flagged)
 
@@ -143,12 +139,6 @@ def test_monitor_config_flags_exactly_its_out_branch(seed):
     # against an active floor of 0.598)
     scenario = Scenario(load_feeder("loop12"), ((8, 10),), lam=10_000, horizon=20_000,
                         seed=seed)
-    stream = generate(scenario)
-    pre, post = stream.values[:9_999], stream.values[9_999:]
-    prior = GeometricPrior(0.04)
-    pairs = loop12_branches()
-    layout = stream.schedule.layout
-    floors = zero_test_floors(len(pre), prior.kish_sizes(len(post))[-1], pairs, layout)
-    report = scan_pairs(np.cov(pre.T, ddof=0), estimate_post_outage(post, prior).cov, pairs,
-                        layout, floors, noise_floor=scenario.noise_variance)
-    assert report.flagged == {(8, 10)}
+    found = localize(generate(scenario), scenario, 9_999, prior=lambda: GeometricPrior(0.04))
+    assert found.thresholds is not None
+    assert found.report.flagged == {(8, 10)}

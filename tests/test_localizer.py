@@ -11,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch.experiments import correlation_matrix
-from gridwatch.gaussmodel import GeometricPrior, estimate_post_outage
-from gridwatch.grid import Branch, GridTopology, apply_outage, islands, random_feeder
+from gridwatch.gaussmodel import GeometricPrior
+from gridwatch.grid import (
+    Branch,
+    GridTopology,
+    TopologyError,
+    apply_outage,
+    islands,
+    random_feeder,
+)
 from gridwatch.localizer import (
     DELTA_TIE,
     EXACT_THRESHOLDS,
@@ -20,6 +27,7 @@ from gridwatch.localizer import (
     PhasorWindow,
     Thresholds,
     estimate_admittance,
+    localize,
     scan_pairs,
     zero_test_floors,
 )
@@ -108,14 +116,10 @@ def test_estimated_covariance_flags_same_set(loop8):
     # the baseline and the weighted estimator on the post window.
     scen = Scenario(topology=loop8, out_branches=((3, 4), (2, 6)), lam=4001,
                     horizon=12_000, noise_variance=1e-4, seed=42)
-    stream = generate(scen)
-    pre = stream.values[:4000]
-    post = stream.values[4000:]
-    sigma0 = np.cov(pre.T, ddof=0)
-    sigma1 = estimate_post_outage(post, GeometricPrior(0.04)).cov
-    report = scan_pairs(sigma0, sigma1, branch_pairs(loop8), stream.schedule.layout,
-                        Thresholds(zero=0.05, active=0.3))
-    assert report.flagged == {(3, 4), (2, 6)}
+    found = localize(generate(scen), scen, 4000, zero=0.05, active=0.3,
+                     prior=lambda: GeometricPrior(0.04))
+    assert found.thresholds == Thresholds(zero=0.05, active=0.3)
+    assert found.report.flagged == {(3, 4), (2, 6)}
 
 
 def test_zero_test_floors_flag_single_outage(path3):
@@ -157,6 +161,41 @@ def test_scan_invariant_under_common_scaling(loop8):
     by_pair = {s.pair: s for s in b.scores}
     for x in a.scores:
         assert x.rho_pre == pytest.approx(by_pair[x.pair].rho_pre, abs=1e-12)
+
+
+@st.composite
+def der_outages(draw):
+    """A random feeder with DER buses and one branch out.  Where the outage
+    cuts buses off the slack, one of them is a DER bus in about two draws
+    of three, so the cut-off part is a der island or else a dead one."""
+    buses, seed = draw(st.integers(4, 24)), draw(st.integers(0, 10_000))
+    try:
+        top = random_feeder(buses, loops=draw(st.integers(0, 3)), seed=seed)
+    except TopologyError:  # no bus pair left far enough apart for a loop
+        top = random_feeder(buses, seed=seed)
+    out = draw(st.sampled_from(branch_pairs(top)))
+    der = set(draw(st.sets(st.integers(2, buses), max_size=3)))
+    cut = sorted(bus for part in islands(apply_outage(top, {out})) if part.kind != "slack"
+                 for bus in part.buses)
+    if cut and draw(st.integers(0, 2)):
+        der.add(draw(st.sampled_from(cut)))
+    return dataclasses.replace(top, der_buses=frozenset(der)), out
+
+
+@settings(max_examples=150, deadline=None)
+@given(der_outages())
+def test_exact_zero_test_on_der_and_dead_islands(case):
+    # exact localize flags no in-service branch, and flags the out branch
+    # whenever it is not degenerate and was live before the outage, also
+    # where the outage leaves a der island (grounded at its lowest DER bus)
+    # or a dead one
+    top, out = case
+    scen = Scenario(topology=top, out_branches=(out,), lam=2, horizon=3)
+    found = localize(generate(scen), scen, 1, exact=True)
+    score = next(s for s in found.report.scores if s.pair == out)
+    assert found.report.flagged <= {out}
+    if not score.degenerate and score.rho_pre > EXACT_THRESHOLDS.active:
+        assert out in found.report.flagged
 
 
 # --- exhaustive soundness sweep (module-sized; full sweep in acceptance) -----------
