@@ -119,15 +119,11 @@ ADMITTANCE = textconf.Table("branch,pre_re,pre_im,post_re,post_im,magnitude_rati
                              textconf.boolean))
 
 
-def trace_csv(report) -> str:
-    return TRACE.text(zip(report.step_ticks.tolist(), report.posterior_trace.tolist(),
-                          report.log_odds_trace.tolist(), itertools.repeat(report.mode),
-                          report.f_refreshed.tolist()))
-
-
-def localization_csv(report) -> str:
-    return LOCALIZATION.text((s.i, s.j, s.rho_pre, s.rho_post, s.delta,
-                              s.pair in report.flagged, s.degenerate) for s in report.scores)
+def _trace_rows(report):
+    for at in range(0, len(report.step_ticks), textconf.BLOCK_ROWS):
+        n, posterior, log_odds, refreshed = (a[at: at + textconf.BLOCK_ROWS].tolist() for a in (
+            report.step_ticks, report.posterior_trace, report.log_odds_trace, report.f_refreshed))
+        yield from zip(n, posterior, log_odds, itertools.repeat(report.mode), refreshed)
 
 
 def parse_localization_csv(text: str) -> list[dict]:
@@ -165,7 +161,7 @@ def cmd_detect(args) -> None:
     config = detector_config(blocks, scenario.pre_model(), scenario.post_model())
     report = run_detector(stream, config)
     out = _outdir(args)
-    _write(os.path.join(out, "trace.csv"), trace_csv(report))
+    TRACE.write(os.path.join(out, "trace.csv"), _trace_rows(report))
     summary = {"tau": str(report.tau if report.tau is not None else -1)}
     if report.lambda_true is not None:
         summary["lambda"] = str(report.lambda_true)
@@ -202,11 +198,13 @@ def cmd_localize(args) -> None:
               f"to show a score below {FLOOR_DELTA} at level {FLOOR_LEVEL}; it needs at "
               f"least {found.least_post_ticks} ticks")
     out = _outdir(args)
-    _write(os.path.join(out, "localization.csv"), localization_csv(report))
+    LOCALIZATION.write(os.path.join(out, "localization.csv"), (
+        (s.i, s.j, s.rho_pre, s.rho_post, s.delta, s.pair in report.flagged, s.degenerate)
+        for s in report.scores))
     _write(os.path.join(out, "rho_pre.csv"), _matrix_csv(found.sigma0, layout))
     _write(os.path.join(out, "rho_post.csv"), _matrix_csv(found.sigma1, layout))
     if found.admittance is not None:
-        _write(os.path.join(out, "admittance.csv"), ADMITTANCE.text(
+        ADMITTANCE.write(os.path.join(out, "admittance.csv"), (
             (i, j, *map(float, (est.pre.real, est.pre.imag, est.post.real, est.post.imag,
                                 est.magnitude_ratio)), est.likely_out)
             for (i, j), est in sorted(found.admittance.items())))
@@ -225,7 +223,7 @@ def _monte_carlo(blocks, args, **options):
 
 
 def cmd_experiment(args) -> None:
-    from .experiments import run_experiment
+    from .experiments import METRICS, run_experiment
 
     blocks = load_config(args.config)
     options = _read(blocks, "experiment")
@@ -236,7 +234,7 @@ def cmd_experiment(args) -> None:
                           alphas=options.pop("alphas", (1e-2, 1e-4, 1e-6)), **options)
     table = run_experiment(config)
     out = _outdir(args)
-    _write(os.path.join(out, "metrics.csv"), table.to_csv())
+    METRICS.write(os.path.join(out, "metrics.csv"), map(dataclasses.astuple, table.rows))
     _write(os.path.join(out, "experiment.meta"), textconf.format_blocks([
         ("experiment", {"kl": repr(table.kl), "rho": repr(table.rho),
                         "replications": str(config.replications),
@@ -245,7 +243,7 @@ def cmd_experiment(args) -> None:
 
 
 def cmd_pmu_sweep(args) -> None:
-    from .experiments import run_pmu_sweep
+    from .experiments import PMU_SWEEP, run_pmu_sweep
 
     blocks = load_config(args.config)
     options = _read(blocks, "pmu_sweep")
@@ -257,7 +255,7 @@ def cmd_pmu_sweep(args) -> None:
     table = run_pmu_sweep(config, placements=options.get("placements"),
                           counts=options.get("counts"))
     out = _outdir(args)
-    _write(os.path.join(out, "pmu_sweep.csv"), table.to_csv())
+    PMU_SWEEP.write(os.path.join(out, "pmu_sweep.csv"), table.cells())
     print(f"{len(table.rows)} coverage levels -> {out}")
 
 

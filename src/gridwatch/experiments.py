@@ -266,9 +266,12 @@ PMU_SWEEP = textconf.Table("n_sensors,buses,kl,avg_delay,frac_delay_ge_prev", "%
 class PmuSweepTable:
     rows: tuple[PmuSweepRow, ...]
 
+    def cells(self):
+        return ((r.n_sensors, " ".join(map(str, r.buses)), r.kl, r.avg_delay,
+                 r.frac_delay_ge_prev) for r in self.rows)
+
     def to_csv(self) -> str:
-        return PMU_SWEEP.text((r.n_sensors, " ".join(map(str, r.buses)), r.kl, r.avg_delay,
-                               r.frac_delay_ge_prev) for r in self.rows)
+        return PMU_SWEEP.text(self.cells())
 
 
 def parse_heatmap_csv(text: str) -> tuple[tuple[int, ...], np.ndarray]:

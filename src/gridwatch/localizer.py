@@ -308,8 +308,9 @@ def localize(stream: MeasurementStream, scenario: Scenario, split: int, *, exact
     # a branch can be scored only when both of its buses are sensed
     scored = (all_bus_pairs(layout) if pairs == "all"
               else [pair for pair in branches if set(pair) <= layout.bus_coords.keys()])
-    if not scored and pairs == "branches":
-        raise ConfigError("no branch has both of its buses sensed")
+    if not scored:
+        raise ConfigError("no branch has both of its buses sensed" if pairs == "branches"
+                          else "[localize]: no pair to score")
     if zero is not None or exact:
         thresholds = EXACT_THRESHOLDS if zero is None else Thresholds(zero, active)
     else:

@@ -15,7 +15,10 @@ is a ``ConfigError`` naming its section, key or line.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
+
+BLOCK_ROWS = 1024  # rows per string that Table.write writes: no table is held whole
 
 
 class ConfigError(ValueError):
@@ -142,9 +145,19 @@ class Table(NamedTuple):
     row: str
     kinds: tuple
 
+    def blocks(self, rows):
+        """The header line, then the lines of each BLOCK_ROWS rows as one string."""
+        lines = map((self.row + "\n").__mod__, rows)
+        yield self.header + "\n"
+        while block := "".join(islice(lines, BLOCK_ROWS)):
+            yield block
+
     def text(self, rows) -> str:
-        """The header, then ``row % values`` per row, each line ended by "\\n"."""
-        return "\n".join([self.header, *map(self.row.__mod__, rows)]) + "\n"
+        return "".join(self.blocks(rows))
+
+    def write(self, path: str, rows) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(self.blocks(rows))
 
     def rows(self, text: str) -> list[tuple]:
         """The converted cells of every row of text, blank lines skipped.

@@ -2,6 +2,7 @@
 experiment/sweep emitters, determinism and the machine-readable error path."""
 
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -509,7 +510,9 @@ def test_estimation_rho_reaches_the_adaptive_detector(tmp_path, capsys):
     g = simgen.scenario_from_blocks(stream.meta).pre_model()
     report = run_detector(stream, DetectorConfig(g=g, mode=ADAPTIVE, alpha=1e-6, rho=0.01,
                                                  estimation_rho=0.3))
-    assert cli.trace_csv(report) == traces["set"]
+    assert cli.TRACE.text(zip(report.step_ticks.tolist(), report.posterior_trace.tolist(),
+                              report.log_odds_trace.tolist(), itertools.repeat(report.mode),
+                              report.f_refreshed.tolist())) == traces["set"]
 
 
 def test_candidate_cut_decides_likely_out(tmp_path, capsys):
@@ -828,6 +831,17 @@ def test_localize_without_fully_sensed_branch_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "no branch has both of its buses sensed" in err["message"]
+
+
+@pytest.mark.parametrize("keys", ["exact = true", "exact = false",
+                                  "exact = false\nzero = 1e-6\nactive = 1e-2"])
+def test_localize_with_no_pair_to_score_is_config_error(tmp_path, capsys, keys):
+    # one sensed bus leaves pairs = all without a pair: exact localize and
+    # localize with explicit thresholds wrote an empty localization.csv
+    config = CONFIG.replace("exact = true\nestimate_admittance = true", f"pairs = all\n{keys}")
+    err = _localize_error(tmp_path, capsys,
+                          config + "\n[sensor]\nbus = 4\nkind = phasor\nperiod = 1\n")
+    assert err == {"error": "ConfigError", "message": "[localize]: no pair to score"}
 
 
 def test_pmu_sweep_rejects_periods_above_one(tmp_path, capsys):

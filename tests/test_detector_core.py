@@ -439,6 +439,29 @@ def test_run_detector_peak_memory_holds_one_array_of_step_samples():
     assert peak < 1.5 * stream.values.nbytes, peak
 
 
+def test_writing_the_trace_holds_one_block_of_rows(tmp_path):
+    # detect lists and formats the trace of a 20 000-step run one block of
+    # rows at a time: the write peaks below 1.2 MB (the whole table as one
+    # string, with its lists, row strings and encoded copy, took 4.25 MB)
+    from gridwatch import cli
+
+    loop12 = load_feeder("loop12")
+    scen = Scenario(topology=loop12, out_branches=((8, 10),), lam=10_000, horizon=20_000,
+                    seed=43)
+    report = run_detector(generate(scen), DetectorConfig(g=scen.pre_model(),
+                                                         f=scen.post_model()))
+    assert len(report.step_ticks) == 20_000
+    path = str(tmp_path / "trace.csv")
+    cli.TRACE.write(path, cli._trace_rows(report))
+    tracemalloc.start()
+    try:
+        cli.TRACE.write(path, cli._trace_rows(report))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6, peak
+
+
 def test_run_detector_steps_on_aggregated_ticks():
     schedule = schedule_from_kinds({2: ("magnitude", 9)})
     scen = Scenario(topology=LOOP8, out_branches=((2, 6),), lam=40, horizon=100,

@@ -2,7 +2,16 @@
 
 import pytest
 
-from gridwatch.textconf import ConfigError, boolean, format_blocks, pairs, parse_blocks, read
+from gridwatch.cli import LOCALIZATION, TRACE
+from gridwatch.textconf import (
+    BLOCK_ROWS,
+    ConfigError,
+    boolean,
+    format_blocks,
+    pairs,
+    parse_blocks,
+    read,
+)
 
 
 def test_round_trip():
@@ -55,3 +64,25 @@ def test_typed_accessors():
 def test_auto_keys_written_as_minus_one_are_left_out():
     kinds = {"n": int, "x": float, "y": float}
     assert read("s", {"n": "-1", "x": "-1.0", "y": "-1"}, kinds, auto=("n", "x")) == {"y": -1.0}
+
+
+# per table, row k of a table of many rows
+ROWS = {
+    "trace": (TRACE, lambda k: (k + 1, 1.0 / (k + 3), -k / 7.0, "known_f", k % 3 == 0)),
+    "localization": (LOCALIZATION, lambda k: (k % 11 + 1, k % 11 + 2, k / 9.0, 1e-13 * k,
+                                              k / 9.0 - 1e-13 * k, k % 2 == 0, k % 5 == 0)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_table_write_writes_the_bytes_of_text(tmp_path, name, n):
+    # the header and each row's line, as one string joined whole
+    table, row = ROWS[name]
+    rows = [row(k) for k in range(n)]
+    text = "\n".join([table.header, *(table.row % values for values in rows)]) + "\n"
+    assert table.text(rows) == text
+    path = tmp_path / f"{name}.csv"
+    table.write(str(path), iter(rows))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert len(list(table.blocks(rows))) == 1 + -(-n // BLOCK_ROWS)

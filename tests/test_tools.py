@@ -53,3 +53,12 @@ def test_src_lines_prints_every_module_and_the_total():
     assert [row[0] for row in lines[1:]] == modules + ["total"]
     counts = [tuple(map(int, row[1:])) for row in lines[1:]]
     assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
+
+
+def test_peaks_prints_a_row_per_monitor_command():
+    lines = run_tool("peaks.py", "--ticks", "2000")
+    assert lines[0] == ["command", "traced_mb", "rss_mb"]
+    assert [row[0] for row in lines[1:]] == ["simulate", "detect", "localize"]
+    for row in lines[1:]:
+        # each peak is at least one array of the stream's 2 000 x 24 float values
+        assert len(row) == 3 and float(row[1]) >= 2000 * 24 * 8 / 1e6 and float(row[2]) >= 0.0
