@@ -7,7 +7,12 @@ pairs) and runs `simulate`, `detect` and `localize` on it through
 
     traced_mb  the tracemalloc peak of the command, started after the imports
     rss_mb     ru_maxrss of a run without tracemalloc, less ru_maxrss after
-               importing numpy and the gridwatch modules the commands load
+               the imports
+
+where the imports are numpy and the gridwatch modules the command loads.
+ru_maxrss is the process's high-water mark, and a command first reuses the
+memory its imports freed, so rss_mb moves by a few tenths of a MB with what
+the child imports first; compare it only between runs of this script.
 
 Only the standard library and numpy are needed.  Inputs and outputs go to a
 temporary directory; nothing is written into the checkout.  Run from the
@@ -23,7 +28,9 @@ import sys
 import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-COMMANDS = ("simulate", "detect", "localize")
+# per command, the gridwatch modules it loads
+COMMANDS = {"simulate": "cli", "detect": "cli, detector",
+            "localize": "cli, detector, experiments, localizer"}
 CONFIG = """\
 [scenario]
 feeder = loop12
@@ -45,7 +52,7 @@ CHILD = """\
 import resource, sys, tracemalloc
 sys.path.insert(0, {src!r})
 import numpy
-from gridwatch import cli, detector, localizer
+from gridwatch import {modules}
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if {traced!r}:
     tracemalloc.start()
@@ -61,9 +68,9 @@ else:
 
 def peak(argv: list[str], traced: bool, env: dict) -> float:
     """The MB a fresh interpreter reports running cli.main(argv)."""
-    done = subprocess.run([sys.executable, "-c", CHILD.format(src=SRC, argv=argv,
-                                                              traced=traced)],
-                          env=env, capture_output=True, text=True)
+    code = CHILD.format(src=SRC, modules=COMMANDS[argv[0]], argv=argv, traced=traced)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
     if done.returncode != 0:
         raise SystemExit(f"{argv[0]} exited {done.returncode}:\n{done.stderr}")
     return int(done.stdout.split()[-1]) / 1e6
